@@ -287,7 +287,7 @@ def _cmd_oml(args) -> int:
         _emit(args, lines, {"satisfiable": True, "solutions": count, "assignment": first})
         return 0
     # tables
-    matrix = oml.general_quantum_tables(lattice, args.alpha)
+    matrix = quantum_nmatrix(args.alpha)
     desc = matrix.describe()
     lines = [f"{desc['name']}: V = {desc['values']}, D = {desc['designated']}"]
     for conn, cases in desc["tables"].items():

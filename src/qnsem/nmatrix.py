@@ -11,12 +11,15 @@ the two notions coincide.
 Interval matrices over V = [0,1] interpret the binary connectives by cases on
 a binary relation between the denoted propositions (orthogonal or not), so
 legality checks for them need a relation oracle supplied by the caller.
+:class:`Bindings` is the one denotation evaluator behind both oracles the
+package ships: projectors (``quantum.ProjectorBindings``) and the elements of
+a finite orthomodular lattice (``oml.LatticeBindings``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,8 +36,7 @@ from .valuesets import (
     point,
 )
 
-BINARY_CONNECTIVES = ("and", "or", "imp")
-CONNECTIVE_ARITY = {"not": 1, "and": 2, "or": 2, "imp": 2}
+CONNECTIVE_ARITY = {"not": 1, "and": 2, "or": 2}
 
 # Relation cases for interval-matrix binary tables.
 ORTHOGONAL = "orthogonal"
@@ -62,6 +64,41 @@ class RelationOracle:
 
     def classify(self, left: Formula, right: Formula) -> str:  # pragma: no cover
         raise NotImplementedError
+
+
+E = TypeVar("E")
+
+
+class Bindings(RelationOracle, Generic[E]):
+    """Maps atoms to lattice elements and compound formulas to the elements
+    they denote, memoized per formula.
+
+    Subclasses supply the lattice operations ``ortho(x)``, ``meet(x, y)``
+    and ``join(x, y)`` on their element type, and ``classify`` on top of
+    ``denote``.
+    """
+
+    def __init__(self, atoms: Mapping[str, E]):
+        self.atoms = dict(atoms)
+        self._cache: dict[Formula, E] = {}
+
+    def denote(self, f: Formula) -> E:
+        if f in self._cache:
+            return self._cache[f]
+        if isinstance(f, Atom):
+            if f.name not in self.atoms:
+                raise ValueError(f"unbound atom {f.name!r}")
+            e = self.atoms[f.name]
+        elif isinstance(f, Not):
+            e = self.ortho(self.denote(f.child))
+        elif isinstance(f, And):
+            e = self.meet(self.denote(f.left), self.denote(f.right))
+        elif isinstance(f, Or):
+            e = self.join(self.denote(f.left), self.denote(f.right))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._cache[f] = e
+        return e
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +596,6 @@ _ADEQUACY_CLAUSES = {
         ((True, None), True, "a designated left input forces designated output"),
         ((None, True), True, "a designated right input forces designated output"),
         ((False, False), False, "undesignated inputs must stay undesignated"),
-    ),
-    "imp": (
-        ((False, None), True, "an undesignated antecedent forces designated output"),
-        ((None, True), True, "a designated consequent forces designated output"),
-        ((True, False), False, "designated antecedent with undesignated consequent forces undesignated output"),
     ),
 }
 

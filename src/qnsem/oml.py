@@ -2,6 +2,10 @@
 lattice laws, states via linear feasibility, two-valued valuation search, and
 the interval truth tables over an arbitrary lattice.
 
+Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
+orthogonality relation, which ``LatticeBindings`` (an ``nmatrix.Bindings``)
+supplies.
+
 Lattices come from three sources: direct order tables (JSON), Greechie
 diagrams (blocks of mutually orthogonal atoms, pasted along shared atoms),
 and finite fragments of a concrete projection lattice (auto-closed under the
@@ -17,17 +21,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .feasibility import EQ, GE, LE, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility
-from .formulas import And, Atom, Formula, Not, Or
+from .feasibility import EQ, GE, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility
+from .formulas import Formula
 from .linalg import tolerance
-from .nmatrix import (
-    ANY,
-    NON_ORTHOGONAL,
-    ORTHOGONAL,
-    IntervalNMatrix,
-    RelationOracle,
-)
-from .quantum import CAP_AND, DETERMINISTIC_NOT, ORTHOGONAL_AND, ORTHOGONAL_OR, SPAN_OR
+from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
+from .quantum import quantum_nmatrix
 
 #: Above this element count the state solver defaults to the float back end.
 EXACT_SOLVER_LIMIT = 64
@@ -410,16 +408,11 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
                 make_row({names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2},
                          EQ, 1, f"complement:{names[i]}")
             )
-    seen = set()
     for i in range(n):
         for j in range(i + 1, n):
             if not l.leq[i, l.ortho[j]]:
                 continue
             jj = join[i, j]
-            key = (jj, i, j)
-            if key in seen:
-                continue
-            seen.add(key)
             coeffs = {names[jj]: Fraction(1)}
             coeffs[names[i]] = coeffs.get(names[i], Fraction(0)) - 1
             coeffs[names[j]] = coeffs.get(names[j], Fraction(0)) - 1
@@ -542,21 +535,7 @@ def find_two_valued_valuation(
 # interval tables over a lattice
 
 
-def general_quantum_tables(l: FiniteOML, alpha: float = 1.0) -> IntervalNMatrix:
-    """The orthogonality-split interval tables with the lattice's own
-    orthogonality relation (p below the complement of q)."""
-    return IntervalNMatrix(
-        alpha,
-        {
-            "or": {ORTHOGONAL: ORTHOGONAL_OR, NON_ORTHOGONAL: SPAN_OR},
-            "and": {ORTHOGONAL: ORTHOGONAL_AND, NON_ORTHOGONAL: CAP_AND},
-            "not": {ANY: DETERMINISTIC_NOT},
-        },
-        name=f"lattice-tables(alpha={alpha:g})",
-    )
-
-
-class LatticeBindings(RelationOracle):
+class LatticeBindings(Bindings[str]):
     """Binds formula atoms to lattice elements; denotation and orthogonality
     come from the lattice tables, so classification is exact."""
 
@@ -565,26 +544,16 @@ class LatticeBindings(RelationOracle):
         unknown = set(atoms.values()) - set(lattice.elements)
         if unknown:
             raise ValueError(f"bindings to unknown elements {sorted(unknown)}")
-        self.atoms = dict(atoms)
-        self._cache: dict[Formula, str] = {}
+        super().__init__(atoms)
 
-    def denote(self, f: Formula) -> str:
-        if f in self._cache:
-            return self._cache[f]
-        if isinstance(f, Atom):
-            if f.name not in self.atoms:
-                raise ValueError(f"unbound atom {f.name!r}")
-            e = self.atoms[f.name]
-        elif isinstance(f, Not):
-            e = self.lattice.ortho_id(self.denote(f.child))
-        elif isinstance(f, And):
-            e = meet_oml(self.lattice, self.denote(f.left), self.denote(f.right))
-        elif isinstance(f, Or):
-            e = join_oml(self.lattice, self.denote(f.left), self.denote(f.right))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._cache[f] = e
-        return e
+    def ortho(self, e: str) -> str:
+        return self.lattice.ortho_id(e)
+
+    def meet(self, a: str, b: str) -> str:
+        return meet_oml(self.lattice, a, b)
+
+    def join(self, a: str, b: str) -> str:
+        return join_oml(self.lattice, a, b)
 
     def classify(self, left: Formula, right: Formula) -> str:
         return ORTHOGONAL if self.lattice.orthogonal(self.denote(left), self.denote(right)) else NON_ORTHOGONAL
@@ -642,10 +611,17 @@ def legal_valuation_search(
 ) -> FeasibilityResult:
     """Search for a [0,1] valuation legal for the lattice tables.
 
-    Orthogonal cells contribute equalities, interval cells the bounding
-    inequalities, negation the complement equality; ``partial`` pins chosen
-    elements and ``extra_rows`` lets callers inject additional constraints.
+    The rows encode ``quantum_nmatrix(alpha)``, whose tables do not depend
+    on alpha; other matrices are refused.  The rows of
+    :func:`state_constraints` cover negation and the orthogonal disjunction
+    cell; the orthogonal conjunction cell adds an equality and the interval
+    cells their bounding inequalities.  ``partial`` pins chosen elements and
+    ``extra_rows`` lets callers inject additional constraints.
     """
+    if m.tables != quantum_nmatrix(m.alpha).tables:
+        raise ValueError(
+            f"the search encodes only quantum_nmatrix(alpha), not {m.name or 'an unnamed matrix'}"
+        )
     if exact is None:
         exact = len(l) <= EXACT_SOLVER_LIMIT
     partial = dict(partial or {})
@@ -655,27 +631,12 @@ def legal_valuation_search(
         if not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
     meet, join = l._bound_tables()
-    names = l.elements
-    rows: list[Row] = [
-        make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
-        make_row({names[l.top]: 1}, EQ, 1, "top"),
-    ]
+    names, rows = state_constraints(l)
     n = len(names)
-    for i in range(n):
-        oi = l.ortho[i]
-        if i <= oi:
-            rows.append(
-                make_row({names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2},
-                         EQ, 1, f"negation:{names[i]}")
-            )
     for i in range(n):
         for j in range(i + 1, n):
             jj, mm = join[i, j], meet[i, j]
             if l.leq[i, l.ortho[j]]:
-                coeffs = {names[jj]: Fraction(1)}
-                coeffs[names[i]] = coeffs.get(names[i], Fraction(0)) - 1
-                coeffs[names[j]] = coeffs.get(names[j], Fraction(0)) - 1
-                rows.append(make_row(coeffs, EQ, 0, f"or-add:{names[i]}|{names[j]}"))
                 rows.append(make_row({names[mm]: 1}, EQ, 0, f"and-zero:{names[i]}|{names[j]}"))
             else:
                 for low, high in ((names[i], names[jj]), (names[j], names[jj]),

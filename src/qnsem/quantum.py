@@ -4,11 +4,14 @@ complement, designated set [alpha, 1].
 
 Every density operator induces a valuation through the Born probabilities of
 the denoted projectors; those valuations are exactly the ones the tables
-admit.  The module also builds the restricted (adequacy-motivated) tables,
-the two non-deterministic negation variants, the double-negation ordering
-chain, and the two worked counterexamples: a four-dimensional pair of states
-witnessing genuine non-determinism and a three-dimensional configuration
-breaking the composability principle.
+admit.  Formulas denote projectors through ``ProjectorBindings``, the
+projector instance of the shared ``nmatrix.Bindings`` evaluator.  The same
+tables serve finite orthomodular lattices (see ``oml``).  The module also
+builds the restricted (adequacy-motivated) tables, the two non-deterministic
+negation variants, the double-negation ordering chain, and the two worked
+counterexamples: a four-dimensional pair of states witnessing genuine
+non-determinism and a three-dimensional configuration breaking the
+composability principle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .formulas import And, Atom, Formula, Not, Or, render, subformula_closure
+from .formulas import And, Atom, Formula, Or, render, subformula_closure
 from .linalg import max_norm, tolerance
 from .nmatrix import (
     AMBIGUOUS,
@@ -28,9 +31,9 @@ from .nmatrix import (
     NON_ORTHOGONAL,
     ORTHOGONAL,
     UNDESIGNATED,
+    Bindings,
     IntervalNMatrix,
     IntervalRule,
-    RelationOracle,
     ThresholdMap,
     Valuation,
 )
@@ -147,7 +150,7 @@ def negation_set(variant: str, alpha: float, a: float) -> IntervalUnion:
 # Born valuations of states
 
 
-class ProjectorBindings(RelationOracle):
+class ProjectorBindings(Bindings[np.ndarray]):
     """Maps atoms to projectors and compound formulas to lattice elements.
 
     Serves as the relation oracle for interval-matrix legality: orthogonality
@@ -157,30 +160,20 @@ class ProjectorBindings(RelationOracle):
 
     def __init__(self, atoms: Mapping[str, np.ndarray], tol: float | None = None):
         self.tol = tolerance(tol)
-        self.atoms = {name: hilbert.check_projector(m, self.tol) for name, m in atoms.items()}
+        super().__init__({name: hilbert.check_projector(m, self.tol) for name, m in atoms.items()})
         dims = {m.shape[0] for m in self.atoms.values()}
         if len(dims) > 1:
             raise ValueError(f"atom projectors live in different dimensions: {sorted(dims)}")
         self.dim = dims.pop() if dims else 0
-        self._cache: dict[Formula, np.ndarray] = {}
 
-    def denote(self, f: Formula) -> np.ndarray:
-        if f in self._cache:
-            return self._cache[f]
-        if isinstance(f, Atom):
-            if f.name not in self.atoms:
-                raise ValueError(f"unbound atom {f.name!r}")
-            p = self.atoms[f.name]
-        elif isinstance(f, Not):
-            p = hilbert.ortho(self.denote(f.child))
-        elif isinstance(f, And):
-            p = hilbert.meet(self.denote(f.left), self.denote(f.right), self.tol)
-        elif isinstance(f, Or):
-            p = hilbert.join(self.denote(f.left), self.denote(f.right), self.tol)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._cache[f] = p
-        return p
+    def ortho(self, p: np.ndarray) -> np.ndarray:
+        return hilbert.ortho(p)
+
+    def meet(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return hilbert.meet(p, q, self.tol)
+
+    def join(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return hilbert.join(p, q, self.tol)
 
     def classify(self, left: Formula, right: Formula) -> str:
         overlap = max_norm(self.denote(left) @ self.denote(right))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qnsem import cli
 from qnsem.formulas import And, Atom, Not, Or, parse
 from qnsem.nmatrix import (
     AMBIGUOUS,
@@ -45,7 +46,7 @@ class FixedOracle(RelationOracle):
 # construction and serialization
 
 
-def test_matrix_validation():
+def test_matrix_validation(write_json, capsys):
     with pytest.raises(ValueError, match="designated"):
         FiniteNMatrix(("t", "F"), frozenset({"t", "F"}), classical_matrix().tables)
     with pytest.raises(ValueError, match="cells"):
@@ -53,6 +54,13 @@ def test_matrix_validation():
         broken = dict(m.tables)
         broken["or"] = {("t", "t"): m.cell("or", ("t", "t"))}
         FiniteNMatrix(m.values, m.designated, broken)
+    # implication is not a connective of the formula language
+    with_imp = classical_matrix().to_json()
+    with_imp["tables"]["imp"] = {"t,t": ["t"], "t,F": ["F"], "F,t": ["t"], "F,F": ["t"]}
+    with pytest.raises(ValueError, match="unknown connective 'imp'"):
+        FiniteNMatrix.from_json(with_imp)
+    assert cli.main(["adequacy", "--matrix", write_json("imp.json", with_imp)]) == 2
+    assert "unknown connective 'imp'" in capsys.readouterr().err
 
 
 def test_json_roundtrip():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from qnsem import fixtures, hilbert, oml
 from qnsem.feasibility import EQ, make_row
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
-from qnsem.formulas import Atom, Not, Or
+from qnsem.formulas import And, Atom, Not, Or, render
+from qnsem.quantum import ProjectorBindings, quantum_nmatrix
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def test_general_tables_accept_states():
         ["a", "b", "c", "d", "e"], [["a", "b", "c"], ["c", "d", "e"]]
     )
     for lattice in (oml.boolean_lattice(2), oml.boolean_lattice(3), oml.mo2(), pasted):
-        matrix = oml.general_quantum_tables(lattice, 1.0)
+        matrix = quantum_nmatrix(1.0)
         result = oml.find_state(lattice)
         mu = {k: float(v) for k, v in result.state.items()}
         report = oml.lattice_valuation_legal(lattice, matrix, mu)
@@ -196,7 +198,7 @@ def test_general_tables_accept_states():
 
 def test_general_tables_negation_cell():
     lattice = oml.boolean_lattice(2)
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     mu = {"0": 0.0, "a": 0.3, "b": 0.7, "1": 1.0}
     assert oml.lattice_valuation_legal(lattice, matrix, mu).ok
     mu_bad = {"0": 0.0, "a": 0.3, "b": 0.6, "1": 1.0}
@@ -217,11 +219,39 @@ def test_mo2_distinct_blocks_are_not_orthogonal():
 
 def test_lattice_bindings_formula_legality():
     lattice = oml.mo2()
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     bindings = oml.LatticeBindings(lattice, {"P": "a", "Q": "b"})
     mu = {Atom("P"): 0.5, Atom("Q"): 0.5, Or(Atom("P"), Atom("Q")): 1.0,
           Not(Atom("P")): 0.5}
     assert is_dynamic_legal(mu, matrix, bindings).ok
+
+
+def _random_formula(rnd: random.Random, depth: int):
+    if depth == 0 or rnd.random() < 0.25:
+        return Atom(rnd.choice("abc"))
+    kind = rnd.choice((Not, And, Or))
+    if kind is Not:
+        return Not(_random_formula(rnd, depth - 1))
+    return kind(_random_formula(rnd, depth - 1), _random_formula(rnd, depth - 1))
+
+
+def test_bindings_agree_across_backends():
+    # 2^3 with its atoms bound to a, b, c, and the diagonal rank-one
+    # projectors: element "ab" must denote diag(1, 1, 0), and so on
+    lattice = oml.boolean_lattice(3)
+    on_lattice = oml.LatticeBindings(lattice, {x: x for x in "abc"})
+    on_projectors = ProjectorBindings({x: np.diag([float(x == y) for y in "abc"]) for x in "abc"})
+
+    def diagonal(element: str) -> np.ndarray:
+        support = {"0": "", "1": "abc"}.get(element, element)
+        return np.diag([float(y in support) for y in "abc"])
+
+    rnd = random.Random(7)
+    formulas = [_random_formula(rnd, 6) for _ in range(300)]
+    for f, g in zip(formulas, formulas[1:]):
+        assert np.allclose(on_projectors.denote(f), diagonal(on_lattice.denote(f))), render(f)
+        for other in (Not(f), g):
+            assert on_lattice.classify(f, other) == on_projectors.classify(f, other), render(other)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +260,7 @@ def test_lattice_bindings_formula_legality():
 
 def test_valuation_search_unconstrained():
     lattice = oml.boolean_lattice(2)
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     result = oml.legal_valuation_search(lattice, matrix)
     assert result.feasible
     mu = {k: float(v) for k, v in result.point.items()}
@@ -239,7 +269,7 @@ def test_valuation_search_unconstrained():
 
 def test_valuation_search_contradictory_pin():
     lattice = oml.mo2()
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     # the complement equality makes pinning both a and a' to one impossible
     result = oml.legal_valuation_search(lattice, matrix, partial={"a": 1, "a'": 1})
     assert not result.feasible
@@ -247,7 +277,7 @@ def test_valuation_search_contradictory_pin():
 
 def test_valuation_search_respects_partial():
     lattice = oml.mo2()
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     result = oml.legal_valuation_search(lattice, matrix, partial={"a": Fraction(1, 3)})
     assert result.feasible
     assert result.point["a"] == Fraction(1, 3)
@@ -259,7 +289,7 @@ def test_pairwise_constraints_propagate_to_families():
     # orthogonal family in a lattice, so distorting a ternary family sum has
     # no feasible valuation
     lattice = oml.boolean_lattice(3)
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     gap = make_row({"1": 1, "a": -1, "b": -1, "c": -1}, EQ, Fraction(1, 10), "ternary-gap")
     result = oml.legal_valuation_search(lattice, matrix, extra_rows=[gap])
     assert not result.feasible
@@ -267,9 +297,21 @@ def test_pairwise_constraints_propagate_to_families():
     assert oml.legal_valuation_search(lattice, matrix).feasible
 
 
+def test_valuation_search_rejects_other_tables():
+    # the rows encode the deterministic negation only; under the first
+    # non-deterministic negation this valuation is legal, yet a complement
+    # equality would reject it
+    lattice = oml.boolean_lattice(2)
+    matrix = quantum_nmatrix(0.8, "neg1")
+    assert oml.lattice_valuation_legal(lattice, matrix, {"0": 0, "a": 0.6, "b": 0.6, "1": 1}).ok
+    with pytest.raises(ValueError, match="neg1"):
+        oml.legal_valuation_search(lattice, matrix, partial={"a": 0.6, "b": 0.6})
+    assert oml.legal_valuation_search(lattice, quantum_nmatrix(0.8)).feasible
+
+
 def test_valuation_search_rejects_bad_partial():
     lattice = oml.mo2()
-    matrix = oml.general_quantum_tables(lattice, 1.0)
+    matrix = quantum_nmatrix(1.0)
     with pytest.raises(ValueError, match="out of"):
         oml.legal_valuation_search(lattice, matrix, partial={"a": 1.5})
     with pytest.raises(ValueError, match="unknown element"):
