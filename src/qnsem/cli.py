@@ -4,21 +4,22 @@ reproduction demo.
 Exit codes are a contract: 0 success, 1 usage error, 2 malformed input or
 broken invariant, 3 negative verification verdict (illegal valuation,
 inadequate matrix, unsatisfiable search, infeasible state space, failed
-reproduction).  The environment variable ``QNSEM_TOL`` overrides the global
-default tolerance.
+reproduction).  ``--tol`` (default ``linalg.DEFAULT_TOL``) is the tolerance of
+the commands that read operators or vectors from files: ``eval``, ``legal``
+and ``ks``.  The other commands check fixed constructions at their own
+pinned tolerances.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import demo as demo_mod
 from . import fixtures, hilbert, kscheck, oml
 from .formulas import ParseError, parse, render, subformula_closure
-from .linalg import DimensionMismatch, InvariantViolation
+from .linalg import DEFAULT_TOL, DimensionMismatch, InvariantViolation
 from .nmatrix import (
     FiniteNMatrix,
     ThresholdMap,
@@ -59,19 +60,19 @@ def _emit(args, human_lines, payload) -> None:
             print(line)
 
 
-def _load_bindings(path: str) -> ProjectorBindings:
+def _load_bindings(path: str, tol: float) -> ProjectorBindings:
     obj = _load_json(path)
     atoms = {}
     for name, op in obj.items():
-        matrix, kind = hilbert.operator_from_json(op)
+        matrix, kind = hilbert.operator_from_json(op, tol)
         if kind != "projector":
             raise InvariantViolation(f"binding {name!r} is not a projector")
         atoms[name] = matrix
-    return ProjectorBindings(atoms)
+    return ProjectorBindings(atoms, tol)
 
 
-def _load_state(path: str):
-    matrix, kind = hilbert.operator_from_json(_load_json(path))
+def _load_state(path: str, tol: float):
+    matrix, kind = hilbert.operator_from_json(_load_json(path), tol)
     if kind != "density":
         raise InvariantViolation(f"state file {path!r} does not hold a density operator")
     return matrix
@@ -107,10 +108,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bindings = _load_bindings(args.bind)
-    rho = _load_state(args.state)
+    bindings = _load_bindings(args.bind, args.tol)
+    rho = _load_state(args.state, args.tol)
     formula = parse(args.formula)
-    valuation = evaluate_state(rho, bindings, [formula])
+    valuation = evaluate_state(rho, bindings, [formula], args.tol)
     lines = [f"v({render(f)}) = {valuation[f]:.12g}" for f in valuation.domain()]
     payload = {"values": {render(f): valuation[f] for f in valuation.domain()}}
     _emit(args, lines, payload)
@@ -118,11 +119,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_legal(args) -> int:
-    bindings = _load_bindings(args.bind)
-    rho = _load_state(args.state)
+    bindings = _load_bindings(args.bind, args.tol)
+    rho = _load_state(args.state, args.tol)
     formulas = _load_formulas(args.formulas)
     matrix = quantum_nmatrix(args.alpha, args.negation)
-    valuation = evaluate_state(rho, bindings, formulas)
+    valuation = evaluate_state(rho, bindings, formulas, args.tol)
     report = is_dynamic_legal(valuation, matrix, bindings)
     lines = [f"checked {report.checked} compound formulas against {matrix.name}"]
     lines += [f"violation: {v}" for v in report.violations]
@@ -221,11 +222,11 @@ def _cmd_rexpansion(args) -> int:
 
 def _cmd_ks(args) -> int:
     family = kscheck.VectorContextFamily.from_json(_load_json(args.family))
-    context_report = kscheck.verify_contexts(family)
+    context_report = kscheck.verify_contexts(family, args.tol)
     if not context_report.ok:
         raise InvariantViolation("; ".join(context_report.problems))
     if args.action == "search":
-        result = kscheck.search_classical_valuation(family)
+        result = kscheck.search_classical_valuation(family, args.tol)
         if result is None:
             _emit(args, ["UNSAT"], {"satisfiable": False})
             return NEGATIVE
@@ -236,7 +237,7 @@ def _cmd_ks(args) -> int:
             {"satisfiable": True, "assignment": result},
         )
         return 0
-    count = kscheck.count_solutions(family, cap=args.cap)
+    count = kscheck.count_solutions(family, cap=args.cap, tol=args.tol)
     _emit(args, [f"solutions: {count}"], {"solutions": count})
     return 0
 
@@ -331,7 +332,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qnsem", description=__doc__)
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--tol", type=float, default=None, help="override the default tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance of eval, legal and ks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a formula and print its tree")
@@ -409,9 +410,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    saved_tol = os.environ.get("QNSEM_TOL")
-    if args.tol is not None:
-        os.environ["QNSEM_TOL"] = repr(args.tol)
     try:
         return args.func(args)
     except (
@@ -425,12 +423,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    finally:
-        if args.tol is not None:
-            if saved_tol is None:
-                os.environ.pop("QNSEM_TOL", None)
-            else:
-                os.environ["QNSEM_TOL"] = saved_tol
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

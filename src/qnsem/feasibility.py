@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .linalg import DEFAULT_TOL
+
 EQ, LE, GE = "==", "<=", ">="
 
 
@@ -216,13 +218,13 @@ def _phase_one_simplex(ineqs, free_vars):
     return point
 
 
-def _float_phase(ineqs, free_vars, tol):
+def _float_phase(ineqs, free_vars):
     from scipy.optimize import linprog
 
     order = sorted(free_vars)
     cols = {v: j for j, v in enumerate(order)}
     if not order:
-        return {} if all(float(rhs) >= -tol for _, rhs in ineqs) else None
+        return {} if all(float(rhs) >= -DEFAULT_TOL for _, rhs in ineqs) else None
     a_ub, b_ub = [], []
     for coeffs, rhs in ineqs:
         vec = [0.0] * len(order)
@@ -246,7 +248,6 @@ def solve_feasibility(
     variables: Sequence[str],
     rows: Sequence[Row],
     exact: bool = True,
-    tol: float = 1e-9,
 ) -> FeasibilityResult:
     """Decide feasibility of the rows with every variable boxed to [0,1]."""
     rows = list(rows)
@@ -277,7 +278,7 @@ def solve_feasibility(
     if exact:
         point_free = _phase_one_simplex(ineqs, free_vars)
     else:
-        point_free = _float_phase(ineqs, free_vars, tol)
+        point_free = _float_phase(ineqs, free_vars)
     if point_free is None:
         return FeasibilityResult(False, None, None, "bounded phase is infeasible")
     names = list(variables)

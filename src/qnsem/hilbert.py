@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     DimensionMismatch,
     InvariantViolation,
     adjoint,
@@ -23,7 +24,6 @@ from .linalg import (
     matrix_to_json,
     max_norm,
     orthonormalize,
-    tolerance,
     trace,
 )
 
@@ -42,8 +42,7 @@ def projector_residuals(m: np.ndarray) -> dict[str, float]:
     }
 
 
-def check_projector(m, tol: float | None = None) -> np.ndarray:
-    tol = tolerance(tol)
+def check_projector(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"projector must be square, got {m.shape[0]}x{m.shape[1]}")
@@ -65,8 +64,7 @@ def density_residuals(m: np.ndarray) -> dict[str, float]:
     }
 
 
-def check_density(m, tol: float | None = None) -> np.ndarray:
-    tol = tolerance(tol)
+def check_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"density operator must be square, got {m.shape[0]}x{m.shape[1]}")
@@ -83,7 +81,7 @@ def operator_to_json(m, kind: str) -> dict:
     return obj
 
 
-def operator_from_json(obj: dict, tol: float | None = None) -> tuple[np.ndarray, str]:
+def operator_from_json(obj: dict, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, str]:
     """Parse and validate a {"kind": "projector"|"density", ...matrix...} object."""
     kind = obj.get("kind")
     m = matrix_from_json(obj)
@@ -102,7 +100,7 @@ def zero(dim: int) -> np.ndarray:
     return np.zeros((dim, dim), dtype=np.complex128)
 
 
-def projector_from_span(vectors, tol: float | None = None, dim: int | None = None) -> np.ndarray:
+def projector_from_span(vectors, tol: float = DEFAULT_TOL, dim: int | None = None) -> np.ndarray:
     """Orthogonal projector onto the span of the given vectors.
 
     Dependent vectors are dropped by Gram-Schmidt.  An empty span yields the
@@ -131,7 +129,7 @@ def _require_same_dim(p: np.ndarray, q: np.ndarray) -> None:
         raise DimensionMismatch(f"projector dimensions differ: {p.shape} vs {q.shape}")
 
 
-def meet(p, q, tol: float | None = None) -> np.ndarray:
+def meet(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the intersection of the two ranges.
 
     Computed as the kernel projector of (I-p)+(I-q): a vector is in both
@@ -141,7 +139,7 @@ def meet(p, q, tol: float | None = None) -> np.ndarray:
     _require_same_dim(p, q)
     dim = p.shape[0]
     k = (identity(dim) - p) + (identity(dim) - q)
-    values, vectors = hermitian_eigen(k, tol=max(tolerance(tol), 1e-6))
+    values, vectors = hermitian_eigen(k, tol=max(tol, 1e-6))
     cutoff = KERNEL_THRESHOLD * max(float(values[-1]), 1.0)
     cols = [vectors[:, i] for i in range(dim) if values[i] <= cutoff]
     if not cols:
@@ -149,7 +147,7 @@ def meet(p, q, tol: float | None = None) -> np.ndarray:
     return projector_from_span(cols, tol)
 
 
-def join(p, q, tol: float | None = None) -> np.ndarray:
+def join(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the closed span of the two ranges: de Morgan dual of meet."""
     p, q = as_matrix(p), as_matrix(q)
     _require_same_dim(p, q)
@@ -162,34 +160,33 @@ def ortho(p) -> np.ndarray:
     return identity(p.shape[0]) - p
 
 
-def leq(p, q, tol: float | None = None) -> bool:
+def leq(p, q, tol: float = DEFAULT_TOL) -> bool:
     """Range inclusion: p <= q exactly when q absorbs p (q p = p)."""
     p, q = as_matrix(p), as_matrix(q)
     _require_same_dim(p, q)
-    return max_norm(q @ p - p) <= tolerance(tol)
+    return max_norm(q @ p - p) <= tol
 
 
-def is_orthogonal(p, q, tol: float | None = None) -> bool:
+def is_orthogonal(p, q, tol: float = DEFAULT_TOL) -> bool:
     p, q = as_matrix(p), as_matrix(q)
     _require_same_dim(p, q)
-    return max_norm(p @ q) <= tolerance(tol)
+    return max_norm(p @ q) <= tol
 
 
-def equal(p, q, tol: float | None = None) -> bool:
-    return max_norm(as_matrix(p) - as_matrix(q)) <= tolerance(tol)
+def equal(p, q, tol: float = DEFAULT_TOL) -> bool:
+    return max_norm(as_matrix(p) - as_matrix(q)) <= tol
 
 
-def rank_of(p, tol: float | None = None) -> int:
+def rank_of(p) -> int:
     return int(round(float(np.real(trace(p)))))
 
 
-def born(rho, p, tol: float | None = None) -> float:
+def born(rho, p, tol: float = DEFAULT_TOL) -> float:
     """Born probability Re tr(rho p), clipped to [0,1] only within tolerance.
 
     Values escaping [-tol, 1+tol] raise: they signal a broken state or
     projector upstream and must not be silently masked.
     """
-    tol = tolerance(tol)
     rho, p = as_matrix(rho), as_matrix(p)
     _require_same_dim(rho, p)
     value = float(np.real(np.trace(rho @ p)))
@@ -212,13 +209,12 @@ class StateAxiomReport:
         return max(self.zero_residual, self.complement_residual, self.additivity_residual) <= self.tol
 
 
-def verify_state_axioms(rho, family, tol: float | None = None) -> StateAxiomReport:
+def verify_state_axioms(rho, family, tol: float = DEFAULT_TOL) -> StateAxiomReport:
     """Check mu(0)=0, mu(P')=1-mu(P), and additivity of mu over the family join.
 
     The family must be pairwise orthogonal; the offending pair is named
     otherwise.
     """
-    tol = tolerance(tol)
     rho = as_matrix(rho)
     family = [as_matrix(p) for p in family]
     for i in range(len(family)):
@@ -268,7 +264,7 @@ class Reconstruction:
     residual: float
 
 
-def state_reconstruction(family, values, tol: float | None = None) -> Reconstruction:
+def state_reconstruction(family, values, tol: float = DEFAULT_TOL) -> Reconstruction:
     """Recover the density operator assigning the given Born values.
 
     Solves tr(rho P_i) = value_i together with tr(rho) = 1 by least squares
@@ -276,7 +272,6 @@ def state_reconstruction(family, values, tol: float | None = None) -> Reconstruc
     matrices (an informationally complete set); the result must be positive
     within tolerance, otherwise the values admit no quantum state.
     """
-    tol = tolerance(tol)
     family = [as_matrix(p) for p in family]
     if not family:
         raise InvariantViolation("empty projector family")
@@ -291,11 +286,9 @@ def state_reconstruction(family, values, tol: float | None = None) -> Reconstruc
 
     basis = _hermitian_basis(dim)
     rows = [[float(np.real(np.trace(b @ p))) for b in basis] for p in family]
-    if np.linalg.matrix_rank(np.array(rows), tol=1e-8) < dim * dim:
-        raise InvariantViolation(
-            f"family does not determine a state: rank {np.linalg.matrix_rank(np.array(rows), tol=1e-8)}"
-            f" < {dim * dim}"
-        )
+    rank = np.linalg.matrix_rank(np.array(rows), tol=1e-8)
+    if rank < dim * dim:
+        raise InvariantViolation(f"family does not determine a state: rank {rank} < {dim * dim}")
     rows.append([float(np.real(np.trace(b))) for b in basis])
     rhs = values + [1.0]
     theta, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .linalg import max_norm, tolerance
+from .linalg import DEFAULT_TOL, max_norm
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ class VectorContextFamily:
         return sorted(self.vectors)
 
 
-def orthogonality_graph(family: VectorContextFamily, tol: float | None = None) -> dict[str, set[str]]:
+def orthogonality_graph(
+    family: VectorContextFamily, tol: float = DEFAULT_TOL
+) -> dict[str, set[str]]:
     """Adjacency by vanishing inner product, relative to the vector norms."""
-    tol = tolerance(tol)
     ids = family.ids()
     norms = {vid: float(np.linalg.norm(family.vectors[vid])) for vid in ids}
     adj: dict[str, set[str]] = {vid: set() for vid in ids}
@@ -84,10 +85,9 @@ class ContextReport:
         return not self.problems
 
 
-def verify_contexts(family: VectorContextFamily, tol: float | None = None) -> ContextReport:
+def verify_contexts(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> ContextReport:
     """Per-context residuals: pairwise orthonormality of the (normalized)
     members and completeness of the rank-one resolution of identity."""
-    tol = tolerance(tol)
     problems: list[str] = []
     ortho_res: dict[str, float] = {}
     resolution_res: dict[str, float] = {}
@@ -119,7 +119,7 @@ def verify_contexts(family: VectorContextFamily, tol: float | None = None) -> Co
     return ContextReport(ortho_res, resolution_res, tuple(problems))
 
 
-def _prepared(family: VectorContextFamily, tol: float | None):
+def _prepared(family: VectorContextFamily, tol: float):
     adj = orthogonality_graph(family, tol)
     ids = family.ids()
     order = {vid: k for k, vid in enumerate(ids)}
@@ -127,7 +127,7 @@ def _prepared(family: VectorContextFamily, tol: float | None):
     return adj, ids, contexts
 
 
-def _search(family: VectorContextFamily, tol: float | None, count_cap: int | None):
+def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
     """Backtracking core: returns (first solution, count up to cap)."""
     adj, ids, contexts = _prepared(family, tol)
     state: dict[str, int] = {}
@@ -195,7 +195,7 @@ def _search(family: VectorContextFamily, tol: float | None, count_cap: int | Non
 
 
 def search_classical_valuation(
-    family: VectorContextFamily, tol: float | None = None
+    family: VectorContextFamily, tol: float = DEFAULT_TOL
 ) -> dict[str, int] | None:
     """One {0,1} assignment with exactly one 1 per context and no orthogonal
     pair both 1, or None when the family admits none.
@@ -208,13 +208,13 @@ def search_classical_valuation(
     return first
 
 
-def count_solutions(family: VectorContextFamily, cap: int = 10**6, tol: float | None = None) -> int:
+def count_solutions(family: VectorContextFamily, cap: int = 10**6, tol: float = DEFAULT_TOL) -> int:
     """Exact solution count (up to cap) by exhaustive backtracking."""
     _, count = _search(family, tol, count_cap=cap)
     return count
 
 
-def exhaustive_count(family: VectorContextFamily, tol: float | None = None) -> int:
+def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> int:
     """Solution count by sheer enumeration of all 2^n assignments.
 
     Independent of the backtracking path: assignments are bitmasks, the
@@ -246,7 +246,7 @@ def exhaustive_count(family: VectorContextFamily, tol: float | None = None) -> i
 
 
 def recheck_assignment(
-    family: VectorContextFamily, assignment: Mapping[str, int], tol: float | None = None
+    family: VectorContextFamily, assignment: Mapping[str, int], tol: float = DEFAULT_TOL
 ) -> list[str]:
     """Independent full re-check of the two constraints; empty means valid."""
     adj = orthogonality_graph(family, tol)
@@ -293,11 +293,10 @@ def s3_check(
     fragment: Mapping[str, np.ndarray],
     ortho_pairs: Mapping[str, str],
     contexts: Sequence[Sequence[str]] = (),
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> AdmissibilityReport:
     """Check the admissibility clauses on a projector fragment closed under
     complement: v(P)=1 iff v(P')=0, and truth propagates up the order."""
-    tol = tolerance(tol)
     missing = set(fragment) - set(values)
     if missing:
         raise ValueError(f"assignment misses {sorted(missing)[:5]}")

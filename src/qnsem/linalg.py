@@ -8,23 +8,13 @@ never mutate their inputs, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-#: Fallback tolerance for every approximate comparison in the package.
+#: The one default tolerance of the package: every ``tol`` parameter defaults
+#: to it, and callers that want another pass it explicitly (the CLI's ``--tol``).
 DEFAULT_TOL = 1e-9
-
-
-def tolerance(tol: float | None = None) -> float:
-    """Resolve an effective tolerance: explicit value > QNSEM_TOL env > default."""
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get("QNSEM_TOL")
-    if env is not None:
-        return float(env)
-    return DEFAULT_TOL
 
 
 class DimensionMismatch(ValueError):
@@ -81,14 +71,13 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray
 
 
-def hermitian_eigen(a, tol: float | None = None) -> EigenResult:
+def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenResult:
     """Eigendecomposition of a Hermitian matrix.
 
     Rejects inputs whose asymmetry exceeds ``tol`` in max-norm; the matrix is
     symmetrized before factoring so the reconstruction residual stays at
     rounding level for genuinely Hermitian inputs.
     """
-    tol = tolerance(tol)
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape[0]}x{a.shape[1]}")
@@ -100,13 +89,12 @@ def hermitian_eigen(a, tol: float | None = None) -> EigenResult:
     return EigenResult(values, vectors)
 
 
-def orthonormalize(vectors: Sequence, tol: float | None = None) -> list[np.ndarray]:
+def orthonormalize(vectors: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Modified Gram-Schmidt with a second pass for numerical orthogonality.
 
     Vectors whose residual norm after projection is at most ``tol`` are
     dropped as linearly dependent.  Empty input yields an empty list.
     """
-    tol = tolerance(tol)
     basis: list[np.ndarray] = []
     dim = None
     for raw in vectors:

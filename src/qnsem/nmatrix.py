@@ -24,8 +24,8 @@ from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, Typ
 import numpy as np
 
 from .formulas import And, Atom, Formula, Not, Or, children, render, subformula_closure
+from .linalg import DEFAULT_TOL
 from .valuesets import (
-    MEMBERSHIP_TOL,
     OPEN_SHIFT,
     FiniteValues,
     IntervalUnion,
@@ -279,7 +279,7 @@ class IntervalNMatrix:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
-    def is_designated(self, x: float, tol: float = MEMBERSHIP_TOL) -> bool:
+    def is_designated(self, x: float, tol: float = DEFAULT_TOL) -> bool:
         return x >= self.alpha - tol
 
     def designated_set(self) -> IntervalUnion:
@@ -288,14 +288,14 @@ class IntervalNMatrix:
     def undesignated_set(self) -> IntervalUnion:
         return interval(0.0, max(0.0, self.alpha - OPEN_SHIFT))
 
-    def negation_rule(self, a: float, tol: float = MEMBERSHIP_TOL) -> IntervalRule:
+    def negation_rule(self, a: float, tol: float = DEFAULT_TOL) -> IntervalRule:
         cases = self.tables["not"]
         if ANY in cases:
             return cases[ANY]
         return cases[DESIGNATED if self.is_designated(a, tol) else UNDESIGNATED]
 
     def binary_rules(
-        self, conn: str, case: str, a: float, b: float, tol: float = MEMBERSHIP_TOL
+        self, conn: str, case: str, a: float, b: float, tol: float = DEFAULT_TOL
     ) -> list[IntervalRule]:
         """Rules applicable to inputs (a, b) under the given relation case.
 
@@ -389,7 +389,7 @@ def is_dynamic_legal(
     valuation,
     matrix,
     oracle: RelationOracle | None = None,
-    tol: float = MEMBERSHIP_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> LegalityReport:
     """Check membership of every compound's value in its interpretation set.
 
@@ -480,7 +480,7 @@ def _values_equal(x, y, tol: float) -> bool:
     return abs(float(x) - float(y)) <= tol
 
 
-def is_static(valuation, matrix=None, tol: float = MEMBERSHIP_TOL) -> StaticReport:
+def is_static(valuation, matrix=None, tol: float = DEFAULT_TOL) -> StaticReport:
     """Find same-connective compound pairs with equal component values but
     different values: witnesses against the composability principle."""
     mapping = _as_mapping(valuation)

@@ -23,7 +23,7 @@ import numpy as np
 from . import hilbert
 from .feasibility import EQ, GE, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility
 from .formulas import Formula
-from .linalg import tolerance
+from .linalg import DEFAULT_TOL
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
 from .quantum import quantum_nmatrix
 
@@ -315,7 +315,7 @@ def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> Fini
     return FiniteOML(elements, pairs, ortho_map, "0", "1")
 
 
-def from_projectors(named: Mapping[str, np.ndarray], tol: float | None = None,
+def from_projectors(named: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL,
                     max_elements: int = 128) -> FiniteOML:
     """Close a finite projector fragment under meet, join, and complement,
     then read off its order table.
@@ -323,7 +323,6 @@ def from_projectors(named: Mapping[str, np.ndarray], tol: float | None = None,
     Generated elements get synthetic names; closure beyond ``max_elements``
     aborts, since generic projector pairs generate large lattices.
     """
-    tol = tolerance(tol)
     if not named:
         raise ValueError("need at least one generating projector")
     mats: list[np.ndarray] = []
@@ -448,7 +447,7 @@ def find_state(l: FiniteOML, exact: bool | None = None) -> StateSearchResult:
     return StateSearchResult(True, result.point, None, residual)
 
 
-def verify_general_state(l: FiniteOML, mu: Mapping[str, object], tol: float = 1e-9) -> float:
+def verify_general_state(l: FiniteOML, mu: Mapping[str, object], tol: float = DEFAULT_TOL) -> float:
     """Maximum residual of the state conditions at mu (0.0 means exact)."""
     names, rows = state_constraints(l)
     missing = set(names) - set(mu)
@@ -570,7 +569,7 @@ class LatticeLegalityReport:
 
 
 def lattice_valuation_legal(
-    l: FiniteOML, m: IntervalNMatrix, mu: Mapping[str, object], tol: float = 1e-9
+    l: FiniteOML, m: IntervalNMatrix, mu: Mapping[str, object], tol: float = DEFAULT_TOL
 ) -> LatticeLegalityReport:
     """Elementwise legality of a [0,1]-valued map on the whole lattice: the
     value of every join, meet, and complement must sit inside the matrix cell

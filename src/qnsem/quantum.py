@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hilbert
 from .formulas import And, Atom, Formula, Or, render, subformula_closure
-from .linalg import max_norm, tolerance
+from .linalg import DEFAULT_TOL, max_norm
 from .nmatrix import (
     AMBIGUOUS,
     ANY,
@@ -158,8 +158,8 @@ class ProjectorBindings(Bindings[np.ndarray]):
     classified ambiguous rather than silently resolved.
     """
 
-    def __init__(self, atoms: Mapping[str, np.ndarray], tol: float | None = None):
-        self.tol = tolerance(tol)
+    def __init__(self, atoms: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL):
+        self.tol = tol
         super().__init__({name: hilbert.check_projector(m, self.tol) for name, m in atoms.items()})
         dims = {m.shape[0] for m in self.atoms.values()}
         if len(dims) > 1:
@@ -188,11 +188,10 @@ def evaluate_state(
     rho: np.ndarray,
     bindings: ProjectorBindings,
     formulas: Sequence[Formula],
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> Valuation:
     """Born valuation of the state over the subformula closure: compounds
     denote lattice elements first, then take their Born probability."""
-    tol = tolerance(tol)
     rho = hilbert.check_density(rho, max(tol, 1e-7))
     values = {}
     for f in subformula_closure(formulas):
@@ -321,11 +320,10 @@ class OrderReport:
 
 
 def order_preservation_check(
-    valuation: Valuation, bindings: ProjectorBindings, tol: float | None = None
+    valuation: Valuation, bindings: ProjectorBindings, tol: float = DEFAULT_TOL
 ) -> OrderReport:
     """Born valuations respect the lattice order, and orthogonal pairs never
     carry total probability above one."""
-    tol = tolerance(tol)
     domain = valuation.domain()
     violations = []
     comparable = orthogonal = 0

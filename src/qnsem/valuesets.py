@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .linalg import DEFAULT_TOL
+
 #: Displacement used to close a half-open endpoint.
 OPEN_SHIFT = 1e-12
-
-#: Endpoint tolerance for numeric membership tests.
-MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class IntervalUnion:
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"segment [{lo}, {hi}] is not a valid subinterval of [0,1]")
 
-    def contains(self, value: float, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, value: float, tol: float = DEFAULT_TOL) -> bool:
         return any(lo - tol <= value <= hi + tol for lo, hi in self.segments)
 
     def subset_of(self, other: "IntervalUnion", tol: float = 0.0) -> bool:

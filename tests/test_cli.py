@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ def test_parse_syntax_error(capsys):
     code, _, err = run(capsys, "parse", "P & & Q")
     assert code == 2
     assert "syntax error" in err
+
+
+def test_deep_nesting_is_input_error(capsys):
+    code, _, err = run(capsys, "parse", "!" * 5000 + "P")
+    assert code == 2
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_usage_error(capsys):
@@ -210,9 +217,21 @@ def test_demo_json_deterministic(capsys):
     assert payload["passed"] is True
 
 
-def test_tol_flag(capsys):
-    code, _, _ = run(capsys, "--tol", "1e-8", "witness", "static")
-    assert code == 0
+def test_tol_flag(capsys, write_json):
+    # --tol reaches eval: a projector off by 1e-7 passes only at --tol 1e-6;
+    # main leaves the environment as it found it
+    state, _ = _write_state_and_bindings(write_json)
+    nearly = np.diag([1.0 + 1e-7, 0.0, 0.0])
+    bind = write_json("nearly.json", {"P": hilbert.operator_to_json(nearly, "projector")})
+    environ = dict(os.environ)
+    for argv, want in [
+        (["--tol", "1e-8", "witness", "static"], 0),
+        (["eval", "--state", state, "--bind", bind, "P"], 2),
+        (["--tol", "1e-6", "eval", "--state", state, "--bind", bind, "P"], 0),
+    ]:
+        code, _, _ = run(capsys, *argv)
+        assert code == want, argv
+        assert dict(os.environ) == environ
 
 
 def test_json_output_mode(capsys, write_json):

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qnsem import linalg
+from qnsem import hilbert, linalg
 
 
 def test_multiply_identity_and_zero():
@@ -125,8 +127,12 @@ def test_matrix_json_validation():
         linalg.matrix_from_json({"rows": 0, "cols": 1, "entries": []})
 
 
-def test_tolerance_env(monkeypatch):
-    assert linalg.tolerance() == linalg.DEFAULT_TOL
-    assert linalg.tolerance(1e-6) == 1e-6
-    monkeypatch.setenv("QNSEM_TOL", "1e-7")
-    assert linalg.tolerance() == 1e-7
+def test_default_tolerance_ignores_environment(monkeypatch):
+    # the default tolerance is DEFAULT_TOL whatever the environment says
+    monkeypatch.setenv("QNSEM_TOL", "0.5")
+    p = hilbert.projector_from_span([[1, 0]])
+    q = hilbert.projector_from_span([[1, 1e-3]])
+    assert not hilbert.leq(p, q)
+    assert hilbert.leq(p, q, 1e-2)
+    sources = Path(linalg.__file__).parent.glob("*.py")
+    assert [f.name for f in sources if "os.environ" in f.read_text()] == []
