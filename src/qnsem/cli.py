@@ -4,10 +4,10 @@ reproduction demo.
 Exit codes are a contract: 0 success, 1 usage error, 2 malformed input or
 broken invariant, 3 negative verification verdict (illegal valuation,
 inadequate matrix, unsatisfiable search, infeasible state space, failed
-reproduction).  ``--tol`` (default ``linalg.DEFAULT_TOL``) is the tolerance of
-the commands that read operators or vectors from files: ``eval``, ``legal``
-and ``ks``.  The other commands check fixed constructions at their own
-pinned tolerances.
+reproduction).  ``--tol`` (default ``linalg.DEFAULT_TOL``; finite and
+positive, else a usage error) is the tolerance of the commands that read
+operators or vectors from files: ``eval``, ``legal`` and ``ks``.  The other
+commands check fixed constructions at their own pinned tolerances.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ from .quantum import (
 )
 
 USAGE_ERROR, INPUT_ERROR, NEGATIVE = 1, 2, 3
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: finite and positive, since a NaN, infinite or
+    non-positive tolerance would switch every validation off or on."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,7 +344,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qnsem", description=__doc__)
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance of eval, legal and ks")
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="tolerance of eval, legal and ks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a formula and print its tree")

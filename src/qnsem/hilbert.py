@@ -2,9 +2,12 @@
 operators, and Born-rule probabilities.
 
 Projectors and density operators are plain complex matrices; the validators
-here are the single place their defining invariants are enforced.  Lattice
-operations (meet, join, orthocomplement) are computed numerically through the
-Hermitian eigendecomposition of kernel operators.
+here are the single place their defining invariants are enforced, and they
+accept exactly one 2-d matrix.  Lattice operations (meet, join,
+orthocomplement) are computed numerically as kernel projectors ``V diag(mask)
+V^H`` of one Hermitian eigendecomposition.  ``meet``, ``join``, ``ortho`` and
+``born`` take a single matrix or a stack of shape ``(..., d, d)`` through the
+same code: a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .linalg import (
     InvariantViolation,
     adjoint,
     as_matrix,
+    as_stack,
     hermitian_eigen,
     matrix_from_json,
     matrix_to_json,
@@ -125,39 +129,48 @@ def projector_from_span(vectors, tol: float = DEFAULT_TOL, dim: int | None = Non
 
 
 def _require_same_dim(p: np.ndarray, q: np.ndarray) -> None:
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"projector dimensions differ: {p.shape} vs {q.shape}")
+    if p.shape[-2:] != q.shape[-2:] or p.shape[-1] != p.shape[-2]:
+        raise DimensionMismatch(f"expected square operands of one dimension: {p.shape} vs {q.shape}")
+
+
+def _kernel_projector(k: np.ndarray, tol: float) -> np.ndarray:
+    """Projector onto the kernel of each positive semidefinite matrix of k.
+
+    Eigenvalues up to ``KERNEL_THRESHOLD * max(lambda_max, 1)`` count as
+    zero; the kernel eigenvectors are orthonormal already, so the projector
+    is ``V diag(mask) V^H`` with no re-orthonormalization.
+    """
+    values, vectors = hermitian_eigen(k, tol=max(tol, 1e-6))
+    mask = values <= KERNEL_THRESHOLD * np.maximum(values[..., -1:], 1.0)
+    vectors *= mask[..., None, :]  # with the other columns zeroed, V V^H = V diag(mask) V^H
+    return vectors @ vectors.conj().swapaxes(-1, -2)
 
 
 def meet(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the intersection of the two ranges.
 
-    Computed as the kernel projector of (I-p)+(I-q): a vector is in both
-    ranges exactly when it is annihilated by both complements.
+    Computed as the kernel projector of 2I-p-q = (I-p)+(I-q): a vector is in
+    both ranges exactly when it is annihilated by both complements.
     """
-    p, q = as_matrix(p), as_matrix(q)
+    p, q = as_stack(p), as_stack(q)
     _require_same_dim(p, q)
-    dim = p.shape[0]
-    k = (identity(dim) - p) + (identity(dim) - q)
-    values, vectors = hermitian_eigen(k, tol=max(tol, 1e-6))
-    cutoff = KERNEL_THRESHOLD * max(float(values[-1]), 1.0)
-    cols = [vectors[:, i] for i in range(dim) if values[i] <= cutoff]
-    if not cols:
-        return zero(dim)
-    return projector_from_span(cols, tol)
+    k = 2.0 * identity(p.shape[-1]) - p
+    k -= q
+    return _kernel_projector(k, tol)
 
 
 def join(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Projector onto the closed span of the two ranges: de Morgan dual of meet."""
-    p, q = as_matrix(p), as_matrix(q)
+    """Projector onto the closed span of the two ranges: the complement of
+    the kernel projector of p+q, whose kernel is the meet of the complements."""
+    p, q = as_stack(p), as_stack(q)
     _require_same_dim(p, q)
-    dim = p.shape[0]
-    return identity(dim) - meet(identity(dim) - p, identity(dim) - q, tol)
+    kernel = _kernel_projector(p + q, tol)
+    return np.subtract(identity(p.shape[-1]), kernel, out=kernel)
 
 
 def ortho(p) -> np.ndarray:
-    p = as_matrix(p)
-    return identity(p.shape[0]) - p
+    p = as_stack(p)
+    return identity(p.shape[-1]) - p
 
 
 def leq(p, q, tol: float = DEFAULT_TOL) -> bool:
@@ -181,18 +194,21 @@ def rank_of(p) -> int:
     return int(round(float(np.real(trace(p)))))
 
 
-def born(rho, p, tol: float = DEFAULT_TOL) -> float:
+def born(rho, p, tol: float = DEFAULT_TOL):
     """Born probability Re tr(rho p), clipped to [0,1] only within tolerance.
 
-    Values escaping [-tol, 1+tol] raise: they signal a broken state or
+    A float for one pair of matrices, an array for stacks.  Values escaping
+    [-tol, 1+tol] anywhere in the stack raise: they signal a broken state or
     projector upstream and must not be silently masked.
     """
-    rho, p = as_matrix(rho), as_matrix(p)
+    rho, p = as_stack(rho), as_stack(p)
     _require_same_dim(rho, p)
-    value = float(np.real(np.trace(rho @ p)))
-    if value < -tol or value > 1.0 + tol:
-        raise InvariantViolation(f"Born value {value!r} outside [{-tol}, {1 + tol}]")
-    return min(1.0, max(0.0, value))
+    value = np.einsum("...ij,...ji->...", rho, p).real
+    bad = (value < -tol) | (value > 1.0 + tol)
+    if bad.any():
+        raise InvariantViolation(f"Born value {float(value[bad][0])!r} outside [{-tol}, {1 + tol}]")
+    value = value.clip(0.0, 1.0)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -304,11 +320,13 @@ def state_reconstruction(family, values, tol: float = DEFAULT_TOL) -> Reconstruc
 
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Projector onto the span of Gaussian random vectors of rank 1..dim-1."""
+    """Projector onto the span of Gaussian random vectors of rank 1..dim-1,
+    built from the orthonormal QR factor of the vectors."""
     if rank is None:
         rank = int(rng.integers(1, dim)) if dim > 1 else 1
     g = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-    return projector_from_span(list(g))
+    basis, _ = np.linalg.qr(g.T)
+    return basis @ basis.conj().T
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

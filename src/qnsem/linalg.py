@@ -2,8 +2,12 @@
 eigendecomposition, Gram-Schmidt orthonormalization, and the JSON wire form
 used by every fixture file.
 
-All matrices are numpy complex128 arrays.  Operations are pure functions and
-never mutate their inputs, so everything here is safe to call concurrently.
+All matrices are numpy complex128 arrays.  ``as_matrix`` admits exactly one
+2-d matrix and guards the JSON and public boundary; ``as_stack`` also admits
+stacks of shape ``(..., n, m)`` and feeds the projector kernel, whose
+``hermitian_eigen`` factors a whole stack in one call.  Operations are pure
+functions and never mutate their inputs, so everything here is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -29,19 +33,26 @@ class InvariantViolation(ValueError):
     """A domain-type invariant (idempotence, positivity, trace, ...) fails."""
 
 
-def as_matrix(a) -> np.ndarray:
+def as_stack(a) -> np.ndarray:
+    """A finite complex matrix, or a stack of them with shape ``(..., n, m)``."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):  # finite in both real and imaginary parts
+    if m.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if not np.isfinite(m).all():  # finite in both real and imaginary parts
         raise InvariantViolation("matrix contains non-finite entries")
     return m
 
 
+def as_matrix(a) -> np.ndarray:
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
+    return as_stack(m)
+
+
 def max_norm(a: np.ndarray) -> float:
     """Entrywise max-norm; the package's notion of matrix distance."""
-    a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return float(np.abs(np.asarray(a)).max(initial=0.0))
 
 
 def multiply(a, b) -> np.ndarray:
@@ -72,19 +83,23 @@ class EigenResult(NamedTuple):
 
 
 def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of every matrix of a
+    stack ``(..., d, d)`` in one call.
 
-    Rejects inputs whose asymmetry exceeds ``tol`` in max-norm; the matrix is
-    symmetrized before factoring so the reconstruction residual stays at
-    rounding level for genuinely Hermitian inputs.
+    Rejects inputs whose asymmetry exceeds ``tol`` in max-norm (over the
+    whole stack); the matrix is symmetrized before factoring so the
+    reconstruction residual stays at rounding level for genuinely Hermitian
+    inputs.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {a.shape[0]}x{a.shape[1]}")
-    asym = max_norm(a - a.conj().T)
+    a = as_stack(a)
+    if a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrix, got {a.shape[-2]}x{a.shape[-1]}")
+    adj = a.conj().swapaxes(-1, -2)
+    asym = max_norm(a - adj)
     if asym > tol:
         raise NotHermitian(f"matrix is not Hermitian: asymmetry max-norm {asym:.3e} > {tol:.3e}")
-    sym = (a + a.conj().T) / 2.0
+    sym = np.add(a, adj, out=adj)  # adj is a fresh copy: symmetrize in place
+    sym /= 2.0
     values, vectors = np.linalg.eigh(sym)
     return EigenResult(values, vectors)
 

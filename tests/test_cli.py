@@ -223,14 +223,25 @@ def test_tol_flag(capsys, write_json):
     state, _ = _write_state_and_bindings(write_json)
     nearly = np.diag([1.0 + 1e-7, 0.0, 0.0])
     bind = write_json("nearly.json", {"P": hilbert.operator_to_json(nearly, "projector")})
+    # a tolerance that is not finite and positive is a usage error: at nan,
+    # `residual > tol` is never true and a half projector would pass
+    half = write_json("half.json", {"P": hilbert.operator_to_json(np.diag([0.5, 0.0]), "projector")})
+    state2 = write_json("state2.json", hilbert.operator_to_json(np.eye(2) / 2, "density"))
     environ = dict(os.environ)
     for argv, want in [
         (["--tol", "1e-8", "witness", "static"], 0),
         (["eval", "--state", state, "--bind", bind, "P"], 2),
         (["--tol", "1e-6", "eval", "--state", state, "--bind", bind, "P"], 0),
+        (["eval", "--state", state2, "--bind", half, "P"], 2),
+        (["--tol", "nan", "eval", "--state", state2, "--bind", half, "P"], 1),
+        (["--tol", "inf", "eval", "--state", state, "--bind", bind, "P"], 1),
+        (["--tol", "0", "eval", "--state", state, "--bind", bind, "P"], 1),
+        (["--tol", "-1", "eval", "--state", state, "--bind", bind, "P"], 1),
+        (["--tol", "tiny", "ks", "count", state], 1),
     ]:
-        code, _, _ = run(capsys, *argv)
+        code, _, err = run(capsys, *argv)
         assert code == want, argv
+        assert "Traceback" not in err
         assert dict(os.environ) == environ
 
 

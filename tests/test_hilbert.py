@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qnsem import hilbert
-from qnsem.linalg import InvariantViolation, max_norm
+from qnsem import hilbert, linalg
+from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian, max_norm
+from qnsem.quantum import ProjectorBindings
 
 
 def basis(dim):
@@ -231,3 +232,90 @@ def test_operator_json_roundtrip(rng):
     assert kind == "projector" and max_norm(back - p) <= 1e-12
     with pytest.raises(InvariantViolation, match="kind"):
         hilbert.operator_from_json({"rows": 1, "cols": 1, "entries": [[1, 0]]})
+
+
+def _stacked_pairs(rng, dim):
+    """Random pairs of every rank combination, then the degenerate pairs:
+    p = q, p orthogonal to q (a ray and the whole complement), 0 and I."""
+    pairs = [
+        (hilbert.random_projector(rng, dim, a), hilbert.random_projector(rng, dim, b))
+        for a in range(1, dim)
+        for b in range(1, dim)
+    ]
+    p = hilbert.random_projector(rng, dim)
+    ray = hilbert.projector_from_span([hilbert.ortho(p) @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))])
+    zero, one = hilbert.zero(dim), hilbert.identity(dim)
+    pairs += [(p, p), (p, ray), (p, hilbert.ortho(p)), (p, zero), (p, one), (zero, zero), (one, one), (zero, one)]
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stack_matches_slices(rng, dim):
+    p, q = _stacked_pairs(rng, dim)
+    n = len(p)
+    for op in (hilbert.meet, hilbert.join):
+        stack = op(p, q)
+        assert stack.shape == p.shape
+        for i in range(n):
+            assert max_norm(stack[i] - op(p[i], q[i])) <= 1e-12, (op.__name__, i)
+        assert max_norm(stack - stack.conj().swapaxes(-1, -2)) <= 1e-12
+        assert max_norm(stack @ stack - stack) <= 1e-12
+    # the degenerate pairs, in the order _stacked_pairs appends them
+    meet, join = hilbert.meet(p, q)[-8:], hilbert.join(p, q)[-8:]
+    x, one = p[-8], np.eye(dim)
+    for got, want in [
+        (meet[0], x), (join[0], x),  # p = q
+        (meet[1], 0 * x), (join[1], x + q[-7]),  # p orthogonal to a ray
+        (meet[2], 0 * x), (join[2], one),  # p and its complement
+        (meet[3], 0 * x), (join[3], x),  # p and 0
+        (meet[4], x), (join[4], one),  # p and I
+        (meet[5], 0 * x), (join[6], one), (meet[7], 0 * x), (join[7], one),
+    ]:
+        assert max_norm(got - want) <= 1e-12
+    rho = np.array([hilbert.random_density(rng, dim) for _ in range(n)])
+    values = hilbert.born(rho, p)
+    assert values.shape == (n,)
+    for i in range(n):
+        assert abs(values[i] - hilbert.born(rho[i], p[i])) <= 1e-12
+
+
+def test_kernel_keeps_its_guards(monkeypatch):
+    # a non-Hermitian slice anywhere in a stack is refused
+    good = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
+    bad = good.copy()
+    bad[1, 0, 1] = 1.0
+    hilbert.meet(good, good)
+    with pytest.raises(NotHermitian, match="asymmetry"):
+        hilbert.meet(bad, good)
+    with pytest.raises(NotHermitian):
+        hilbert.meet(np.array([[1.0, 1.0], [0.0, 0.0]]), hilbert.zero(2))
+    # one Born value out of range anywhere in a stack is refused
+    rho = np.array([np.eye(2) / 2, np.eye(2) / 2, np.eye(2)], dtype=complex)
+    with pytest.raises(InvariantViolation, match="Born value 2.0 "):
+        hilbert.born(rho, np.array([np.eye(2)] * 3))
+    # meet and join take the eigenvector columns as they are: no Gram-Schmidt
+    def banned(*args, **kwargs):
+        raise AssertionError("re-orthonormalization in the kernel")
+
+    monkeypatch.setattr(linalg, "orthonormalize", banned)
+    monkeypatch.setattr(hilbert, "orthonormalize", banned)
+    monkeypatch.setattr(hilbert, "projector_from_span", banned)
+    e = basis(3)
+    p = np.outer(e[0], e[0]) + np.outer(e[1], e[1])
+    q = np.outer(e[1], e[1]) + np.outer(e[2], e[2])
+    assert max_norm(hilbert.meet(p, q) - np.outer(e[1], e[1])) <= 1e-12
+    assert max_norm(hilbert.join(p, q) - np.eye(3)) <= 1e-12
+
+
+def test_boundary_refuses_stacks():
+    # the kernel takes stacks; the validators, the bindings and the wire
+    # form take exactly one matrix
+    stack = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        hilbert.check_projector(stack)
+    with pytest.raises(DimensionMismatch):
+        hilbert.check_density(stack / 2)
+    with pytest.raises(DimensionMismatch):
+        ProjectorBindings({"P": stack})
+    with pytest.raises(DimensionMismatch):
+        linalg.matrix_to_json(stack)

@@ -59,6 +59,9 @@ def test_hermitian_eigen_examples():
     # characteristic polynomial of the swap matrix is x^2 - 1
     values, _ = linalg.hermitian_eigen(np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(values, [-1.0, 1.0])
+    # a stack is factored slice by slice in one call
+    values, _ = linalg.hermitian_eigen(np.array([np.diag([2.0, 1.0]), [[0, 1], [1, 0]]]))
+    assert np.allclose(values, [[1.0, 2.0], [-1.0, 1.0]])
 
 
 def test_hermitian_eigen_projector_spectrum():
@@ -71,6 +74,8 @@ def test_hermitian_eigen_projector_spectrum():
 def test_hermitian_eigen_rejects_asymmetry():
     with pytest.raises(linalg.NotHermitian, match="asymmetry"):
         linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(linalg.NotHermitian, match="asymmetry"):
+        linalg.hermitian_eigen(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
 def test_hermitian_eigen_reconstruction_sweep(rng):
