@@ -4,8 +4,14 @@ One exact presolve feeds two back ends.  The presolve runs Gaussian
 elimination on the equality rows in rational arithmetic, so inconsistency is
 detected exactly and comes with a row-combination certificate that can be
 re-verified by direct arithmetic.  Consistent systems drop to a phase-one
-feasibility problem over the remaining free variables, solved either by an
-exact simplex (Fractions, Bland's rule) or by scipy's HiGHS.
+feasibility problem over the remaining free variables, solved either exactly
+or by scipy's HiGHS.  The exact back end is Chvatal's single-auxiliary phase
+one with Bland's rule on the condensed tableau, in Fractions: one column per
+free variable plus the auxiliary, none per slack, so a pivot costs
+O(rows * free variables).  It imports no scipy.  HiGHS decides infeasibility
+only through its infeasible status; when it stops without a verdict (an
+iteration limit, numerical trouble), the same reduced system is solved
+exactly.
 """
 
 from __future__ import annotations
@@ -36,9 +42,7 @@ class Row:
 def make_row(coeffs: Mapping[str, object], rel: str, rhs, label: str = "") -> Row:
     if rel not in (EQ, LE, GE):
         raise ValueError(f"bad relation {rel!r}")
-    cleaned = tuple(
-        sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0)
-    )
+    cleaned = tuple(sorted((v, f) for v, c in coeffs.items() if (f := Fraction(c)) != 0))
     return Row(cleaned, rel, Fraction(rhs), label)
 
 
@@ -139,82 +143,79 @@ def _substitute(row: Row, pivots, var_index) -> tuple[dict[int, Fraction], Fract
     return {v: c for v, c in coeffs.items() if c != 0}, rhs
 
 
-def _phase_one_simplex(ineqs, free_vars):
-    """Exact feasibility of {A y <= b, 0 <= y <= 1} by phase-one simplex.
+def _exact_phase(ineqs, free_vars):
+    """Exact feasibility of {A y <= b, 0 <= y <= 1} by Chvatal's phase one.
 
-    Returns a point over the free variable indices or None.
+    The condensed (Tucker) tableau has one row per inequality, the upper
+    bounds y <= 1 included, and one column per nonbasic variable: the free
+    variables and one auxiliary x0 that relaxes every row to A y - x0 <= b.
+    Row i reads ``basic_i = rhs_i - sum_j tab[i][j] * nonbasic_j``.  One
+    pivot of x0 into the most violated row makes the dictionary feasible;
+    Bland's rule then lowers x0 until it reaches zero (feasible) or cannot
+    fall further (infeasible).  Variables are ordered x0 < y < slacks, so on
+    ties x0 leaves first.  Returns a point over the free variable indices or
+    None.
     """
     order = sorted(free_vars)
     cols = {v: j for j, v in enumerate(order)}
     n = len(order)
-    norm: list[tuple[list[Fraction], Fraction]] = []
-    for coeffs, rhs in ineqs:
-        vec = [Fraction(0)] * n
+    tab: list[list[Fraction]] = []  # the last column is x0's, -1 in every row
+    rhs: list[Fraction] = []
+    for coeffs, b in ineqs:
+        vec = [Fraction(0)] * n + [Fraction(-1)]
         for v, c in coeffs.items():
             vec[cols[v]] = c
-        norm.append((vec, rhs))
+        tab.append(vec)
+        rhs.append(b)
     for j in range(n):  # upper bounds; lower bounds are nonnegativity
-        vec = [Fraction(0)] * n
+        vec = [Fraction(0)] * n + [Fraction(-1)]
         vec[j] = Fraction(1)
-        norm.append((vec, Fraction(1)))
-    m = len(norm)
+        tab.append(vec)
+        rhs.append(Fraction(1))
+    if all(b >= 0 for b in rhs):
+        return {v: Fraction(0) for v in order}
     if n == 0:
-        return {} if all(rhs >= 0 for _, rhs in norm) else None
-    flipped = [rhs < 0 for _, rhs in norm]
-    art_rows = [i for i in range(m) if flipped[i]]
-    k = len(art_rows)
-    width = n + m + k
-    art_col = {i: n + m + t for t, i in enumerate(art_rows)}
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, (vec, rhs) in enumerate(norm):
-        row = vec + [Fraction(0)] * (m + k) + [rhs]
-        row[n + i] = Fraction(1)
-        if flipped[i]:
-            row = [-c for c in row]
-            row[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
-        tab.append(row)
-    # objective row for w = sum of artificials, expressed over nonbasic columns
-    obj = [Fraction(0)] * (width + 1)
-    for i in art_rows:
-        for j in range(width + 1):
-            obj[j] -= tab[i][j]
-    for i in art_rows:
-        obj[art_col[i]] += Fraction(1)
-    for _ in range(100_000):
-        enter = next((j for j in range(width) if obj[j] < 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:  # pragma: no cover - w is bounded below by zero
-            raise RuntimeError("phase-one simplex lost boundedness")
-        _, r = best
-        piv = tab[r][enter]
-        tab[r] = [c / piv for c in tab[r]]
-        for i in range(m):
-            if i != r and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [c - f * p for c, p in zip(tab[i], tab[r])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [c - f * p for c, p in zip(obj, tab[r])]
-        basis[r] = enter
-    else:  # pragma: no cover
-        raise RuntimeError("phase-one simplex did not terminate")
-    if -obj[width] > 0:
         return None
+    # variable ids: x0 is 0, free variable j is 1 + j, the slack of row i is 1 + n + i
+    nonbasic = list(range(1, n + 1)) + [0]
+    basic = list(range(n + 1, n + 1 + len(tab)))
+
+    def pivot(r: int, s: int) -> None:
+        inv = 1 / tab[r][s]
+        prow = [c * inv for c in tab[r]]
+        prow[s] = inv
+        prhs = rhs[r] * inv
+        nonzero = [(j, c) for j, c in enumerate(prow) if c != 0 and j != s]
+        for i, row in enumerate(tab):
+            f = row[s]
+            if i == r or f == 0:
+                continue
+            for j, c in nonzero:
+                row[j] -= f * c
+            row[s] = -f * inv
+            rhs[i] -= f * prhs
+        tab[r], rhs[r] = prow, prhs
+        basic[r], nonbasic[s] = nonbasic[s], basic[r]
+
+    r0 = min(range(len(tab)), key=lambda i: (rhs[i], i))
+    pivot(r0, n)  # x0 enters at the most violated row; every rhs is now >= 0
+    while rhs[r0] != 0:
+        goal = tab[r0]
+        entering = [j for j in range(n + 1) if goal[j] > 0]
+        if not entering:
+            return None  # min x0 > 0
+        s = min(entering, key=nonbasic.__getitem__)
+        r = min(
+            (i for i in range(len(tab)) if tab[i][s] > 0),
+            key=lambda i: (rhs[i] / tab[i][s], basic[i]),
+        )
+        pivot(r, s)
+        if r == r0:
+            break  # x0 left the basis at zero
     point = {v: Fraction(0) for v in order}
-    for i, b in enumerate(basis):
-        if b < n:
-            point[order[b]] = tab[i][width]
+    for i, b in enumerate(basic):
+        if 1 <= b <= n:
+            point[order[b - 1]] = rhs[i]
     return point
 
 
@@ -239,8 +240,10 @@ def _float_phase(ineqs, free_vars):
         bounds=[(0.0, 1.0)] * len(order),
         method="highs",
     )
-    if not res.success:
+    if res.status == 2:
         return None
+    if not res.success:  # iteration limit or numerical trouble: no verdict from HiGHS
+        return _exact_phase(ineqs, free_vars)
     return {v: Fraction(float(res.x[cols[v]])).limit_denominator(10**12) for v in order}
 
 
@@ -276,7 +279,7 @@ def solve_feasibility(
         ineqs.append(({v: -c for v, c in expr.items()}, prhs))  # pivot >= 0
         ineqs.append((dict(expr), Fraction(1) - prhs))  # pivot <= 1
     if exact:
-        point_free = _phase_one_simplex(ineqs, free_vars)
+        point_free = _exact_phase(ineqs, free_vars)
     else:
         point_free = _float_phase(ineqs, free_vars)
     if point_free is None:

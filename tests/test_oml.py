@@ -90,6 +90,24 @@ def test_find_state_mo2():
     assert result.feasible and result.residual == 0.0
 
 
+def _greechie_chain(blocks: int) -> oml.FiniteOML:
+    atoms = [f"c{i}" for i in range(2 * blocks + 1)]
+    return oml.from_greechie(atoms, [atoms[2 * i:2 * i + 3] for i in range(blocks)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: oml.boolean_lattice(5), lambda: oml.boolean_lattice(6), lambda: _greechie_chain(15)],
+    ids=["boolean-2^5", "boolean-2^6", "chain-15"],
+)
+def test_exact_find_state_at_benchmark_sizes(build):
+    lattice = build()
+    result = oml.find_state(lattice, exact=True)
+    assert result.feasible and result.residual == 0.0
+    assert all(isinstance(v, Fraction) for v in result.state.values())
+    assert oml.verify_general_state(lattice, result.state) == 0.0
+
+
 def test_nostate_fixture_structure():
     obj = fixtures.nostate_greechie()
     assert len(obj["atoms"]) == 36
@@ -259,12 +277,12 @@ def test_bindings_agree_across_backends():
 
 
 def test_valuation_search_unconstrained():
-    lattice = oml.boolean_lattice(2)
     matrix = quantum_nmatrix(1.0)
-    result = oml.legal_valuation_search(lattice, matrix)
-    assert result.feasible
-    mu = {k: float(v) for k, v in result.point.items()}
-    assert oml.lattice_valuation_legal(lattice, matrix, mu).ok
+    for lattice in (oml.boolean_lattice(2), oml.boolean_lattice(3)):
+        result = oml.legal_valuation_search(lattice, matrix, exact=True)
+        assert result.feasible
+        mu = {k: float(v) for k, v in result.point.items()}
+        assert oml.lattice_valuation_legal(lattice, matrix, mu).ok
 
 
 def test_valuation_search_contradictory_pin():
