@@ -18,7 +18,7 @@ import sys
 
 from . import demo as demo_mod
 from . import fixtures, hilbert, kscheck, oml
-from .formulas import ParseError, parse, render, subformula_closure
+from .formulas import Atom, ParseError, children, parse, render, subformula_closure
 from .linalg import DEFAULT_TOL, DimensionMismatch, InvariantViolation
 from .nmatrix import (
     FiniteNMatrix,
@@ -95,16 +95,18 @@ def _load_formulas(path: str) -> list:
     return [parse(text) for text in obj.get("formulas", [])]
 
 
-def _format_ast(f, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    kind = type(f).__name__
-    if kind == "Atom":
-        return [f"{pad}Atom({f.name})"]
-    lines = [f"{pad}{kind}"]
-    from .formulas import children
-
-    for c in children(f):
-        lines.extend(_format_ast(c, indent + 1))
+def _format_ast(f) -> list[str]:
+    """One line per node, pre-order, indented two spaces per level."""
+    lines = []
+    stack = [(f, 0)]
+    while stack:
+        f, indent = stack.pop()
+        pad = "  " * indent
+        if isinstance(f, Atom):
+            lines.append(f"{pad}Atom({f.name})")
+            continue
+        lines.append(f"{pad}{type(f).__name__}")
+        stack.extend((c, indent + 1) for c in reversed(children(f)))
     return lines
 
 
@@ -436,7 +438,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
+        # formulas are walked on explicit stacks; what still recurses once per
+        # level is the json decoder (nesting), the KS search in kscheck (one
+        # level per context) and oml.find_two_valued_valuation (per element)
+        print("error: input nested too deeply or too large for a recursive search", file=sys.stderr)
         return INPUT_ERROR
 
 

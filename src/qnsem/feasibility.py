@@ -278,6 +278,12 @@ def solve_feasibility(
     for p, (expr, prhs, _combo) in pivots.items():
         ineqs.append(({v: -c for v, c in expr.items()}, prhs))  # pivot >= 0
         ineqs.append((dict(expr), Fraction(1) - prhs))  # pivot <= 1
+    # exact duplicates add tableau rows and nothing else; in a lattice an
+    # element and its complement reduce to the same pair of pivot bounds
+    unique: dict[tuple, tuple[dict[int, Fraction], Fraction]] = {}
+    for coeffs, rhs in ineqs:
+        unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
+    ineqs = list(unique.values())
     if exact:
         point_free = _exact_phase(ineqs, free_vars)
     else:

@@ -14,53 +14,144 @@ The unicode connectives ``¬ ∧ ∨`` are accepted as aliases of ``! & |``; the
 renderer always emits ASCII.  Formula identity is syntactic: ``P & Q`` and
 ``Q & P`` are distinct formulas even though they denote the same lattice
 element.
+
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): constructing a node whose structure already exists
+returns the existing object.  Formula identity is therefore object identity
+of interned nodes: ``==`` and ``hash`` are the identity ones, O(1) at any
+depth.  The intern table keys a compound by its connective and its
+children's ids and holds weak references only; a node leaves it when it is
+garbage-collected.  The table is not locked, so formulas are built by one
+thread at a time (qnsem starts no threads).  Nothing here recurses over a
+formula (parse, render, closure and the node methods use explicit stacks),
+so there is no depth limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Iterable, Union
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Ref(weakref.ref):
+    """Weak reference to an interned node that knows its table key."""
 
-    def __post_init__(self):
-        if not _ATOM_RE.fullmatch(self.name):
-            raise ValueError(f"invalid atom name {self.name!r}")
+    __slots__ = ("key",)
+
+
+#: structure key -> weak reference to the one node with that structure.  An
+#: atom's key is its name; a compound's is one int packing its children's ids
+#: and a connective tag, (id(left) << 64 | id(right)) << 2 | tag.  The ids
+#: stay valid because a node keeps its children alive while its entry exists.
+_TABLE: dict[object, _Ref] = {}
+
+
+def _drop(ref: _Ref) -> None:
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+def _register(node, key) -> None:
+    ref = _Ref(node, _drop)
+    ref.key = key
+    _TABLE[key] = ref
+
+
+class _Node:
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __str__(self):
         return render(self)
 
-
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
-
-    def __str__(self):
-        return render(self)
+    def __repr__(self):
+        return f"parse({render(self)!r})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Atom(_Node):
+    __slots__ = ("name",)
+    _level = 4
 
-    def __str__(self):
-        return render(self)
+    def __new__(cls, name: str):
+        ref = _TABLE.get(name)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if not _ATOM_RE.fullmatch(name):
+            raise ValueError(f"invalid atom name {name!r}")
+        node = _new(cls)
+        _set_name(node, name)
+        _register(node, name)
+        return node
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Not(_Node):
+    __slots__ = ("child",)
+    _level = 3
 
-    def __str__(self):
-        return render(self)
+    def __new__(cls, child: "Formula"):
+        key = id(child) << 2 | 1
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_child(node, child)
+        _register(node, key)
+        return node
+
+    def __reduce__(self):
+        return Not, (self.child,)
+
+
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (id(left) << 64 | id(right)) << 2 | cls._tag
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        _register(node, key)
+        return node
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
+
+
+class And(_Binary):
+    __slots__ = ()
+    _tag, _level, _sep = 2, 2, " & "
+
+
+class Or(_Binary):
+    __slots__ = ()
+    _tag, _level, _sep = 3, 1, " | "
+
+
+# slot setters, which bypass the immutability guard of __setattr__
+_new = object.__new__
+_set_name = Atom.name.__set__
+_set_child = Not.child.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 Formula = Union[Atom, Not, And, Or]
@@ -105,84 +196,75 @@ def _tokenize(text: str):
 
 
 def parse(text: str) -> Formula:
+    """Recursive descent over the grammar above, run on an explicit stack:
+    each open parenthesis saves the enclosing disjunction and conjunction
+    built so far and the negations that wait for the group."""
     tokens = _tokenize(text)
+    groups = []  # (disjunction, conjunction, negations) outside each open '('
+    disj = conj = None
+    nots = 0
     pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def fail(*expected):
-        raise ParseError(text, peek()[1], expected)
-
-    def parse_or():
-        nonlocal pos
-        node = parse_and()
-        while peek()[0] == "|":
-            pos += 1
-            node = Or(node, parse_and())
-        return node
-
-    def parse_and():
-        nonlocal pos
-        node = parse_unary()
-        while peek()[0] == "&":
-            pos += 1
-            node = And(node, parse_unary())
-        return node
-
-    def parse_unary():
-        nonlocal pos
-        kind = peek()[0]
+    while True:
+        # unary := '!' unary | atom | '(' or ')'
+        tok = tokens[pos]
+        pos += 1
+        kind = tok[0]
         if kind == "!":
-            pos += 1
-            return Not(parse_unary())
-        if kind == "atom":
-            tok = peek()
-            pos += 1
-            return Atom(tok[2])
+            nots += 1
+            continue
         if kind == "(":
+            groups.append((disj, conj, nots))
+            disj = conj = None
+            nots = 0
+            continue
+        if kind != "atom":
+            raise ParseError(text, tok[1], ("atom", "'!'", "'('"))
+        unary = Atom(tok[2])
+        # a unary is complete: negate it, fold it into the conjunction, and
+        # close every group that ends here
+        while True:
+            for _ in range(nots):
+                unary = Not(unary)
+            conj = unary if conj is None else And(conj, unary)
+            kind = tokens[pos][0]
+            if kind == "&":
+                break
+            if kind == "|":
+                disj = conj if disj is None else Or(disj, conj)
+                conj = None
+                break
+            unary = conj if disj is None else Or(disj, conj)
+            if not groups:
+                if kind != "end":
+                    raise ParseError(text, tokens[pos][1], ("end of input", "'&'", "'|'"))
+                return unary
+            if kind != ")":
+                raise ParseError(text, tokens[pos][1], ("')'",))
             pos += 1
-            node = parse_or()
-            if peek()[0] != ")":
-                fail("')'")
-            pos += 1
-            return node
-        fail("atom", "'!'", "'('")
-
-    node = parse_or()
-    if peek()[0] != "end":
-        fail("end of input", "'&'", "'|'")
-    return node
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, And):
-        return 2
-    if isinstance(f, Not):
-        return 3
-    return 4
+            disj, conj, nots = groups.pop()
+        pos += 1  # past the '&' or '|'
+        nots = 0
 
 
 def render(f: Formula) -> str:
     """Minimal-parenthesis text form such that parse(render(f)) == f."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        child = render(f.child)
-        if _level(f.child) < 3:
-            child = f"({child})"
-        return f"!{child}"
-    op, lvl = ("&", 2) if isinstance(f, And) else ("|", 1)
-    left = render(f.left)
-    if _level(f.left) < lvl:
-        left = f"({left})"
-    right = render(f.right)
-    # same-level right child would re-associate under the left-associative grammar
-    if _level(f.right) <= lvl:
-        right = f"({right})"
-    return f"{left} {op} {right}"
+    out = []
+    stack = [f]  # nodes still to print, and the text between them
+    while stack:
+        f = stack.pop()
+        if type(f) is str:
+            out.append(f)
+        elif type(f) is Atom:
+            out.append(f.name)
+        elif type(f) is Not:
+            stack += (")", f.child, "!(") if f.child._level < 3 else (f.child, "!")
+        else:
+            left, right, level = f.left, f.right, f._level
+            # same-level right child would re-associate under the left-associative grammar
+            stack += (")", right, "(") if right._level <= level else (right,)
+            stack.append(f._sep)
+            stack += (")", left, "(") if left._level < level else (left,)
+    return "".join(out)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -194,18 +276,32 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
-    """Deduplicated subformulas of every input, children before parents."""
+    """Deduplicated subformulas of every input, children before parents
+    (left before right): a depth-first walk that keeps a node on the stack
+    until its children are done."""
     seen: dict[Formula, None] = {}
-
-    def visit(f: Formula):
-        if f in seen:
-            return
-        for c in children(f):
-            visit(c)
-        seen[f] = None
-
     for f in formulas:
-        visit(f)
+        stack = [f]
+        while stack:
+            f = stack[-1]
+            if f in seen:
+                stack.pop()
+            elif type(f) is Atom:
+                seen[f] = None
+                stack.pop()
+            elif type(f) is Not:
+                if f.child in seen:
+                    seen[f] = None
+                    stack.pop()
+                else:
+                    stack.append(f.child)
+            elif f.left not in seen:
+                stack.append(f.left)
+            elif f.right not in seen:
+                stack.append(f.right)
+            else:
+                seen[f] = None
+                stack.pop()
     return list(seen)
 
 

@@ -83,22 +83,38 @@ class Bindings(RelationOracle, Generic[E]):
         self._cache: dict[Formula, E] = {}
 
     def denote(self, f: Formula) -> E:
-        if f in self._cache:
-            return self._cache[f]
-        if isinstance(f, Atom):
-            if f.name not in self.atoms:
-                raise ValueError(f"unbound atom {f.name!r}")
-            e = self.atoms[f.name]
-        elif isinstance(f, Not):
-            e = self.ortho(self.denote(f.child))
-        elif isinstance(f, And):
-            e = self.meet(self.denote(f.left), self.denote(f.right))
-        elif isinstance(f, Or):
-            e = self.join(self.denote(f.left), self.denote(f.right))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._cache[f] = e
-        return e
+        """The element ``f`` denotes, evaluating uncached subformulas
+        children first (left before right) on an explicit stack."""
+        cache = self._cache
+        if f in cache:
+            return cache[f]
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in cache:
+                stack.pop()
+            elif isinstance(g, Atom):
+                if g.name not in self.atoms:
+                    raise ValueError(f"unbound atom {g.name!r}")
+                cache[g] = self.atoms[g.name]
+                stack.pop()
+            elif isinstance(g, Not):
+                if g.child in cache:
+                    cache[g] = self.ortho(cache[g.child])
+                    stack.pop()
+                else:
+                    stack.append(g.child)
+            elif not isinstance(g, (And, Or)):
+                raise TypeError(f"not a formula: {g!r}")
+            elif g.left not in cache:
+                stack.append(g.left)
+            elif g.right not in cache:
+                stack.append(g.right)
+            else:
+                op = self.meet if isinstance(g, And) else self.join
+                cache[g] = op(cache[g.left], cache[g.right])
+                stack.pop()
+        return cache[f]
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +553,24 @@ def enumerate_dynamic_valuations(
         conn = "and" if isinstance(f, And) else "or"
         return m.cell_values_ordered(m.cell(conn, (assignment[f.left], assignment[f.right])))
 
-    def rec(i: int) -> Iterator[Valuation]:
-        if i == len(domain):
+    if not domain:
+        yield Valuation({})
+        return
+    # one iterator over the options of each assigned prefix of the domain
+    stack = [iter(options(domain[0]))]
+    done = object()
+    while stack:
+        f = domain[len(stack) - 1]
+        v = next(stack[-1], done)
+        if v is done:
+            stack.pop()
+            assignment.pop(f, None)
+            continue
+        assignment[f] = v
+        if len(stack) == len(domain):
             yield Valuation(dict(assignment))
-            return
-        f = domain[i]
-        for v in options(f):
-            assignment[f] = v
-            yield from rec(i + 1)
-        assignment.pop(f, None)
-
-    yield from rec(0)
+        else:
+            stack.append(iter(options(domain[len(stack)])))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,18 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnsem import fixtures, hilbert
 from qnsem.cli import main
+from qnsem.formulas import parse, render
 from qnsem.nmatrix import classical_matrix, three_valued_matrix
 from qnsem.quantum import three_valued_collapse
 
@@ -28,8 +35,22 @@ def test_parse_syntax_error(capsys):
     assert "syntax error" in err
 
 
-def test_deep_nesting_is_input_error(capsys):
-    code, _, err = run(capsys, "parse", "!" * 5000 + "P")
+def test_deep_nesting_parses(capsys):
+    depth = 3000
+    names = [f"q{i}" for i in range(depth)]
+    right = " | (".join(names) + " | P" + ")" * (depth - 1)
+    for text in ["!" * depth + "P", "(" * depth + "P" + ")" * depth, " & ".join(["P", *names]), right]:
+        code, out, err = run(capsys, "parse", text)
+        assert code == 0 and "Traceback" not in err
+        rendered = out.splitlines()[-1].removeprefix("rendered: ")
+        assert parse(rendered) is parse(text) and render(parse(rendered)) == rendered
+
+
+def test_deep_json_is_input_error(capsys, tmp_path):
+    # the json decoder recurses once per nesting level
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "legal", "--state", str(deep), "--bind", str(deep), "--formulas", str(deep))
     assert code == 2
     assert "nested too deeply" in err and "Traceback" not in err
 
@@ -217,6 +238,15 @@ def test_demo_json_deterministic(capsys):
     assert payload["passed"] is True
 
 
+def test_demo_json_pin(capsys):
+    # the acceptance pin of the full-size report: any change to a computed
+    # value, or an output that depends on set or hash order, moves it
+    code, out, _ = run(capsys, "--format", "json", "--seed", "0", "demo", "paper")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "f6ac7ccc30d1b6822e5055650bee4732adf8d9b9ee000b630fc244bcdf6937b8"
+
+
 def test_tol_flag(capsys, write_json):
     # --tol reaches eval: a projector off by 1e-7 passes only at --tol 1e-6;
     # main leaves the environment as it found it
@@ -250,3 +280,62 @@ def test_json_output_mode(capsys, write_json):
     code, out, _ = run(capsys, "--format", "json", "ks", "count", single)
     assert code == 0
     assert json.loads(out)["solutions"] == 3
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the formula inputs: every outcome is an exit code, never a traceback
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+token_soup = st.lists(
+    st.sampled_from(["P", "Q", "R", "x_1", "!", "&", "|", "(", ")", " ", "¬", "∧", "∨", "$", "1", "-", "\n"]),
+    max_size=40,
+).map("".join)
+
+
+@st.composite
+def deep_nesting(draw):
+    """Random wrappings, up to 2,000 deep, around an atom; unbalanced on request."""
+    wrappers = draw(st.lists(st.sampled_from(["!{}", "({})", "{} & P", "Q | ({})", "({}) | R", "!({} & Q)"]),
+                             min_size=1, max_size=2000))
+    text = "P"
+    for w in wrappers:
+        text = w.format(text)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(token_soup) + text[cut:]
+    return text
+
+
+formula_text = st.one_of(token_soup, deep_nesting(), st.text(max_size=20))
+
+
+@given(formula_text)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_parse(text):
+    code, err = run_quietly("parse", text)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@given(st.lists(formula_text, max_size=2), st.lists(formula_text, max_size=2), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_fuzz_consequence(gamma, delta, three_valued):
+    # the two-valued matrix is deterministic, so deep formulas over three
+    # atoms have 8 valuations; the three-valued one only sees short soup
+    if three_valued:
+        gamma, delta = [t[:12] for t in gamma], [t[:12] for t in delta]
+    matrix = (three_valued_matrix() if three_valued else classical_matrix()).to_json()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, obj in (("m", matrix), ("g", {"formulas": gamma}), ("d", {"formulas": delta})):
+            paths.append(os.path.join(tmp, f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(obj, fh)
+        code, err = run_quietly("consequence", "--matrix", paths[0], "--gamma", paths[1], "--delta", paths[2])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err

@@ -30,6 +30,49 @@ P, Q = Atom("P"), Atom("Q")
 # ---------------------------------------------------------------------------
 # tables
 
+# The IntervalRule contract: lo and hi are monotone in each argument, which
+# is what makes ``hull`` (corner evaluations) the exact union over a box.
+ALPHAS = (0.55, 0.6, 0.75, 0.9, 0.99)
+GRID = np.linspace(0.0, 1.0, 41)
+
+
+def _every_rule():
+    """(label, rule) for every rule of the shipped interval tables."""
+    matrices = [quantum_nmatrix(1.0), quantum_nmatrix(0.7), quantum_nmatrix(0.7, "neg1")]
+    matrices += [quantum_nmatrix(a, "neg2") for a in ALPHAS]
+    matrices += [adequate_restricted_tables(a) for a in (*ALPHAS, 0.3, 1.0)]
+    rules = {}  # the relation-split rules are shared objects: test each once
+    for m in matrices:
+        for conn, table in m.tables.items():
+            for case, rule in table.items():
+                rules.setdefault(id(rule), (f"{m.name} {conn}[{case}]", rule))
+    return list(rules.values())
+
+
+def _monotone(values, eps=1e-12):
+    steps = np.diff(values)
+    return bool(np.all(steps >= -eps) or np.all(steps <= eps))
+
+
+@pytest.mark.parametrize("label,rule", _every_rule())
+def test_interval_rule_contract(label, rule):
+    for bound in (rule.lo, rule.hi):
+        if rule.arity == 1:
+            assert _monotone([bound(x) for x in GRID]), label
+            continue
+        for fixed in GRID:
+            assert _monotone([bound(x, fixed) for x in GRID]), (label, "left", fixed)
+            assert _monotone([bound(fixed, y) for y in GRID]), (label, "right", fixed)
+    # the hull over a random box contains every sampled inner output
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        boxes = [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(rule.arity)]
+        lo, hi = rule.hull(*boxes)
+        for _ in range(20):
+            x = [rng.uniform(a, b) for a, b in boxes]
+            assert lo - 1e-12 <= max(0.0, rule.lo(*x)), (label, boxes, x)
+            assert min(1.0, rule.hi(*x)) <= hi + 1e-12, (label, boxes, x)
+
 
 def test_quantum_rules_at_sharp_threshold():
     m = quantum_nmatrix(1.0)
