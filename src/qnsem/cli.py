@@ -222,9 +222,8 @@ def _cmd_rexpansion(args) -> int:
         raise InvariantViolation("only the interval tables are supported as the expanded matrix")
     m2 = quantum_nmatrix(args.alpha)
     collapse = ThresholdMap.from_json(_load_json(args.map))
-    report = verify_rexpansion(m1, m2, collapse, samples=args.samples, seed=args.seed)
-    lines = [f"samples run: {report.samples_run}"]
-    lines += [f"condition {i.condition} issue: {i.detail}" for i in report.issues]
+    report = verify_rexpansion(m1, m2, collapse)
+    lines = [f"condition {i.condition} issue: {i.detail}" for i in report.issues]
     lines.append("rexpansion verified" if report.ok else "NOT a rexpansion")
     payload = {
         "issues": [{"condition": i.condition, "detail": i.detail} for i in report.issues],
@@ -321,7 +320,7 @@ def _cmd_oml(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    sections = demo_mod.run_all(seed=args.seed, trials=args.trials, samples=args.samples)
+    sections = demo_mod.run_all(seed=args.seed, trials=args.trials, roundtrips=args.samples)
     all_passed = all(s.passed for s in sections)
     lines = []
     for s in sections:
@@ -392,7 +391,6 @@ def build_parser() -> _Parser:
     pv.add_argument("--quantum", action="store_true")
     pv.add_argument("--alpha", type=float, default=1.0)
     pv.add_argument("--map", required=True)
-    pv.add_argument("--samples", type=int, default=10_000)
     pv.set_defaults(func=_cmd_rexpansion)
 
     p = sub.add_parser("ks", help="classical truth-value search on a vector family")
@@ -412,7 +410,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("demo", help="full reproduction report")
     p.add_argument("target", choices=("paper",))
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, default=10_000, help="parser round-trip count")
     p.set_defaults(func=_cmd_demo)
 
     return parser

@@ -77,23 +77,23 @@ class FiniteOML:
 
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """meet/join index tables; -1 marks a missing or non-unique bound."""
-        if self._meet is not None:
-            return self._meet, self._join
-        n = len(self.elements)
-        meet = -np.ones((n, n), dtype=int)
-        join = -np.ones((n, n), dtype=int)
-        for i in range(n):
-            for j in range(i, n):
-                lower = self.leq[:, i] & self.leq[:, j]
-                cand = [z for z in np.flatnonzero(lower) if self.leq[lower, z].all()]
-                if len(cand) == 1:
-                    meet[i, j] = meet[j, i] = cand[0]
-                upper = self.leq[i, :] & self.leq[j, :]
-                cand = [z for z in np.flatnonzero(upper) if self.leq[z, upper].all()]
-                if len(cand) == 1:
-                    join[i, j] = join[j, i] = cand[0]
-        self._meet, self._join = meet, join
-        return meet, join
+        if self._meet is None:
+            self._meet = _greatest_common(self.leq.T, self.leq)
+            self._join = _greatest_common(self.leq, self.leq.T)
+        return self._meet, self._join
+
+    def bound_table(self, kind: str, where: np.ndarray | None = None) -> np.ndarray:
+        """The ``"meet"`` or ``"join"`` table, for callers that index elements
+        by it: raises ValueError naming the first pair in the boolean mask
+        ``where`` (default every pair) whose bound is missing or not unique."""
+        table = self._bound_tables()[kind == "join"]
+        missing = np.argwhere(table < 0 if where is None else (table < 0) & where)
+        if len(missing):
+            i, j = missing[0]
+            raise ValueError(
+                f"{kind} of {self.elements[i]!r} and {self.elements[j]!r} does not exist or is not unique"
+            )
+        return table
 
     # -- serialization ------------------------------------------------------
 
@@ -121,6 +121,26 @@ class FiniteOML:
             obj["bottom"],
             obj["top"],
         )
+
+
+def _greatest_common(rel: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """table[i, j] is the z in ``rel[i] & rel[j]`` with ``below[w, z]`` for
+    every w of that set, or -1 when there is none or more than one.
+
+    Row i handles every j at once: the common sets are the rows of
+    ``rel[i] & rel``, and a member z bounds its set when the 0/1 product
+    ``common @ below`` counts the whole set at z.  The float32 product runs
+    on BLAS and is exact for counts below 2**24.
+    """
+    n = len(rel)
+    table = np.full((n, n), -1)
+    below = below.astype(np.float32)
+    for i in range(n):
+        common = rel[i] & rel
+        hits = common & ((common.astype(np.float32) @ below) == common.sum(axis=1, keepdims=True))
+        unique = hits.sum(axis=1) == 1
+        table[i, unique] = hits[unique].argmax(axis=1)
+    return table
 
 
 def meet_oml(l: FiniteOML, a: str, b: str) -> str:
@@ -393,7 +413,8 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     form reduces to finite additivity, and finite families follow from pairs
     by induction through (a v b) orthogonal to c.
     """
-    meet, join = l._bound_tables()
+    # only the joins of orthogonal pairs i < j are read
+    join = l.bound_table("join", np.triu(l.leq[:, l.ortho], 1))
     names = list(l.elements)
     rows: list[Row] = [
         make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
@@ -473,7 +494,7 @@ def find_two_valued_valuation(
     Returns (first solution or None, solution count).  With ``count_all``
     false the search stops at the first solution.
     """
-    meet, join = l._bound_tables()
+    meet, join = l.bound_table("meet"), l.bound_table("join")
     n = len(l.elements)
     values = [-1] * n
     order = list(range(n))
@@ -574,7 +595,7 @@ def lattice_valuation_legal(
     """Elementwise legality of a [0,1]-valued map on the whole lattice: the
     value of every join, meet, and complement must sit inside the matrix cell
     selected by the orthogonality relation."""
-    meet, join = l._bound_tables()
+    meet, join = l.bound_table("meet"), l.bound_table("join")
     names = l.elements
     violations = []
     checked = 0
@@ -629,7 +650,7 @@ def legal_valuation_search(
             raise ValueError(f"unknown element {e!r} in partial assignment")
         if not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
-    meet, join = l._bound_tables()
+    meet, join = l.bound_table("meet"), l.bound_table("join")
     names, rows = state_constraints(l)
     n = len(names)
     for i in range(n):

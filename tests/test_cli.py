@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,21 +165,20 @@ def test_adequacy_exit_codes(capsys, write_json):
 def test_rexpansion_verify(capsys, write_json):
     m1 = write_json("three.json", three_valued_matrix().to_json())
     collapse = write_json("map.json", three_valued_collapse().to_json())
-    code, out, _ = run(
-        capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", collapse,
-        "--samples", "500",
-    )
+    code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", collapse)
     assert code == 0 and "verified" in out
     corrupted = write_json(
         "bad_map.json",
         {"pieces": [{"label": "F", "lo": 1.0, "hi": 1.0}, {"label": "F", "lo": 0.0, "hi": 0.0},
                     {"label": "T", "lo": 0.0, "hi": 1.0}]},
     )
-    code, out, _ = run(
-        capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", corrupted,
-        "--samples", "100",
-    )
+    code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", corrupted)
     assert code == 3
+    # the check is one exact symbolic pass: there is no sample count to set
+    code, _, err = run(
+        capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", collapse, "--samples", "500"
+    )
+    assert code == 1 and "--samples" in err and "Traceback" not in err
 
 
 def test_ks_commands(capsys, write_json):
@@ -221,6 +223,44 @@ def test_broken_lattice_exit(capsys, write_json):
     broken = write_json("broken.json", oml.chain_with_fixed_point().to_json())
     code, out, _ = run(capsys, "oml", "verify", broken)
     assert code == 3 and "NOT an orthomodular lattice" in out
+
+
+def test_oml_missing_orthogonal_join_is_an_input_error(capsys, write_json):
+    # a and b are orthogonal but have two minimal upper bounds, x and y
+    elements = ["0", "a", "b", "x", "y", "1"]
+    leq = [["0", e] for e in elements if e != "0"] + [[e, "1"] for e in elements if e not in ("0", "1")]
+    leq += [["a", "x"], ["a", "y"], ["b", "x"], ["b", "y"]]
+    ortho = {"0": "1", "1": "0", "a": "y", "y": "a", "b": "x", "x": "b"}
+    poset = write_json("poset.json", {"elements": elements, "leq": leq, "ortho": ortho, "bottom": "0", "top": "1"})
+    # x and y have no meet either; cav reads every bound, find-state only
+    # the joins of orthogonal pairs
+    code, out, err = run(capsys, "oml", "find-state", poset)
+    assert code == 2 and out == ""
+    assert "join of 'a' and 'b' does not exist or is not unique" in err
+    code, out, err = run(capsys, "oml", "cav", poset)
+    assert code == 2 and out == ""
+    assert "meet of 'x' and 'y' does not exist or is not unique" in err
+    code, out, _ = run(capsys, "oml", "verify", poset)
+    assert code == 3 and "join(a, b) missing or not unique" in out
+
+
+def test_demo_paper_does_not_import_scipy():
+    # importing scipy costs about half a second and 45 MB of peak RSS, so
+    # the report must run without it; a fresh interpreter shows what it loads
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qnsem import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['--format', 'json', 'demo', 'paper', '--trials', '1', '--samples', '10'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []
 
 
 def test_demo_small_scale(capsys):

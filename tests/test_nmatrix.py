@@ -1,15 +1,22 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from qnsem import cli
 from qnsem.formulas import And, Atom, Not, Or, parse
 from qnsem.nmatrix import (
     AMBIGUOUS,
+    ANY,
+    CONNECTIVE_ARITY,
+    DESIGNATED,
+    UNDESIGNATED,
     NON_ORTHOGONAL,
     ORTHOGONAL,
     FiniteNMatrix,
+    IntervalNMatrix,
     RelationOracle,
+    RexpansionIssue,
     ThresholdMap,
     Valuation,
     adequacy_check,
@@ -25,8 +32,9 @@ from qnsem.nmatrix import (
     three_valued_matrix,
     two_valued_matrix,
     verify_rexpansion,
+    _designation_pattern,
 )
-from qnsem.quantum import quantum_nmatrix, three_valued_collapse
+from qnsem.quantum import adequate_restricted_tables, quantum_nmatrix, three_valued_collapse
 
 P, Q = Atom("P"), Atom("Q")
 
@@ -363,6 +371,96 @@ def test_rexpansion_consequence_containment():
                 held += 1
                 assert dynamic_consequence(refined, [gamma], [delta]).holds
     assert 0 < held < checked
+
+
+# The random re-check that ran after the symbolic interval pass, kept as an
+# oracle: it draws argument pairs (a fifth each exactly 0 and 1), computes
+# the cell's value set and collapses its ends and one inner point.
+def _interval_rexpansion_sampled(
+    m1: FiniteNMatrix, m2: IntervalNMatrix, f: ThresholdMap, samples: int, seed: int
+):
+    issues = []
+    rng = np.random.default_rng(seed)
+    margin = 1e-6
+
+    def draw() -> float:
+        u = rng.random()
+        if u < 0.2:
+            return 0.0
+        if u < 0.4:
+            return 1.0
+        return margin + (1.0 - 2.0 * margin) * rng.random()
+
+    for _ in range(samples):
+        a, b = draw(), draw()
+        for conn, cases in m2.tables.items():
+            arity = CONNECTIVE_ARITY[conn]
+            for case, rule in sorted(cases.items()):
+                args = (a,) if arity == 1 else (a, b)
+                if arity == 1 and ANY not in cases:
+                    want = DESIGNATED if m2.is_designated(a) else UNDESIGNATED
+                    if case != want:
+                        continue
+                if _designation_pattern(case) is not None:
+                    want = ("d" if m2.is_designated(a) else "u") + (
+                        "d" if m2.is_designated(b) else "u"
+                    )
+                    if case != want:
+                        continue
+                vs = rule.value_set(*args)
+                lo, hi = vs.lo, vs.hi
+                ys = {lo, hi, lo + (hi - lo) * rng.random()}
+                labels = tuple(f.label(x) for x in args)
+                target = m1.cell(conn, labels)
+                for y in ys:
+                    if not target.contains(f.label(y)):
+                        issues.append(
+                            RexpansionIssue(
+                                2,
+                                f"sampled {conn}[{case}]{args}: y={y!r} maps to "
+                                f"{f.label(y)!r} outside {target}",
+                            )
+                        )
+                        if len(issues) > 20:
+                            return issues
+    return issues
+
+
+def _collapse_variants():
+    """(base matrix, map) pairs: the paper's three- and two-valued collapses,
+    every relabelling of their pieces and variants with moved cuts."""
+    three = [("t", 1.0, 1.0), ("F", 0.0, 0.0), ("T", 0.0, 1.0)]
+    two = [("t", 1.0, 1.0), ("F", 0.0, 1.0)]
+    out = []
+    for base, pieces in ((three_valued_matrix(), three), (two_valued_matrix(), two)):
+        cuts = [pieces]
+        for top in (0.5, 0.9):
+            cuts.append([("t", top, 1.0), *pieces[1:]])
+        if len(pieces) == 3:
+            cuts += [[pieces[0], ("F", 0.0, low), pieces[2]] for low in (0.1, 0.4)]
+        for cut in cuts:
+            for labels in itertools.permutations([name for name, _, _ in cut]):
+                out.append(
+                    (base, ThresholdMap(tuple((n, lo, hi) for n, (_, lo, hi) in zip(labels, cut))))
+                )
+    return out
+
+
+def test_symbolic_rexpansion_rejects_every_sampled_failure():
+    # neg2 needs alpha strictly between 1/2 and 1
+    matrices = [quantum_nmatrix(1.0)] + [
+        quantum_nmatrix(alpha, negation)
+        for negation in ("deterministic", "neg1", "neg2")
+        for alpha in (0.55, 0.7, 0.85, 0.95)
+    ]
+    matrices += [adequate_restricted_tables(alpha) for alpha in (0.6, 1.0)]
+    flagged = 0
+    for m2 in matrices:
+        for m1, f in _collapse_variants():
+            if _interval_rexpansion_sampled(m1, m2, f, 300, 0):
+                flagged += 1
+                assert not verify_rexpansion(m1, m2, f).ok, (m2.name, f)
+    assert flagged > 0
 
 
 def test_threshold_map_totality():

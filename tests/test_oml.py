@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,11 @@ from qnsem.feasibility import EQ, make_row
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
 from qnsem.formulas import And, Atom, Not, Or, render
 from qnsem.quantum import ProjectorBindings, quantum_nmatrix
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import known  # noqa: E402  (the benchmark's lattice builders)
+import workloads  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +56,92 @@ def test_bound_error_on_broken_poset():
     with pytest.raises(ValueError, match="does not exist or is not unique"):
         oml.meet_oml(broken, "p", "q")
     assert not oml.verify_oml(broken).ok
+
+
+def bound_tables_oracle(leq):
+    """The pair-by-pair bound search the array-product tables replaced."""
+    n = len(leq)
+    meet = -np.ones((n, n), dtype=int)
+    join = -np.ones((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i, n):
+            lower = leq[:, i] & leq[:, j]
+            cand = [z for z in np.flatnonzero(lower) if leq[lower, z].all()]
+            if len(cand) == 1:
+                meet[i, j] = meet[j, i] = cand[0]
+            upper = leq[i, :] & leq[j, :]
+            cand = [z for z in np.flatnonzero(upper) if leq[z, upper].all()]
+            if len(cand) == 1:
+                join[i, j] = join[j, i] = cand[0]
+    return meet, join
+
+
+def _assert_bounds_match_oracle(lattice):
+    meet, join = lattice._bound_tables()
+    want_meet, want_join = bound_tables_oracle(lattice.leq)
+    assert np.array_equal(meet, want_meet)
+    assert np.array_equal(join, want_join)
+
+
+def test_bound_tables_match_oracle_on_benchmark_lattices():
+    lattices = [known.boolean(n) for n in workloads.BOOLEAN_ATOMS]
+    lattices += [known.mo(n) for n in workloads.MO_SIZES]
+    lattices += [known.chain(k) for k in workloads.CHAIN_BLOCKS]
+    lattices.append(known.state_free(REPO_ROOT))
+    assert len(lattices) == 17
+    for data in lattices:
+        _assert_bounds_match_oracle(oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1"))
+    _assert_bounds_match_oracle(fixtures.nostate_lattice())
+
+
+def test_bound_tables_match_oracle_on_random_relations():
+    # reflexive relations that need be neither antisymmetric nor
+    # transitive, so both missing and tied bounds occur
+    rnd = random.Random(7)
+    missing = tied = 0
+    for _ in range(300):
+        n = rnd.randint(1, 9)
+        density = rnd.uniform(0.1, 0.8)
+        names = [str(k) for k in range(n)]
+        pairs = [(a, b) for a in names for b in names if a != b and rnd.random() < density]
+        lattice = oml.FiniteOML(names, pairs, {e: e for e in names}, "0", "0")
+        _assert_bounds_match_oracle(lattice)
+        leq = lattice.leq
+        for i in range(n):
+            for j in range(n):
+                lower = leq[:, i] & leq[:, j]
+                greatest = sum(leq[lower, z].all() for z in np.flatnonzero(lower))
+                missing += greatest == 0
+                tied += greatest > 1
+    assert missing and tied
+
+
+def _poset_without_orthogonal_join():
+    # a and b are orthogonal (a <= b' = x) but have two minimal upper bounds
+    elements = ["0", "a", "b", "x", "y", "1"]
+    pairs = [("0", e) for e in elements if e != "0"]
+    pairs += [(e, "1") for e in elements if e != "1"]
+    pairs += [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
+    ortho = {"0": "1", "1": "0", "a": "y", "y": "a", "b": "x", "x": "b"}
+    return oml.FiniteOML(elements, pairs, ortho, "0", "1")
+
+
+def test_missing_bound_is_an_error_not_an_index():
+    broken = _poset_without_orthogonal_join()
+    assert broken.orthogonal("a", "b")
+    message = "join of 'a' and 'b' does not exist or is not unique"
+    with pytest.raises(ValueError, match=message):
+        oml.state_constraints(broken)
+    with pytest.raises(ValueError, match=message):
+        oml.find_state(broken)
+    with pytest.raises(ValueError, match="does not exist or is not unique"):
+        oml.find_two_valued_valuation(broken)
+    with pytest.raises(ValueError, match="does not exist or is not unique"):
+        oml.lattice_valuation_legal(broken, quantum_nmatrix(1.0), dict.fromkeys(broken.elements, 0.5))
+    with pytest.raises(ValueError, match="does not exist or is not unique"):
+        oml.legal_valuation_search(broken, quantum_nmatrix(1.0))
+    report = oml.verify_oml(broken)
+    assert "join(a, b) missing or not unique" in report.failures
 
 
 def test_json_roundtrip():
