@@ -33,10 +33,9 @@ from .nmatrix import (
     Valuation,
 )
 from .quantum import (
-    ProjectorBindings,
+    born_legality_mask,
     double_negation_chain,
     dynamic_witness,
-    evaluate_state,
     negation_set,
     quantum_nmatrix,
     static_violation_witness,
@@ -167,15 +166,11 @@ def section_legality_sweep(trials: int = 1000, seed: int = 0) -> Section:
     p, q = Atom("P"), Atom("Q")
     formulas = [p, q, Not(p), Not(q), And(p, q), Or(p, q)]
     for dim in (2, 3, 4, 5):
-        violations = 0
-        for _ in range(trials):
-            bindings = ProjectorBindings(
-                {"P": hilbert.random_projector(rng, dim), "Q": hilbert.random_projector(rng, dim)}
-            )
-            rho = hilbert.random_density(rng, dim)
-            valuation = evaluate_state(rho, bindings, formulas)
-            if not is_dynamic_legal(valuation, m, bindings).ok:
-                violations += 1
+        # each trial draws P, Q, rho in this order; the closure is then
+        # evaluated once over the whole stack
+        ps, qs, rho = hilbert.random_stacks(rng, dim, trials, ("projector", "projector", "density"))
+        legal = born_legality_mask(rho, {"P": ps, "Q": qs}, formulas, m)
+        violations = int(np.count_nonzero(~legal))
         s.check_value(f"dim {dim}: illegal valuations among {trials}", 0.0, float(violations), 0.0)
     return s
 
@@ -186,13 +181,9 @@ def section_lattice_laws(trials: int = 1000, seed: int = 0) -> Section:
     rng = np.random.default_rng(seed)
     tol = 1e-8
     for dim in (2, 3, 4, 5, 6):
-        # each trial draws p, q, r in this order, into preallocated stacks;
-        # every law is then one kernel call per operation on the whole stack
-        p, q, r = (np.empty((trials, dim, dim), dtype=np.complex128) for _ in range(3))
-        for t in range(trials):
-            p[t] = hilbert.random_projector(rng, dim)
-            q[t] = hilbert.random_projector(rng, dim)
-            r[t] = hilbert.random_projector(rng, dim)
+        # each trial draws p, q, r in this order; every law is then one
+        # kernel call per operation on the whole stack
+        p, q, r = hilbert.random_stacks(rng, dim, trials, ("projector",) * 3)
         small = hilbert.meet(p, q)
         big = hilbert.join(small, r)
         # drop each stack once spent: at dim 6 a stack is 0.6 MB, and holding

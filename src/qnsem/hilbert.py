@@ -3,16 +3,19 @@ operators, and Born-rule probabilities.
 
 Projectors and density operators are plain complex matrices; the validators
 here are the single place their defining invariants are enforced, and they
-accept exactly one 2-d matrix.  Lattice operations (meet, join,
+accept exactly one 2-d matrix (the residuals they read also come per slice
+of a stack).  Lattice operations (meet, join,
 orthocomplement) are computed numerically as kernel projectors ``V diag(mask)
 V^H`` of one Hermitian eigendecomposition.  ``meet``, ``join``, ``ortho`` and
 ``born`` take a single matrix or a stack of shape ``(..., d, d)`` through the
-same code: a single matrix is a stack of one.
+same code: a single matrix is a stack of one.  ``random_stacks`` draws random
+projectors and states as ``(trials, d, d)`` stacks in the per-trial RNG order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,13 +23,13 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatch,
     InvariantViolation,
-    adjoint,
     as_matrix,
     as_stack,
     hermitian_eigen,
     matrix_from_json,
     matrix_to_json,
     max_norm,
+    max_norms,
     orthonormalize,
     trace,
 )
@@ -38,11 +41,12 @@ KERNEL_THRESHOLD = 1e-8
 
 
 def projector_residuals(m: np.ndarray) -> dict[str, float]:
-    """Max-norm residuals of the projector invariants (idempotence, self-adjointness)."""
-    m = as_matrix(m)
+    """Max-norm residuals of the projector invariants (idempotence,
+    self-adjointness): floats for one matrix, one value per slice of a stack."""
+    m = as_stack(m)
     return {
-        "idempotent": max_norm(m @ m - m),
-        "hermitian": max_norm(m - m.conj().T),
+        "idempotent": _per_slice(max_norms(m @ m - m)),
+        "hermitian": _per_slice(max_norms(m - m.conj().swapaxes(-1, -2))),
     }
 
 
@@ -50,21 +54,20 @@ def check_projector(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"projector must be square, got {m.shape[0]}x{m.shape[1]}")
-    res = projector_residuals(m)
-    bad = {k: v for k, v in res.items() if v > tol}
-    if bad:
-        raise InvariantViolation(f"not a projector (tol={tol:.1e}): residuals {bad}")
+    require_residuals("projector", projector_residuals(m), tol)
     return m
 
 
 def density_residuals(m: np.ndarray) -> dict[str, float]:
-    m = as_matrix(m)
-    herm = max_norm(m - m.conj().T)
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    """Residuals of the density invariants (self-adjointness, positivity,
+    unit trace): floats for one matrix, one value per slice of a stack."""
+    m = as_stack(m)
+    adj = m.conj().swapaxes(-1, -2)
+    eigs = np.linalg.eigvalsh((m + adj) / 2.0)
     return {
-        "hermitian": herm,
-        "negativity": float(max(0.0, -eigs.min())) if eigs.size else 0.0,
-        "trace": abs(complex(np.trace(m)) - 1.0),
+        "hermitian": _per_slice(max_norms(m - adj)),
+        "negativity": _per_slice(np.maximum(0.0, -eigs.min(axis=-1, initial=0.0))),
+        "trace": _per_slice(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)),
     }
 
 
@@ -72,11 +75,24 @@ def check_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"density operator must be square, got {m.shape[0]}x{m.shape[1]}")
-    res = density_residuals(m)
-    bad = {k: v for k, v in res.items() if v > tol}
-    if bad:
-        raise InvariantViolation(f"not a density operator (tol={tol:.1e}): residuals {bad}")
+    require_residuals("density operator", density_residuals(m), tol)
     return m
+
+
+def _per_slice(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def require_residuals(kind: str, residuals: dict, tol: float) -> None:
+    """Raise ``InvariantViolation`` unless every residual is within ``tol``;
+    for a stack the message names the first offending slice."""
+    bad = np.any([np.asarray(v) > tol for v in residuals.values()], axis=0)
+    if not bad.any():
+        return
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    over = {k: float(np.asarray(v)[at]) for k, v in residuals.items() if np.asarray(v)[at] > tol}
+    where = f" at slice {tuple(int(i) for i in at)}" if at else ""
+    raise InvariantViolation(f"not a {kind}{where} (tol={tol:.1e}): residuals {over}")
 
 
 def operator_to_json(m, kind: str) -> dict:
@@ -319,21 +335,70 @@ def state_reconstruction(family, values, tol: float = DEFAULT_TOL) -> Reconstruc
     return Reconstruction(rho, residual)
 
 
+def _projector_block(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+    """The RNG calls of one projector draw: the rank (1..dim-1 unless
+    given), then a complex Gaussian ``rank x dim`` block."""
+    if rank is None:
+        rank = int(rng.integers(1, dim)) if dim > 1 else 1
+    return rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+
+
+def _density_block(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _projectors(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Projectors onto the row spans of the blocks, as one ``(n, d, d)``
+    stack: the orthonormal QR factor of each block's transpose, V V^H.
+    Blocks of one rank share one stacked QR and one stacked product, which
+    give the same bits as one call per block."""
+    out = np.empty((len(blocks), dim, dim), dtype=np.complex128)
+    by_rank: dict[int, list[int]] = {}
+    for i, g in enumerate(blocks):
+        by_rank.setdefault(g.shape[0], []).append(i)
+    for rows in by_rank.values():
+        basis, _ = np.linalg.qr(np.array([blocks[i] for i in rows]).swapaxes(-1, -2))
+        out[rows] = basis @ basis.conj().swapaxes(-1, -2)
+    return out
+
+
+def _densities(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Full-support states G G^H / tr(G G^H), as one ``(n, d, d)`` stack."""
+    g = np.array(blocks, dtype=np.complex128).reshape(len(blocks), dim, dim)
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+
+
+_DRAWS = {"projector": (_projector_block, _projectors), "density": (_density_block, _densities)}
+
+
+def random_stacks(
+    rng: np.random.Generator, dim: int, trials: int, kinds: Sequence[str]
+) -> tuple[np.ndarray, ...]:
+    """One ``(trials, dim, dim)`` stack per entry of ``kinds`` ("projector"
+    or "density").  Trial by trial, one operator of each kind is drawn in the
+    order of ``kinds``: the same RNG calls, in the same order, and the same
+    matrices as ``random_projector`` and ``random_density`` called in that
+    loop."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    blocks: list[list[np.ndarray]] = [[] for _ in kinds]
+    draws = [_DRAWS[kind][0] for kind in kinds]
+    for _ in range(trials):
+        for draw, out in zip(draws, blocks):
+            out.append(draw(rng, dim))
+    return tuple(_DRAWS[kind][1](b, dim) for kind, b in zip(kinds, blocks))
+
+
 def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """Projector onto the span of Gaussian random vectors of rank 1..dim-1,
     built from the orthonormal QR factor of the vectors."""
-    if rank is None:
-        rank = int(rng.integers(1, dim)) if dim > 1 else 1
-    g = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-    basis, _ = np.linalg.qr(g.T)
-    return basis @ basis.conj().T
+    return _projectors([_projector_block(rng, dim, rank)], dim)[0]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Full-support random state rho = G G^dagger / tr(G G^dagger)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m)
+    return _densities([_density_block(rng, dim)], dim)[0]
 
 
 def basis_vector(dim: int, i: int) -> np.ndarray:

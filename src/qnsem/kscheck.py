@@ -167,30 +167,35 @@ def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
                 changed.append(w)
         return changed, True
 
-    def rec() -> bool:
-        nonlocal first, count
+    # one frame per open context: [free vectors, index of the next to try,
+    # the assignments made by the current try]; the loop visits the same
+    # choices in the same order as recursing once per context would
+    frames: list[list] = []
+    while True:
         ctx, free = choose_context()
-        if free == -1:
-            return False
-        if ctx is None:
+        if ctx is None:  # every context holds its one vector: a solution
             count += 1
             if first is None:
-                total = dict.fromkeys(ids, 0)
-                total.update(state)
-                first = total
-            if count_cap is None:
-                return True
-            return count >= count_cap
-        ones, free = context_status(ctx)
-        for v in free:
-            changed, ok = assign_one(v)
-            if ok and rec():
-                return True
-            for w in changed:
+                first = dict.fromkeys(ids, 0)
+                first.update(state)
+            if count_cap is None or count >= count_cap:
+                break
+        elif free != -1:
+            frames.append([free, 0, []])
+        # backtrack to the innermost context with an untried vector left,
+        # and assign that vector
+        descended = False
+        while frames and not descended:
+            frame = frames[-1]
+            for w in frame[2]:
                 del state[w]
-        return False
-
-    rec()
+            if frame[1] == len(frame[0]):
+                frames.pop()
+                continue
+            frame[2], descended = assign_one(frame[0][frame[1]])
+            frame[1] += 1
+        if not descended:
+            break
     return first, count
 
 

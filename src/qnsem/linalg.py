@@ -55,6 +55,11 @@ def max_norm(a: np.ndarray) -> float:
     return float(np.abs(np.asarray(a)).max(initial=0.0))
 
 
+def max_norms(a) -> np.ndarray:
+    """Entrywise max-norm of each matrix of a stack ``(..., n, m)``."""
+    return np.abs(np.asarray(a)).max(axis=(-2, -1), initial=0.0)
+
+
 def multiply(a, b) -> np.ndarray:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape[1] != b.shape[0]:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+import numpy as np
+
 from .formulas import And, Atom, Formula, Not, Or, children, render, subformula_closure
 from .linalg import DEFAULT_TOL
 from .valuesets import (
@@ -254,7 +256,9 @@ class IntervalRule:
 
     ``lo`` and ``hi`` must be continuous and monotone in each argument, so
     the exact union of outputs over a box of inputs is the interval spanned
-    by the corner evaluations.
+    by the corner evaluations.  They must also act elementwise on arrays of
+    inputs (``np.minimum``, not ``min``), so one rule serves one valuation
+    and a stack of them alike.
     """
 
     arity: int
@@ -277,7 +281,16 @@ class IntervalRule:
             corners = [c + (x,) for c in corners for x in ((lo,) if lo == hi else (lo, hi))]
         los = [self.lo(*c) for c in corners]
         his = [self.hi(*c) for c in corners]
-        return max(0.0, min(los)), min(1.0, max(his))
+        return float(max(0.0, min(los))), float(min(1.0, max(his)))
+
+
+# Where each relation case may hold, as (orthogonal, non_orthogonal): an
+# ambiguous pair may be either.
+_RELATION_CASES = {
+    ORTHOGONAL: (True, False),
+    NON_ORTHOGONAL: (False, True),
+    AMBIGUOUS: (True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -302,31 +315,57 @@ class IntervalNMatrix:
     def undesignated_set(self) -> IntervalUnion:
         return interval(0.0, max(0.0, self.alpha - OPEN_SHIFT))
 
+    def rule_cases(self, conn: str, args, relation=(True, True), tol: float = DEFAULT_TOL) -> list:
+        """Each rule of the connective's table, paired with whether it
+        governs the inputs: a bool for scalar inputs, a mask for arrays of
+        them (one entry per trial).
+
+        Tables keyed by relation read ``relation``, the pair (orthogonal,
+        non_orthogonal) of where each case may hold (see
+        ``_RELATION_CASES``); tables keyed by input designation read the
+        inputs and ignore the relation entirely.
+        """
+        designated = [self.is_designated(x, tol) for x in args]
+        cases = []
+        for case, rule in self.tables[conn].items():
+            if case == ANY:
+                applies = True
+            elif case == ORTHOGONAL:
+                applies = relation[0]
+            elif case == NON_ORTHOGONAL:
+                applies = relation[1]
+            elif case in (DESIGNATED, UNDESIGNATED):
+                applies = designated[0] == (case == DESIGNATED)
+            else:
+                first, second = _designation_pattern(case)
+                applies = (designated[0] == first) & (designated[1] == second)
+            cases.append((rule, applies))
+        return cases
+
     def negation_rule(self, a: float, tol: float = DEFAULT_TOL) -> IntervalRule:
-        cases = self.tables["not"]
-        if ANY in cases:
-            return cases[ANY]
-        return cases[DESIGNATED if self.is_designated(a, tol) else UNDESIGNATED]
+        (rule,) = [rule for rule, applies in self.rule_cases("not", (a,), tol=tol) if applies]
+        return rule
 
     def binary_rules(
         self, conn: str, case: str, a: float, b: float, tol: float = DEFAULT_TOL
     ) -> list[IntervalRule]:
-        """Rules applicable to inputs (a, b) under the given relation case.
+        """Rules applicable to inputs (a, b) under the given relation case
+        (both relation rules when ambiguous)."""
+        cases = self.rule_cases(conn, (a, b), _RELATION_CASES[case], tol)
+        return [rule for rule, applies in cases if applies]
 
-        Tables keyed by relation use the case (both rules when ambiguous);
-        tables keyed by input designation ignore the relation entirely.
-        """
-        cases = self.tables[conn]
-        if ANY in cases:
-            return [cases[ANY]]
-        if ORTHOGONAL in cases or NON_ORTHOGONAL in cases:
-            if case == AMBIGUOUS:
-                return [cases[ORTHOGONAL], cases[NON_ORTHOGONAL]]
-            return [cases[case]]
-        key = ("d" if self.is_designated(a, tol) else "u") + (
-            "d" if self.is_designated(b, tol) else "u"
-        )
-        return [cases[key]]
+    def admits(self, conn: str, value, args, relation=(True, True), tol: float = DEFAULT_TOL):
+        """Whether ``value`` lies within ``tol`` of a cell governing the
+        inputs: the legality test of one compound, elementwise over arrays
+        of values, inputs and relation masks (one entry per trial)."""
+        ok = np.zeros(np.shape(value), dtype=bool)
+        for rule, applies in self.rule_cases(conn, args, relation, tol):
+            lo, hi = rule.lo(*args), rule.hi(*args)
+            empty = applies & (hi < lo)
+            if np.any(empty):
+                raise ValueError(f"rule '{rule.description}' is empty at trial {int(np.argmax(empty))}")
+            ok |= applies & (np.maximum(lo, 0.0) - tol <= value) & (value <= np.minimum(hi, 1.0) + tol)
+        return ok
 
     def describe(self) -> dict:
         return {

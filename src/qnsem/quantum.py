@@ -5,8 +5,10 @@ complement, designated set [alpha, 1].
 Every density operator induces a valuation through the Born probabilities of
 the denoted projectors; those valuations are exactly the ones the tables
 admit.  Formulas denote projectors through ``ProjectorBindings``, the
-projector instance of the shared ``nmatrix.Bindings`` evaluator.  The same
-tables serve finite orthomodular lattices (see ``oml``).  The module also
+projector instance of the shared ``nmatrix.Bindings`` evaluator;
+``born_legality_mask`` gives the same legality verdicts for a whole
+``(trials, d, d)`` stack of states and atoms at once.  The same tables serve
+finite orthomodular lattices (see ``oml``).  The module also
 builds the restricted (adequacy-motivated) tables, the two non-deterministic
 negation variants, the double-negation ordering chain, and the two worked
 counterexamples: a four-dimensional pair of states witnessing genuine
@@ -22,8 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .formulas import And, Atom, Formula, Or, render, subformula_closure
-from .linalg import DEFAULT_TOL, max_norm
+from .formulas import And, Atom, Formula, Not, Or, render, subformula_closure
+from .linalg import DEFAULT_TOL, DimensionMismatch, as_stack, max_norms
 from .nmatrix import (
     AMBIGUOUS,
     ANY,
@@ -40,15 +42,16 @@ from .nmatrix import (
 from .valuesets import OPEN_SHIFT, IntervalUnion, interval
 
 # The four relation-split rules shared by the projector and lattice tables.
+# Rules act elementwise on arrays of inputs (see ``IntervalRule``).
 ORTHOGONAL_OR = IntervalRule(
     2,
-    lambda a, b: min(a + b, 1.0),
-    lambda a, b: min(a + b, 1.0),
+    lambda a, b: np.minimum(a + b, 1.0),
+    lambda a, b: np.minimum(a + b, 1.0),
     "{min(a+b, 1)}",
 )
-SPAN_OR = IntervalRule(2, lambda a, b: max(a, b), lambda a, b: 1.0, "[max(a,b), 1]")
+SPAN_OR = IntervalRule(2, lambda a, b: np.maximum(a, b), lambda a, b: 1.0, "[max(a,b), 1]")
 ORTHOGONAL_AND = IntervalRule(2, lambda a, b: 0.0, lambda a, b: 0.0, "{0}")
-CAP_AND = IntervalRule(2, lambda a, b: 0.0, lambda a, b: min(a, b), "[0, min(a,b)]")
+CAP_AND = IntervalRule(2, lambda a, b: 0.0, lambda a, b: np.minimum(a, b), "[0, min(a,b)]")
 DETERMINISTIC_NOT = IntervalRule(1, lambda a: 1.0 - a, lambda a: 1.0 - a, "{1 - a}")
 
 NEGATION_VARIANTS = ("deterministic", "neg1", "neg2")
@@ -74,7 +77,7 @@ def _negation_cases(variant: str, alpha: float) -> dict[str, IntervalRule]:
             DESIGNATED: IntervalRule(
                 1,
                 lo_d,
-                lambda a: max(lo_d(a), alpha - OPEN_SHIFT),
+                lambda a: np.maximum(lo_d(a), alpha - OPEN_SHIFT),
                 "[alpha - (a/2)(1-alpha)/alpha, alpha)",
             ),
             UNDESIGNATED: IntervalRule(
@@ -120,7 +123,7 @@ def adequate_restricted_tables(alpha: float) -> IntervalNMatrix:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     and_cases = {
         "dd": IntervalRule(
-            2, lambda a, b: alpha, lambda a, b: min(a, b), "[0, min(a,b)] cut to [alpha, min(a,b)]"
+            2, lambda a, b: alpha, lambda a, b: np.minimum(a, b), "[0, min(a,b)] cut to [alpha, min(a,b)]"
         ),
         "du": IntervalRule(2, lambda a, b: 0.0, lambda a, b: b, "[0, b]"),
         "ud": IntervalRule(2, lambda a, b: 0.0, lambda a, b: a, "[0, a]"),
@@ -150,21 +153,29 @@ def negation_set(variant: str, alpha: float, a: float) -> IntervalUnion:
 # Born valuations of states
 
 
+#: Pairs whose product has max-norm in (tol, AMBIGUITY_BAND * tol] are
+#: classified ambiguous rather than silently resolved.
+AMBIGUITY_BAND = 10.0
+
+
 class ProjectorBindings(Bindings[np.ndarray]):
     """Maps atoms to projectors and compound formulas to lattice elements.
 
     Serves as the relation oracle for interval-matrix legality: orthogonality
-    is decided numerically, and pairs within a factor 10 of the threshold are
-    classified ambiguous rather than silently resolved.
+    is decided numerically, and pairs within a factor ``AMBIGUITY_BAND`` of
+    the threshold are classified ambiguous rather than silently resolved.
     """
 
     def __init__(self, atoms: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL):
         self.tol = tol
-        super().__init__({name: hilbert.check_projector(m, self.tol) for name, m in atoms.items()})
-        dims = {m.shape[0] for m in self.atoms.values()}
+        super().__init__({name: self._validated(m) for name, m in atoms.items()})
+        dims = {m.shape[-1] for m in self.atoms.values()}
         if len(dims) > 1:
             raise ValueError(f"atom projectors live in different dimensions: {sorted(dims)}")
         self.dim = dims.pop() if dims else 0
+
+    def _validated(self, m) -> np.ndarray:
+        return hilbert.check_projector(m, self.tol)
 
     def ortho(self, p: np.ndarray) -> np.ndarray:
         return hilbert.ortho(p)
@@ -175,13 +186,30 @@ class ProjectorBindings(Bindings[np.ndarray]):
     def join(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return hilbert.join(p, q, self.tol)
 
+    def relation(self, left: Formula, right: Formula):
+        """(orthogonal, non_orthogonal): whether each relation case may hold
+        between the denoted projectors, both inside the ambiguity band; one
+        entry per slice when the atoms are stacks."""
+        overlap = max_norms(self.denote(left) @ self.denote(right))
+        return overlap <= AMBIGUITY_BAND * self.tol, overlap > self.tol
+
     def classify(self, left: Formula, right: Formula) -> str:
-        overlap = max_norm(self.denote(left) @ self.denote(right))
-        if overlap <= self.tol:
-            return ORTHOGONAL
-        if overlap <= 10.0 * self.tol:
+        orthogonal, non_orthogonal = self.relation(left, right)
+        if orthogonal and non_orthogonal:
             return AMBIGUOUS
-        return NON_ORTHOGONAL
+        return ORTHOGONAL if orthogonal else NON_ORTHOGONAL
+
+
+class _StackBindings(ProjectorBindings):
+    """Atoms bound to ``(trials, d, d)`` stacks of projectors: each closure
+    node denotes a stack, computed by one kernel call for every trial."""
+
+    def _validated(self, m) -> np.ndarray:
+        stack = as_stack(m)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"expected a (trials, d, d) stack of projectors, got shape {stack.shape}")
+        hilbert.require_residuals("projector", hilbert.projector_residuals(stack), self.tol)
+        return stack
 
 
 def evaluate_state(
@@ -197,6 +225,48 @@ def evaluate_state(
     for f in subformula_closure(formulas):
         values[f] = hilbert.born(rho, bindings.denote(f), tol)
     return Valuation(values)
+
+
+def born_legality_mask(
+    rho: np.ndarray,
+    atoms: Mapping[str, np.ndarray],
+    formulas: Sequence[Formula],
+    matrix: IntervalNMatrix,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Per-trial legality of Born valuations, for a ``(trials, d, d)`` stack
+    of states and one such stack of projectors per atom.
+
+    Entry t is the verdict of ``is_dynamic_legal`` on ``evaluate_state``
+    of trial t (``rho[t]``, atoms bound to their slice t) under ``matrix``,
+    with the same checks, each raising as there: every atom slice a
+    projector, every state slice a density operator, the kernel's Hermitian
+    guard and the Born range.
+    The closure is denoted once over the stacks, all Born values come from
+    one einsum, and each compound is checked against its table's rules on
+    arrays of trials.  Born values are clipped into [0, 1], so atoms are
+    always legal.
+    """
+    bindings = _StackBindings(atoms, tol)
+    rho = as_stack(rho)
+    if rho.ndim != 3 or any(m.shape != rho.shape for m in bindings.atoms.values()):
+        shapes = sorted({m.shape for m in bindings.atoms.values()})
+        raise DimensionMismatch(f"states of shape {rho.shape} but atom stacks of shapes {shapes}")
+    hilbert.require_residuals("density operator", hilbert.density_residuals(rho), max(tol, 1e-7))
+    legal = np.ones(len(rho), dtype=bool)
+    closure = subformula_closure(formulas)
+    if not closure:
+        return legal
+    position = {f: i for i, f in enumerate(closure)}
+    values = hilbert.born(rho, np.stack([bindings.denote(f) for f in closure]), tol)
+    for f, value in zip(closure, values):
+        if isinstance(f, Not):
+            legal &= matrix.admits("not", value, (values[position[f.child]],), tol=tol)
+        elif isinstance(f, (And, Or)):
+            args = (values[position[f.left]], values[position[f.right]])
+            conn = "and" if isinstance(f, And) else "or"
+            legal &= matrix.admits(conn, value, args, bindings.relation(f.left, f.right), tol)
+    return legal
 
 
 # ---------------------------------------------------------------------------
@@ -323,29 +393,36 @@ def order_preservation_check(
     valuation: Valuation, bindings: ProjectorBindings, tol: float = DEFAULT_TOL
 ) -> OrderReport:
     """Born valuations respect the lattice order, and orthogonal pairs never
-    carry total probability above one."""
+    carry total probability above one.
+
+    The domain is denoted once into a stack; each formula's row of pairs is
+    then one stacked product against it (``hilbert.leq`` and
+    ``hilbert.is_orthogonal`` per pair, O(n d^2) memory)."""
     domain = valuation.domain()
     violations = []
     comparable = orthogonal = 0
-    for f in domain:
-        for g in domain:
-            if f is g:
-                continue
-            if hilbert.leq(bindings.denote(f), bindings.denote(g), tol):
-                comparable += 1
-                if valuation[f] > valuation[g] + tol:
-                    violations.append(
-                        OrderViolation(f, g, "order", f"{valuation[f]} > {valuation[g]}")
-                    )
+    if not domain:
+        return OrderReport((), 0, 0)
+    denoted = np.stack([bindings.denote(f) for f in domain])
     for i, f in enumerate(domain):
-        for g in domain[i + 1 :]:
-            if hilbert.is_orthogonal(bindings.denote(f), bindings.denote(g), tol):
-                orthogonal += 1
-                total = valuation[f] + valuation[g]
-                if total > 1.0 + tol:
-                    violations.append(
-                        OrderViolation(f, g, "orthogonal-sum", f"{valuation[f]} + {valuation[g]} = {total} > 1")
-                    )
+        # f <= g exactly when g absorbs f: g f = f
+        below = max_norms(denoted @ denoted[i] - denoted[i]) <= tol
+        below[i] = False
+        for j in np.flatnonzero(below):
+            g = domain[j]
+            comparable += 1
+            if valuation[f] > valuation[g] + tol:
+                violations.append(OrderViolation(f, g, "order", f"{valuation[f]} > {valuation[g]}"))
+    for i, f in enumerate(domain):
+        apart = max_norms(denoted[i] @ denoted[i + 1 :]) <= tol
+        for j in np.flatnonzero(apart) + i + 1:
+            g = domain[j]
+            orthogonal += 1
+            total = valuation[f] + valuation[g]
+            if total > 1.0 + tol:
+                violations.append(
+                    OrderViolation(f, g, "orthogonal-sum", f"{valuation[f]} + {valuation[g]} = {total} > 1")
+                )
     return OrderReport(tuple(violations), comparable, orthogonal)
 
 

@@ -281,10 +281,13 @@ def test_demo_json_deterministic(capsys):
 def test_demo_json_pin(capsys):
     # the acceptance pin of the full-size report: any change to a computed
     # value, or an output that depends on set or hash order, moves it
-    code, out, _ = run(capsys, "--format", "json", "--seed", "0", "demo", "paper")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "f6ac7ccc30d1b6822e5055650bee4732adf8d9b9ee000b630fc244bcdf6937b8"
+    for seed, pin in (
+        ("0", "f6ac7ccc30d1b6822e5055650bee4732adf8d9b9ee000b630fc244bcdf6937b8"),
+        ("1", "151381e05519fe4b59ea942d64b5ac6b28d45889b2647004673f1deeb82f25f7"),
+    ):
+        code, out, _ = run(capsys, "--format", "json", "--seed", seed, "demo", "paper")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pin, seed
 
 
 def test_tol_flag(capsys, write_json):

@@ -319,3 +319,37 @@ def test_boundary_refuses_stacks():
         ProjectorBindings({"P": stack})
     with pytest.raises(DimensionMismatch):
         linalg.matrix_to_json(stack)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_batched_draws_match_successive_calls(dim):
+    # the legality sweep's interleaved P, Q, rho and the lattice laws' p, q, r
+    for kinds in (("projector", "projector", "density"), ("projector",) * 3):
+        batched_rng, loop_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        stacks = hilbert.random_stacks(batched_rng, dim, 200, kinds)
+        draw = {"projector": hilbert.random_projector, "density": hilbert.random_density}
+        for t in range(200):
+            for kind, stack in zip(kinds, stacks):
+                assert np.array_equal(stack[t], draw[kind](loop_rng, dim)), (kinds, t, kind)
+        assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    empty = hilbert.random_stacks(np.random.default_rng(0), dim, 0, kinds)
+    assert [s.shape for s in empty] == [(0, dim, dim)] * 3
+    with pytest.raises(ValueError, match="non-negative"):
+        hilbert.random_stacks(np.random.default_rng(0), dim, -1, kinds)
+
+
+def test_residuals_per_slice(rng):
+    p = np.array([hilbert.random_projector(rng, 3) for _ in range(4)])
+    p[2, 0, 1] += 1e-3
+    rho = np.array([hilbert.random_density(rng, 3) for _ in range(4)])
+    rho[1] *= 1.5
+    for residuals, stack in ((hilbert.projector_residuals, p), (hilbert.density_residuals, rho)):
+        per_slice = residuals(stack)
+        for i, matrix in enumerate(stack):
+            single = residuals(matrix)
+            assert all(type(v) is float for v in single.values())
+            assert {k: float(v[i]) for k, v in per_slice.items()} == single
+    with pytest.raises(InvariantViolation, match=r"not a projector at slice \(2,\)"):
+        hilbert.require_residuals("projector", hilbert.projector_residuals(p), 1e-9)
+    with pytest.raises(InvariantViolation, match=r"not a density operator at slice \(1,\)"):
+        hilbert.require_residuals("density operator", hilbert.density_residuals(rho), 1e-9)

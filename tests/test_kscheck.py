@@ -1,9 +1,14 @@
+import inspect
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qnsem import fixtures, hilbert, kscheck
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 def standard_family(dim=3):
@@ -212,3 +217,104 @@ def test_family_projectors():
     fam = standard_family()
     projs = kscheck.family_projectors(fam)
     assert all(hilbert.rank_of(p) == 1 for p in projs.values())
+
+
+# ---------------------------------------------------------------------------
+# the backtracking loop against the recursive search it replaced
+
+
+def recursive_search(family, cap=None):
+    """The search as one recursion level per open context: same choice
+    order, kept as the oracle of the explicit-stack loop."""
+    adj, ids, contexts = kscheck._prepared(family, kscheck.DEFAULT_TOL)
+    state, found = {}, {"first": None, "count": 0}
+
+    def choose():
+        best = None
+        for ctx in contexts:
+            ones = sum(1 for v in ctx if state.get(v) == 1)
+            free = [v for v in ctx if v not in state]
+            if ones > 1 or (ones == 0 and not free):
+                return ctx, None
+            if ones == 0 and (best is None or len(free) < len(best[1])):
+                best = (ctx, free)
+        return best if best is not None else (None, [])
+
+    def assign(v):
+        changed = [v]
+        state[v] = 1
+        for w in adj[v]:
+            if state.get(w) == 1:
+                return changed, False
+            if w not in state:
+                state[w] = 0
+                changed.append(w)
+        return changed, True
+
+    def rec():
+        ctx, free = choose()
+        if free is None:
+            return False
+        if ctx is None:
+            found["count"] += 1
+            if found["first"] is None:
+                found["first"] = {**dict.fromkeys(ids, 0), **state}
+            return cap is None or found["count"] >= cap
+        for v in free:
+            changed, ok = assign(v)
+            if ok and rec():
+                return True
+            for w in changed:
+                del state[w]
+        return False
+
+    rec()
+    return found["first"], found["count"]
+
+
+def _benchmark_families():
+    """ks18, peres24 and the benchmark's random peres24 subfamilies."""
+    import known
+    import workloads
+
+    rng = np.random.default_rng(0)
+    peres = known.peres24()
+    size = workloads.KS_SUBFAMILY_VECTORS
+    subs = [known.subfamily(peres, rng, size) for _ in range(workloads.KS_SUBFAMILIES)]
+    subs += [known.subfamily(peres, np.random.default_rng(s), n) for s in range(4) for n in (10, 14, 20)]
+    out = [fixtures.ks18()]
+    for fam in [peres, *subs]:
+        vectors = {vid: np.array(v, dtype=np.complex128) for vid, v in fam.vectors.items()}
+        out.append(kscheck.VectorContextFamily(4, vectors, fam.contexts))
+    return out
+
+
+def test_search_loop_matches_recursive_oracle():
+    satisfiable = 0
+    for fam in _benchmark_families():
+        first, _ = recursive_search(fam)
+        _, count = recursive_search(fam, cap=10**6)
+        assert kscheck.search_classical_valuation(fam) == first
+        assert kscheck.count_solutions(fam) == count
+        assert kscheck.count_solutions(fam, cap=3) == recursive_search(fam, cap=3)[1]
+        satisfiable += first is not None
+    assert satisfiable > 0  # both verdicts are covered
+
+
+def test_search_has_no_depth_limit():
+    # one context per level: deeper than the recursion limit allows the
+    # recursive oracle, which must fail where the loop gets a verdict
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack())
+    n = 300
+    vectors = {f"v{i:03d}": np.array([1.0 + 0j]) for i in range(n)}
+    fam = kscheck.VectorContextFamily(1, vectors, tuple((vid,) for vid in sorted(vectors)))
+    sys.setrecursionlimit(depth + 150)
+    try:
+        with pytest.raises(RecursionError):
+            recursive_search(fam)
+        first = kscheck.search_classical_valuation(fam)
+        count = kscheck.count_solutions(fam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == dict.fromkeys(vectors, 1) and count == 1

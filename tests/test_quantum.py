@@ -1,28 +1,47 @@
+import random
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qnsem import hilbert
 from qnsem.formulas import And, Atom, Not, Or, parse
+from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian
 from qnsem.nmatrix import (
     AMBIGUOUS,
+    ANY,
     NON_ORTHOGONAL,
     ORTHOGONAL,
+    IntervalNMatrix,
+    Valuation,
     adequacy_check,
     is_dynamic_legal,
     is_static,
 )
 from qnsem.quantum import (
+    CAP_AND,
+    DETERMINISTIC_NOT,
+    ORTHOGONAL_AND,
+    ORTHOGONAL_OR,
+    SPAN_OR,
+    OrderReport,
+    OrderViolation,
     ProjectorBindings,
     adequate_restricted_tables,
+    born_legality_mask,
     double_negation_chain,
     dynamic_witness,
     evaluate_state,
     negation_set,
+    order_preservation_check,
     quantum_nmatrix,
     static_violation_witness,
     three_valued_collapse,
     two_valued_collapse,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 P, Q = Atom("P"), Atom("Q")
 
@@ -49,6 +68,18 @@ def _every_rule():
     return list(rules.values())
 
 
+def _array_matches_scalars(rule):
+    """The bounds act elementwise: an array of inputs gives, entry by entry,
+    exactly the value of each scalar input."""
+    args = [GRID] if rule.arity == 1 else [a.ravel() for a in np.meshgrid(GRID, GRID)]
+    for bound in (rule.lo, rule.hi):
+        got = np.broadcast_to(bound(*args), args[0].shape)
+        want = [bound(*(float(a[i]) for a in args)) for i in range(args[0].size)]
+        if not np.array_equal(got, want):
+            return False
+    return True
+
+
 def _monotone(values, eps=1e-12):
     steps = np.diff(values)
     return bool(np.all(steps >= -eps) or np.all(steps <= eps))
@@ -72,6 +103,10 @@ def test_interval_rule_contract(label, rule):
             x = [rng.uniform(a, b) for a, b in boxes]
             assert lo - 1e-12 <= max(0.0, rule.lo(*x)), (label, boxes, x)
             assert min(1.0, rule.hi(*x)) <= hi + 1e-12, (label, boxes, x)
+        # reports print these, so no numpy scalar may leak into them
+        assert all(type(v) is float for v in (lo, hi)), label
+    assert all(type(v) is float for v in rule.value_set(*(1.0,) * rule.arity).segments[0]), label
+    assert _array_matches_scalars(rule), label
 
 
 def test_quantum_rules_at_sharp_threshold():
@@ -262,6 +297,49 @@ def test_order_preservation_report(rng):
 # double negation
 
 
+def order_check_oracle(valuation, bindings, tol=1e-9):
+    """The order check one pair at a time, through hilbert.leq and
+    hilbert.is_orthogonal: the oracle of the stacked rows."""
+    domain = valuation.domain()
+    violations, comparable, orthogonal = [], 0, 0
+    for f in domain:
+        for g in domain:
+            if f is not g and hilbert.leq(bindings.denote(f), bindings.denote(g), tol):
+                comparable += 1
+                if valuation[f] > valuation[g] + tol:
+                    violations.append(OrderViolation(f, g, "order", f"{valuation[f]} > {valuation[g]}"))
+    for i, f in enumerate(domain):
+        for g in domain[i + 1 :]:
+            if hilbert.is_orthogonal(bindings.denote(f), bindings.denote(g), tol):
+                orthogonal += 1
+                total = valuation[f] + valuation[g]
+                if total > 1.0 + tol:
+                    violations.append(
+                        OrderViolation(f, g, "orthogonal-sum", f"{valuation[f]} + {valuation[g]} = {total} > 1")
+                    )
+    return OrderReport(tuple(violations), comparable, orthogonal)
+
+
+def test_order_check_matches_per_pair_oracle():
+    import workloads
+
+    rnd, rng = random.Random(0), np.random.default_rng(0)
+    for dim in (2, 3, 4, 6):
+        atoms = {name: hilbert.random_projector(rng, dim) for name in ("A", "B", "C")}
+        formula = workloads._formula_with_closure(rnd, [Atom(n) for n in atoms], 30, 6)
+        bindings = ProjectorBindings(atoms)
+        born = evaluate_state(hilbert.random_density(rng, dim), bindings, [formula])
+        # random values break the order and the orthogonal sums: the
+        # violations must come out the same and in the same order
+        scrambled = Valuation({f: float(rng.random()) for f in born.domain()})
+        for valuation in (born, scrambled):
+            report = order_preservation_check(valuation, bindings)
+            assert report == order_check_oracle(valuation, bindings)
+            assert report.comparable_pairs > 0 and report.orthogonal_pairs > 0
+        assert report.violations and {v.kind for v in report.violations} == {"order", "orthogonal-sum"}
+    assert order_preservation_check(Valuation({}), bindings) == OrderReport((), 0, 0)
+
+
 def test_double_negation_chain_example():
     report = double_negation_chain(0.9, 0.95, 0.02)
     assert report.chain == (0.0, 0.02, pytest.approx(0.05), 0.9, 0.95, 0.98, 1.0)
@@ -383,3 +461,128 @@ def test_legality_sweep_small(rng):
             valuation = evaluate_state(rho, bindings, formulas)
             report = is_dynamic_legal(valuation, m, bindings)
             assert report.ok, report.violations
+
+
+# ---------------------------------------------------------------------------
+# stacked legality against the per-trial path
+
+SWEEP = [P, Q, Not(P), Not(Q), And(P, Q), Or(P, Q)]
+DEEPER = SWEEP + [Not(And(P, Not(Q))), Or(Not(P), And(Q, Not(P)))]
+
+
+def per_trial_verdicts(rho, atoms, formulas, matrix, tol=1e-9):
+    """The oracle: evaluate_state and is_dynamic_legal, one trial at a time."""
+    verdicts = []
+    for t in range(len(rho)):
+        bindings = ProjectorBindings({name: stack[t] for name, stack in atoms.items()}, tol)
+        valuation = evaluate_state(rho[t], bindings, formulas, tol)
+        verdicts.append(is_dynamic_legal(valuation, matrix, bindings, tol).ok)
+    return np.array(verdicts)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stacked_verdict_matches_per_trial(dim):
+    rng = np.random.default_rng(dim)
+    p, q, rho = hilbert.random_stacks(rng, dim, 100, ("projector", "projector", "density"))
+    atoms = {"P": p, "Q": q}
+    # the sharp tables, a relation-keyed table with a designation-keyed
+    # negation, and designation-keyed conjunctions
+    for matrix, all_legal in (
+        (quantum_nmatrix(1.0), True),
+        (quantum_nmatrix(0.55, "neg2"), False),
+        (adequate_restricted_tables(0.3), False),
+    ):
+        for formulas in (SWEEP, DEEPER):
+            mask = born_legality_mask(rho, atoms, formulas, matrix)
+            assert mask.dtype == bool and mask.shape == (100,)
+            assert np.array_equal(mask, per_trial_verdicts(rho, atoms, formulas, matrix)), matrix.name
+            assert mask.all() == all_legal, matrix.name
+
+
+def test_stacked_verdict_inside_ambiguity_band():
+    # rank-one P, Q whose product has max-norm ~eps: orthogonal below tol,
+    # ambiguous in (tol, 10 tol], non-orthogonal above.  In the band,
+    # v(P|Q) misses the orthogonal cell {a+b} by 2 eps / 3 > tol, so the
+    # verdict is legal only because an ambiguous pair may take either cell.
+    tol = 1e-9
+    e = np.eye(3, dtype=complex)
+    epsilons = (5e-10, 2e-9, 5e-9, 9e-9, 5e-8)
+    ps, qs, rho = [], [], []
+    for eps in epsilons:
+        tilt = eps * e[0] + np.sqrt(1 - eps**2) * e[1]
+        for sign in (1, -1):
+            psi = (e[0] + sign * e[1] + e[2]) / np.sqrt(3)
+            ps.append(np.outer(e[0], e[0]))
+            qs.append(np.outer(tilt, tilt.conj()))
+            rho.append(np.outer(psi, psi.conj()))
+    atoms = {"P": np.array(ps), "Q": np.array(qs)}
+    rho = np.array(rho)
+    matrix = quantum_nmatrix(1.0)
+    mask = born_legality_mask(rho, atoms, SWEEP, matrix, tol)
+    assert mask.all()
+    assert np.array_equal(mask, per_trial_verdicts(rho, atoms, SWEEP, matrix, tol))
+    cases, fits_orthogonal = [], []
+    for t in range(len(rho)):
+        bindings = ProjectorBindings({"P": ps[t], "Q": qs[t]}, tol)
+        v = evaluate_state(rho[t], bindings, SWEEP, tol)
+        cases.append(bindings.classify(P, Q))
+        cell = matrix.tables["or"][ORTHOGONAL].value_set(v[P], v[Q])
+        fits_orthogonal.append(cell.contains(v[Or(P, Q)], tol))
+    assert cases == [ORTHOGONAL] * 2 + [AMBIGUOUS] * 6 + [NON_ORTHOGONAL] * 2
+    assert fits_orthogonal[2:8] == [False] * 6
+    # tables with the relation cells swapped: the shipped orthogonal cells
+    # sit inside the non-orthogonal ones, so only swapped cells show that
+    # each pair is checked against the cell of its own relation
+    swapped = IntervalNMatrix(
+        1.0,
+        {
+            "or": {ORTHOGONAL: SPAN_OR, NON_ORTHOGONAL: ORTHOGONAL_OR},
+            "and": {ORTHOGONAL: CAP_AND, NON_ORTHOGONAL: ORTHOGONAL_AND},
+            "not": {ANY: DETERMINISTIC_NOT},
+        },
+    )
+    mask = born_legality_mask(rho, atoms, SWEEP, swapped, tol)
+    assert mask.tolist() == [True] * 8 + [False] * 2
+    assert np.array_equal(mask, per_trial_verdicts(rho, atoms, SWEEP, swapped, tol))
+
+
+def test_stacked_legality_refuses_bad_slices():
+    rng = np.random.default_rng(7)
+    p, q, rho = hilbert.random_stacks(rng, 3, 5, ("projector", "projector", "density"))
+    m = quantum_nmatrix(1.0)
+    # a non-projector, and a non-density, anywhere in the stack
+    bad = p.copy()
+    bad[3] = np.diag([0.5, 0.0, 0.0])
+    with pytest.raises(InvariantViolation, match=r"not a projector at slice \(3,\)"):
+        born_legality_mask(rho, {"P": bad, "Q": q}, SWEEP, m)
+    with pytest.raises(InvariantViolation, match="not a projector"):
+        ProjectorBindings({"P": bad[3], "Q": q[3]})
+    bad = rho.copy()
+    bad[1] = np.eye(3)
+    with pytest.raises(InvariantViolation, match=r"not a density operator at slice \(1,\)"):
+        born_legality_mask(bad, {"P": p, "Q": q}, SWEEP, m)
+    with pytest.raises(InvariantViolation, match="not a density operator"):
+        evaluate_state(bad[1], ProjectorBindings({"P": p[1], "Q": q[1]}), SWEEP)
+    # trace 1 + 5e-8 passes the density check (tolerance 1e-7) but gives a
+    # Born value above 1 + tol on the identity
+    bad, one = rho.copy(), p.copy()
+    bad[2], one[2] = np.eye(3) * (1 + 5e-8) / 3, np.eye(3)
+    with pytest.raises(InvariantViolation, match="Born value"):
+        born_legality_mask(bad, {"P": one, "Q": q}, SWEEP, m)
+    with pytest.raises(InvariantViolation, match="Born value"):
+        evaluate_state(bad[2], ProjectorBindings({"P": one[2], "Q": q[2]}), SWEEP)
+    # at tol 1e-5 an asymmetry of 8e-6 passes the projector check, but
+    # meet(P, P) = kernel of 2I - 2P doubles it past the kernel's guard
+    skew = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    skew[0, 1] = 8e-6
+    bad = p.copy()
+    bad[4] = skew
+    with pytest.raises(NotHermitian):
+        born_legality_mask(rho, {"P": bad, "Q": bad}, SWEEP, m, tol=1e-5)
+    with pytest.raises(NotHermitian):
+        evaluate_state(rho[4], ProjectorBindings({"P": skew, "Q": skew}, 1e-5), SWEEP, 1e-5)
+    # stacks of different lengths or dimensions
+    with pytest.raises(DimensionMismatch):
+        born_legality_mask(rho, {"P": p[:4], "Q": q[:4]}, SWEEP, m)
+    with pytest.raises(DimensionMismatch):
+        born_legality_mask(rho[0], {"P": p[0], "Q": q[0]}, SWEEP, m)
