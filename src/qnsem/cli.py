@@ -52,6 +52,21 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _count(least: int):
+    """An argparse type for an integer count of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -396,7 +411,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ks", help="classical truth-value search on a vector family")
     p.add_argument("action", choices=("search", "count"))
     p.add_argument("family")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=_count(1), default=10**6)
     p.set_defaults(func=_cmd_ks)
 
     p = sub.add_parser("oml", help="orthomodular lattice jobs")
@@ -409,8 +424,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("demo", help="full reproduction report")
     p.add_argument("target", choices=("paper",))
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=10_000, help="parser round-trip count")
+    p.add_argument("--trials", type=_count(0), default=1000)
+    p.add_argument("--samples", type=_count(0), default=10_000, help="parser round-trip count")
     p.set_defaults(func=_cmd_demo)
 
     return parser
@@ -436,9 +451,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:
-        # formulas are walked on explicit stacks; what still recurses once per
-        # level is the json decoder (nesting), the KS search in kscheck (one
-        # level per context) and oml.find_two_valued_valuation (per element)
+        # formulas are walked and the KS search backtracks on explicit
+        # stacks; what still recurses once per level is the json decoder
+        # (nesting) and oml.find_two_valued_valuation (per element)
         print("error: input nested too deeply or too large for a recursive search", file=sys.stderr)
         return INPUT_ERROR
 

@@ -62,16 +62,14 @@ class VectorContextFamily:
 def orthogonality_graph(
     family: VectorContextFamily, tol: float = DEFAULT_TOL
 ) -> dict[str, set[str]]:
-    """Adjacency by vanishing inner product, relative to the vector norms."""
+    """Adjacency by vanishing inner product, relative to the vector norms:
+    ``|<a, b>| <= tol * max(1, |a| |b|)``, every pair from one Gram product."""
     ids = family.ids()
-    norms = {vid: float(np.linalg.norm(family.vectors[vid])) for vid in ids}
-    adj: dict[str, set[str]] = {vid: set() for vid in ids}
-    for a, b in itertools.combinations(ids, 2):
-        inner = abs(complex(np.vdot(family.vectors[a], family.vectors[b])))
-        if inner <= tol * max(1.0, norms[a] * norms[b]):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+    vectors = np.array([family.vectors[vid] for vid in ids], dtype=np.complex128).reshape(len(ids), family.dim)
+    norms = np.linalg.norm(vectors, axis=1)
+    apart = np.abs(vectors.conj() @ vectors.T) <= tol * np.maximum(1.0, np.outer(norms, norms))
+    np.fill_diagonal(apart, False)
+    return {vid: {ids[k] for k in np.flatnonzero(row)} for vid, row in zip(ids, apart)}
 
 
 @dataclass(frozen=True)

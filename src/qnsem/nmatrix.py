@@ -18,6 +18,7 @@ a finite orthomodular lattice (``oml.LatticeBindings``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -43,20 +44,12 @@ ORTHOGONAL = "orthogonal"
 NON_ORTHOGONAL = "non_orthogonal"
 AMBIGUOUS = "ambiguous"
 
-# Input cases for interval-matrix negation tables.
+# Input cases keyed by designation: unary tables split by whether the input
+# is designated, binary ones by both inputs ("du": designated left,
+# undesignated right).
 DESIGNATED = "designated"
 UNDESIGNATED = "undesignated"
 ANY = "any"
-
-# Binary interval tables may alternatively split by input designation
-# (first character for the left input, second for the right).
-DESIGNATION_CASES = ("dd", "du", "ud", "uu")
-
-
-def _designation_pattern(case: str) -> tuple[bool, bool] | None:
-    if case in DESIGNATION_CASES:
-        return (case[0] == "d", case[1] == "d")
-    return None
 
 
 class RelationOracle:
@@ -292,11 +285,27 @@ _RELATION_CASES = {
     AMBIGUOUS: (True, True),
 }
 
+# Whether each input of a designation-keyed case is designated.
+_DESIGNATION_PATTERNS = {
+    DESIGNATED: (True,),
+    UNDESIGNATED: (False,),
+    "dd": (True, True),
+    "du": (True, False),
+    "ud": (False, True),
+    "uu": (False, False),
+}
+
 
 @dataclass(frozen=True)
 class IntervalNMatrix:
     """Truth values V = [0,1] with designated set D = [alpha, 1] and
-    case-split interval rules per connective."""
+    case-split interval rules per connective.
+
+    The matrix alone decides which case of a table governs an input:
+    ``rule_cases`` for a point or a stack of trials, ``case_boxes`` for a
+    box of inputs; ``admits`` tests membership and ``cell`` names the
+    governing interpretation set.
+    """
 
     alpha: float
     tables: Mapping[str, Mapping[str, IntervalRule]]
@@ -323,9 +332,9 @@ class IntervalNMatrix:
         Tables keyed by relation read ``relation``, the pair (orthogonal,
         non_orthogonal) of where each case may hold (see
         ``_RELATION_CASES``); tables keyed by input designation read the
-        inputs and ignore the relation entirely.
+        inputs within ``tol`` of the threshold and ignore the relation.
+        ``case_boxes`` makes the same decision for boxes of inputs.
         """
-        designated = [self.is_designated(x, tol) for x in args]
         cases = []
         for case, rule in self.tables[conn].items():
             if case == ANY:
@@ -334,25 +343,31 @@ class IntervalNMatrix:
                 applies = relation[0]
             elif case == NON_ORTHOGONAL:
                 applies = relation[1]
-            elif case in (DESIGNATED, UNDESIGNATED):
-                applies = designated[0] == (case == DESIGNATED)
             else:
-                first, second = _designation_pattern(case)
-                applies = (designated[0] == first) & (designated[1] == second)
+                applies = True
+                for x, designated in zip(args, _DESIGNATION_PATTERNS[case]):
+                    applies = applies & (self.is_designated(x, tol) == designated)
             cases.append((rule, applies))
         return cases
 
-    def negation_rule(self, a: float, tol: float = DEFAULT_TOL) -> IntervalRule:
-        (rule,) = [rule for rule, applies in self.rule_cases("not", (a,), tol=tol) if applies]
-        return rule
+    def case_boxes(self, case: str, boxes) -> tuple[tuple[float, float], ...] | None:
+        """The part of the input boxes (one ``(lo, hi)`` per argument) the
+        case governs, or None when it is empty: a designation-keyed case cuts
+        each box to the designated or the undesignated interval, exactly."""
+        sides = {True: self.designated_set().segments[0], False: self.undesignated_set().segments[0]}
+        cut = list(boxes)
+        for k, designated in enumerate(_DESIGNATION_PATTERNS.get(case, ())):
+            (lo, hi), (side_lo, side_hi) = cut[k], sides[designated]
+            cut[k] = (max(lo, side_lo), min(hi, side_hi))
+        return None if any(lo > hi for lo, hi in cut) else tuple(cut)
 
-    def binary_rules(
-        self, conn: str, case: str, a: float, b: float, tol: float = DEFAULT_TOL
-    ) -> list[IntervalRule]:
-        """Rules applicable to inputs (a, b) under the given relation case
-        (both relation rules when ambiguous)."""
-        cases = self.rule_cases(conn, (a, b), _RELATION_CASES[case], tol)
-        return [rule for rule, applies in cases if applies]
+    def cell(self, conn: str, args, relation=(True, True), tol: float = DEFAULT_TOL) -> IntervalUnion:
+        """The union of the cells governing scalar inputs."""
+        segments = []
+        for rule, applies in self.rule_cases(conn, args, relation, tol):
+            if applies:
+                segments += rule.value_set(*args).segments
+        return interval_union(segments)
 
     def admits(self, conn: str, value, args, relation=(True, True), tol: float = DEFAULT_TOL):
         """Whether ``value`` lies within ``tol`` of a cell governing the
@@ -360,11 +375,16 @@ class IntervalNMatrix:
         of values, inputs and relation masks (one entry per trial)."""
         ok = np.zeros(np.shape(value), dtype=bool)
         for rule, applies in self.rule_cases(conn, args, relation, tol):
+            # count_nonzero, not any: a scalar any costs a few microseconds
+            if not np.count_nonzero(applies):
+                continue
             lo, hi = rule.lo(*args), rule.hi(*args)
             empty = applies & (hi < lo)
-            if np.any(empty):
-                raise ValueError(f"rule '{rule.description}' is empty at trial {int(np.argmax(empty))}")
-            ok |= applies & (np.maximum(lo, 0.0) - tol <= value) & (value <= np.minimum(hi, 1.0) + tol)
+            if np.count_nonzero(empty):
+                where = f"trial {int(np.argmax(empty))}" if np.ndim(empty) else tuple(args)
+                raise ValueError(f"rule '{rule.description}' is empty at {where}")
+            # within tol of the cell [max(lo, 0), min(hi, 1)]
+            ok |= applies & (lo - tol <= value) & (value <= hi + tol) & (-tol <= value) & (value <= 1.0 + tol)
         return ok
 
     def describe(self) -> dict:
@@ -483,23 +503,17 @@ def is_dynamic_legal(
             continue
         checked += 1
         if isinstance(f, Not):
-            rule = matrix.negation_rule(float(mapping[f.child]), tol)
-            cell = rule.value_set(float(mapping[f.child]))
-            if not cell.contains(float(v), tol):
-                violations.append(LegalityViolation(f, v, cell))
-            continue
-        if oracle is None:
-            raise ValueError("interval matrices need a relation oracle for binary compounds")
-        conn = "and" if isinstance(f, And) else "or"
-        case = oracle.classify(f.left, f.right)
-        if case == AMBIGUOUS:
-            ambiguous.append((f.left, f.right))
-        a, b = float(mapping[f.left]), float(mapping[f.right])
-        rules = matrix.binary_rules(conn, case, a, b, tol)
-        cells = [rule.value_set(a, b) for rule in rules]
-        if not any(cell.contains(float(v), tol) for cell in cells):
-            expected = interval_union([seg for cell in cells for seg in cell.segments])
-            violations.append(LegalityViolation(f, v, expected, case))
+            conn, args, case, relation = "not", (float(mapping[f.child]),), None, (True, True)
+        else:
+            if oracle is None:
+                raise ValueError("interval matrices need a relation oracle for binary compounds")
+            conn = "and" if isinstance(f, And) else "or"
+            case = oracle.classify(f.left, f.right)
+            if case == AMBIGUOUS:
+                ambiguous.append((f.left, f.right))
+            args, relation = (float(mapping[f.left]), float(mapping[f.right])), _RELATION_CASES[case]
+        if not matrix.admits(conn, float(v), args, relation, tol):
+            violations.append(LegalityViolation(f, v, matrix.cell(conn, args, relation, tol), case))
     return LegalityReport(tuple(violations), tuple(ambiguous), checked)
 
 
@@ -708,34 +722,22 @@ def _finite_adequacy(m: FiniteNMatrix) -> AdequacyReport:
     return AdequacyReport(tuple(violations), checked)
 
 
-def _intersect_box(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float] | None:
-    lo, hi = max(x[0], y[0]), min(x[1], y[1])
-    return None if lo > hi else (lo, hi)
-
-
 def _interval_adequacy(m: IntervalNMatrix) -> AdequacyReport:
     violations = []
     checked = 0
-    regions = {
-        True: (m.alpha, 1.0),
-        False: (0.0, max(0.0, m.alpha - OPEN_SHIFT)),
-        None: (0.0, 1.0),
-    }
     d_set = m.designated_set()
     u_set = m.undesignated_set()
+    regions = {True: d_set.segments[0], False: u_set.segments[0], None: (0.0, 1.0)}
     for conn, clauses in _ADEQUACY_CLAUSES.items():
         if conn not in m.tables:
             continue
         for pattern, target_designated, text in clauses:
             target = d_set if target_designated else u_set
             for case, rule in sorted(m.tables[conn].items()):
-                box_a, box_b = regions[pattern[0]], regions[pattern[1]]
-                dpat = _designation_pattern(case)
-                if dpat is not None:
-                    box_a = _intersect_box(box_a, regions[dpat[0]])
-                    box_b = _intersect_box(box_b, regions[dpat[1]])
-                    if box_a is None or box_b is None:
-                        continue
+                boxes = m.case_boxes(case, (regions[pattern[0]], regions[pattern[1]]))
+                if boxes is None:
+                    continue
+                box_a, box_b = boxes
                 checked += 1
                 lo, hi = rule.hull(box_a, box_b)
                 # exact comparison: hulls come from exact corner arithmetic,
@@ -946,36 +948,13 @@ def _interval_rexpansion_symbolic(m1: FiniteNMatrix, m2: IntervalNMatrix, f: Thr
             issues.append(
                 RexpansionIssue(1, f"piece {name!r} meets the undesignated interval but maps into D")
             )
-    dregions = {
-        True: (m2.alpha, 1.0),
-        False: (0.0, max(0.0, m2.alpha - OPEN_SHIFT)),
-    }
     for conn, cases in m2.tables.items():
-        arity = CONNECTIVE_ARITY[conn]
         for case, rule in sorted(cases.items()):
-            if arity == 1:
-                combos = [((na, ra),) for na, ra in regions]
-                if case in (DESIGNATED, UNDESIGNATED):
-                    cut = dregions[case == DESIGNATED]
-                    combos = [
-                        ((na, box),)
-                        for (na, ra), in combos
-                        if (box := _intersect_box(ra, cut)) is not None
-                    ]
-            else:
-                combos = [((na, ra), (nb, rb)) for na, ra in regions for nb, rb in regions]
-                dpat = _designation_pattern(case)
-                if dpat is not None:
-                    cut_a, cut_b = dregions[dpat[0]], dregions[dpat[1]]
-                    combos = [
-                        ((na, box_a), (nb, box_b))
-                        for (na, ra), (nb, rb) in combos
-                        if (box_a := _intersect_box(ra, cut_a)) is not None
-                        and (box_b := _intersect_box(rb, cut_b)) is not None
-                    ]
-            for combo in combos:
+            for combo in itertools.product(regions, repeat=CONNECTIVE_ARITY[conn]):
+                boxes = m2.case_boxes(case, [box for _, box in combo])
+                if boxes is None:
+                    continue
                 labels = tuple(name for name, _ in combo)
-                boxes = tuple(box for _, box in combo)
                 lo, hi = rule.hull(*boxes)
                 target = m1.cell(conn, labels)
                 out = interval(lo, hi)

@@ -594,32 +594,31 @@ def lattice_valuation_legal(
 ) -> LatticeLegalityReport:
     """Elementwise legality of a [0,1]-valued map on the whole lattice: the
     value of every join, meet, and complement must sit inside the matrix cell
-    selected by the orthogonality relation."""
+    selected by the orthogonality relation.  Each of the three checks is one
+    ``admits`` call over every element or every pair i <= j."""
     meet, join = l.bound_table("meet"), l.bound_table("join")
     names = l.elements
+    values = np.array([float(mu[e]) for e in names])
+    i, j = np.triu_indices(len(names))
+    orthogonal = l.leq[i, l.ortho[j]]
+    checks = (
+        ("not", (np.arange(len(names)),), l.ortho, (True, True)),
+        ("or", (i, j), join[i, j], (orthogonal, ~orthogonal)),
+        ("and", (i, j), meet[i, j], (orthogonal, ~orthogonal)),
+    )
     violations = []
-    checked = 0
-    for i in range(len(names)):
-        a = float(mu[names[i]])
-        rule = m.negation_rule(a, tol)
-        checked += 1
-        if not rule.value_set(a).contains(float(mu[names[l.ortho[i]]]), tol):
-            violations.append(
-                f"complement of {names[i]}: {mu[names[l.ortho[i]]]} not in {rule.value_set(a)}"
-            )
-        for j in range(i, len(names)):
-            b = float(mu[names[j]])
-            case = ORTHOGONAL if l.leq[i, l.ortho[j]] else NON_ORTHOGONAL
-            for conn, table, target in (("or", join, mu[names[join[i, j]]]),
-                                        ("and", meet, mu[names[meet[i, j]]])):
-                checked += 1
-                rules = m.binary_rules(conn, case, a, b, tol)
-                if not any(r.value_set(a, b).contains(float(target), tol) for r in rules):
-                    cell = rules[0].value_set(a, b)
-                    violations.append(
-                        f"{conn}({names[i]}, {names[j]}) [{case}]: {target} not in {cell}"
-                    )
-    return LatticeLegalityReport(tuple(violations), checked)
+    for conn, inputs, target, relation in checks:
+        ok = m.admits(conn, values[target], tuple(values[x] for x in inputs), relation, tol)
+        for k in np.flatnonzero(~ok):
+            args = tuple(float(values[x[k]]) for x in inputs)
+            got = mu[names[target[k]]]
+            if conn == "not":
+                violations.append(f"complement of {names[k]}: {got} not in {m.cell(conn, args, tol=tol)}")
+            else:
+                cell = m.cell(conn, args, (orthogonal[k], not orthogonal[k]), tol)
+                case = ORTHOGONAL if orthogonal[k] else NON_ORTHOGONAL
+                violations.append(f"{conn}({names[i[k]]}, {names[j[k]]}) [{case}]: {got} not in {cell}")
+    return LatticeLegalityReport(tuple(violations), len(names) + 2 * len(i))
 
 
 def legal_valuation_search(

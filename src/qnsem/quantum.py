@@ -141,12 +141,10 @@ def adequate_restricted_tables(alpha: float) -> IntervalNMatrix:
 
 
 def negation_set(variant: str, alpha: float, a: float) -> IntervalUnion:
-    """Interpretation set of the chosen negation at input value a."""
-    cases = _negation_cases(variant, alpha)
-    if ANY in cases:
-        return cases[ANY].value_set(a)
-    key = DESIGNATED if a >= alpha else UNDESIGNATED
-    return cases[key].value_set(a)
+    """Interpretation set of the chosen negation at input value a (the
+    designated side starts exactly at alpha)."""
+    matrix = IntervalNMatrix(alpha, {"not": _negation_cases(variant, alpha)})
+    return matrix.cell("not", (a,), tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,16 @@ def test_deep_json_is_input_error(capsys, tmp_path):
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+    # counts out of range are usage errors, caught before any work starts
+    for argv in (
+        ("demo", "paper", "--samples", "-5"),
+        ("demo", "paper", "--trials", "-1"),
+        ("demo", "paper", "--trials", "many"),
+        ("ks", "count", "family.json", "--cap", "0"),
+        ("ks", "count", "family.json", "--cap", "-3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and argv[-2] in err and "Traceback" not in err, argv
 
 
 def test_missing_file(capsys):

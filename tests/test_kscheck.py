@@ -318,3 +318,58 @@ def test_search_has_no_depth_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert first == dict.fromkeys(vectors, 1) and count == 1
+
+
+# ---------------------------------------------------------------------------
+# the Gram-product orthogonality graph against the pair loop it replaced
+
+
+def pairwise_orthogonality_graph(family, tol=kscheck.DEFAULT_TOL):
+    """One ``np.vdot`` per pair with the same relative bound, kept as the
+    oracle of the Gram product."""
+    ids = family.ids()
+    norms = {vid: float(np.linalg.norm(family.vectors[vid])) for vid in ids}
+    adj = {vid: set() for vid in ids}
+    for a, b in itertools.combinations(ids, 2):
+        inner = abs(complex(np.vdot(family.vectors[a], family.vectors[b])))
+        if inner <= tol * max(1.0, norms[a] * norms[b]):
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def _bound_straddling_family():
+    """Scaled basis vectors tilted off their partners by multiples of the
+    tolerance on both sides of the bound; below unit norm the bound is
+    absolute, above it relative."""
+    tol = kscheck.DEFAULT_TOL
+    e = np.eye(4, dtype=np.complex128)
+    vectors = {}
+    for scale in (0.1, 1.0, 1e3):
+        for tilt in (0.0, 0.5, 2.0, 50.0, 500.0):
+            vectors[f"s{scale:g}t{tilt:g}"] = scale * (e[1] + tilt * tol * e[0])
+        vectors[f"s{scale:g}"] = scale * e[0]
+    return kscheck.VectorContextFamily(4, vectors, ())
+
+
+def _random_bases_family(contexts=100, dim=3, seed=5):
+    rng = np.random.default_rng(seed)
+    vectors, ctxs = {}, []
+    for c in range(contexts):
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        ctx = tuple(f"c{c:03d}v{k}" for k in range(dim))
+        vectors.update(zip(ctx, basis.T))
+        ctxs.append(ctx)
+    return kscheck.VectorContextFamily(dim, vectors, tuple(ctxs))
+
+
+def test_orthogonality_graph_matches_pair_loop():
+    families = _benchmark_families()[:7] + [fixtures.single_context_dim3(), rotated_family()]
+    families += [_bound_straddling_family(), _random_bases_family()]
+    for fam in families:
+        assert kscheck.orthogonality_graph(fam) == pairwise_orthogonality_graph(fam)
+    # the straddling family puts pairs on both sides of the bound
+    adj = kscheck.orthogonality_graph(_bound_straddling_family())
+    assert {"s1t0.5", "s1000t0.5"} <= adj["s1"] and adj["s1"].isdisjoint({"s1t2", "s1000t2"})
+    assert "s0.1t50" in adj["s0.1"] and "s0.1t500" not in adj["s0.1"]
+    assert kscheck.orthogonality_graph(kscheck.VectorContextFamily(3, {}, ())) == {}

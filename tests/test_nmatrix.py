@@ -32,7 +32,6 @@ from qnsem.nmatrix import (
     three_valued_matrix,
     two_valued_matrix,
     verify_rexpansion,
-    _designation_pattern,
 )
 from qnsem.quantum import adequate_restricted_tables, quantum_nmatrix, three_valued_collapse
 
@@ -401,7 +400,7 @@ def _interval_rexpansion_sampled(
                     want = DESIGNATED if m2.is_designated(a) else UNDESIGNATED
                     if case != want:
                         continue
-                if _designation_pattern(case) is not None:
+                if case in ("dd", "du", "ud", "uu"):
                     want = ("d" if m2.is_designated(a) else "u") + (
                         "d" if m2.is_designated(b) else "u"
                     )

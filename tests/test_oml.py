@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from qnsem import fixtures, hilbert, oml
 from qnsem.feasibility import EQ, make_row
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
 from qnsem.formulas import And, Atom, Not, Or, render
-from qnsem.quantum import ProjectorBindings, quantum_nmatrix
+from qnsem.quantum import ProjectorBindings, adequate_restricted_tables, quantum_nmatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
@@ -315,6 +316,68 @@ def test_general_tables_negation_cell():
     mu_bad = {"0": 0.0, "a": 0.3, "b": 0.6, "1": 1.0}
     report = oml.lattice_valuation_legal(lattice, matrix, mu_bad)
     assert any("complement" in v for v in report.violations)
+
+
+def pairwise_lattice_legality(l, m, mu, tol=1e-9):
+    """The element-by-element, pair-by-pair loop ``lattice_valuation_legal``
+    ran before its three ``admits`` calls, with the cells of
+    ``test_quantum.governing_cells``: kept as its oracle."""
+    from test_quantum import governing_cells
+
+    meet, join = l.bound_table("meet"), l.bound_table("join")
+    names = l.elements
+    violations, checked = [], 0
+    for i in range(len(names)):
+        a = float(mu[names[i]])
+        (cell,) = governing_cells(m, "not", (a,), None, tol)
+        checked += 1
+        if not cell.contains(float(mu[names[l.ortho[i]]]), tol):
+            violations.append(f"complement of {names[i]}: {mu[names[l.ortho[i]]]} not in {cell}")
+        for j in range(i, len(names)):
+            b = float(mu[names[j]])
+            case = ORTHOGONAL if l.leq[i, l.ortho[j]] else NON_ORTHOGONAL
+            for conn, table in (("or", join), ("and", meet)):
+                target = mu[names[table[i, j]]]
+                checked += 1
+                cells = governing_cells(m, conn, (a, b), case, tol)
+                if not any(c.contains(float(target), tol) for c in cells):
+                    violations.append(f"{conn}({names[i]}, {names[j]}) [{case}]: {target} not in {cells[0]}")
+    return violations, checked
+
+
+def test_lattice_legality_matches_pair_loop():
+    # the benchmark lattices, under the sharp tables, the first
+    # non-deterministic negation and the designation-keyed tables, with a
+    # found state (Fractions up to 64 elements), the state with one value
+    # moved, and on the smaller lattices random maps, which break most
+    # cells; above 64 elements only the sharp tables, to bound the time
+    lattices = [known.boolean(n) for n in workloads.BOOLEAN_ATOMS]
+    lattices += [known.mo(n) for n in workloads.MO_SIZES]
+    lattices += [known.chain(k) for k in workloads.CHAIN_BLOCKS]
+    lattices.append(known.state_free(REPO_ROOT))
+    matrices = (quantum_nmatrix(1.0), quantum_nmatrix(0.8, "neg1"), adequate_restricted_tables(0.6))
+    rng = np.random.default_rng(4)
+    states = 0
+    for data in lattices:
+        lattice = oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")
+        maps = []
+        if len(lattice) <= 32:
+            maps.append(dict(zip(lattice.elements, rng.random(len(lattice)))))
+            maps.append(dict(zip(lattice.elements, rng.choice((0.0, 0.25, 0.5, 1.0), len(lattice)))))
+        result = oml.find_state(lattice)
+        if result.feasible:
+            states += 1
+            moved = {e: float(v) for e, v in result.state.items()}
+            moved[lattice.elements[1]] = 1.0 - moved[lattice.elements[1]] / 2
+            maps += [result.state, moved]
+        for mu in maps:
+            for matrix in matrices if len(lattice) <= 64 else matrices[:1]:
+                report = oml.lattice_valuation_legal(lattice, matrix, mu)
+                violations, checked = pairwise_lattice_legality(lattice, matrix, mu)
+                assert report.checked == checked, (data.name, matrix.name)
+                # only the order differs: complements, then joins, then meets
+                assert Counter(report.violations) == Counter(violations), (data.name, matrix.name)
+    assert states == len(lattices) - 1
 
 
 def test_mo2_distinct_blocks_are_not_orthogonal():

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from qnsem import hilbert
-from qnsem.formulas import And, Atom, Not, Or, parse
+from qnsem.formulas import And, Atom, Not, Or, parse, subformula_closure
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian
 from qnsem.nmatrix import (
     AMBIGUOUS,
     ANY,
+    DESIGNATED,
     NON_ORTHOGONAL,
     ORTHOGONAL,
+    UNDESIGNATED,
     IntervalNMatrix,
+    LegalityReport,
+    LegalityViolation,
+    RelationOracle,
     Valuation,
     adequacy_check,
     is_dynamic_legal,
@@ -40,6 +45,7 @@ from qnsem.quantum import (
     three_valued_collapse,
     two_valued_collapse,
 )
+from qnsem.valuesets import interval, interval_union
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -115,8 +121,8 @@ def test_quantum_rules_at_sharp_threshold():
     assert or_orth.value_set(0.3, 0.2).segments == ((0.5, 0.5),)
     and_span = m.tables["and"][NON_ORTHOGONAL]
     assert and_span.value_set(0.6, 0.4).segments == ((0.0, 0.4),)
-    neg = m.negation_rule(0.3)
-    assert neg.value_set(0.3).contains(0.7) and neg.value_set(0.3).segments[0][0] == neg.value_set(0.3).segments[0][1]
+    neg = m.cell("not", (0.3,))
+    assert neg.contains(0.7) and neg.segments[0][0] == neg.segments[0][1]
 
 
 def test_orthogonal_disjunction_is_capped():
@@ -470,14 +476,141 @@ SWEEP = [P, Q, Not(P), Not(Q), And(P, Q), Or(P, Q)]
 DEEPER = SWEEP + [Not(And(P, Not(Q))), Or(Not(P), And(Q, Not(P)))]
 
 
+def governing_cells(matrix, conn, args, case=None, tol=1e-9):
+    """Value sets of the rules of ``matrix.tables[conn]`` that govern the
+    scalar inputs ``args`` under the relation case ``case`` (None for a
+    negation), selected straight from the table keys: the reference for
+    the case decision ``IntervalNMatrix`` makes."""
+    cells = []
+    for key, rule in matrix.tables[conn].items():
+        if key == ANY:
+            governs = True
+        elif key in (ORTHOGONAL, NON_ORTHOGONAL):
+            governs = case in (key, AMBIGUOUS)
+        else:  # one letter per input, "d" designated and "u" not
+            pattern = {DESIGNATED: "d", UNDESIGNATED: "u"}.get(key, key)
+            governs = all((x >= matrix.alpha - tol) == (side == "d") for x, side in zip(args, pattern))
+        if governs:
+            cells.append(rule.value_set(*args))
+    return cells
+
+
+def reference_legality(valuation, matrix, oracle, tol=1e-9):
+    """The scalar interval branch of ``is_dynamic_legal`` as it read before
+    the case decision moved into ``IntervalNMatrix``: cells from
+    ``governing_cells``, membership by ``IntervalUnion.contains``."""
+    values = dict(valuation.values if isinstance(valuation, Valuation) else valuation)
+    unit = interval(0.0, 1.0)
+    violations, ambiguous, checked = [], [], 0
+    for f, v in values.items():
+        if isinstance(f, Atom):
+            if not unit.contains(float(v), tol):
+                violations.append(LegalityViolation(f, v, unit))
+            continue
+        checked += 1
+        if isinstance(f, Not):
+            conn, args, case = "not", (float(values[f.child]),), None
+        else:
+            conn, case = ("and" if isinstance(f, And) else "or"), oracle.classify(f.left, f.right)
+            if case == AMBIGUOUS:
+                ambiguous.append((f.left, f.right))
+            args = (float(values[f.left]), float(values[f.right]))
+        cells = governing_cells(matrix, conn, args, case, tol)
+        if not any(cell.contains(float(v), tol) for cell in cells):
+            expected = interval_union([seg for cell in cells for seg in cell.segments])
+            violations.append(LegalityViolation(f, v, expected, case))
+    return LegalityReport(tuple(violations), tuple(ambiguous), checked)
+
+
 def per_trial_verdicts(rho, atoms, formulas, matrix, tol=1e-9):
-    """The oracle: evaluate_state and is_dynamic_legal, one trial at a time."""
+    """The oracle: evaluate_state and reference_legality, one trial at a time."""
     verdicts = []
     for t in range(len(rho)):
         bindings = ProjectorBindings({name: stack[t] for name, stack in atoms.items()}, tol)
         valuation = evaluate_state(rho[t], bindings, formulas, tol)
-        verdicts.append(is_dynamic_legal(valuation, matrix, bindings, tol).ok)
+        verdicts.append(reference_legality(valuation, matrix, bindings, tol).ok)
     return np.array(verdicts)
+
+
+class RandomRelations(RelationOracle):
+    """Draws each pair's relation case once, ambiguous included."""
+
+    def __init__(self, rnd):
+        self.rnd, self.cases = rnd, {}
+
+    def classify(self, left, right):
+        key = (left, right)
+        if key not in self.cases:
+            self.cases[key] = self.rnd.choice((ORTHOGONAL, NON_ORTHOGONAL, AMBIGUOUS))
+        return self.cases[key]
+
+
+def _random_formula(rnd, depth):
+    if depth == 0 or rnd.random() < 0.25:
+        return Atom(rnd.choice("PQR"))
+    kind = rnd.choice((Not, And, Or))
+    if kind is Not:
+        return Not(_random_formula(rnd, depth - 1))
+    return kind(_random_formula(rnd, depth - 1), _random_formula(rnd, depth - 1))
+
+
+def _random_valuation(rnd, matrix, oracle, tol):
+    """Values on the closure of three random formulas.  Atoms, and a few
+    compounds, take any value, often on the threshold or within the
+    tolerance below it; the other compounds take an inner point or an end
+    of a governing cell, or an end moved outward by half the tolerance
+    (legal) or, rarely, by twice the tolerance (illegal)."""
+    values = {}
+    specials = (0.0, 1.0, matrix.alpha, matrix.alpha - tol / 2, matrix.alpha - 2 * tol, 0.5)
+    for f in subformula_closure([_random_formula(rnd, 4) for _ in range(3)]):
+        values[f] = rnd.choice(specials) if rnd.random() < 0.4 else rnd.random()
+        if isinstance(f, Atom) or rnd.random() < 0.03:
+            continue
+        if isinstance(f, Not):
+            conn, args, case = "not", (values[f.child],), None
+        else:
+            conn, case = ("and" if isinstance(f, And) else "or"), oracle.classify(f.left, f.right)
+            args = (values[f.left], values[f.right])
+        try:
+            cells = governing_cells(matrix, conn, args, case, tol)
+        except ValueError:  # an empty cell: both checks must raise
+            continue
+        if cells:
+            lo, hi = rnd.choice(cells).segments[0]
+            end, outward = rnd.choice(((lo, -tol), (hi, tol)))
+            pick = rnd.choice((lo + (hi - lo) * rnd.random(), end, end + outward / 2))
+            if rnd.random() < 0.03:
+                pick = end + 2 * outward
+            values[f] = min(1.0, max(0.0, pick))
+    return values
+
+
+def test_dynamic_legality_matches_reference():
+    tol = 1e-9
+    matrices = [quantum_nmatrix(1.0), quantum_nmatrix(0.7), quantum_nmatrix(0.7, "neg1")]
+    matrices += [quantum_nmatrix(a, "neg2") for a in ALPHAS]
+    matrices += [adequate_restricted_tables(a) for a in (*ALPHAS, 0.3, 1.0)]
+    rnd = random.Random(11)
+    legal = illegal = empty = 0
+    for matrix in matrices:
+        for _ in range(40):
+            oracle = RandomRelations(random.Random(rnd.random()))
+            valuation = _random_valuation(rnd, matrix, oracle, tol)
+            try:
+                want = reference_legality(valuation, matrix, oracle, tol)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    is_dynamic_legal(valuation, matrix, oracle, tol)
+                assert str(got.value) == str(exc), matrix.name
+                empty += 1
+                continue
+            report = is_dynamic_legal(valuation, matrix, oracle, tol)
+            # same violations in the same order, with the same expected
+            # sets and cases, the same ambiguous pairs and count
+            assert report == want, matrix.name
+            legal += report.ok
+            illegal += not report.ok
+    assert legal > 100 and illegal > 100 and empty > 0, (legal, illegal, empty)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
