@@ -111,17 +111,17 @@ def _load_formulas(path: str) -> list:
 
 
 def _format_ast(f) -> list[str]:
-    """One line per node, pre-order, indented two spaces per level."""
+    """One line per node, pre-order, prefixed with its depth (``1 And``):
+    linear in the size of the tree at any depth."""
     lines = []
     stack = [(f, 0)]
     while stack:
-        f, indent = stack.pop()
-        pad = "  " * indent
+        f, depth = stack.pop()
         if isinstance(f, Atom):
-            lines.append(f"{pad}Atom({f.name})")
+            lines.append(f"{depth} Atom({f.name})")
             continue
-        lines.append(f"{pad}{type(f).__name__}")
-        stack.extend((c, indent + 1) for c in reversed(children(f)))
+        lines.append(f"{depth} {type(f).__name__}")
+        stack.extend((c, depth + 1) for c in reversed(children(f)))
     return lines
 
 
@@ -131,8 +131,8 @@ def _format_ast(f) -> list[str]:
 
 def _cmd_parse(args) -> int:
     f = parse(args.formula)
-    payload = {"formula": render(f), "ast": _format_ast(f)}
-    _emit(args, _format_ast(f) + [f"rendered: {render(f)}"], payload)
+    ast, rendered = _format_ast(f), render(f)
+    _emit(args, ast + [f"rendered: {rendered}"], {"formula": rendered, "ast": ast})
     return 0
 
 
@@ -451,10 +451,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:
-        # formulas are walked and the KS search backtracks on explicit
-        # stacks; what still recurses once per level is the json decoder
-        # (nesting) and oml.find_two_valued_valuation (per element)
-        print("error: input nested too deeply or too large for a recursive search", file=sys.stderr)
+        # formulas are walked and the KS and two-valued searches backtrack
+        # on explicit stacks; what still recurses once per level is the
+        # json decoder (nesting)
+        print("error: input nested too deeply", file=sys.stderr)
         return INPUT_ERROR
 
 

@@ -23,7 +23,6 @@ from .nmatrix import (
     classical_matrix,
     adequacy_check,
     dynamic_consequence,
-    enumerate_dynamic_valuations,
     is_dynamic_legal,
     is_static,
     three_valued_matrix,

@@ -260,10 +260,13 @@ class IntervalRule:
     description: str
 
     def value_set(self, *args: float) -> IntervalUnion:
+        """The cell at the inputs, clipped to [0,1] as one interval: an input
+        just outside [0,1] (atoms are checked within a tolerance) may put the
+        whole cell just outside."""
         lo, hi = self.lo(*args), self.hi(*args)
         if hi < lo:
             raise ValueError(f"rule '{self.description}' is empty at {args}")
-        return interval(max(0.0, lo), min(1.0, hi))
+        return interval(min(max(lo, 0.0), 1.0), max(min(hi, 1.0), 0.0))
 
     def hull(self, *boxes: tuple[float, float]) -> tuple[float, float]:
         """Exact union of outputs when each input ranges over its box."""
@@ -633,21 +636,180 @@ class ConsequenceResult:
         return self.holds
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _ValueNetwork:
+    """The legality constraints of dynamic valuations on an ordered domain.
+
+    Node ``k`` of the domain has a value set ``doms[k]``, a bitmask over value
+    indices (bit ``i`` for ``m.values[i]``).  Each compound is one table
+    constraint between its value and its children's, with the matrix cells as
+    bitmasks; atoms are unconstrained.  Gamma nodes start designated and
+    delta nodes undesignated.  ``trail`` records every narrowing, so a search
+    undoes a failed branch back to a mark.
+    """
+
+    def __init__(self, m: FiniteNMatrix, domain: list[Formula], gamma, delta):
+        index = {v: i for i, v in enumerate(m.values)}
+
+        def mask(labels) -> int:
+            return sum(1 << index[v] for v in labels)
+
+        def table(conn: str):
+            cells = m.tables[conn]
+            if conn == "not":
+                return [mask(cells[(x,)].labels) for x in m.values]
+            return [[mask(cells[(x, y)].labels) for y in m.values] for x in m.values]
+
+        full, designated = (1 << len(m.values)) - 1, mask(m.designated)
+        pos = {f: k for k, f in enumerate(domain)}
+        self.doms = [full] * len(domain)
+        for g in gamma:
+            self.doms[pos[g]] &= designated
+        for d in delta:
+            self.doms[pos[d]] &= full & ~designated
+        tables = {conn: table(conn) for conn in m.tables}
+        self.scope: list[tuple[int, ...]] = []  # children of each node
+        self.cells: list = []  # table of each compound
+        self.watchers: list[list[int]] = [[] for _ in domain]  # constraints each node occurs in
+        for k, f in enumerate(domain):
+            if isinstance(f, Atom):
+                conn, args = None, ()
+            elif isinstance(f, Not):
+                conn, args = "not", (pos[f.child],)
+            else:
+                conn, args = ("and" if isinstance(f, And) else "or"), (pos[f.left], pos[f.right])
+            self.scope.append(args)
+            self.cells.append(tables[conn] if args else None)
+            if args:
+                for v in dict.fromkeys((k, *args)):
+                    self.watchers[v].append(k)
+        self.trail: list[tuple[int, int]] = []
+
+    def _revise(self, k: int) -> tuple[tuple[int, int], ...]:
+        """Each node of compound ``k``'s constraint with the values that have
+        support in it: a value of the compound some cell of the children's
+        values holds, and child values with such a cell."""
+        doms, cells = self.doms, self.cells[k]
+        here, head = doms[k], 0
+        if len(self.scope[k]) == 1:
+            (c,) = self.scope[k]
+            kept = 0
+            for a in _bits(doms[c]):
+                hit = cells[a] & here
+                if hit:
+                    kept |= 1 << a
+                    head |= hit
+            return (k, head), (c, kept)
+        left, right = self.scope[k]
+        kept_left = kept_right = 0
+        rights = _bits(doms[right])
+        for a in _bits(doms[left]):
+            row = cells[a]
+            for b in (a,) if left == right else rights:
+                hit = row[b] & here
+                if hit:
+                    kept_left |= 1 << a
+                    kept_right |= 1 << b
+                    head |= hit
+        return (k, head), (left, kept_left), (right, kept_right)
+
+    def propagate(self, constraints) -> bool:
+        """Generalized arc consistency: narrow value sets until every value
+        left has support in every constraint it occurs in, starting from the
+        given constraints.  False when a value set empties."""
+        doms, trail, watchers = self.doms, self.trail, self.watchers
+        work = list(constraints)
+        pending = set(work)
+        while work:
+            k = work.pop()
+            pending.discard(k)
+            for v, kept in self._revise(k):
+                if kept == doms[v]:
+                    continue
+                if not kept:
+                    return False
+                trail.append((v, doms[v]))
+                doms[v] = kept
+                for h in watchers[v]:
+                    if h != k and h not in pending:
+                        pending.add(h)
+                        work.append(h)
+        return True
+
+    def assign(self, k: int, bit: int) -> bool:
+        """Fix node ``k`` to one value and propagate; False when that
+        empties a value set."""
+        if self.doms[k] == bit:
+            return True
+        self.trail.append((k, self.doms[k]))
+        self.doms[k] = bit
+        return self.propagate(self.watchers[k])
+
+    def undo(self, mark: int) -> None:
+        doms, trail = self.doms, self.trail
+        while len(trail) > mark:
+            k, old = trail.pop()
+            doms[k] = old
+
+
 def dynamic_consequence(
     m: FiniteNMatrix, gamma: Sequence[Formula], delta: Sequence[Formula]
 ) -> ConsequenceResult:
     """Does every dynamic model of gamma satisfy some member of delta?
 
+    A countermodel search: gamma nodes are restricted to designated values
+    and delta nodes to undesignated ones, the table constraints of the
+    closure are made arc consistent, and the search assigns the domain in
+    ``enumerate_dynamic_valuations``' order (atoms by name, then compounds
+    children first; values in ``m.values`` order), propagating after every
+    assignment and backtracking on an explicit stack.  Propagation only
+    drops values that no legal valuation extending the assignment takes, so
+    the countermodel returned is the first one in enumeration order.
+    Legality is local to each node, so arc consistency is exact on a
+    tree-shaped closure and there the search never backtracks; only shared
+    subformulas make it.
+
     An empty delta reads literally: the sequent holds only when gamma has no
-    dynamic model at all.  On failure the first countermodel in enumeration
-    order is returned.
+    dynamic model at all.
     """
+    if not isinstance(m, FiniteNMatrix):
+        raise TypeError("consequence requires a finite matrix")
     gamma, delta = list(gamma), list(delta)
-    for v in enumerate_dynamic_valuations(m, gamma + delta):
-        if all(m.is_designated(v[g]) for g in gamma):
-            if not any(m.is_designated(v[d]) for d in delta):
-                return ConsequenceResult(False, v)
-    return ConsequenceResult(True, None)
+    domain = _ordered_domain(gamma + delta)
+    net = _ValueNetwork(m, domain, gamma, delta)
+    doms = net.doms
+    if 0 in doms or not net.propagate([k for k, args in enumerate(net.scope) if args]):
+        return ConsequenceResult(True, None)
+    frames = []  # (node, its values still to try, trail mark) per assigned node
+    k, untried = 0, doms[0] if domain else 0
+    while k < len(domain):
+        if not untried:
+            if not frames:
+                return ConsequenceResult(True, None)
+            k, untried, mark = frames.pop()
+            net.undo(mark)
+            continue
+        bit = untried & -untried
+        untried ^= bit
+        mark = len(net.trail)
+        if net.assign(k, bit):
+            frames.append((k, untried, mark))
+            k += 1
+            untried = doms[k] if k < len(domain) else 0
+        else:
+            net.undo(mark)
+    return ConsequenceResult(
+        False, Valuation({f: m.values[doms[k].bit_length() - 1] for k, f in enumerate(domain)})
+    )
 
 
 def is_dynamically_valid(m: FiniteNMatrix, psi: Formula) -> bool:

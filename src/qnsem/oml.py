@@ -491,13 +491,14 @@ def find_two_valued_valuation(
     """Backtracking search for a {0,1} assignment respecting joins, meets,
     complements, and truth of the top element.
 
-    Returns (first solution or None, solution count).  With ``count_all``
-    false the search stops at the first solution.
+    Elements are assigned in order, 1 before 0, on an explicit stack, so
+    there is no depth limit.  Returns (first solution or None, solution
+    count).  With ``count_all`` false the search stops at the first
+    solution; it stops counting at ``cap``.
     """
     meet, join = l.bound_table("meet"), l.bound_table("join")
     n = len(l.elements)
     values = [-1] * n
-    order = list(range(n))
     # triples checkable once their latest-ordered member is assigned
     triples_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n)]
     for i in range(n):
@@ -525,29 +526,24 @@ def find_two_valued_valuation(
                 return False
         return True
 
-    def rec(pos: int) -> bool:
-        nonlocal first, count
-        if pos == n:
+    tried = [0] * n  # how many of the choices (1, 0) each element has had
+    k = 0
+    while k >= 0:
+        if k == n:
             count += 1
             if first is None:
                 first = {l.elements[i]: values[i] for i in range(n)}
-            return not count_all
-        k = order[pos]
-        if values[k] >= 0:
-            if consistent(k):
-                if rec(pos + 1):
-                    return True
-            return False
-        for v in (1, 0):
-            values[k] = v
+            if not count_all:
+                break
+            k -= 1
+        elif tried[k] == 2:
+            values[k], tried[k] = -1, 0
+            k -= 1
+        else:
+            values[k] = 1 - tried[k]
+            tried[k] += 1
             if consistent(k) and count < cap:
-                if rec(pos + 1):
-                    values[k] = -1
-                    return True
-            values[k] = -1
-        return False
-
-    rec(0)
+                k += 1
     return first, count
 
 

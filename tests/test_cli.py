@@ -49,6 +49,18 @@ def test_deep_nesting_parses(capsys):
         assert parse(rendered) is parse(text) and render(parse(rendered)) == rendered
 
 
+def test_deep_ast_printout_is_linear(capsys):
+    # each line carries its depth instead of an indent two spaces per level
+    depth = 3000
+    text = " & ".join(["P", *(f"q{i}" for i in range(depth))])
+    code, out, _ = run(capsys, "parse", text)
+    nodes = 2 * depth + 1
+    assert code == 0 and len(out) < 20 * nodes
+    lines = out.splitlines()
+    assert lines[0] == "0 And" and lines[depth] == f"{depth} Atom(P)"
+    assert sum(line.split(" ", 1)[1].startswith("Atom(") for line in lines[:-1]) == depth + 1
+
+
 def test_deep_json_is_input_error(capsys, tmp_path):
     # the json decoder recurses once per nesting level
     deep = tmp_path / "deep.json"

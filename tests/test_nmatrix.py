@@ -1,14 +1,18 @@
+import inspect
 import itertools
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from qnsem import cli
-from qnsem.formulas import And, Atom, Not, Or, parse
+from qnsem.formulas import And, Atom, Not, Or, children, parse, subformula_closure
 from qnsem.nmatrix import (
     AMBIGUOUS,
     ANY,
     CONNECTIVE_ARITY,
+    ConsequenceResult,
     DESIGNATED,
     UNDESIGNATED,
     NON_ORTHOGONAL,
@@ -32,8 +36,10 @@ from qnsem.nmatrix import (
     three_valued_matrix,
     two_valued_matrix,
     verify_rexpansion,
+    _ValueNetwork,
 )
 from qnsem.quantum import adequate_restricted_tables, quantum_nmatrix, three_valued_collapse
+from qnsem.valuesets import FiniteValues, finite
 
 P, Q = Atom("P"), Atom("Q")
 
@@ -113,6 +119,29 @@ def test_dynamic_legal_ambiguous_pairs_accept_either_case():
     v = {P: 0.5, Q: 0.5, Or(P, Q): 1.0}
     report = is_dynamic_legal(v, m, oracle)
     assert report.ok and report.ambiguous == ((P, Q),)
+
+
+@pytest.mark.parametrize("x, legal_not", [(1 + 1e-10, 0.0), (-1e-10, 1.0)])
+def test_dynamic_legal_inputs_just_outside_the_unit_interval(x, legal_not):
+    # atoms within tol of [0,1] are legal, and the cells they select may lie
+    # just outside it: the report names the violation instead of raising
+    m = quantum_nmatrix(1.0)
+    assert is_dynamic_legal({P: x, Not(P): legal_not}, m).ok
+    report = is_dynamic_legal({P: x, Not(P): 0.5}, m)
+    assert [v.formula for v in report.violations] == [Not(P)]
+    assert report.violations[0].expected.segments == ((legal_not, legal_not),)
+    oracle = FixedOracle({(P, Q): ORTHOGONAL})
+    assert is_dynamic_legal({P: x, Q: 0.0, Or(P, Q): 1.0 - legal_not}, m, oracle).ok
+    report = is_dynamic_legal({P: x, Q: 0.0, Or(P, Q): 0.5}, m, oracle)
+    assert [v.formula for v in report.violations] == [Or(P, Q)]
+
+
+def test_empty_interval_rule_still_raises():
+    # the designated-designated conjunction cell [alpha, min(a, b)] is empty
+    # when an input sits just below the threshold
+    m = adequate_restricted_tables(0.5)
+    with pytest.raises(ValueError, match=r"rule '.*' is empty at"):
+        m.cell("and", (0.5 - 1e-10, 0.8))
 
 
 def test_dynamic_legal_finite_matrix():
@@ -201,9 +230,149 @@ def test_consequence_monotonicity():
             assert dynamic_consequence(m, [g, extra_g], [d, extra_d]).holds
 
 
-def _brute_valid(m, psi):
-    from qnsem.formulas import subformula_closure
+def enumerated_consequence(m, gamma, delta):
+    """The consequence check the countermodel search replaced: every legal
+    valuation in enumeration order, filtered by designation."""
+    gamma, delta = list(gamma), list(delta)
+    for v in enumerate_dynamic_valuations(m, gamma + delta):
+        if all(m.is_designated(v[g]) for g in gamma):
+            if not any(m.is_designated(v[d]) for d in delta):
+                return ConsequenceResult(False, v)
+    return ConsequenceResult(True, None)
 
+
+def assert_same_consequence(m, gamma, delta):
+    got, want = dynamic_consequence(m, gamma, delta), enumerated_consequence(m, gamma, delta)
+    assert got.holds == want.holds
+    if not want.holds:
+        assert list(got.countermodel.items()) == list(want.countermodel.items())
+    return got.holds
+
+
+def _empty_cell() -> FiniteValues:
+    """A cell with no values.  ``finite()`` refuses one; the search must
+    still agree with the enumeration, which yields nothing through it."""
+    cell = object.__new__(FiniteValues)
+    object.__setattr__(cell, "labels", frozenset())
+    return cell
+
+
+def _random_matrix(rnd, n_values: int) -> FiniteNMatrix:
+    values = tuple("abcde"[:n_values])
+    designated = frozenset(rnd.sample(values, rnd.randint(1, n_values - 1)))
+    tables = {}
+    for conn, arity in CONNECTIVE_ARITY.items():
+        tables[conn] = {
+            key: _empty_cell() if rnd.random() < 0.08 else finite(*rnd.sample(values, rnd.randint(1, n_values)))
+            for key in itertools.product(values, repeat=arity)
+        }
+    return FiniteNMatrix(values, designated, tables, name="random")
+
+
+def _random_formula(rnd, atoms, pool, size: int):
+    """A formula of at most ``size`` connectives over ``atoms`` that reuses
+    members of ``pool`` (and adds its own subformulas to it), so sequents
+    share subformulas and repeat atoms."""
+    if size == 0 or rnd.random() < 0.2:
+        return rnd.choice(pool) if pool and rnd.random() < 0.4 else rnd.choice(atoms)
+    if rnd.random() < 0.3:
+        f = Not(_random_formula(rnd, atoms, pool, size - 1))
+    else:
+        cut = rnd.randint(0, size - 1)
+        left = _random_formula(rnd, atoms, pool, cut)
+        f = rnd.choice((And, Or))(left, _random_formula(rnd, atoms, pool, size - 1 - cut))
+    pool.append(f)
+    return f
+
+
+def test_consequence_search_matches_enumeration():
+    rnd = random.Random(20261018)
+    matrices = [classical_matrix(), two_valued_matrix(), three_valued_matrix()]
+    matrices += [_random_matrix(rnd, n) for n in (2, 2, 3, 3, 3, 4)]
+    atoms = [P, Q, Atom("R")]
+    outcomes, shared = set(), 0
+    for m in matrices:
+        for _ in range(60):
+            pool: list = []
+            gamma = [_random_formula(rnd, atoms, pool, rnd.randint(0, 4)) for _ in range(rnd.randint(0, 2))]
+            delta = [_random_formula(rnd, atoms, pool, rnd.randint(0, 4)) for _ in range(rnd.randint(0, 2))]
+            closure = subformula_closure(gamma + delta)
+            if len(closure) > 10:  # keeps the enumeration small
+                continue
+            outcomes.add((bool(gamma), bool(delta), assert_same_consequence(m, gamma, delta)))
+            parents = [c for f in closure for c in dict.fromkeys(children(f))]
+            shared += len(parents) > len(set(parents))  # a node with two parents
+    # both verdicts with and without premises and conclusions; with neither,
+    # the empty valuation is a countermodel
+    assert len(outcomes) == 7 and (False, False, True) not in outcomes
+    assert shared > 100
+
+
+def test_consequence_search_matches_enumeration_on_the_demo_sequents():
+    from qnsem.demo import _consequence_pool
+
+    m = three_valued_matrix()
+    pool = _consequence_pool()
+    pairs = list(itertools.combinations(pool[:8], 2))
+    sequents = [([g], [d]) for g in pool for d in pool]
+    sequents += [([a, b], [pool[4]]) for a, b in pairs[:40]]
+    sequents += [([pool[0]], [a, b]) for a, b in pairs[:40]]
+    for gamma, delta in sequents:
+        assert_same_consequence(m, gamma, delta)
+
+
+def _tree(rnd, size: int, names):
+    """A formula with ``size`` nodes, no shared subformula and each atom
+    fresh, so its closure is tree-shaped."""
+    if size == 1:
+        return Atom(next(names))
+    if size == 2 or rnd.random() < 0.3:
+        return Not(_tree(rnd, size - 1, names))
+    cut = rnd.randint(1, size - 2)
+    return rnd.choice((And, Or))(_tree(rnd, cut, names), _tree(rnd, size - 1 - cut, names))
+
+
+def test_consequence_search_never_backtracks_on_trees(monkeypatch):
+    assigned = []
+    assign = _ValueNetwork.assign
+
+    def counted(self, k, bit):
+        assigned.append(k)
+        return assign(self, k, bit)
+
+    monkeypatch.setattr(_ValueNetwork, "assign", counted)
+    rnd = random.Random(7)
+    names = (f"x{i}" for i in itertools.count())
+    refuted = 0
+    for m in (three_valued_matrix(), two_valued_matrix(), _random_matrix(random.Random(3), 3)):
+        for size in range(10, 41):
+            a = _tree(rnd, rnd.randint(1, size - 2), names)
+            b = _tree(rnd, size - 1 - len(subformula_closure([a])), names)
+            for gamma, delta in (([a], [Or(a, b)]), ([a, b], [And(a, b)]), ([], [Or(a, b)]), ([Or(a, b)], [])):
+                closure = len(subformula_closure(gamma + delta))
+                assigned.clear()
+                result = dynamic_consequence(m, gamma, delta)
+                assert len(assigned) <= closure * len(m.values)
+                if not result.holds:
+                    assert len(assigned) == closure  # each node's first value extends
+                    refuted += 1
+    assert refuted > 100
+
+
+def test_consequence_search_has_no_depth_limit():
+    chain = P
+    for _ in range(5000):
+        chain = Not(chain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = dynamic_consequence(three_valued_matrix(), [], [chain])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not result.holds and result.countermodel[P] == "T"  # !T = T all the way up
+
+
+def _brute_valid(m, psi):
     closure = subformula_closure([psi])
     for combo in itertools.product(m.values, repeat=len(closure)):
         v = dict(zip(closure, combo))

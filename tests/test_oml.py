@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import sys
@@ -290,6 +291,98 @@ def test_cav_mo2_unsat_matches_brute_force():
     first, count = oml.find_two_valued_valuation(lattice, count_all=True)
     assert first is None and count == 0
     assert _brute_cav_count(lattice) == 0
+
+
+def recursive_two_valued(l, count_all=False, cap=1_000_000):
+    """``find_two_valued_valuation`` as one recursion level per element:
+    same choice order, kept as the oracle of the explicit-stack loop."""
+    meet, join = l.bound_table("meet"), l.bound_table("join")
+    n = len(l.elements)
+    values = [-1] * n
+    triples_at = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            for target, kind in ((meet[i, j], "meet"), (join[i, j], "join")):
+                triples_at[max(i, j, target)].append((i, j, target, kind))
+    found = {"first": None, "count": 0}
+
+    def consistent(k):
+        v = values[k]
+        if (k == l.bottom and v != 0) or (k == l.top and v != 1):
+            return False
+        o = l.ortho[k]
+        if values[o] >= 0 and values[o] != 1 - v:
+            return False
+        for i, j, target, kind in triples_at[k]:
+            a, b, t = values[i], values[j], values[target]
+            if min(a, b, t) >= 0 and t != (min(a, b) if kind == "meet" else max(a, b)):
+                return False
+        return True
+
+    def rec(k):
+        if k == n:
+            found["count"] += 1
+            if found["first"] is None:
+                found["first"] = {l.elements[i]: values[i] for i in range(n)}
+            return not count_all
+        for v in (1, 0):
+            values[k] = v
+            if consistent(k) and found["count"] < cap and rec(k + 1):
+                return True
+            values[k] = -1
+        return False
+
+    rec(0)
+    return found["first"], found["count"]
+
+
+def _mo(n: int) -> oml.FiniteOML:
+    """MO_n: n pairs {x, x'} between 0 and 1."""
+    pairs = [(f"x{i}", f"x{i}'") for i in range(n)]
+    middle = [e for pair in pairs for e in pair]
+    leq = [("0", e) for e in middle + ["1"]] + [(e, "1") for e in middle]
+    ortho = {"0": "1", "1": "0", **{a: b for a, b in pairs}, **{b: a for a, b in pairs}}
+    return oml.FiniteOML(["0", *middle, "1"], leq, ortho, "0", "1")
+
+
+def _search_lattices():
+    """Boolean 2^3..2^7, MO_2, MO_3, MO_5, MO_8, seven block chains and the
+    state-free fixture: the shapes the lattice benchmark searches."""
+    return (
+        [oml.boolean_lattice(n) for n in (3, 4, 5, 6, 7)]
+        + [_mo(n) for n in (2, 3, 5, 8)]
+        + [_greechie_chain(k) for k in (2, 3, 6, 10, 15, 16, 24)]
+        + [fixtures.nostate_lattice()]
+    )
+
+
+def test_two_valued_loop_matches_recursive_oracle():
+    lattices = _search_lattices()
+    assert len(lattices) == 17
+    counts = []
+    for lattice in lattices:
+        want = recursive_two_valued(lattice, count_all=True)
+        assert oml.find_two_valued_valuation(lattice, count_all=True) == want
+        assert oml.find_two_valued_valuation(lattice) == recursive_two_valued(lattice)
+        assert oml.find_two_valued_valuation(lattice, True, cap=1) == recursive_two_valued(lattice, True, cap=1)
+        counts.append(want[1])
+    assert counts[:9] == [3, 4, 5, 6, 7, 0, 0, 0, 0]  # one per atom of 2^n; MO_n has none
+    assert counts[9] == 1 and counts[10:] == [0] * 7  # chain-2 shares one atom
+
+
+def test_two_valued_search_has_no_depth_limit():
+    # one element per level: deeper than the recursion limit allows the
+    # recursive oracle, which must fail where the loop gets a verdict
+    lattice = oml.boolean_lattice(7)  # 128 elements, every one assigned on the way to a solution
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        with pytest.raises(RecursionError):
+            recursive_two_valued(lattice)
+        first, count = oml.find_two_valued_valuation(lattice, count_all=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 7 and first["1"] == 1 and first["0"] == 0
 
 
 # ---------------------------------------------------------------------------
