@@ -451,9 +451,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:
-        # formulas are walked and the KS and two-valued searches backtrack
-        # on explicit stacks; what still recurses once per level is the
-        # json decoder (nesting)
+        # formulas are walked and the KS search backtracks on an explicit
+        # stack; what still recurses once per level is the json decoder
+        # (nesting)
         print("error: input nested too deeply", file=sys.stderr)
         return INPUT_ERROR
 

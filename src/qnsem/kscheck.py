@@ -228,23 +228,21 @@ def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> i
     n = len(ids)
     if n > 22:
         raise ValueError(f"exhaustive enumeration over {n} vectors is too large")
-    pos = {vid: k for k, vid in enumerate(ids)}
     assign = np.arange(1 << n, dtype=np.int64)
+    # bit[vid][m] is vector vid's value in assignment m
+    bit = {vid: ((assign >> k) & 1).astype(np.uint8) for k, vid in enumerate(ids)}
     ok = np.ones(1 << n, dtype=bool)
     covered = {vid for ctx in family.contexts for vid in ctx}
     for vid in ids:
         if vid not in covered:  # same convention as the search: default to 0
-            ok &= ((assign >> pos[vid]) & 1) == 0
+            ok &= bit[vid] == 0
     for ctx in family.contexts:
-        cnt = np.zeros(1 << n, dtype=np.int8)
-        for vid in ctx:
-            cnt += ((assign >> pos[vid]) & 1).astype(np.int8)
-        ok &= cnt == 1
+        ok &= sum(bit[vid] for vid in ctx) == 1
     adj = orthogonality_graph(family, tol)
     for a in ids:
         for b in adj[a]:
             if a < b:
-                ok &= ~(((assign >> pos[a]) & 1) & ((assign >> pos[b]) & 1)).astype(bool)
+                ok &= (bit[a] & bit[b]) == 0
     return int(ok.sum())
 
 

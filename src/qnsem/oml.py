@@ -1,5 +1,5 @@
 """Finite orthomodular lattices as explicit order tables: verification of the
-lattice laws, states via linear feasibility, two-valued valuation search, and
+lattice laws, states via linear feasibility, two-valued homomorphisms, and
 the interval truth tables over an arbitrary lattice.
 
 Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
@@ -14,6 +14,7 @@ lattice operations before verification).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -170,58 +171,52 @@ class OmlReport:
 
 def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
     """Exhaustive check of the partial order, bound existence, the
-    orthocomplement laws, and the orthomodular law."""
+    orthocomplement laws, and the orthomodular law.
+
+    Each law is one array expression over every element or pair; failures
+    come law by law, pairs in row-major order, up to ``max_failures``."""
     failures: list[str] = []
 
-    def fail(msg: str):
-        if len(failures) < max_failures:
-            failures.append(msg)
+    def fail(msgs: Iterable[str]):
+        failures.extend(itertools.islice(msgs, max_failures - len(failures)))
 
     n = len(l.elements)
-    leq = l.leq
+    leq, ortho, name = l.leq, l.ortho, l.name
     if not leq.diagonal().all():
-        fail("order is not reflexive")
-    both = leq & leq.T
-    for i, j in zip(*np.nonzero(both)):
-        if i != j:
-            fail(f"antisymmetry fails at ({l.name(i)}, {l.name(j)})")
-    closure = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
-    for i, j in zip(*np.nonzero(closure & ~leq)):
-        fail(f"transitivity fails: {l.name(i)} <= ... <= {l.name(j)} but not directly")
+        fail(["order is not reflexive"])
+    fail(f"antisymmetry fails at ({name(i)}, {name(j)})"
+         for i, j in np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool)))
+    # float32 counts are exact below 2**24
+    closure = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
+    fail(f"transitivity fails: {name(i)} <= ... <= {name(j)} but not directly"
+         for i, j in np.argwhere(closure & ~leq))
     if not leq[l.bottom, :].all():
-        fail("bottom is not below every element")
+        fail(["bottom is not below every element"])
     if not leq[:, l.top].all():
-        fail("top is not above every element")
+        fail(["top is not above every element"])
     meet, join = l._bound_tables()
-    for i in range(n):
-        for j in range(i, n):
-            if meet[i, j] < 0:
-                fail(f"meet({l.name(i)}, {l.name(j)}) missing or not unique")
-            if join[i, j] < 0:
-                fail(f"join({l.name(i)}, {l.name(j)}) missing or not unique")
+    no_meet, no_join = np.triu(meet < 0), np.triu(join < 0)
+    fail(f"{kind}({name(i)}, {name(j)}) missing or not unique"
+         for i, j in np.argwhere(no_meet | no_join)
+         for kind, missing in (("meet", no_meet), ("join", no_join)) if missing[i, j])
     if failures:
         return OmlReport(tuple(failures))
-    for i in range(n):
-        oi = l.ortho[i]
-        if l.ortho[oi] != i:
-            fail(f"orthocomplement not involutive at {l.name(i)}")
-        if meet[i, oi] != l.bottom:
-            fail(f"{l.name(i)} meet its complement is not bottom")
-        if join[i, oi] != l.top:
-            fail(f"{l.name(i)} join its complement is not top")
-    for i in range(n):
-        for j in range(n):
-            if leq[i, j] and not leq[l.ortho[j], l.ortho[i]]:
-                fail(f"orthocomplement not order-reversing at ({l.name(i)}, {l.name(j)})")
-    for i in range(n):
-        for j in range(n):
-            if leq[i, j]:
-                inner = meet[j, l.ortho[i]]
-                if inner < 0 or join[i, inner] != j:
-                    fail(
-                        f"orthomodular law fails: {l.name(j)} != "
-                        f"{l.name(i)} v ({l.name(j)} ^ {l.name(i)}')"
-                    )
+    idx = np.arange(n)
+    not_involutive = ortho[ortho] != idx
+    meet_not_bottom = meet[idx, ortho] != l.bottom
+    join_not_top = join[idx, ortho] != l.top
+    fail(msg
+         for i in np.flatnonzero(not_involutive | meet_not_bottom | join_not_top)
+         for bad, msg in ((not_involutive[i], f"orthocomplement not involutive at {name(i)}"),
+                          (meet_not_bottom[i], f"{name(i)} meet its complement is not bottom"),
+                          (join_not_top[i], f"{name(i)} join its complement is not top"))
+         if bad)
+    fail(f"orthocomplement not order-reversing at ({name(i)}, {name(j)})"
+         for i, j in np.argwhere(leq & ~leq[np.ix_(ortho, ortho)].T))
+    # every bound exists past the early return; inner[i, j] = j ^ i'
+    inner = meet[:, ortho].T
+    fail(f"orthomodular law fails: {name(j)} != {name(i)} v ({name(j)} ^ {name(i)}')"
+         for i, j in np.argwhere(leq & (np.take_along_axis(join, inner, axis=1) != idx)))
     return OmlReport(tuple(failures))
 
 
@@ -488,63 +483,39 @@ def verify_general_state(l: FiniteOML, mu: Mapping[str, object], tol: float = DE
 def find_two_valued_valuation(
     l: FiniteOML, count_all: bool = False, cap: int = 1_000_000
 ) -> tuple[dict[str, int] | None, int]:
-    """Backtracking search for a {0,1} assignment respecting joins, meets,
-    complements, and truth of the top element.
+    """The {0,1} assignments respecting joins, meets, complements, and truth
+    of the top element, read off the atoms.
 
-    Elements are assigned in order, 1 before 0, on an explicit stack, so
-    there is no depth limit.  Returns (first solution or None, solution
-    count).  With ``count_all`` false the search stops at the first
-    solution; it stops counting at ``cap``.
+    Precondition: ``l`` is an orthomodular lattice; a missing bound raises
+    the ValueError naming the pair, any other failure of :func:`verify_oml`
+    a ValueError naming the first failed law.
+
+    On a finite OML these homomorphisms are exactly h(e) = [a <= e] for the
+    atoms a with a <= e or a <= e' for every e.  The true set of h is a
+    finite filter, so principal, and its generator is an atom because
+    e ^ e' = 0.  Conversely such an a preserves complements by the
+    condition and meets by construction, and joins by de Morgan: a <= e v f
+    with a </= e, f would give a <= e' ^ f' = (e v f)'.
+
+    Returns (first solution or None, solution count).  The first solution
+    is the lexicographically greatest in element order, the one an
+    element-by-element search trying 1 before 0 meets first.  The count is
+    at most 1 unless ``count_all``, and at most ``cap`` (at least 1).
     """
-    meet, join = l.bound_table("meet"), l.bound_table("join")
-    n = len(l.elements)
-    values = [-1] * n
-    # triples checkable once their latest-ordered member is assigned
-    triples_at: list[list[tuple[int, int, int, str]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for target, kind in ((meet[i, j], "meet"), (join[i, j], "join")):
-                triples_at[max(i, j, target)].append((i, j, target, kind))
-    first: dict[str, int] | None = None
-    count = 0
-
-    def consistent(k: int) -> bool:
-        v = values[k]
-        if k == l.bottom and v != 0:
-            return False
-        if k == l.top and v != 1:
-            return False
-        o = l.ortho[k]
-        if values[o] >= 0 and values[o] != 1 - v:
-            return False
-        for i, j, target, kind in triples_at[k]:
-            a, b, t = values[i], values[j], values[target]
-            if a < 0 or b < 0 or t < 0:
-                continue
-            expect = min(a, b) if kind == "meet" else max(a, b)
-            if t != expect:
-                return False
-        return True
-
-    tried = [0] * n  # how many of the choices (1, 0) each element has had
-    k = 0
-    while k >= 0:
-        if k == n:
-            count += 1
-            if first is None:
-                first = {l.elements[i]: values[i] for i in range(n)}
-            if not count_all:
-                break
-            k -= 1
-        elif tried[k] == 2:
-            values[k], tried[k] = -1, 0
-            k -= 1
-        else:
-            values[k] = 1 - tried[k]
-            tried[k] += 1
-            if consistent(k) and count < cap:
-                k += 1
-    return first, count
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    for kind in ("meet", "join"):  # a missing bound names its pair
+        l.bound_table(kind)
+    report = verify_oml(l, max_failures=1)
+    if not report.ok:
+        raise ValueError(f"not an orthomodular lattice: {report.failures[0]}")
+    # an atom's column of leq holds bottom and itself only
+    atoms = l.leq[l.leq.sum(axis=0) == 2]
+    rows = atoms[(atoms | atoms[:, l.ortho]).all(axis=1)]
+    if not len(rows):
+        return None, 0
+    first = max(rows.tolist())
+    return dict(zip(l.elements, map(int, first))), min(len(rows), cap if count_all else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,20 @@ def test_broken_lattice_exit(capsys, write_json):
     broken = write_json("broken.json", oml.chain_with_fixed_point().to_json())
     code, out, _ = run(capsys, "oml", "verify", broken)
     assert code == 3 and "NOT an orthomodular lattice" in out
+    code, out, err = run(capsys, "oml", "cav", broken)
+    assert code == 2 and out == ""
+    assert err == "error: not an orthomodular lattice: m meet its complement is not bottom\n"
+    # the hexagon O6: an ortholattice, but a <= b and a v (b ^ a') = a
+    o6 = write_json("o6.json", {
+        "elements": ["0", "a", "b", "b'", "a'", "1"],
+        "leq": [["0", "a"], ["0", "b"], ["0", "b'"], ["0", "a'"], ["0", "1"],
+                ["a", "b"], ["b'", "a'"], ["a", "1"], ["b", "1"], ["b'", "1"], ["a'", "1"]],
+        "ortho": {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"},
+        "bottom": "0", "top": "1",
+    })
+    code, out, err = run(capsys, "oml", "cav", o6, "--all")
+    assert code == 2 and out == ""
+    assert err == "error: not an orthomodular lattice: orthomodular law fails: b != a v (b ^ a')\n"
 
 
 def test_oml_missing_orthogonal_join_is_an_input_error(capsys, write_json):

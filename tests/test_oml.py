@@ -146,6 +146,120 @@ def test_missing_bound_is_an_error_not_an_index():
     assert "join(a, b) missing or not unique" in report.failures
 
 
+def verify_oml_oracle(l, max_failures=50):
+    """``verify_oml`` as Python loops over elements and pairs, kept as the
+    oracle of the array expressions."""
+    failures = []
+
+    def fail(msg):
+        if len(failures) < max_failures:
+            failures.append(msg)
+
+    n = len(l.elements)
+    leq = l.leq
+    if not leq.diagonal().all():
+        fail("order is not reflexive")
+    both = leq & leq.T
+    for i, j in zip(*np.nonzero(both)):
+        if i != j:
+            fail(f"antisymmetry fails at ({l.name(i)}, {l.name(j)})")
+    closure = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+    for i, j in zip(*np.nonzero(closure & ~leq)):
+        fail(f"transitivity fails: {l.name(i)} <= ... <= {l.name(j)} but not directly")
+    if not leq[l.bottom, :].all():
+        fail("bottom is not below every element")
+    if not leq[:, l.top].all():
+        fail("top is not above every element")
+    meet, join = l._bound_tables()
+    for i in range(n):
+        for j in range(i, n):
+            if meet[i, j] < 0:
+                fail(f"meet({l.name(i)}, {l.name(j)}) missing or not unique")
+            if join[i, j] < 0:
+                fail(f"join({l.name(i)}, {l.name(j)}) missing or not unique")
+    if failures:
+        return tuple(failures)
+    for i in range(n):
+        oi = l.ortho[i]
+        if l.ortho[oi] != i:
+            fail(f"orthocomplement not involutive at {l.name(i)}")
+        if meet[i, oi] != l.bottom:
+            fail(f"{l.name(i)} meet its complement is not bottom")
+        if join[i, oi] != l.top:
+            fail(f"{l.name(i)} join its complement is not top")
+    for i in range(n):
+        for j in range(n):
+            if leq[i, j] and not leq[l.ortho[j], l.ortho[i]]:
+                fail(f"orthocomplement not order-reversing at ({l.name(i)}, {l.name(j)})")
+    for i in range(n):
+        for j in range(n):
+            if leq[i, j]:
+                inner = meet[j, l.ortho[i]]
+                if inner < 0 or join[i, inner] != j:
+                    fail(
+                        f"orthomodular law fails: {l.name(j)} != "
+                        f"{l.name(i)} v ({l.name(j)} ^ {l.name(i)}')"
+                    )
+    return tuple(failures)
+
+
+def _o6() -> oml.FiniteOML:
+    """The hexagon 0 < a < b < 1, 0 < b' < a' < 1: an ortholattice that is
+    not orthomodular, since a <= b but a v (b ^ a') = a."""
+    elements = ["0", "a", "b", "b'", "a'", "1"]
+    pairs = [("0", e) for e in elements[1:]] + [(e, "1") for e in elements[:-1]]
+    pairs += [("a", "b"), ("b'", "a'")]
+    ortho = {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"}
+    return oml.FiniteOML(elements, pairs, ortho, "0", "1")
+
+
+def _scrambled_complements(n_atoms: int, seed: int) -> oml.FiniteOML:
+    """Boolean 2^n with a random permutation as complement: every bound
+    exists, so the complement and orthomodular checks all run."""
+    b = oml.boolean_lattice(n_atoms)
+    perm = list(b.elements)
+    random.Random(seed).shuffle(perm)
+    pairs = [(x, y) for x in b.elements for y in b.elements if x != y and b.leq_ids(x, y)]
+    return oml.FiniteOML(b.elements, pairs, dict(zip(b.elements, perm)), "0", "1")
+
+
+def _broken_lattices():
+    """Fixtures failing each law, and seeded random relations (nearly all
+    broken, often in many places)."""
+    lattices = [oml.chain_with_fixed_point(), _o6(), _poset_without_orthogonal_join()]
+    lattices += [_scrambled_complements(n, seed) for n in (2, 3, 5, 6) for seed in range(5)]
+    rnd = random.Random(11)
+    for _ in range(100):
+        names = [str(k) for k in range(rnd.randint(1, 10))]
+        density = rnd.uniform(0.1, 0.9)
+        pairs = [(a, b) for a in names for b in names if a != b and rnd.random() < density]
+        perm = names[:]
+        rnd.shuffle(perm)
+        lattices.append(oml.FiniteOML(names, pairs, dict(zip(names, perm)), "0", names[-1]))
+    return lattices
+
+
+def test_verify_oml_matches_loop_oracle():
+    capped = set()
+    for lattice in _broken_lattices():
+        for max_failures in (1, 7, 50):
+            want = verify_oml_oracle(lattice, max_failures)
+            assert oml.verify_oml(lattice, max_failures).failures == want
+            if len(want) == max_failures:
+                capped.add(max_failures)
+    assert capped == {1, 7, 50}
+    # at least one fixture overflows the default cap in the late laws
+    assert len(verify_oml_oracle(_scrambled_complements(6, 0), 10**6)) > 50
+    for lattice in _search_lattices():
+        assert oml.verify_oml(lattice).failures == verify_oml_oracle(lattice) == ()
+
+
+def test_o6_fails_only_the_orthomodular_law():
+    failures = oml.verify_oml(_o6()).failures
+    assert failures and all(f.startswith("orthomodular law fails") for f in failures)
+    assert "orthomodular law fails: b != a v (b ^ a')" in failures
+
+
 def test_json_roundtrip():
     m = oml.mo2()
     back = oml.FiniteOML.from_json(m.to_json())
@@ -356,16 +470,20 @@ def _search_lattices():
     )
 
 
+def _assert_two_valued_matches_oracle(lattice):
+    for count_all in (False, True):
+        for cap in ({}, {"cap": 1}, {"cap": 2}):
+            want = recursive_two_valued(lattice, count_all, **cap)
+            assert oml.find_two_valued_valuation(lattice, count_all, **cap) == want
+
+
 def test_two_valued_loop_matches_recursive_oracle():
     lattices = _search_lattices()
     assert len(lattices) == 17
     counts = []
     for lattice in lattices:
-        want = recursive_two_valued(lattice, count_all=True)
-        assert oml.find_two_valued_valuation(lattice, count_all=True) == want
-        assert oml.find_two_valued_valuation(lattice) == recursive_two_valued(lattice)
-        assert oml.find_two_valued_valuation(lattice, True, cap=1) == recursive_two_valued(lattice, True, cap=1)
-        counts.append(want[1])
+        _assert_two_valued_matches_oracle(lattice)
+        counts.append(recursive_two_valued(lattice, count_all=True)[1])
     assert counts[:9] == [3, 4, 5, 6, 7, 0, 0, 0, 0]  # one per atom of 2^n; MO_n has none
     assert counts[9] == 1 and counts[10:] == [0] * 7  # chain-2 shares one atom
 
@@ -383,6 +501,58 @@ def test_two_valued_search_has_no_depth_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert count == 7 and first["1"] == 1 and first["0"] == 0
+
+
+def _random_greechie(rnd: random.Random) -> oml.FiniteOML | None:
+    """A seeded pasting of 1-4 blocks of 3-4 atoms; None when the blocks
+    break the loader's rules (two shared atoms, an unused atom)."""
+    atoms = [f"p{k}" for k in range(rnd.randint(4, 9))]
+    blocks = [rnd.sample(atoms, rnd.choice((3, 4))) for _ in range(rnd.randint(1, 4))]
+    try:
+        return oml.from_greechie(sorted({a for b in blocks for a in b}), blocks)
+    except ValueError:
+        return None
+
+
+def test_two_valued_matches_oracles_on_random_greechie_pastings():
+    rnd = random.Random(5)
+    counts, rejected, brute = Counter(), 0, 0
+    for _ in range(300):
+        lattice = _random_greechie(rnd)
+        if lattice is None:
+            continue
+        if not oml.verify_oml(lattice).ok:  # a loop of order 3 or 4
+            rejected += 1
+            continue
+        _assert_two_valued_matches_oracle(lattice)
+        _, count = oml.find_two_valued_valuation(lattice, count_all=True)
+        counts[count] += 1
+        if len(lattice) <= 12:
+            assert count == _brute_cav_count(lattice)
+            brute += 1
+    assert rejected and brute >= 10
+    assert counts[0] and counts[1] and max(counts) >= 3
+
+
+def test_two_valued_mo100_has_none():
+    lattice = _mo(100)
+    assert oml.find_two_valued_valuation(lattice, count_all=True) == (None, 0)
+    assert recursive_two_valued(lattice, count_all=True) == (None, 0)
+
+
+@pytest.mark.parametrize("build", [oml.chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
+def test_two_valued_refuses_a_non_orthomodular_lattice(build):
+    lattice = build()
+    first_law = oml.verify_oml(lattice).failures[0]
+    with pytest.raises(ValueError, match="not an orthomodular lattice") as info:
+        oml.find_two_valued_valuation(lattice, count_all=True)
+    assert str(info.value).endswith(first_law)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_two_valued_cap_below_one_is_an_error(cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        oml.find_two_valued_valuation(oml.boolean_lattice(3), count_all=True, cap=cap)
 
 
 # ---------------------------------------------------------------------------
