@@ -76,7 +76,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(obj).__name__}")
+    return obj
 
 
 def _emit(args, human_lines, payload) -> None:
@@ -444,6 +447,7 @@ def main(argv=None) -> int:
         DimensionMismatch,
         ParseError,
         ValueError,
+        TypeError,
         KeyError,
         OSError,
         json.JSONDecodeError,

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import DEFAULT_TOL
-
 EQ, LE, GE = "==", "<=", ">="
 
 
@@ -224,8 +222,8 @@ def _float_phase(ineqs, free_vars):
 
     order = sorted(free_vars)
     cols = {v: j for j, v in enumerate(order)}
-    if not order:
-        return {} if all(float(rhs) >= -DEFAULT_TOL for _, rhs in ineqs) else None
+    if not order:  # every reduced row is a Fraction constant: decide it exactly
+        return _exact_phase(ineqs, free_vars)
     a_ub, b_ub = [], []
     for coeffs, rhs in ineqs:
         vec = [0.0] * len(order)

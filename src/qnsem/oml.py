@@ -1,6 +1,6 @@
 """Finite orthomodular lattices as explicit order tables: verification of the
-lattice laws, states via linear feasibility, two-valued homomorphisms, and
-the interval truth tables over an arbitrary lattice.
+lattice laws, states via linear feasibility, interval truth tables and, on a
+verified OML only, two-valued homomorphisms and legal valuations (states).
 
 Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
 orthogonality relation, which ``LatticeBindings`` (an ``nmatrix.Bindings``)
@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .feasibility import EQ, GE, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility
+from .feasibility import EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility
 from .formulas import Formula
 from .linalg import DEFAULT_TOL
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
@@ -215,9 +215,18 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
          for i, j in np.argwhere(leq & ~leq[np.ix_(ortho, ortho)].T))
     # every bound exists past the early return; inner[i, j] = j ^ i'
     inner = meet[:, ortho].T
-    fail(f"orthomodular law fails: {name(j)} != {name(i)} v ({name(j)} ^ {name(i)}')"
+    fail(f"orthomodular law fails: {name(j)} != {name(i)} v ({name(j)} ^ {name(ortho[i])})"
          for i, j in np.argwhere(leq & (np.take_along_axis(join, inner, axis=1) != idx)))
     return OmlReport(tuple(failures))
+
+
+def _require_oml(l: FiniteOML) -> None:
+    """The precondition of the two-valued and legal-valuation searches."""
+    for kind in ("meet", "join"):
+        l.bound_table(kind)
+    report = verify_oml(l, max_failures=1)
+    if not report.ok:
+        raise ValueError(f"not an orthomodular lattice: {report.failures[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +513,7 @@ def find_two_valued_valuation(
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    for kind in ("meet", "join"):  # a missing bound names its pair
-        l.bound_table(kind)
-    report = verify_oml(l, max_failures=1)
-    if not report.ok:
-        raise ValueError(f"not an orthomodular lattice: {report.failures[0]}")
+    _require_oml(l)
     # an atom's column of leq holds bottom and itself only
     atoms = l.leq[l.leq.sum(axis=0) == 2]
     rows = atoms[(atoms | atoms[:, l.ortho]).all(axis=1)]
@@ -598,11 +603,17 @@ def legal_valuation_search(
     """Search for a [0,1] valuation legal for the lattice tables.
 
     The rows encode ``quantum_nmatrix(alpha)``, whose tables do not depend
-    on alpha; other matrices are refused.  The rows of
-    :func:`state_constraints` cover negation and the orthogonal disjunction
-    cell; the orthogonal conjunction cell adds an equality and the interval
-    cells their bounding inequalities.  ``partial`` pins chosen elements and
-    ``extra_rows`` lets callers inject additional constraints.
+    on alpha; other matrices are refused.  ``partial`` pins chosen elements
+    and ``extra_rows`` lets callers inject additional constraints.
+
+    Precondition as for :func:`find_two_valued_valuation`.  On an OML the
+    legal valuations are exactly the states, so the rows are those of
+    :func:`state_constraints`.  Orthogonal a, b have a ^ b <= b' ^ b = 0,
+    so their conjunction cell is the ``bottom`` row.  The interval cells
+    say mu is monotone: a <= c gives c = a v (c ^ a') with a orthogonal to
+    c ^ a', so mu(c) = mu(a) + mu(c ^ a') >= mu(a) by additivity and the
+    box.  Conversely, legality gives mu(0) = mu(a ^ a') = 0, the complement
+    rows, and additivity on orthogonal pairs.
     """
     if m.tables != quantum_nmatrix(m.alpha).tables:
         raise ValueError(
@@ -610,27 +621,13 @@ def legal_valuation_search(
         )
     if exact is None:
         exact = len(l) <= EXACT_SOLVER_LIMIT
-    partial = dict(partial or {})
-    for e, v in partial.items():
+    _require_oml(l)
+    names, rows = state_constraints(l)
+    for e, v in (partial or {}).items():
         if e not in l.index:
             raise ValueError(f"unknown element {e!r} in partial assignment")
         if not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
-    meet, join = l.bound_table("meet"), l.bound_table("join")
-    names, rows = state_constraints(l)
-    n = len(names)
-    for i in range(n):
-        for j in range(i + 1, n):
-            jj, mm = join[i, j], meet[i, j]
-            if l.leq[i, l.ortho[j]]:
-                rows.append(make_row({names[mm]: 1}, EQ, 0, f"and-zero:{names[i]}|{names[j]}"))
-            else:
-                for low, high in ((names[i], names[jj]), (names[j], names[jj]),
-                                  (names[mm], names[i]), (names[mm], names[j])):
-                    if low == high:
-                        continue
-                    rows.append(make_row({high: 1, low: -1}, GE, 0, f"bound:{low}<={high}"))
-    for e, v in partial.items():
         pin = Fraction(v).limit_denominator(10**9) if isinstance(v, float) else Fraction(v)
         rows.append(make_row({e: 1}, EQ, pin, f"pin:{e}"))
     rows.extend(extra_rows)

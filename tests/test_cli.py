@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnsem import fixtures, hilbert
+from qnsem import fixtures, hilbert, oml
 from qnsem.cli import main
 from qnsem.formulas import parse, render
 from qnsem.nmatrix import classical_matrix, three_valued_matrix
@@ -215,8 +215,6 @@ def test_ks_commands(capsys, write_json):
 
 
 def test_oml_commands(capsys, write_json):
-    from qnsem import oml
-
     mo2 = write_json("mo2.json", oml.mo2().to_json())
     code, out, _ = run(capsys, "oml", "verify", mo2)
     assert code == 0 and "verified" in out
@@ -240,8 +238,6 @@ def test_oml_greechie_and_nostate(capsys, write_json):
 
 
 def test_broken_lattice_exit(capsys, write_json):
-    from qnsem import oml
-
     broken = write_json("broken.json", oml.chain_with_fixed_point().to_json())
     code, out, _ = run(capsys, "oml", "verify", broken)
     assert code == 3 and "NOT an orthomodular lattice" in out
@@ -359,6 +355,39 @@ def test_json_output_mode(capsys, write_json):
     code, out, _ = run(capsys, "--format", "json", "ks", "count", single)
     assert code == 0
     assert json.loads(out)["solutions"] == 3
+
+
+def _wrong_shape_argv(case, write_json):
+    """argv for a command that reads one JSON file of the wrong shape, with
+    every other input well formed."""
+    state, bind = _write_state_and_bindings(write_json)
+    matrix = write_json("matrix.json", classical_matrix().to_json())
+    family = fixtures.single_context_dim3().to_json()
+    family["vectors"]["e1"][0] = ["1", "0"]
+    lattice = oml.mo2().to_json()
+    lattice["elements"][1] = ["a"]
+    array = write_json("array.json", [1, 2])
+    return {
+        "ks-top-level-array": ["ks", "search", array],
+        "ks-string-vector-entry": ["ks", "search", write_json("family.json", family)],
+        "oml-list-element-name": ["oml", "verify", write_json("lattice.json", lattice)],
+        "eval-bind-array": ["eval", "--bind", array, "--state", state, "P"],
+        "eval-state-array": ["eval", "--bind", bind, "--state", array, "P"],
+        "consequence-matrix-array": ["consequence", "--matrix", array],
+        "consequence-gamma-number": ["consequence", "--matrix", matrix, "--gamma",
+                                     write_json("gamma.json", {"formulas": [1]})],
+        "rexpansion-map-array": ["rexpansion", "verify", "--m1", matrix, "--quantum", "--map", array],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "ks-top-level-array", "ks-string-vector-entry", "oml-list-element-name", "eval-bind-array",
+    "eval-state-array", "consequence-matrix-array", "consequence-gamma-number", "rexpansion-map-array",
+])
+def test_wrong_json_shape_is_an_input_error(capsys, write_json, case):
+    code, out, err = run(capsys, *_wrong_shape_argv(case, write_json))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

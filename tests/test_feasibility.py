@@ -68,6 +68,15 @@ def test_float_backend_agrees():
     assert not solve_feasibility(["x"], bad, exact=False).feasible
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("pin", [-1e-12, 1 + 1e-12])
+def test_pin_just_outside_the_box_is_infeasible(exact, pin):
+    # the pin leaves no free variable, so the box alone decides: both back
+    # ends must reject it exactly, with no tolerance
+    result = solve_feasibility(["x"], [make_row({"x": 1}, EQ, pin)], exact=exact)
+    assert not result.feasible and result.point is None
+
+
 @pytest.mark.parametrize("status", [1, 4])
 def test_float_phase_without_highs_verdict_solves_exactly(monkeypatch, status):
     # HiGHS stopping at its iteration limit (1) or on numerical trouble (4)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qnsem import fixtures, hilbert, oml
-from qnsem.feasibility import EQ, make_row
+from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
 from qnsem.formulas import And, Atom, Not, Or, render
 from qnsem.quantum import ProjectorBindings, adequate_restricted_tables, quantum_nmatrix
@@ -198,7 +198,7 @@ def verify_oml_oracle(l, max_failures=50):
                 if inner < 0 or join[i, inner] != j:
                     fail(
                         f"orthomodular law fails: {l.name(j)} != "
-                        f"{l.name(i)} v ({l.name(j)} ^ {l.name(i)}')"
+                        f"{l.name(i)} v ({l.name(j)} ^ {l.name(l.ortho[i])})"
                     )
     return tuple(failures)
 
@@ -258,6 +258,9 @@ def test_o6_fails_only_the_orthomodular_law():
     failures = oml.verify_oml(_o6()).failures
     assert failures and all(f.startswith("orthomodular law fails") for f in failures)
     assert "orthomodular law fails: b != a v (b ^ a')" in failures
+    # the complement is named by its element, not by priming a name
+    assert "orthomodular law fails: a' != b' v (a' ^ b)" in failures
+    assert not any("''" in f for f in failures)
 
 
 def test_json_roundtrip():
@@ -744,6 +747,78 @@ def test_valuation_search_rejects_other_tables():
     with pytest.raises(ValueError, match="neg1"):
         oml.legal_valuation_search(lattice, matrix, partial={"a": 0.6, "b": 0.6})
     assert oml.legal_valuation_search(lattice, quantum_nmatrix(0.8)).feasible
+
+
+def legal_rows_oracle(l):
+    """The rows the legal search built before it reduced to the state rows:
+    an ``and-zero:`` equality for every orthogonal pair and the interval
+    ``bound:`` inequalities for every other pair, on top of the state rows.
+    Kept as the reference the state rows must agree with."""
+    meet, join = l.bound_table("meet"), l.bound_table("join")
+    names, rows = oml.state_constraints(l)
+    n = len(names)
+    for i in range(n):
+        for j in range(i + 1, n):
+            jj, mm = join[i, j], meet[i, j]
+            if l.leq[i, l.ortho[j]]:
+                rows.append(make_row({names[mm]: 1}, EQ, 0, f"and-zero:{names[i]}|{names[j]}"))
+            else:
+                for low, high in ((names[i], names[jj]), (names[j], names[jj]),
+                                  (names[mm], names[i]), (names[mm], names[j])):
+                    if low == high:
+                        continue
+                    rows.append(make_row({high: 1, low: -1}, GE, 0, f"bound:{low}<={high}"))
+    return names, rows
+
+
+def _pin_sets(l):
+    """(label, pins, feasible): none, one atom-like element at 1/3, an
+    orthogonal pair overloaded past 1, and where the lattice has one a
+    comparable pair x < y with mu(x) > mu(y)."""
+    inner = [i for i in range(len(l)) if i not in (l.bottom, l.top)]
+    x, y = next((i, j) for i in inner for j in inner if i != j and l.leq[i, l.ortho[j]])
+    sets = [
+        ("none", {}, True),
+        ("one", {l.name(inner[0]): Fraction(1, 3)}, True),
+        ("orthogonal-overload", {l.name(x): Fraction(3, 5), l.name(y): Fraction(3, 5)}, False),
+    ]
+    below = [(i, j) for i in inner for j in inner if i != j and l.leq[i, j]]
+    if below:
+        x, y = below[0]
+        sets.append(("order-reversed", {l.name(x): Fraction(3, 4), l.name(y): Fraction(1, 4)}, False))
+    return sets
+
+
+def test_legal_search_matches_the_interval_row_oracle():
+    matrix = quantum_nmatrix(1.0)
+    lattices = (
+        [oml.boolean_lattice(n) for n in (2, 3, 4, 5)]
+        + [_mo(n) for n in range(2, 9)]
+        + [_greechie_chain(k) for k in (2, 3, 8)]
+    )
+    seen = Counter()
+    for lattice in lattices:
+        names, oracle_rows = legal_rows_oracle(lattice)
+        for label, pins, feasible in _pin_sets(lattice):
+            pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+            for exact in (True, False):
+                result = oml.legal_valuation_search(lattice, matrix, partial=pins, exact=exact)
+                oracle = solve_feasibility(names, oracle_rows + pin_rows, exact=exact)
+                assert result.feasible == oracle.feasible == feasible, (len(lattice), label, exact)
+                seen[label, exact] += 1
+                if feasible:
+                    residual = check_point(oracle_rows + pin_rows, result.point)
+                    assert residual == 0.0 if exact else residual <= 1e-9, (len(lattice), label, exact)
+    assert seen["order-reversed", True] == 6  # Boolean 2^3..2^5 and the three chains
+
+
+@pytest.mark.parametrize("build", [oml.chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
+def test_legal_search_refuses_a_non_orthomodular_lattice(build):
+    lattice = build()
+    first_law = oml.verify_oml(lattice).failures[0]
+    with pytest.raises(ValueError, match="not an orthomodular lattice") as info:
+        oml.legal_valuation_search(lattice, quantum_nmatrix(1.0))
+    assert str(info.value) == f"not an orthomodular lattice: {first_law}"
 
 
 def test_valuation_search_rejects_bad_partial():
