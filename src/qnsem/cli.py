@@ -109,8 +109,10 @@ def _load_state(path: str, tol: float):
 
 
 def _load_formulas(path: str) -> list:
-    obj = _load_json(path)
-    return [parse(text) for text in obj.get("formulas", [])]
+    texts = _load_json(path).get("formulas")
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError(f'{path}: expected {{"formulas": [<formula text>, ...]}}')
+    return [parse(text) for text in texts]
 
 
 def _format_ast(f) -> list[str]:

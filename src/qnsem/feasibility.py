@@ -218,12 +218,12 @@ def _exact_phase(ineqs, free_vars):
 
 
 def _float_phase(ineqs, free_vars):
-    from scipy.optimize import linprog
-
     order = sorted(free_vars)
-    cols = {v: j for j, v in enumerate(order)}
     if not order:  # every reduced row is a Fraction constant: decide it exactly
         return _exact_phase(ineqs, free_vars)
+    from scipy.optimize import linprog
+
+    cols = {v: j for j, v in enumerate(order)}
     a_ub, b_ub = [], []
     for coeffs, rhs in ineqs:
         vec = [0.0] * len(order)

@@ -19,12 +19,14 @@ Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): constructing a node whose structure already exists
 returns the existing object.  Formula identity is therefore object identity
 of interned nodes: ``==`` and ``hash`` are the identity ones, O(1) at any
-depth.  The intern table keys a compound by its connective and its
-children's ids and holds weak references only; a node leaves it when it is
-garbage-collected.  The table is not locked, so formulas are built by one
-thread at a time (qnsem starts no threads).  Nothing here recurses over a
-formula (parse, render, closure and the node methods use explicit stacks),
-so there is no depth limit.
+depth.  The intern table keys an atom by its name, a negation by the
+tuple ``(child,)`` and a conjunction or disjunction by ``(left, right,
+tag)``; tuples of identity-hashed nodes are cheap to build and to hash.
+The table holds weak references to the nodes only; a node leaves it, key
+and all, when it is garbage-collected.  The table is not locked, so
+formulas are built by one thread at a time (qnsem starts no threads).
+Nothing here recurses over a formula (parse, render, closure and the node
+methods use explicit stacks), so there is no depth limit.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class _Ref(weakref.ref):
 
 
 #: structure key -> weak reference to the one node with that structure.  An
-#: atom's key is its name; a compound's is one int packing its children's ids
-#: and a connective tag, (id(left) << 64 | id(right)) << 2 | tag.  The ids
-#: stay valid because a node keeps its children alive while its entry exists.
+#: atom's key is its name, a negation's ``(child,)`` and a binary node's
+#: ``(left, right, tag)``.  A key holds the children only as long as the
+#: node, which holds them too: ``_drop`` deletes the entry when the node dies.
 _TABLE: dict[object, _Ref] = {}
 
 
@@ -102,7 +104,7 @@ class Not(_Node):
     _level = 3
 
     def __new__(cls, child: "Formula"):
-        key = id(child) << 2 | 1
+        key = (child,)
         ref = _TABLE.get(key)
         if ref is not None:
             node = ref()
@@ -121,7 +123,7 @@ class _Binary(_Node):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: "Formula", right: "Formula"):
-        key = (id(left) << 64 | id(right)) << 2 | cls._tag
+        key = (left, right, cls._tag)
         ref = _TABLE.get(key)
         if ref is not None:
             node = ref()
@@ -169,18 +171,22 @@ class ParseError(ValueError):
         )
 
 
-_ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
+_ALIASES = str.maketrans("¬∧∨", "!&|")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]")
+_NO_UNARY = frozenset(("&", "|", ")", ""))  # tokens that cannot start a unary
 
 
 def _tokenize(text: str):
+    """(kind, offset[, name]) per token and a final ("end", len(text)); raises
+    at the first character that starts no token.  Only errors need it."""
     tokens = []
+    ascii_text = str.translate(text, _ALIASES)
     i = 0
     while i < len(text):
-        c = text[i]
+        c = ascii_text[i]
         if c.isspace():
             i += 1
             continue
-        c = _ALIASES.get(c, c)
         if c in "!&|()":
             tokens.append((c, i))
             i += 1
@@ -195,11 +201,26 @@ def _tokenize(text: str):
     return tokens
 
 
+def _syntax_error(text: str, k: int, expected: tuple[str, ...]) -> ParseError:
+    return ParseError(text, _tokenize(text)[k][1], expected)
+
+
 def parse(text: str) -> Formula:
     """Recursive descent over the grammar above, run on an explicit stack:
     each open parenthesis saves the enclosing disjunction and conjunction
-    built so far and the negations that wait for the group."""
-    tokens = _tokenize(text)
+    built so far and the negations that wait for the group.
+
+    The tokens are plain strings from one ``findall``, with ``""`` for the
+    end.  The aliases map one character to one, so every offset stays put,
+    and the tokens cover the text exactly when they join to its
+    non-whitespace characters.  Offsets are looked up, by ``_tokenize``,
+    only for an error."""
+    ascii_text = str.translate(text, _ALIASES)  # a TypeError for a non-string
+    tokens = _TOKEN_RE.findall(ascii_text)
+    if "".join(tokens) != "".join(ascii_text.split()):
+        _tokenize(text)  # raises at the first character that starts no token
+    tokens.append("")
+    interned = _TABLE.get
     groups = []  # (disjunction, conjunction, negations) outside each open '('
     disj = conj = None
     nots = 0
@@ -208,38 +229,40 @@ def parse(text: str) -> Formula:
         # unary := '!' unary | atom | '(' or ')'
         tok = tokens[pos]
         pos += 1
-        kind = tok[0]
-        if kind == "!":
+        if tok == "!":
             nots += 1
             continue
-        if kind == "(":
+        if tok == "(":
             groups.append((disj, conj, nots))
             disj = conj = None
             nots = 0
             continue
-        if kind != "atom":
-            raise ParseError(text, tok[1], ("atom", "'!'", "'('"))
-        unary = Atom(tok[2])
+        if tok in _NO_UNARY:
+            raise _syntax_error(text, pos - 1, ("atom", "'!'", "'('"))
+        ref = interned(tok)
+        unary = None if ref is None else ref()
+        if unary is None:
+            unary = Atom(tok)
         # a unary is complete: negate it, fold it into the conjunction, and
         # close every group that ends here
         while True:
             for _ in range(nots):
                 unary = Not(unary)
             conj = unary if conj is None else And(conj, unary)
-            kind = tokens[pos][0]
-            if kind == "&":
+            tok = tokens[pos]
+            if tok == "&":
                 break
-            if kind == "|":
+            if tok == "|":
                 disj = conj if disj is None else Or(disj, conj)
                 conj = None
                 break
             unary = conj if disj is None else Or(disj, conj)
             if not groups:
-                if kind != "end":
-                    raise ParseError(text, tokens[pos][1], ("end of input", "'&'", "'|'"))
+                if tok:
+                    raise _syntax_error(text, pos, ("end of input", "'&'", "'|'"))
                 return unary
-            if kind != ")":
-                raise ParseError(text, tokens[pos][1], ("')'",))
+            if tok != ")":
+                raise _syntax_error(text, pos, ("')'",))
             pos += 1
             disj, conj, nots = groups.pop()
         pos += 1  # past the '&' or '|'

@@ -376,13 +376,22 @@ def _wrong_shape_argv(case, write_json):
         "consequence-matrix-array": ["consequence", "--matrix", array],
         "consequence-gamma-number": ["consequence", "--matrix", matrix, "--gamma",
                                      write_json("gamma.json", {"formulas": [1]})],
+        # a misspelled key is no empty premise list, and a string is no list
+        # of its letters
+        "consequence-gamma-missing-key": ["consequence", "--matrix", matrix, "--gamma",
+                                          write_json("misspelt.json", {"formula": ["Q"]}),
+                                          "--delta", write_json("p.json", {"formulas": ["P"]})],
+        "consequence-gamma-string": ["consequence", "--matrix", matrix, "--gamma",
+                                     write_json("string.json", {"formulas": "PQ"}),
+                                     "--delta", write_json("pq.json", {"formulas": ["P & Q"]})],
         "rexpansion-map-array": ["rexpansion", "verify", "--m1", matrix, "--quantum", "--map", array],
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "ks-top-level-array", "ks-string-vector-entry", "oml-list-element-name", "eval-bind-array",
-    "eval-state-array", "consequence-matrix-array", "consequence-gamma-number", "rexpansion-map-array",
+    "eval-state-array", "consequence-matrix-array", "consequence-gamma-number",
+    "consequence-gamma-missing-key", "consequence-gamma-string", "rexpansion-map-array",
 ])
 def test_wrong_json_shape_is_an_input_error(capsys, write_json, case):
     code, out, err = run(capsys, *_wrong_shape_argv(case, write_json))

@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +80,26 @@ def test_pin_just_outside_the_box_is_infeasible(exact, pin):
     # ends must reject it exactly, with no tolerance
     result = solve_feasibility(["x"], [make_row({"x": 1}, EQ, pin)], exact=exact)
     assert not result.feasible and result.point is None
+
+
+def test_float_solve_with_no_free_variable_does_not_import_scipy():
+    # the pin leaves nothing for HiGHS to solve, so the float back end must
+    # answer without paying for the scipy import; a fresh interpreter shows
+    # what it loads
+    script = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from qnsem.feasibility import EQ, make_row, solve_feasibility\n"
+        "r = solve_feasibility(['x'], [make_row({'x': 1}, EQ, Fraction(1, 2))], exact=False)\n"
+        "print(json.dumps([r.feasible, r.point, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    feasible, point, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert feasible and point == {"x": 0.5}
+    assert scipy_modules == []
 
 
 @pytest.mark.parametrize("status", [1, 4])

@@ -116,20 +116,49 @@ import copy
 import gc
 import pickle
 import random
+import re
 import sys
 from pathlib import Path
 
 from qnsem import formulas as formulas_mod
-from qnsem.formulas import _tokenize
 from qnsem.nmatrix import Bindings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's formula generators)
 
 
+_ORACLE_ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
+_ORACLE_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def tokenize_oracle(text):
+    """A character-by-character tokenizer that keeps every token's offset,
+    independent of the one ``parse`` falls back on for its errors."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        c = _ORACLE_ALIASES.get(c, c)
+        if c in "!&|()":
+            tokens.append((c, i))
+            i += 1
+            continue
+        m = _ORACLE_ATOM_RE.match(text, i)
+        if m:
+            tokens.append(("atom", i, m.group()))
+            i = m.end()
+            continue
+        raise ParseError(text, i, ("'!'", "'&'", "'|'", "'('", "')'", "atom"))
+    tokens.append(("end", len(text)))
+    return tokens
+
+
 def parse_oracle(text):
     """The recursive-descent parser the explicit-stack one replaced."""
-    tokens = _tokenize(text)
+    tokens = tokenize_oracle(text)
     pos = 0
 
     def peek():
@@ -287,7 +316,10 @@ def test_walkers_match_oracles_on_benchmark_generators():
 
 
 token_soup = st.lists(
-    st.sampled_from(["P", "Q", "x_1", "!", "&", "|", "(", ")", " ", "¬", "∧", "∨", "$", "1"]), max_size=30
+    st.sampled_from(
+        ["P", "Q", "x_1", "!", "&", "|", "(", ")", " ", "\t", "\x1c", "¬", "∧", "∨", "$", "1", "é", "_"]
+    ),
+    max_size=30,
 ).map("".join)
 
 
@@ -302,6 +334,12 @@ def test_parse_errors_match_recursive_oracle(text):
         assert (got.value.offset, got.value.expected, str(got.value)) == (err.offset, err.expected, str(err))
     else:
         assert parse(text) is expected
+
+
+@pytest.mark.parametrize("text", [1, None, b"P & Q"])
+def test_parse_refuses_a_non_string(text):
+    with pytest.raises(TypeError):
+        parse(text)
 
 
 def test_equal_structure_is_the_same_object():
@@ -328,6 +366,20 @@ def test_intern_table_holds_no_strong_references():
     kept = [And(Atom(f"fresh{i}"), Not(Atom(f"fresh{i + 1}"))) for i in range(10_000)]
     assert len(formulas_mod._TABLE) > baseline + 10_000
     del kept
+    gc.collect()
+    assert len(formulas_mod._TABLE) == baseline
+
+
+def test_intern_table_frees_a_deep_chain():
+    # a key holds its node's children: freeing the chain must free every
+    # entry, key and all
+    gc.collect()
+    baseline = len(formulas_mod._TABLE)
+    f = Atom("deep0")
+    for i in range(10_000):
+        f = Not(f) if i % 2 else And(f, Atom("deep1"))
+    assert len(formulas_mod._TABLE) == baseline + 10_002
+    del f
     gc.collect()
     assert len(formulas_mod._TABLE) == baseline
 
