@@ -1,23 +1,32 @@
 """Small-scale linear feasibility over variables boxed to [0,1].
 
 One exact presolve feeds two back ends.  The presolve runs Gaussian
-elimination on the equality rows in rational arithmetic, so inconsistency is
-detected exactly and comes with a row-combination certificate that can be
-re-verified by direct arithmetic.  Consistent systems drop to a phase-one
-feasibility problem over the remaining free variables, solved either exactly
-or by scipy's HiGHS.  The exact back end is Chvatal's single-auxiliary phase
-one with Bland's rule on the condensed tableau, in Fractions: one column per
-free variable plus the auxiliary, none per slack, so a pivot costs
-O(rows * free variables).  It imports no scipy.  HiGHS decides infeasibility
-only through its infeasible status; when it stops without a verdict (an
-iteration limit, numerical trouble), the same reduced system is solved
-exactly.
+elimination on the equality rows, so inconsistency is detected exactly and
+comes with a row-combination certificate that can be re-verified by direct
+arithmetic.  Consistent systems drop to a phase-one feasibility problem over
+the remaining free variables, solved either exactly or by scipy's HiGHS.
+The exact back end is Chvatal's single-auxiliary phase one with Bland's rule
+on the condensed tableau: one column per free variable plus the auxiliary,
+none per slack, so a pivot costs O(rows * free variables).  It imports no
+scipy.  HiGHS decides infeasibility only through its infeasible status; when
+it stops without a verdict (an iteration limit, numerical trouble), the same
+reduced system is solved exactly.
+
+The arithmetic is exact and runs on Python ints (never fixed-width numpy
+integers, which wrap).  The presolve keeps each row as integer numerators
+over one positive denominator; lattice state rows have 0/+-1 coefficients,
+so almost every pivot has denominator 1 and substitutes by int products.
+The reduced rows, the tableau and :func:`check_point` hold a number as an
+int where it is integral and as a ``Fraction`` only where it is not.
+``Row``, ``Certificate`` and exact points carry ``Fraction`` values; only
+their conversion at the boundary builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 EQ, LE, GE = "==", "<=", ">="
@@ -72,73 +81,140 @@ class FeasibilityResult:
     detail: str = ""
 
 
+def _canonical(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if x.__class__ is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(a, b):
+    """a / b, exactly; an int when it is integral."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _canonical(a / b)
+
+
+def _scaled(row: Row, var_index) -> tuple[dict[int, int], int, int]:
+    """The row as integer coefficients and right-hand side over one positive
+    denominator."""
+    den = lcm(row.rhs.denominator, *(c.denominator for _, c in row.coeffs))
+    coeffs: dict[int, int] = {}
+    for v, c in row.coeffs:
+        k = var_index[v]
+        coeffs[k] = coeffs.get(k, 0) + c.numerator * (den // c.denominator)
+    return coeffs, row.rhs.numerator * (den // row.rhs.denominator), den
+
+
+def _lowest_terms(expr: dict, rhs: int, combo: dict, den: int):
+    """The same pivot with its numerators and denominator divided by their gcd."""
+    g = gcd(den, rhs, *expr.values(), *combo.values())
+    if g == 1:
+        return expr, rhs, combo, den
+    return (
+        {v: c // g for v, c in expr.items()},
+        rhs // g,
+        {r: m // g for r, m in combo.items()},
+        den // g,
+    )
+
+
 def _presolve(variables: Sequence[str], rows: Sequence[Row]):
     """Exact elimination of the equality rows, tracking row combinations.
 
     Returns (pivots, var_index, certificate); pivots maps a variable index to
     (expression over free variable indices, constant, row combination), and a
     certificate replaces both when the equalities are inconsistent.
+
+    The elimination runs on integers: the working row and every pivot keep
+    integer numerators over one positive denominator (a pivot's in lowest
+    terms), so a pivot of denominator 1, the usual case, substitutes with
+    plain int products.  The pivots come out as ints where integral, else
+    Fractions.
     """
     var_index = {v: i for i, v in enumerate(variables)}
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction, dict[int, Fraction]]] = {}
+    # p -> (expr, rhs, combo, den): x_p = (rhs + sum expr[v] x_v) / den
+    pivots: dict[int, tuple[dict[int, int], int, dict[int, int], int]] = {}
     for i, row in enumerate(rows):
         if row.rel != EQ:
             continue
-        coeffs: dict[int, Fraction] = {}
-        for v, c in row.coeffs:
-            coeffs[var_index[v]] = coeffs.get(var_index[v], Fraction(0)) + c
-        rhs = row.rhs
-        combo = {i: Fraction(1)}
-        for p in sorted(set(coeffs) & set(pivots)):
+        coeffs, rhs, den = _scaled(row, var_index)
+        combo = {i: den}  # the working row is sum combo[r] * row r, over den
+        for p in sorted(coeffs.keys() & pivots.keys()):
             factor = coeffs.pop(p)
-            expr, prhs, pcombo = pivots[p]
+            expr, prhs, pcombo, pden = pivots[p]
+            if pden != 1:
+                coeffs = {v: c * pden for v, c in coeffs.items()}
+                combo = {r: m * pden for r, m in combo.items()}
+                rhs *= pden
+                den *= pden
             for v, c in expr.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) + factor * c
+                coeffs[v] = coeffs.get(v, 0) + factor * c
             rhs -= factor * prhs
             for r, m in pcombo.items():
-                combo[r] = combo.get(r, Fraction(0)) - factor * m
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        combo = {r: m for r, m in combo.items() if m != 0}
+                combo[r] = combo.get(r, 0) - factor * m
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        combo = {r: m for r, m in combo.items() if m}
         if not coeffs:
             if rhs != 0:
-                return None, None, Certificate(tuple(sorted(combo.items())), rhs)
+                multipliers = tuple(sorted((r, Fraction(m, den)) for r, m in combo.items()))
+                return None, None, Certificate(multipliers, Fraction(rhs, den))
             continue
         p = min(coeffs)
-        factor = coeffs.pop(p)
-        expr = {v: -c / factor for v, c in coeffs.items()}
-        prhs = rhs / factor
-        pcombo = {r: m / factor for r, m in combo.items()}
+        factor = coeffs.pop(p)  # the row's denominator cancels in x_p
+        if factor > 0:
+            expr, prhs, pcombo = {v: -c for v, c in coeffs.items()}, rhs, combo
+        else:
+            expr, prhs, pcombo = coeffs, -rhs, {r: -m for r, m in combo.items()}
+        pden = abs(factor)
+        if pden != 1:
+            expr, prhs, pcombo, pden = _lowest_terms(expr, prhs, pcombo, pden)
         for q in list(pivots):
-            qexpr, qrhs, qcombo = pivots[q]
+            qexpr, qrhs, qcombo, qden = pivots[q]
             if p not in qexpr:
                 continue
             f = qexpr.pop(p)
+            if pden != 1:
+                qexpr = {v: c * pden for v, c in qexpr.items()}
+                qcombo = {r: m * pden for r, m in qcombo.items()}
+                qrhs *= pden
+                qden *= pden
             for v, c in expr.items():
-                qexpr[v] = qexpr.get(v, Fraction(0)) + f * c
-            merged = dict(qcombo)
+                qexpr[v] = qexpr.get(v, 0) + f * c
             for r, m in pcombo.items():
-                merged[r] = merged.get(r, Fraction(0)) + f * m
-            pivots[q] = (
-                {v: c for v, c in qexpr.items() if c != 0},
+                qcombo[r] = qcombo.get(r, 0) + f * m
+            q_entry = (
+                {v: c for v, c in qexpr.items() if c},
                 qrhs + f * prhs,
-                {r: m for r, m in merged.items() if m != 0},
+                {r: m for r, m in qcombo.items() if m},
+                qden,
             )
-        pivots[p] = (expr, prhs, pcombo)
-    return pivots, var_index, None
+            pivots[q] = _lowest_terms(*q_entry) if qden != 1 else q_entry
+        pivots[p] = (expr, prhs, pcombo, pden)
+    return {p: _divided(*entry) for p, entry in pivots.items()}, var_index, None
 
 
-def _substitute(row: Row, pivots, var_index) -> tuple[dict[int, Fraction], Fraction]:
-    coeffs: dict[int, Fraction] = {}
-    for v, c in row.coeffs:
-        coeffs[var_index[v]] = coeffs.get(var_index[v], Fraction(0)) + c
-    rhs = row.rhs
-    for p in sorted(set(coeffs) & set(pivots)):
+def _divided(expr: dict, rhs: int, combo: dict, den: int):
+    """A pivot with every number divided by den: ints where integral."""
+    if den == 1:
+        return expr, rhs, combo
+    return (
+        {v: _quotient(c, den) for v, c in expr.items()},
+        _quotient(rhs, den),
+        {r: _quotient(m, den) for r, m in combo.items()},
+    )
+
+
+def _substitute(row: Row, pivots, var_index) -> tuple[dict[int, object], object]:
+    coeffs, rhs, den = _scaled(row, var_index)
+    for p in sorted(coeffs.keys() & pivots.keys()):
         factor = coeffs.pop(p)
         expr, prhs = pivots[p][0], pivots[p][1]
         for v, c in expr.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + factor * c
+            coeffs[v] = coeffs.get(v, 0) + factor * c
         rhs -= factor * prhs
-    return {v: c for v, c in coeffs.items() if c != 0}, rhs
+    return {v: _quotient(c, den) for v, c in coeffs.items() if c}, _quotient(rhs, den)
 
 
 def _exact_phase(ineqs, free_vars):
@@ -151,25 +227,25 @@ def _exact_phase(ineqs, free_vars):
     pivot of x0 into the most violated row makes the dictionary feasible;
     Bland's rule then lowers x0 until it reaches zero (feasible) or cannot
     fall further (infeasible).  Variables are ordered x0 < y < slacks, so on
-    ties x0 leaves first.  Returns a point over the free variable indices or
-    None.
+    ties x0 leaves first.  Entries are ints where integral, else Fractions.
+    Returns a point (Fractions) over the free variable indices or None.
     """
     order = sorted(free_vars)
     cols = {v: j for j, v in enumerate(order)}
     n = len(order)
-    tab: list[list[Fraction]] = []  # the last column is x0's, -1 in every row
-    rhs: list[Fraction] = []
+    tab: list[list] = []  # the last column is x0's, -1 in every row
+    rhs: list = []
     for coeffs, b in ineqs:
-        vec = [Fraction(0)] * n + [Fraction(-1)]
+        vec = [0] * n + [-1]
         for v, c in coeffs.items():
-            vec[cols[v]] = c
+            vec[cols[v]] = _canonical(c)
         tab.append(vec)
-        rhs.append(b)
+        rhs.append(_canonical(b))
     for j in range(n):  # upper bounds; lower bounds are nonnegativity
-        vec = [Fraction(0)] * n + [Fraction(-1)]
-        vec[j] = Fraction(1)
+        vec = [0] * n + [-1]
+        vec[j] = 1
         tab.append(vec)
-        rhs.append(Fraction(1))
+        rhs.append(1)
     if all(b >= 0 for b in rhs):
         return {v: Fraction(0) for v in order}
     if n == 0:
@@ -179,19 +255,19 @@ def _exact_phase(ineqs, free_vars):
     basic = list(range(n + 1, n + 1 + len(tab)))
 
     def pivot(r: int, s: int) -> None:
-        inv = 1 / tab[r][s]
-        prow = [c * inv for c in tab[r]]
+        inv = _quotient(1, tab[r][s])
+        prow = [_canonical(c * inv) for c in tab[r]]
         prow[s] = inv
-        prhs = rhs[r] * inv
+        prhs = _canonical(rhs[r] * inv)
         nonzero = [(j, c) for j, c in enumerate(prow) if c != 0 and j != s]
         for i, row in enumerate(tab):
             f = row[s]
             if i == r or f == 0:
                 continue
             for j, c in nonzero:
-                row[j] -= f * c
-            row[s] = -f * inv
-            rhs[i] -= f * prhs
+                row[j] = _canonical(row[j] - f * c)
+            row[s] = _canonical(-f * inv)
+            rhs[i] = _canonical(rhs[i] - f * prhs)
         tab[r], rhs[r] = prow, prhs
         basic[r], nonbasic[s] = nonbasic[s], basic[r]
 
@@ -205,7 +281,7 @@ def _exact_phase(ineqs, free_vars):
         s = min(entering, key=nonbasic.__getitem__)
         r = min(
             (i for i in range(len(tab)) if tab[i][s] > 0),
-            key=lambda i: (rhs[i] / tab[i][s], basic[i]),
+            key=lambda i: (_quotient(rhs[i], tab[i][s]), basic[i]),
         )
         pivot(r, s)
         if r == r0:
@@ -213,7 +289,7 @@ def _exact_phase(ineqs, free_vars):
     point = {v: Fraction(0) for v in order}
     for i, b in enumerate(basic):
         if 1 <= b <= n:
-            point[order[b - 1]] = rhs[i]
+            point[order[b - 1]] = Fraction(rhs[i])
     return point
 
 
@@ -258,7 +334,7 @@ def solve_feasibility(
             raise RuntimeError("presolve produced an unverifiable certificate")
         return FeasibilityResult(False, None, cert, "equality rows are inconsistent")
     free_vars = [i for i in range(len(variables)) if i not in pivots]
-    ineqs: list[tuple[dict[int, Fraction], Fraction]] = []
+    ineqs: list[tuple[dict[int, object], object]] = []
     for row in rows:
         if row.rel == EQ:
             continue
@@ -269,16 +345,17 @@ def solve_feasibility(
         if not coeffs:
             if rhs < 0:
                 return FeasibilityResult(
-                    False, None, None, f"row {row.label!r} reduces to 0 <= {rhs}"
+                    False, None, None, f"row {row.label!r} reduces to 0 <= {Fraction(rhs)}"
                 )
             continue
         ineqs.append((coeffs, rhs))
     for p, (expr, prhs, _combo) in pivots.items():
         ineqs.append(({v: -c for v, c in expr.items()}, prhs))  # pivot >= 0
-        ineqs.append((dict(expr), Fraction(1) - prhs))  # pivot <= 1
+        ineqs.append((dict(expr), 1 - prhs))  # pivot <= 1
     # exact duplicates add tableau rows and nothing else; in a lattice an
     # element and its complement reduce to the same pair of pivot bounds
-    unique: dict[tuple, tuple[dict[int, Fraction], Fraction]] = {}
+    # (an int and the equal Fraction hash and compare alike)
+    unique: dict[tuple, tuple[dict[int, object], object]] = {}
     for coeffs, rhs in ineqs:
         unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
     ineqs = list(unique.values())
@@ -290,10 +367,9 @@ def solve_feasibility(
         return FeasibilityResult(False, None, None, "bounded phase is infeasible")
     names = list(variables)
     point: dict[str, Fraction] = {names[v]: val for v, val in point_free.items()}
+    free_value = {v: _canonical(val) for v, val in point_free.items()}
     for p, (expr, prhs, _combo) in pivots.items():
-        point[names[p]] = prhs + sum(
-            (c * point_free[v] for v, c in expr.items()), Fraction(0)
-        )
+        point[names[p]] = Fraction(prhs + sum(c * free_value[v] for v, c in expr.items()))
     if not exact:
         return FeasibilityResult(True, {k: float(v) for k, v in point.items()}, None)
     return FeasibilityResult(True, point, None)
@@ -301,16 +377,30 @@ def solve_feasibility(
 
 def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
     """Maximum constraint violation at the point; exactly 0.0 for rational
-    points satisfying every row."""
-    frac_point = {k: Fraction(v) if not isinstance(v, float) else Fraction(v).limit_denominator(10**15) for k, v in point.items()}
-    worst = Fraction(0)
-    for row in rows:
-        val = row.evaluate(frac_point)
-        gap = val - row.rhs
-        if row.rel == EQ:
-            worst = max(worst, abs(gap))
-        elif row.rel == LE:
-            worst = max(worst, max(Fraction(0), gap))
+    points satisfying every row.
+
+    A float coordinate is read as its nearest fraction with denominator at
+    most 10**15; every sum is exact.
+    """
+    as_fraction: dict[float, object] = {}  # points repeat few float values
+    value: dict[str, object] = {}
+    for k, v in point.items():
+        if isinstance(v, float):
+            x = as_fraction.get(v)
+            if x is None:
+                x = as_fraction[v] = _canonical(Fraction(v).limit_denominator(10**15))
         else:
-            worst = max(worst, max(Fraction(0), -gap))
+            x = v if v.__class__ is int else _canonical(Fraction(v))
+        value[k] = x
+    worst = 0
+    for row in rows:
+        gap = -_canonical(row.rhs)
+        for v, c in row.coeffs:
+            gap += (c.numerator if c.denominator == 1 else c) * value[v]
+        if row.rel == EQ:
+            gap = abs(gap)
+        elif row.rel != LE:
+            gap = -gap
+        if gap > worst:
+            worst = gap
     return float(worst)

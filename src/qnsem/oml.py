@@ -409,6 +409,16 @@ def from_projectors(named: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL,
 # states
 
 
+# the row coefficients, shared: a Fraction is immutable
+_COEFF = {c: Fraction(c) for c in (-1, 0, 1, 2)}
+
+
+def _state_row(coeffs: dict[str, int], rhs: int, label: str) -> Row:
+    """The equality row ``make_row(coeffs, EQ, rhs, label)`` builds."""
+    cleaned = tuple(sorted((v, _COEFF[c]) for v, c in coeffs.items() if c))
+    return Row(cleaned, EQ, _COEFF[rhs], label)
+
+
 def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     """Variables and equality rows a state must satisfy: bottom and top are
     pinned, complements sum to one, orthogonal pairs add along their join.
@@ -418,29 +428,22 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     by induction through (a v b) orthogonal to c.
     """
     # only the joins of orthogonal pairs i < j are read
-    join = l.bound_table("join", np.triu(l.leq[:, l.ortho], 1))
+    orthogonal = np.triu(l.leq[:, l.ortho], 1)
+    join = l.bound_table("join", orthogonal)
     names = list(l.elements)
     rows: list[Row] = [
-        make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
-        make_row({names[l.top]: 1}, EQ, 1, "top"),
+        _state_row({names[l.bottom]: 1}, 0, "bottom"),
+        _state_row({names[l.top]: 1}, 1, "top"),
     ]
-    n = len(names)
-    for i in range(n):
-        oi = l.ortho[i]
+    for i, oi in enumerate(l.ortho.tolist()):
         if i <= oi:
-            rows.append(
-                make_row({names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2},
-                         EQ, 1, f"complement:{names[i]}")
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not l.leq[i, l.ortho[j]]:
-                continue
-            jj = join[i, j]
-            coeffs = {names[jj]: Fraction(1)}
-            coeffs[names[i]] = coeffs.get(names[i], Fraction(0)) - 1
-            coeffs[names[j]] = coeffs.get(names[j], Fraction(0)) - 1
-            rows.append(make_row(coeffs, EQ, 0, f"additivity:{names[i]}|{names[j]}"))
+            coeffs = {names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2}
+            rows.append(_state_row(coeffs, 1, f"complement:{names[i]}"))
+    for i, j in zip(*(a.tolist() for a in np.nonzero(orthogonal))):
+        coeffs = {names[join[i, j]]: 1}
+        coeffs[names[i]] = coeffs.get(names[i], 0) - 1
+        coeffs[names[j]] = coeffs.get(names[j], 0) - 1
+        rows.append(_state_row(coeffs, 0, f"additivity:{names[i]}|{names[j]}"))
     return names, rows
 
 
@@ -480,7 +483,7 @@ def verify_general_state(l: FiniteOML, mu: Mapping[str, object], tol: float = DE
         raise ValueError(f"state misses elements {sorted(missing)[:5]}")
     for e in names:
         v = float(mu[e])
-        if v < -tol or v > 1 + tol:
+        if not -tol <= v <= 1 + tol:  # NaN fails both comparisons
             raise ValueError(f"state value out of range at {e!r}: {v}")
     return check_point(rows, mu)
 

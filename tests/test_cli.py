@@ -19,6 +19,9 @@ from qnsem.formulas import parse, render
 from qnsem.nmatrix import classical_matrix, three_valued_matrix
 from qnsem.quantum import three_valued_collapse
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import known  # noqa: E402  (the benchmark's lattice builders)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -102,19 +105,21 @@ def test_witness_dynamic(capsys):
     assert "1/4 != 1/8" in out
 
 
-def _write_state_and_bindings(write_json):
+def _state_and_bindings_json():
     e = [hilbert.basis_vector(3, i) for i in range(3)]
     phi = (e[0] + e[1]) / np.sqrt(2)
     rho = np.outer(e[1], e[1].conj())
-    state = write_json("state.json", hilbert.operator_to_json(rho, "density"))
-    bind = write_json(
-        "bind.json",
-        {
-            "P": hilbert.operator_to_json(hilbert.projector_from_span([e[0]]), "projector"),
-            "Q": hilbert.operator_to_json(hilbert.projector_from_span([phi]), "projector"),
-        },
-    )
+    state = hilbert.operator_to_json(rho, "density")
+    bind = {
+        "P": hilbert.operator_to_json(hilbert.projector_from_span([e[0]]), "projector"),
+        "Q": hilbert.operator_to_json(hilbert.projector_from_span([phi]), "projector"),
+    }
     return state, bind
+
+
+def _write_state_and_bindings(write_json):
+    state, bind = _state_and_bindings_json()
+    return write_json("state.json", state), write_json("bind.json", bind)
 
 
 def test_eval(capsys, write_json):
@@ -322,6 +327,36 @@ def test_demo_json_pin(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == pin, seed
 
 
+def _benchmark_boolean_7():
+    data = known.boolean(7)
+    return oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1").to_json()
+
+
+# name -> (lattice JSON builder, extra argv, exit code, sha256 of the output)
+FIND_STATE_PINS = {
+    "boolean-2^3": (lambda: oml.boolean_lattice(3).to_json(), [], 0,
+                    "6bf704902fec55a0210ccf34085cfe2fd0b6e33db74e5f88a36c903271807f5c"),
+    "MO2": (lambda: oml.mo2().to_json(), [], 0,
+            "034e58ef21da9294384e98cfe83cd789ddf875a0f5c610985a81869983cf78e6"),
+    # 128 elements: the float back end by default
+    "boolean-2^7": (_benchmark_boolean_7, [], 0,
+                    "53d9563a4005fb97abff36fa4942a13526ab99811e1f0708cf8da85cd0729cf5"),
+    # no state: the certificate's rows and multipliers
+    "state-free": (fixtures.nostate_greechie, ["--exact"], 3,
+                   "e69155f16b007eb3c77dfd449a28550ecacbe585d957e5240f96ec27e8fdc002"),
+}
+
+
+@pytest.mark.parametrize("name", list(FIND_STATE_PINS))
+def test_find_state_json_pin(capsys, write_json, name):
+    # the state, residual, detail and certificate the solver prints, byte
+    # for byte: any change to a pivot, a ratio tie or a number moves them
+    build, extra, want, pin = FIND_STATE_PINS[name]
+    code, out, _ = run(capsys, "--format", "json", "oml", "find-state", write_json("l.json", build()), *extra)
+    assert code == want
+    assert hashlib.sha256(out.encode()).hexdigest() == pin, name
+
+
 def test_tol_flag(capsys, write_json):
     # --tol reaches eval: a projector off by 1e-7 passes only at --tol 1e-6;
     # main leaves the environment as it found it
@@ -357,44 +392,65 @@ def test_json_output_mode(capsys, write_json):
     assert json.loads(out)["solutions"] == 3
 
 
-def _wrong_shape_argv(case, write_json):
-    """argv for a command that reads one JSON file of the wrong shape, with
-    every other input well formed."""
-    state, bind = _write_state_and_bindings(write_json)
-    matrix = write_json("matrix.json", classical_matrix().to_json())
+def _family_with_string_entry():
     family = fixtures.single_context_dim3().to_json()
     family["vectors"]["e1"][0] = ["1", "0"]
+    return family
+
+
+def _lattice_with_list_name():
     lattice = oml.mo2().to_json()
     lattice["elements"][1] = ["a"]
-    array = write_json("array.json", [1, 2])
-    return {
-        "ks-top-level-array": ["ks", "search", array],
-        "ks-string-vector-entry": ["ks", "search", write_json("family.json", family)],
-        "oml-list-element-name": ["oml", "verify", write_json("lattice.json", lattice)],
-        "eval-bind-array": ["eval", "--bind", array, "--state", state, "P"],
-        "eval-state-array": ["eval", "--bind", bind, "--state", array, "P"],
-        "consequence-matrix-array": ["consequence", "--matrix", array],
-        "consequence-gamma-number": ["consequence", "--matrix", matrix, "--gamma",
-                                     write_json("gamma.json", {"formulas": [1]})],
-        # a misspelled key is no empty premise list, and a string is no list
-        # of its letters
-        "consequence-gamma-missing-key": ["consequence", "--matrix", matrix, "--gamma",
-                                          write_json("misspelt.json", {"formula": ["Q"]}),
-                                          "--delta", write_json("p.json", {"formulas": ["P"]})],
-        "consequence-gamma-string": ["consequence", "--matrix", matrix, "--gamma",
-                                     write_json("string.json", {"formulas": "PQ"}),
-                                     "--delta", write_json("pq.json", {"formulas": ["P & Q"]})],
-        "rexpansion-map-array": ["rexpansion", "verify", "--m1", matrix, "--quantum", "--map", array],
-    }[case]
+    return lattice
 
 
-@pytest.mark.parametrize("case", [
-    "ks-top-level-array", "ks-string-vector-entry", "oml-list-element-name", "eval-bind-array",
-    "eval-state-array", "consequence-matrix-array", "consequence-gamma-number",
-    "consequence-gamma-missing-key", "consequence-gamma-string", "rexpansion-map-array",
-])
-def test_wrong_json_shape_is_an_input_error(capsys, write_json, case):
-    code, out, err = run(capsys, *_wrong_shape_argv(case, write_json))
+# case -> builder of the argv for a command that reads one JSON file of the
+# wrong shape, with every other input well formed; a builder takes
+# write_json and writes only its own case's files
+_WRONG_SHAPE_CASES = {
+    "ks-top-level-array": lambda w: ["ks", "search", w("ks-array.json", [1, 2])],
+    "ks-string-vector-entry": lambda w: ["ks", "search", w("family.json", _family_with_string_entry())],
+    "oml-list-element-name": lambda w: ["oml", "verify", w("lattice.json", _lattice_with_list_name())],
+    "eval-bind-array": lambda w: ["eval", "--bind", w("bind-array.json", [1, 2]),
+                                  "--state", w("state.json", _state_and_bindings_json()[0]), "P"],
+    "eval-state-array": lambda w: ["eval", "--bind", w("bind.json", _state_and_bindings_json()[1]),
+                                   "--state", w("state-array.json", [1, 2]), "P"],
+    "consequence-matrix-array": lambda w: ["consequence", "--matrix", w("matrix-array.json", [1, 2])],
+    "consequence-gamma-number": lambda w: ["consequence", "--matrix", w("matrix.json", classical_matrix().to_json()),
+                                           "--gamma", w("gamma.json", {"formulas": [1]})],
+    # a misspelled key is no empty premise list, and a string is no list
+    # of its letters
+    "consequence-gamma-missing-key": lambda w: [
+        "consequence", "--matrix", w("misspelt-matrix.json", classical_matrix().to_json()),
+        "--gamma", w("misspelt.json", {"formula": ["Q"]}), "--delta", w("p.json", {"formulas": ["P"]}),
+    ],
+    "consequence-gamma-string": lambda w: [
+        "consequence", "--matrix", w("string-matrix.json", classical_matrix().to_json()),
+        "--gamma", w("string.json", {"formulas": "PQ"}), "--delta", w("pq.json", {"formulas": ["P & Q"]}),
+    ],
+    "rexpansion-map-array": lambda w: ["rexpansion", "verify", "--m1", w("m1.json", classical_matrix().to_json()),
+                                       "--quantum", "--map", w("map-array.json", [1, 2])],
+}
+
+
+def test_wrong_shape_cases_write_distinct_files():
+    # a file name two cases shared would hold whichever case wrote it last
+    owner = {}
+    for case, build in _WRONG_SHAPE_CASES.items():
+        written = []
+        build(lambda name, obj: written.append(name) or name)
+        assert written
+        for name in written:
+            assert owner.setdefault(name, case) == case, (name, owner[name], case)
+
+
+@pytest.mark.parametrize("case", list(_WRONG_SHAPE_CASES))
+def test_wrong_json_shape_is_an_input_error(capsys, write_json, tmp_path, case):
+    argv = _WRONG_SHAPE_CASES[case](write_json)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        Path(a).name for a in argv if a.endswith(".json")
+    )
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 

@@ -4,12 +4,20 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qnsem.feasibility import EQ, GE, LE, check_point, make_row, solve_feasibility
+from qnsem import feasibility, oml
+from qnsem.feasibility import EQ, GE, LE, Certificate, FeasibilityResult, check_point, make_row, solve_feasibility
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import known  # noqa: E402  (the benchmark's lattice builders)
+import workloads  # noqa: E402
 
 
 def test_simple_feasible_system():
@@ -213,3 +221,367 @@ def test_check_point_reports_violation():
 def test_make_row_validation():
     with pytest.raises(ValueError, match="relation"):
         make_row({"x": 1}, "<", 0)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction solver the integer arithmetic replaced, kept as the reference:
+# every decision (pivot per row, Bland's entering and leaving choice, ratio
+# ties, the duplicate filter) and every number must come out the same
+
+
+def reference_presolve(variables, rows):
+    var_index = {v: i for i, v in enumerate(variables)}
+    pivots = {}
+    for i, row in enumerate(rows):
+        if row.rel != EQ:
+            continue
+        coeffs = {}
+        for v, c in row.coeffs:
+            coeffs[var_index[v]] = coeffs.get(var_index[v], Fraction(0)) + c
+        rhs = row.rhs
+        combo = {i: Fraction(1)}
+        for p in sorted(set(coeffs) & set(pivots)):
+            factor = coeffs.pop(p)
+            expr, prhs, pcombo = pivots[p]
+            for v, c in expr.items():
+                coeffs[v] = coeffs.get(v, Fraction(0)) + factor * c
+            rhs -= factor * prhs
+            for r, m in pcombo.items():
+                combo[r] = combo.get(r, Fraction(0)) - factor * m
+        coeffs = {v: c for v, c in coeffs.items() if c != 0}
+        combo = {r: m for r, m in combo.items() if m != 0}
+        if not coeffs:
+            if rhs != 0:
+                return None, None, Certificate(tuple(sorted(combo.items())), rhs)
+            continue
+        p = min(coeffs)
+        factor = coeffs.pop(p)
+        expr = {v: -c / factor for v, c in coeffs.items()}
+        prhs = rhs / factor
+        pcombo = {r: m / factor for r, m in combo.items()}
+        for q in list(pivots):
+            qexpr, qrhs, qcombo = pivots[q]
+            if p not in qexpr:
+                continue
+            f = qexpr.pop(p)
+            for v, c in expr.items():
+                qexpr[v] = qexpr.get(v, Fraction(0)) + f * c
+            merged = dict(qcombo)
+            for r, m in pcombo.items():
+                merged[r] = merged.get(r, Fraction(0)) + f * m
+            pivots[q] = (
+                {v: c for v, c in qexpr.items() if c != 0},
+                qrhs + f * prhs,
+                {r: m for r, m in merged.items() if m != 0},
+            )
+        pivots[p] = (expr, prhs, pcombo)
+    return pivots, var_index, None
+
+
+def reference_substitute(row, pivots, var_index):
+    coeffs = {}
+    for v, c in row.coeffs:
+        coeffs[var_index[v]] = coeffs.get(var_index[v], Fraction(0)) + c
+    rhs = row.rhs
+    for p in sorted(set(coeffs) & set(pivots)):
+        factor = coeffs.pop(p)
+        expr, prhs = pivots[p][0], pivots[p][1]
+        for v, c in expr.items():
+            coeffs[v] = coeffs.get(v, Fraction(0)) + factor * c
+        rhs -= factor * prhs
+    return {v: c for v, c in coeffs.items() if c != 0}, rhs
+
+
+def reference_exact_phase(ineqs, free_vars):
+    order = sorted(free_vars)
+    cols = {v: j for j, v in enumerate(order)}
+    n = len(order)
+    tab = []
+    rhs = []
+    for coeffs, b in ineqs:
+        vec = [Fraction(0)] * n + [Fraction(-1)]
+        for v, c in coeffs.items():
+            vec[cols[v]] = c
+        tab.append(vec)
+        rhs.append(b)
+    for j in range(n):
+        vec = [Fraction(0)] * n + [Fraction(-1)]
+        vec[j] = Fraction(1)
+        tab.append(vec)
+        rhs.append(Fraction(1))
+    if all(b >= 0 for b in rhs):
+        return {v: Fraction(0) for v in order}
+    if n == 0:
+        return None
+    nonbasic = list(range(1, n + 1)) + [0]
+    basic = list(range(n + 1, n + 1 + len(tab)))
+
+    def pivot(r, s):
+        inv = 1 / tab[r][s]
+        prow = [c * inv for c in tab[r]]
+        prow[s] = inv
+        prhs = rhs[r] * inv
+        nonzero = [(j, c) for j, c in enumerate(prow) if c != 0 and j != s]
+        for i, row in enumerate(tab):
+            f = row[s]
+            if i == r or f == 0:
+                continue
+            for j, c in nonzero:
+                row[j] -= f * c
+            row[s] = -f * inv
+            rhs[i] -= f * prhs
+        tab[r], rhs[r] = prow, prhs
+        basic[r], nonbasic[s] = nonbasic[s], basic[r]
+
+    r0 = min(range(len(tab)), key=lambda i: (rhs[i], i))
+    pivot(r0, n)
+    while rhs[r0] != 0:
+        goal = tab[r0]
+        entering = [j for j in range(n + 1) if goal[j] > 0]
+        if not entering:
+            return None
+        s = min(entering, key=nonbasic.__getitem__)
+        r = min(
+            (i for i in range(len(tab)) if tab[i][s] > 0),
+            key=lambda i: (rhs[i] / tab[i][s], basic[i]),
+        )
+        pivot(r, s)
+        if r == r0:
+            break
+    point = {v: Fraction(0) for v in order}
+    for i, b in enumerate(basic):
+        if 1 <= b <= n:
+            point[order[b - 1]] = rhs[i]
+    return point
+
+
+def reference_float_phase(ineqs, free_vars):
+    order = sorted(free_vars)
+    if not order:
+        return reference_exact_phase(ineqs, free_vars)
+    from scipy.optimize import linprog
+
+    cols = {v: j for j, v in enumerate(order)}
+    a_ub, b_ub = [], []
+    for coeffs, rhs in ineqs:
+        vec = [0.0] * len(order)
+        for v, c in coeffs.items():
+            vec[cols[v]] = float(c)
+        a_ub.append(vec)
+        b_ub.append(float(rhs))
+    res = linprog(
+        c=[0.0] * len(order),
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        bounds=[(0.0, 1.0)] * len(order),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    if not res.success:
+        return reference_exact_phase(ineqs, free_vars)
+    return {v: Fraction(float(res.x[cols[v]])).limit_denominator(10**12) for v in order}
+
+
+def reference_solve(variables, rows, exact=True):
+    rows = list(rows)
+    pivots, var_index, cert = reference_presolve(variables, rows)
+    if cert is not None:
+        return FeasibilityResult(False, None, cert, "equality rows are inconsistent")
+    free_vars = [i for i in range(len(variables)) if i not in pivots]
+    ineqs = []
+    for row in rows:
+        if row.rel == EQ:
+            continue
+        coeffs, rhs = reference_substitute(row, pivots, var_index)
+        if row.rel == GE:
+            coeffs = {v: -c for v, c in coeffs.items()}
+            rhs = -rhs
+        if not coeffs:
+            if rhs < 0:
+                return FeasibilityResult(False, None, None, f"row {row.label!r} reduces to 0 <= {rhs}")
+            continue
+        ineqs.append((coeffs, rhs))
+    for p, (expr, prhs, _combo) in pivots.items():
+        ineqs.append(({v: -c for v, c in expr.items()}, prhs))
+        ineqs.append((dict(expr), Fraction(1) - prhs))
+    unique = {}
+    for coeffs, rhs in ineqs:
+        unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
+    ineqs = list(unique.values())
+    point_free = (reference_exact_phase if exact else reference_float_phase)(ineqs, free_vars)
+    if point_free is None:
+        return FeasibilityResult(False, None, None, "bounded phase is infeasible")
+    names = list(variables)
+    point = {names[v]: val for v, val in point_free.items()}
+    for p, (expr, prhs, _combo) in pivots.items():
+        point[names[p]] = prhs + sum((c * point_free[v] for v, c in expr.items()), Fraction(0))
+    if not exact:
+        return FeasibilityResult(True, {k: float(v) for k, v in point.items()}, None)
+    return FeasibilityResult(True, point, None)
+
+
+def reference_check_point(rows, point):
+    frac_point = {k: Fraction(v) if not isinstance(v, float) else Fraction(v).limit_denominator(10**15)
+                  for k, v in point.items()}
+    worst = Fraction(0)
+    for row in rows:
+        gap = row.evaluate(frac_point) - row.rhs
+        if row.rel == EQ:
+            worst = max(worst, abs(gap))
+        elif row.rel == LE:
+            worst = max(worst, max(Fraction(0), gap))
+        else:
+            worst = max(worst, max(Fraction(0), -gap))
+    return float(worst)
+
+
+def _typed(value):
+    """A value with its type, dict keys in order, for comparing outputs."""
+    if isinstance(value, dict):
+        return [(k, _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_typed(v) for v in value]
+    if isinstance(value, Certificate):
+        return ("certificate", _typed(value.multipliers), _typed(value.combined_rhs))
+    return (type(value).__name__, value)
+
+
+def _pivot_map(pivots):
+    """Pivot maps by value: the integer presolve holds ints where integral."""
+    if pivots is None:
+        return None
+    return [(p, list(expr.items()), rhs, list(combo.items())) for p, (expr, rhs, combo) in pivots.items()]
+
+
+@pytest.fixture
+def highs_inputs(monkeypatch):
+    """Every linprog call's arguments, in call order."""
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return linprog(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    return calls
+
+
+def _assert_same_as_reference(variables, rows, exact, highs_inputs):
+    new_pivots, new_index, new_cert = feasibility._presolve(variables, rows)
+    ref_pivots, ref_index, ref_cert = reference_presolve(variables, rows)
+    assert _pivot_map(new_pivots) == _pivot_map(ref_pivots)
+    assert new_index == ref_index and _typed(new_cert) == _typed(ref_cert)
+    highs_inputs.clear()
+    new = solve_feasibility(variables, rows, exact=exact)
+    new_highs = list(highs_inputs)
+    highs_inputs.clear()
+    ref = reference_solve(variables, rows, exact=exact)
+    assert new_highs == highs_inputs and _typed(new_highs) == _typed(list(highs_inputs))
+    assert (new.feasible, new.detail) == (ref.feasible, ref.detail)
+    assert _typed(new.point) == _typed(ref.point)
+    assert _typed(new.certificate) == _typed(ref.certificate)
+    if new.feasible:
+        assert check_point(rows, new.point) == reference_check_point(rows, ref.point)
+    return new
+
+
+def _benchmark_lattices():
+    lattices = [known.boolean(n) for n in workloads.BOOLEAN_ATOMS]
+    lattices += [known.mo(n) for n in workloads.MO_SIZES]
+    lattices += [known.chain(k) for k in sorted({*workloads.CHAIN_BLOCKS, 8})]
+    return {data.name: data for data in [*lattices, known.state_free(REPO_ROOT)]}
+
+
+BENCHMARK_LATTICES = _benchmark_lattices()
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_LATTICES))
+def test_integer_solver_matches_fraction_reference_on_lattices(name, highs_inputs):
+    data = BENCHMARK_LATTICES[name]
+    lattice = oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")
+    names, rows = oml.state_constraints(lattice)
+    pins = known.infeasible_pins(data, np.random.default_rng(len(data)))
+    pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+    for exact in (True, False):
+        plain = _assert_same_as_reference(names, rows, exact, highs_inputs)
+        assert plain.feasible == (name != "state-free")
+        pinned = _assert_same_as_reference(names, rows + pin_rows, exact, highs_inputs)
+        assert not pinned.feasible
+        if plain.feasible:
+            # a point that misses rows by thirds and by float noise
+            moved = {k: v + Fraction(1, 3) if i % 3 == 0 else v for i, (k, v) in enumerate(plain.point.items())}
+            noisy = {k: float(v) + 1e-10 * (i % 5) for i, (k, v) in enumerate(plain.point.items())}
+            for point in (moved, noisy):
+                assert check_point(rows, point) == reference_check_point(rows, point) > 0
+
+
+def _rational(rnd: random.Random):
+    return Fraction(rnd.randint(-4, 5), rnd.choice((1, 1, 2, 3, 5)))
+
+
+def _random_rows(rnd: random.Random, variables):
+    """Rows with 0/+-1/+-2 coefficients and now and then a rational one,
+    self-complement rows {x: 2} = 1, rational right-hand sides, EQ/LE/GE."""
+    rows = []
+    for k in range(rnd.randint(1, 9)):
+        kind = rnd.random()
+        if rows and kind < 0.1:
+            rows.append(rnd.choice(rows))
+            continue
+        if kind < 0.25:
+            rows.append(make_row({rnd.choice(variables): 2}, EQ, 1, f"self-complement:{k}"))
+            continue
+        coeffs = {}
+        for v in rnd.sample(variables, rnd.randint(1, len(variables))):
+            coeffs[v] = _rational(rnd) if rnd.random() < 0.1 else rnd.choice((-2, -1, -1, 1, 1, 2))
+        rhs = rnd.choice((0, 1, _rational(rnd)))
+        rows.append(make_row(coeffs, rnd.choice((EQ, EQ, LE, GE)), rhs, f"row:{k}"))
+    return rows
+
+
+def _random_point(rnd: random.Random, variables):
+    draws = (lambda: _rational(rnd), lambda: rnd.randint(0, 1), lambda: rnd.random(), lambda: rnd.choice((0.5, 1.0)))
+    return {v: rnd.choice(draws)() for v in variables}
+
+
+def test_integer_solver_matches_fraction_reference_on_random_systems(highs_inputs):
+    rnd = random.Random(1968)
+    seen = Counter()
+    for _ in range(250):
+        variables = [f"x{j}" for j in range(rnd.randint(1, 6))]
+        rows = _random_rows(rnd, variables)
+        for exact in (True, False):
+            result = _assert_same_as_reference(variables, rows, exact, highs_inputs)
+            seen[exact, result.feasible, result.detail.split(" ")[0]] += 1
+            if result.feasible and any(Fraction(v).denominator > 1 for v in result.point.values()):
+                seen["fractional point", exact] += 1
+        for _ in range(3):
+            point = _random_point(rnd, variables)
+            assert check_point(rows, point) == reference_check_point(rows, point)
+    # feasible, certified, bounded-phase and reduced-row verdicts all occur
+    for exact in (True, False):
+        assert seen[exact, True, ""] > 40 and seen["fractional point", exact] > 10
+        assert seen[exact, False, "equality"] > 20 and seen[exact, False, "bounded"] > 10
+        assert seen[exact, False, "row"] > 2
+
+
+def test_exact_phase_matches_fraction_reference_on_random_tableaux():
+    # rational coefficients make non-unit pivots and ratio ties in the tableau
+    rnd = random.Random(2007)
+    verdicts = Counter()
+    for _ in range(300):
+        free = sorted(rnd.sample(range(8), rnd.randint(1, 5)))
+        ineqs = []
+        for _ in range(rnd.randint(1, 8)):
+            coeffs = {v: rnd.choice((-2, -1, 1, 2, _rational(rnd))) for v in rnd.sample(free, rnd.randint(1, len(free)))}
+            coeffs = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
+            if coeffs:
+                ineqs.append((coeffs, _rational(rnd)))
+        new = feasibility._exact_phase(ineqs, free)
+        assert _typed(new) == _typed(reference_exact_phase([(dict(c), b) for c, b in ineqs], free))
+        verdicts[new is not None] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50

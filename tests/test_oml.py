@@ -297,6 +297,16 @@ def test_mo2_half_state_checks_directly():
     assert oml.verify_general_state(oml.mo2(), mu) == 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1e-6, 1 + 1e-6, float("inf"), float("-inf")])
+def test_general_state_value_out_of_range(bad):
+    # NaN fails every comparison, so it must be caught as out of range
+    # before the exact residual tries to convert it to a ratio
+    mu = {"0": 0.0, "1": 1.0, "a": bad, "a'": 0.5, "b": 0.5, "b'": 0.5}
+    with pytest.raises(ValueError, match=r"state value out of range at 'a'"):
+        oml.verify_general_state(oml.mo2(), mu)
+    assert oml.verify_general_state(oml.mo2(), {**mu, "a": 0.5}) == 0.0
+
+
 def test_find_state_mo2():
     result = oml.find_state(oml.mo2())
     assert result.feasible and result.residual == 0.0
