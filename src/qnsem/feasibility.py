@@ -42,15 +42,36 @@ class Row:
     def coeff_map(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        return sum((c * Fraction(point[v]) for v, c in self.coeffs), Fraction(0))
+    def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
+        """The left-hand side at the point, exactly.
+
+        Int and Fraction coordinates are used as they are, any other through
+        ``Fraction()``; the sum is an int when every term is.
+        """
+        total = 0
+        for v, c in self.coeffs:
+            x = point[v]
+            if x.__class__ is not int and x.__class__ is not Fraction:
+                x = Fraction(x)
+            total += (c.numerator if c.denominator == 1 else c) * x
+        return total
+
+
+# shared Fractions for the small integers rows are built from; a value equal to
+# one of them (an int, a float, a Fraction) is read as that one
+_SMALL = {c: Fraction(c) for c in range(-2, 3)}
+
+
+def _fraction(x) -> Fraction:
+    f = _SMALL.get(x)
+    return Fraction(x) if f is None else f
 
 
 def make_row(coeffs: Mapping[str, object], rel: str, rhs, label: str = "") -> Row:
     if rel not in (EQ, LE, GE):
         raise ValueError(f"bad relation {rel!r}")
-    cleaned = tuple(sorted((v, f) for v, c in coeffs.items() if (f := Fraction(c)) != 0))
-    return Row(cleaned, rel, Fraction(rhs), label)
+    cleaned = tuple(sorted((v, f) for v, c in coeffs.items() if (f := _fraction(c))))
+    return Row(cleaned, rel, _fraction(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -382,21 +403,13 @@ def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
     A float coordinate is read as its nearest fraction with denominator at
     most 10**15; every sum is exact.
     """
-    as_fraction: dict[float, object] = {}  # points repeat few float values
-    value: dict[str, object] = {}
-    for k, v in point.items():
-        if isinstance(v, float):
-            x = as_fraction.get(v)
-            if x is None:
-                x = as_fraction[v] = _canonical(Fraction(v).limit_denominator(10**15))
-        else:
-            x = v if v.__class__ is int else _canonical(Fraction(v))
-        value[k] = x
+    value = {
+        k: _canonical(Fraction(v).limit_denominator(10**15) if isinstance(v, float) else Fraction(v))
+        for k, v in point.items()
+    }
     worst = 0
     for row in rows:
-        gap = -_canonical(row.rhs)
-        for v, c in row.coeffs:
-            gap += (c.numerator if c.denominator == 1 else c) * value[v]
+        gap = row.evaluate(value) - _canonical(row.rhs)
         if row.rel == EQ:
             gap = abs(gap)
         elif row.rel != LE:

@@ -409,16 +409,6 @@ def from_projectors(named: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL,
 # states
 
 
-# the row coefficients, shared: a Fraction is immutable
-_COEFF = {c: Fraction(c) for c in (-1, 0, 1, 2)}
-
-
-def _state_row(coeffs: dict[str, int], rhs: int, label: str) -> Row:
-    """The equality row ``make_row(coeffs, EQ, rhs, label)`` builds."""
-    cleaned = tuple(sorted((v, _COEFF[c]) for v, c in coeffs.items() if c))
-    return Row(cleaned, EQ, _COEFF[rhs], label)
-
-
 def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     """Variables and equality rows a state must satisfy: bottom and top are
     pinned, complements sum to one, orthogonal pairs add along their join.
@@ -432,18 +422,18 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     join = l.bound_table("join", orthogonal)
     names = list(l.elements)
     rows: list[Row] = [
-        _state_row({names[l.bottom]: 1}, 0, "bottom"),
-        _state_row({names[l.top]: 1}, 1, "top"),
+        make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
+        make_row({names[l.top]: 1}, EQ, 1, "top"),
     ]
     for i, oi in enumerate(l.ortho.tolist()):
         if i <= oi:
             coeffs = {names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2}
-            rows.append(_state_row(coeffs, 1, f"complement:{names[i]}"))
+            rows.append(make_row(coeffs, EQ, 1, f"complement:{names[i]}"))
     for i, j in zip(*(a.tolist() for a in np.nonzero(orthogonal))):
         coeffs = {names[join[i, j]]: 1}
         coeffs[names[i]] = coeffs.get(names[i], 0) - 1
         coeffs[names[j]] = coeffs.get(names[j], 0) - 1
-        rows.append(_state_row(coeffs, 0, f"additivity:{names[i]}|{names[j]}"))
+        rows.append(make_row(coeffs, EQ, 0, f"additivity:{names[i]}|{names[j]}"))
     return names, rows
 
 

@@ -223,6 +223,17 @@ def test_make_row_validation():
         make_row({"x": 1}, "<", 0)
 
 
+def test_make_row_and_evaluate_read_values_as_fraction_does():
+    raw = {"a": 1.0, "b": "0", "c": Fraction(-2), "d": "1/3", "e": np.int64(2), "f": 0.5, "g": True}
+    row = make_row(raw, LE, 0.0)
+    expected = tuple(sorted((v, Fraction(c)) for v, c in raw.items() if Fraction(c) != 0))
+    assert row.coeffs == expected and row.rhs == 0
+    assert all(type(c) is Fraction for _, c in row.coeffs) and type(row.rhs) is Fraction
+    point = {"a": 1, "c": Fraction(1, 2), "d": 0.75, "e": "1/4", "f": np.float64(1.0), "g": Fraction(3, 2)}
+    expected = sum((c * Fraction(point[v]) for v, c in row.coeffs), Fraction(0))
+    assert row.evaluate(point) == expected
+
+
 # ---------------------------------------------------------------------------
 # the Fraction solver the integer arithmetic replaced, kept as the reference:
 # every decision (pivot per row, Bland's entering and leaving choice, ratio
@@ -426,7 +437,7 @@ def reference_check_point(rows, point):
                   for k, v in point.items()}
     worst = Fraction(0)
     for row in rows:
-        gap = row.evaluate(frac_point) - row.rhs
+        gap = sum((c * frac_point[v] for v, c in row.coeffs), Fraction(0)) - row.rhs
         if row.rel == EQ:
             worst = max(worst, abs(gap))
         elif row.rel == LE:
