@@ -9,6 +9,7 @@ as ``qnsem demo paper`` and exits nonzero when any section fails.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -313,29 +314,57 @@ def _consequence_pool() -> list:
     return depth1 + depth2
 
 
+def _consequence_sequents() -> list[tuple[list, list]]:
+    """The 380 sequents of the consequence section: every pair of pool
+    formulas, then two premises or two conclusions from the depth-1 pool."""
+    pool = _consequence_pool()
+    pairs = list(itertools.combinations(pool[:8], 2))
+    sequents = [([g], [d]) for g in pool for d in pool]
+    sequents += [([a, b], [pool[4]]) for a, b in pairs[:40]]
+    sequents += [([pool[0]], [a, b]) for a, b in pairs[:40]]
+    return sequents
+
+
+# rows of one enumeration chunk in brute_force_consequence
+_GRID_ROWS = 3**10
+
+
 def brute_force_consequence(m: FiniteNMatrix, gamma, delta) -> bool:
-    """Independent oracle: enumerate every function from the closure to V by
-    cartesian product, filter the legal ones by direct table membership."""
+    """Independent oracle: enumerate every function from the closure to V,
+    at most ``_GRID_ROWS`` at a time as an ``np.indices`` grid over the last
+    closure positions (the leading ones by cartesian product), and filter the
+    legal ones through boolean lookup arrays read off the table cells."""
     from .formulas import subformula_closure
 
     closure = subformula_closure(list(gamma) + list(delta))
-    for combo in itertools.product(m.values, repeat=len(closure)):
-        v = dict(zip(closure, combo))
-        legal = True
-        for f in closure:
+    at = {f: i for i, f in enumerate(closure)}
+    n, k = len(closure), len(m.values)
+    allowed = {}  # allowed[conn][*args, value]: is value in the cell of args
+    for conn, arity in (("not", 1), ("and", 2), ("or", 2)):
+        if conn in m.tables:
+            cells = [m.cell(conn, args).labels for args in itertools.product(m.values, repeat=arity)]
+            allowed[conn] = np.array([[v in c for v in m.values] for c in cells]).reshape((k,) * (arity + 1))
+    designated = np.array([v in m.designated for v in m.values])
+    tail = 0
+    while tail < n and k ** (tail + 1) <= _GRID_ROWS:
+        tail += 1
+    grid = list(np.indices((k,) * tail).reshape(tail, k**tail))
+    for head in itertools.product(range(k), repeat=n - tail):
+        v = list(head) + grid  # v[i]: the value index of closure[i], per row
+        legal = np.ones(k**tail, dtype=bool)
+        for i, f in enumerate(closure):
             if isinstance(f, Not):
-                legal = v[f] in m.cell("not", (v[f.child],)).labels
+                legal &= allowed["not"][v[at[f.child]], v[i]]
             elif isinstance(f, And):
-                legal = v[f] in m.cell("and", (v[f.left], v[f.right])).labels
+                legal &= allowed["and"][v[at[f.left]], v[at[f.right]], v[i]]
             elif isinstance(f, Or):
-                legal = v[f] in m.cell("or", (v[f.left], v[f.right])).labels
-            if not legal:
-                break
-        if not legal:
-            continue
-        if all(v[g] in m.designated for g in gamma):
-            if not any(v[d] in m.designated for d in delta):
-                return False
+                legal &= allowed["or"][v[at[f.left]], v[at[f.right]], v[i]]
+        for g in gamma:
+            legal &= designated[v[at[g]]]
+        for d in delta:
+            legal &= ~designated[v[at[d]]]
+        if legal.any():  # a legal valuation designating gamma and no conclusion
+            return False
     return True
 
 
@@ -343,11 +372,7 @@ def brute_force_consequence(m: FiniteNMatrix, gamma, delta) -> bool:
 def section_consequence_oracle() -> Section:
     s = Section("consequence engine agrees with brute-force enumeration")
     m = three_valued_matrix()
-    pool = _consequence_pool()
-    sequents = [([g], [d]) for g in pool for d in pool]
-    pairs = list(itertools.combinations(pool[:8], 2))
-    sequents += [([a, b], [pool[4]]) for a, b in pairs[:40]]
-    sequents += [([pool[0]], [a, b]) for a, b in pairs[:40]]
+    sequents = _consequence_sequents()
     disagreements = 0
     holds = 0
     for gamma, delta in sequents:
@@ -384,14 +409,16 @@ def section_state_feasibility() -> Section:
 
 @_timed
 def section_parser_roundtrip(count: int = 10_000, seed: int = 0) -> Section:
+    """Render and re-parse ``count`` random formulas of depth 1..8, drawn
+    with the stdlib ``random.Random(seed)``."""
     s = Section("parser and printer round trip")
-    rng = np.random.default_rng(seed)
-    atoms = ["P", "Q", "R", "S", "T0", "U_1"]
+    rnd = random.Random(seed)
+    atoms = [Atom(name) for name in ("P", "Q", "R", "S", "T0", "U_1")]
 
     def random_formula(depth: int):
-        if depth == 0 or rng.random() < 0.3:
-            return Atom(atoms[int(rng.integers(len(atoms)))])
-        kind = rng.random()
+        if depth == 0 or rnd.random() < 0.3:
+            return rnd.choice(atoms)
+        kind = rnd.random()
         if kind < 0.34:
             return Not(random_formula(depth - 1))
         left = random_formula(depth - 1)
@@ -400,7 +427,7 @@ def section_parser_roundtrip(count: int = 10_000, seed: int = 0) -> Section:
 
     failures = 0
     for _ in range(count):
-        f = random_formula(int(rng.integers(1, 9)))
+        f = random_formula(rnd.randint(1, 8))
         if parse(render(f)) != f:
             failures += 1
     s.check_value(f"round-trip failures among {count}", 0.0, float(failures), 0.0)
@@ -409,8 +436,8 @@ def section_parser_roundtrip(count: int = 10_000, seed: int = 0) -> Section:
 
 def run_all(seed: int = 0, trials: int = 1000, roundtrips: int = 10_000) -> list[Section]:
     """Run every reproduction section with the acceptance-grade parameters:
-    ``trials`` random cases per property suite and ``roundtrips`` random
-    formulas through the parser."""
+    ``trials`` random cases per property suite (numpy draws) and
+    ``roundtrips`` random formulas through the parser (stdlib draws)."""
     return [
         section_static_witness(),
         section_dynamic_witness(),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import Mapping, Sequence
 
 EQ, LE, GE = "==", "<=", ">="
@@ -398,11 +398,14 @@ def solve_feasibility(
 
 def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
     """Maximum constraint violation at the point; exactly 0.0 for rational
-    points satisfying every row.
+    points satisfying every row, and ``math.inf`` for a point with a NaN or
+    infinite coordinate.
 
     A float coordinate is read as its nearest fraction with denominator at
     most 10**15; every sum is exact.
     """
+    if any(isinstance(v, float) and not isfinite(v) for v in point.values()):
+        return inf
     value = {
         k: _canonical(Fraction(v).limit_denominator(10**15) if isinstance(v, float) else Fraction(v))
         for k, v in point.items()

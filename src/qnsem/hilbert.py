@@ -337,14 +337,16 @@ def state_reconstruction(family, values, tol: float = DEFAULT_TOL) -> Reconstruc
 
 def _projector_block(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """The RNG calls of one projector draw: the rank (1..dim-1 unless
-    given), then a complex Gaussian ``rank x dim`` block."""
+    given), then one ``(2, rank, dim)`` Gaussian block, the real and the
+    imaginary parts of ``rank`` vectors.  One call draws the same bits as
+    two ``(rank, dim)`` calls."""
     if rank is None:
         rank = int(rng.integers(1, dim)) if dim > 1 else 1
-    return rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    return rng.normal(size=(2, rank, dim))
 
 
 def _density_block(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return rng.normal(size=(2, dim, dim))
 
 
 def _projectors(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
@@ -355,16 +357,18 @@ def _projectors(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
     out = np.empty((len(blocks), dim, dim), dtype=np.complex128)
     by_rank: dict[int, list[int]] = {}
     for i, g in enumerate(blocks):
-        by_rank.setdefault(g.shape[0], []).append(i)
+        by_rank.setdefault(g.shape[1], []).append(i)
     for rows in by_rank.values():
-        basis, _ = np.linalg.qr(np.array([blocks[i] for i in rows]).swapaxes(-1, -2))
+        a = np.array([blocks[i] for i in rows])
+        basis, _ = np.linalg.qr((a[:, 0] + 1j * a[:, 1]).swapaxes(-1, -2))
         out[rows] = basis @ basis.conj().swapaxes(-1, -2)
     return out
 
 
 def _densities(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """Full-support states G G^H / tr(G G^H), as one ``(n, d, d)`` stack."""
-    g = np.array(blocks, dtype=np.complex128).reshape(len(blocks), dim, dim)
+    a = np.array(blocks).reshape(len(blocks), 2, dim, dim)
+    g = a[:, 0] + 1j * a[:, 1]
     m = g @ g.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1)[:, None, None]
 
@@ -392,7 +396,10 @@ def random_stacks(
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """Projector onto the span of Gaussian random vectors of rank 1..dim-1,
-    built from the orthonormal QR factor of the vectors."""
+    or of the given rank in 0..dim, built from the orthonormal QR factor of
+    the vectors."""
+    if rank is not None and not 0 <= rank <= dim:
+        raise ValueError(f"rank must lie in 0..{dim}, got {rank}")
     return _projectors([_projector_block(rng, dim, rank)], dim)[0]
 
 

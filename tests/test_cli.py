@@ -300,6 +300,15 @@ def test_demo_paper_does_not_import_scipy():
     assert scipy_modules == []
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "qnsem", "demo", "paper", "--trials", "1", "--samples", "10"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "ALL REPRODUCTIONS PASS" in done.stdout
+
+
 def test_demo_small_scale(capsys):
     code, out, _ = run(capsys, "demo", "paper", "--trials", "8", "--samples", "60")
     assert code == 0

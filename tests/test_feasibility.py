@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -216,6 +217,13 @@ def test_exact_solver_matches_vertex_enumeration():
 def test_check_point_reports_violation():
     rows = [make_row({"x": 1}, LE, Fraction(1, 2))]
     assert check_point(rows, {"x": Fraction(3, 4)}) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_check_point_non_finite_is_maximal_violation(bad):
+    rows = [make_row({"x": 1}, LE, Fraction(1, 2)), make_row({"x": 1, "y": 1}, EQ, 1)]
+    assert check_point(rows, {"x": Fraction(1, 4), "y": bad}) == math.inf
+    assert check_point(rows, {"x": bad, "y": 0.75}) == math.inf
 
 
 def test_make_row_validation():

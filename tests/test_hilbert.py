@@ -338,6 +338,60 @@ def test_batched_draws_match_successive_calls(dim):
         hilbert.random_stacks(np.random.default_rng(0), dim, -1, kinds)
 
 
+def _two_call_stacks(rng, dim, trials, kinds):
+    """random_stacks as first written: per trial and kind, the rank of a
+    projector, then two ``normal`` calls combined by ``+ 1j *``; projectors
+    built per rank group by one QR, states as G G^H / tr."""
+    blocks = [[] for _ in kinds]
+    for _ in range(trials):
+        for kind, out in zip(kinds, blocks):
+            rows = dim
+            if kind == "projector":
+                rows = int(rng.integers(1, dim)) if dim > 1 else 1
+            out.append(rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim)))
+    stacks = []
+    for kind, got in zip(kinds, blocks):
+        if kind == "density":
+            g = np.array(got, dtype=np.complex128).reshape(trials, dim, dim)
+            m = g @ g.conj().swapaxes(-1, -2)
+            stacks.append(m / np.trace(m, axis1=-2, axis2=-1)[:, None, None])
+            continue
+        out = np.empty((trials, dim, dim), dtype=np.complex128)
+        by_rank = {}
+        for i, g in enumerate(got):
+            by_rank.setdefault(g.shape[0], []).append(i)
+        for rows in by_rank.values():
+            basis, _ = np.linalg.qr(np.array([got[i] for i in rows]).swapaxes(-1, -2))
+            out[rows] = basis @ basis.conj().swapaxes(-1, -2)
+        stacks.append(out)
+    return stacks
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_random_stacks_match_two_normal_calls_per_block(dim):
+    # pins the RNG call order and the bits against an independent copy of
+    # the two-call draw, not through the block helpers random_stacks uses
+    for kinds in (("projector", "projector", "density"), ("projector",) * 3, ("density", "projector")):
+        rng, ref_rng = np.random.default_rng(100 + dim), np.random.default_rng(100 + dim)
+        stacks = hilbert.random_stacks(rng, dim, 150, kinds)
+        expected = _two_call_stacks(ref_rng, dim, 150, kinds)
+        for kind, got, want in zip(kinds, stacks, expected):
+            assert got.shape == want.shape == (150, dim, dim)
+            assert got.tobytes() == want.tobytes(), (kinds, kind)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_projector_rank_range(rng):
+    state = rng.bit_generator.state
+    for rank in (-1, 4, 5):
+        with pytest.raises(ValueError, match=r"rank must lie in 0\.\.3"):
+            hilbert.random_projector(rng, 3, rank)
+    assert rng.bit_generator.state == state  # refused before any draw
+    assert max_norm(hilbert.random_projector(rng, 3, 0)) == 0.0
+    assert max_norm(hilbert.random_projector(rng, 3, 3) - np.eye(3)) <= 1e-12
+    assert hilbert.rank_of(hilbert.random_projector(rng, 3, 2)) == 2
+
+
 def test_residuals_per_slice(rng):
     p = np.array([hilbert.random_projector(rng, 3) for _ in range(4)])
     p[2, 0, 1] += 1e-3

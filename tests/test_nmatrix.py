@@ -309,15 +309,10 @@ def test_consequence_search_matches_enumeration():
 
 
 def test_consequence_search_matches_enumeration_on_the_demo_sequents():
-    from qnsem.demo import _consequence_pool
+    from qnsem.demo import _consequence_sequents
 
     m = three_valued_matrix()
-    pool = _consequence_pool()
-    pairs = list(itertools.combinations(pool[:8], 2))
-    sequents = [([g], [d]) for g in pool for d in pool]
-    sequents += [([a, b], [pool[4]]) for a, b in pairs[:40]]
-    sequents += [([pool[0]], [a, b]) for a, b in pairs[:40]]
-    for gamma, delta in sequents:
+    for gamma, delta in _consequence_sequents():
         assert_same_consequence(m, gamma, delta)
 
 
