@@ -325,8 +325,9 @@ def _consequence_sequents() -> list[tuple[list, list]]:
     return sequents
 
 
-# rows of one enumeration chunk in brute_force_consequence
-_GRID_ROWS = 3**10
+# rows of one enumeration chunk in brute_force_consequence: its index grid
+# holds at most log_|V|(rows) columns of rows indices, under 200 KB
+_GRID_ROWS = 3**7
 
 
 def brute_force_consequence(m: FiniteNMatrix, gamma, delta) -> bool:

@@ -85,7 +85,7 @@ def test_array_oracle_matches_product_loop_on_random_sequents(m, max_closure, mo
 
 
 def test_array_oracle_over_several_full_chunks():
-    # closures of 11 and 12 over three values: 3 and 9 chunks of 3**10 rows
+    # closures of 11 and 12 over three values: 81 and 243 chunks of 3**7 rows
     m = three_valued_matrix()
     p, q, r = Atom("P"), Atom("Q"), Atom("R")
     big = And(Or(p, Not(q)), Or(Not(r), And(q, Not(p))))  # closure 10
