@@ -344,7 +344,7 @@ def brute_force_consequence(m: FiniteNMatrix, gamma, delta) -> bool:
     for conn, arity in (("not", 1), ("and", 2), ("or", 2)):
         if conn in m.tables:
             cells = [m.cell(conn, args).labels for args in itertools.product(m.values, repeat=arity)]
-            allowed[conn] = np.array([[v in c for v in m.values] for c in cells]).reshape((k,) * (arity + 1))
+            allowed[conn] = np.array([[x in c for x in m.values] for c in cells]).reshape((k,) * (arity + 1))
     designated = np.array([v in m.designated for v in m.values])
     tail = 0
     while tail < n and k ** (tail + 1) <= _GRID_ROWS:

@@ -365,8 +365,8 @@ def _projectors(blocks: Sequence[np.ndarray], dim: int) -> np.ndarray:
     give the same bits as one call per block."""
     out = np.empty((len(blocks), dim, dim), dtype=np.complex128)
     by_rank: dict[int, list[int]] = {}
-    for i, g in enumerate(blocks):
-        by_rank.setdefault(g.shape[1], []).append(i)
+    for i, block in enumerate(blocks):
+        by_rank.setdefault(block.shape[1], []).append(i)
     for rank, rows in by_rank.items():
         g = _complex([blocks[i] for i in rows], (len(rows), 2, rank, dim))
         basis, _ = np.linalg.qr(g.swapaxes(-1, -2))
