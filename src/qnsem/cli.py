@@ -292,7 +292,7 @@ def _cmd_oml(args) -> int:
         _emit(args, lines, {"elements": len(lattice), "failures": list(report.failures), "ok": report.ok})
         return 0 if report.ok else NEGATIVE
     if args.action == "find-state":
-        result = oml.find_state(lattice, exact=args.exact)
+        result = oml.find_state(lattice)
         if result.feasible:
             state = {k: float(v) for k, v in result.state.items()}
             lines = [f"state found; residual {result.residual:g}"]
@@ -424,7 +424,6 @@ def build_parser() -> _Parser:
     p.add_argument("lattice")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--all", action="store_true", help="count all two-valued valuations")
-    p.add_argument("--exact", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=_cmd_oml)
 
     p = sub.add_parser("demo", help="full reproduction report")

@@ -397,7 +397,7 @@ def section_state_feasibility() -> Section:
             s.check_value(f"{label}: constraint residual", 0.0, result.residual, 0.0)
     lattice = fixtures.nostate_lattice()
     s.check_flag("state-free fixture verifies as an OML", True, oml.verify_oml(lattice).ok)
-    result = oml.find_state(lattice, exact=True)
+    result = oml.find_state(lattice)
     s.check_flag("state-free fixture infeasible", True, not result.feasible)
     names, rows = oml.state_constraints(lattice)
     s.check_flag(

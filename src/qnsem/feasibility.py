@@ -1,25 +1,23 @@
-"""Small-scale linear feasibility over variables boxed to [0,1].
+"""Small-scale linear feasibility over variables boxed to [0,1], in exact
+rational arithmetic.
 
-One exact presolve feeds two back ends.  The presolve runs Gaussian
-elimination on the equality rows, so inconsistency is detected exactly and
-comes with a row-combination certificate that can be re-verified by direct
-arithmetic.  Consistent systems drop to a phase-one feasibility problem over
-the remaining free variables, solved either exactly or by scipy's HiGHS.
-The exact back end is Chvatal's single-auxiliary phase one with Bland's rule
-on the condensed tableau: one column per free variable plus the auxiliary,
-none per slack, so a pivot costs O(rows * free variables).  It imports no
-scipy.  HiGHS decides infeasibility only through its infeasible status; when
-it stops without a verdict (an iteration limit, numerical trouble), the same
-reduced system is solved exactly.
+An exact presolve runs Gaussian elimination on the equality rows, so
+inconsistency is detected exactly and comes with a row-combination
+certificate that can be re-verified by direct arithmetic.  Consistent
+systems drop to a phase-one feasibility problem over the remaining free
+variables: Chvatal's single-auxiliary phase one with Bland's rule on the
+condensed tableau, one column per free variable plus the auxiliary, none
+per slack, so a pivot costs O(rows * free variables).
 
-The arithmetic is exact and runs on Python ints (never fixed-width numpy
-integers, which wrap).  The presolve keeps each row as integer numerators
-over one positive denominator; lattice state rows have 0/+-1 coefficients,
-so almost every pivot has denominator 1 and substitutes by int products.
-The reduced rows, the tableau and :func:`check_point` hold a number as an
-int where it is integral and as a ``Fraction`` only where it is not.
-``Row``, ``Certificate`` and exact points carry ``Fraction`` values; only
-their conversion at the boundary builds them.
+The arithmetic runs on Python ints (never fixed-width numpy integers, which
+wrap).  The presolve keeps each row as integer numerators over one positive
+denominator; lattice state rows have 0/+-1 coefficients, so almost every
+pivot has denominator 1 and substitutes by int products.  The reduced rows,
+the tableau and :func:`check_point` hold a number as an int where it is
+integral and as a ``Fraction`` only where it is not.  ``Row``,
+``Certificate`` and points carry ``Fraction`` values; only their conversion
+at the boundary builds them.  Numbers given from outside (points, pins) are
+read by :func:`to_fraction`.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
+from numbers import Rational
 from typing import Mapping, Sequence
 
 EQ, LE, GE = "==", "<=", ">="
@@ -97,7 +96,7 @@ class Certificate:
 @dataclass
 class FeasibilityResult:
     feasible: bool
-    point: dict[str, Fraction] | dict[str, float] | None = None
+    point: dict[str, Fraction] | None = None
     certificate: Certificate | None = None
     detail: str = ""
 
@@ -314,38 +313,9 @@ def _exact_phase(ineqs, free_vars):
     return point
 
 
-def _float_phase(ineqs, free_vars):
-    order = sorted(free_vars)
-    if not order:  # every reduced row is a Fraction constant: decide it exactly
-        return _exact_phase(ineqs, free_vars)
-    from scipy.optimize import linprog
-
-    cols = {v: j for j, v in enumerate(order)}
-    a_ub, b_ub = [], []
-    for coeffs, rhs in ineqs:
-        vec = [0.0] * len(order)
-        for v, c in coeffs.items():
-            vec[cols[v]] = float(c)
-        a_ub.append(vec)
-        b_ub.append(float(rhs))
-    res = linprog(
-        c=[0.0] * len(order),
-        A_ub=a_ub or None,
-        b_ub=b_ub or None,
-        bounds=[(0.0, 1.0)] * len(order),
-        method="highs",
-    )
-    if res.status == 2:
-        return None
-    if not res.success:  # iteration limit or numerical trouble: no verdict from HiGHS
-        return _exact_phase(ineqs, free_vars)
-    return {v: Fraction(float(res.x[cols[v]])).limit_denominator(10**12) for v in order}
-
-
 def solve_feasibility(
     variables: Sequence[str],
     rows: Sequence[Row],
-    exact: bool = True,
 ) -> FeasibilityResult:
     """Decide feasibility of the rows with every variable boxed to [0,1]."""
     rows = list(rows)
@@ -380,10 +350,7 @@ def solve_feasibility(
     for coeffs, rhs in ineqs:
         unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
     ineqs = list(unique.values())
-    if exact:
-        point_free = _exact_phase(ineqs, free_vars)
-    else:
-        point_free = _float_phase(ineqs, free_vars)
+    point_free = _exact_phase(ineqs, free_vars)
     if point_free is None:
         return FeasibilityResult(False, None, None, "bounded phase is infeasible")
     names = list(variables)
@@ -391,9 +358,21 @@ def solve_feasibility(
     free_value = {v: _canonical(val) for v, val in point_free.items()}
     for p, (expr, prhs, _combo) in pivots.items():
         point[names[p]] = Fraction(prhs + sum(c * free_value[v] for v, c in expr.items()))
-    if not exact:
-        return FeasibilityResult(True, {k: float(v) for k, v in point.items()}, None)
     return FeasibilityResult(True, point, None)
+
+
+def to_fraction(value, max_denominator: int) -> Fraction | None:
+    """A number given from outside, as a Fraction; None when it is not finite.
+
+    A ``numbers.Rational`` (int, bool, Fraction, a numpy integer) is read
+    exactly.  Any other number (float, numpy float32, Decimal) goes through
+    ``float(value)`` and is read as the nearest fraction with denominator at
+    most ``max_denominator``.
+    """
+    if isinstance(value, Rational):
+        return Fraction(value)
+    x = float(value)
+    return Fraction(x).limit_denominator(max_denominator) if isfinite(x) else None
 
 
 def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
@@ -401,15 +380,15 @@ def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
     points satisfying every row, and ``math.inf`` for a point with a NaN or
     infinite coordinate.
 
-    A float coordinate is read as its nearest fraction with denominator at
-    most 10**15; every sum is exact.
+    Coordinates are read by :func:`to_fraction` with denominators up to
+    10**15; every sum is exact.
     """
-    if any(isinstance(v, float) and not isfinite(v) for v in point.values()):
-        return inf
-    value = {
-        k: _canonical(Fraction(v).limit_denominator(10**15) if isinstance(v, float) else Fraction(v))
-        for k, v in point.items()
-    }
+    value = {}
+    for k, v in point.items():
+        x = to_fraction(v, 10**15)
+        if x is None:
+            return inf
+        value[k] = _canonical(x)
     worst = 0
     for row in rows:
         gap = row.evaluate(value) - _canonical(row.rhs)

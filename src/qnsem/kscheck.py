@@ -217,33 +217,43 @@ def count_solutions(family: VectorContextFamily, cap: int = 10**6, tol: float = 
     return count
 
 
+#: exhaustive_count checks at most 2**_CHUNK_BITS assignments at a time
+_CHUNK_BITS = 15
+
+
 def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> int:
     """Solution count by sheer enumeration of all 2^n assignments.
 
     Independent of the backtracking path: assignments are bitmasks, the
     exactly-one and no-orthogonal-pair constraints are evaluated by
-    vectorized popcounts.  Practical up to roughly 22 vectors.
+    vectorized popcounts.  The low ``_CHUNK_BITS`` vectors range over one
+    fixed grid of bit columns and the others are constants per chunk, so
+    memory stays bounded.  Practical up to roughly 22 vectors.
     """
     ids = family.ids()
     n = len(ids)
     if n > 22:
         raise ValueError(f"exhaustive enumeration over {n} vectors is too large")
-    assign = np.arange(1 << n, dtype=np.int64)
-    # bit[vid][m] is vector vid's value in assignment m
-    bit = {vid: ((assign >> k) & 1).astype(np.uint8) for k, vid in enumerate(ids)}
-    ok = np.ones(1 << n, dtype=bool)
+    low = min(n, _CHUNK_BITS)
+    grid = np.arange(1 << low, dtype=np.int64)
+    low_bits = [((grid >> k) & 1).astype(np.uint8) for k in range(low)]
     covered = {vid for ctx in family.contexts for vid in ctx}
-    for vid in ids:
-        if vid not in covered:  # same convention as the search: default to 0
-            ok &= bit[vid] == 0
-    for ctx in family.contexts:
-        ok &= sum(bit[vid] for vid in ctx) == 1
     adj = orthogonality_graph(family, tol)
-    for a in ids:
-        for b in adj[a]:
-            if a < b:
-                ok &= (bit[a] & bit[b]) == 0
-    return int(ok.sum())
+    edges = [(a, b) for a in ids for b in adj[a] if a < b]
+    total = 0
+    for high in itertools.product((0, 1), repeat=n - low):
+        # bit[vid] is vector vid's value: a column over the chunk, or one int
+        bit = dict(zip(ids, low_bits + list(high)))
+        ok = np.ones(1 << low, dtype=bool)
+        for vid in ids:
+            if vid not in covered:  # same convention as the search: default to 0
+                ok &= bit[vid] == 0
+        for ctx in family.contexts:
+            ok &= sum(bit[vid] for vid in ctx) == 1
+        for a, b in edges:
+            ok &= (bit[a] & bit[b]) == 0
+        total += int(ok.sum())
+    return total
 
 
 def recheck_assignment(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -575,7 +575,7 @@ def is_static(valuation, matrix=None, tol: float = DEFAULT_TOL) -> StaticReport:
 
 
 # ---------------------------------------------------------------------------
-# enumeration, validity, consequence (finite matrices)
+# validity, consequence (finite matrices)
 
 
 def _ordered_domain(formulas: Sequence[Formula]) -> list[Formula]:
@@ -583,48 +583,6 @@ def _ordered_domain(formulas: Sequence[Formula]) -> list[Formula]:
     atoms = sorted((f for f in closure if isinstance(f, Atom)), key=lambda a: a.name)
     compounds = [f for f in closure if not isinstance(f, Atom)]
     return atoms + compounds
-
-
-def enumerate_dynamic_valuations(
-    m: FiniteNMatrix, formulas: Sequence[Formula]
-) -> Iterator[Valuation]:
-    """Yield exactly the legal dynamic valuations on the subformula closure.
-
-    Atoms range over V in lexicographic name order; each compound ranges over
-    its table cell in closure (children-first) order, so the enumeration is
-    deterministic.
-    """
-    if not isinstance(m, FiniteNMatrix):
-        raise TypeError("enumeration requires a finite matrix")
-    domain = _ordered_domain(formulas)
-    assignment: dict[Formula, str] = {}
-
-    def options(f: Formula) -> list[str]:
-        if isinstance(f, Atom):
-            return list(m.values)
-        if isinstance(f, Not):
-            return m.cell_values_ordered(m.cell("not", (assignment[f.child],)))
-        conn = "and" if isinstance(f, And) else "or"
-        return m.cell_values_ordered(m.cell(conn, (assignment[f.left], assignment[f.right])))
-
-    if not domain:
-        yield Valuation({})
-        return
-    # one iterator over the options of each assigned prefix of the domain
-    stack = [iter(options(domain[0]))]
-    done = object()
-    while stack:
-        f = domain[len(stack) - 1]
-        v = next(stack[-1], done)
-        if v is done:
-            stack.pop()
-            assignment.pop(f, None)
-            continue
-        assignment[f] = v
-        if len(stack) == len(domain):
-            yield Valuation(dict(assignment))
-        else:
-            stack.append(iter(options(domain[len(stack)])))
 
 
 @dataclass(frozen=True)
@@ -769,11 +727,11 @@ def dynamic_consequence(
     A countermodel search: gamma nodes are restricted to designated values
     and delta nodes to undesignated ones, the table constraints of the
     closure are made arc consistent, and the search assigns the domain in
-    ``enumerate_dynamic_valuations``' order (atoms by name, then compounds
-    children first; values in ``m.values`` order), propagating after every
-    assignment and backtracking on an explicit stack.  Propagation only
-    drops values that no legal valuation extending the assignment takes, so
-    the countermodel returned is the first one in enumeration order.
+    one fixed order (atoms by name, then compounds children first; values
+    in ``m.values`` order), propagating after every assignment and
+    backtracking on an explicit stack.  Propagation only drops values that
+    no legal valuation extending the assignment takes, so the countermodel
+    returned is the first legal refuting valuation in that order.
     Legality is local to each node, so arc consistency is exact on a
     tree-shaped closure and there the search never backtracks; only shared
     subformulas make it.

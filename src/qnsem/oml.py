@@ -22,14 +22,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .feasibility import EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility
+from .feasibility import (
+    EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility, to_fraction,
+)
 from .formulas import Formula
 from .linalg import DEFAULT_TOL
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
 from .quantum import quantum_nmatrix
-
-#: Above this element count the state solver defaults to the float back end.
-EXACT_SOLVER_LIMIT = 64
 
 
 class FiniteOML:
@@ -440,25 +439,22 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
 @dataclass
 class StateSearchResult:
     feasible: bool
-    state: dict[str, Fraction] | dict[str, float] | None
+    state: dict[str, Fraction] | None
     certificate: Certificate | None
     residual: float
     detail: str = ""
 
 
-def find_state(l: FiniteOML, exact: bool | None = None) -> StateSearchResult:
+def find_state(l: FiniteOML) -> StateSearchResult:
     """Find a state (probability valuation) on the lattice or certify that
     none exists.
 
-    The solver runs in exact rational arithmetic up to ``EXACT_SOLVER_LIMIT``
-    elements by default (residual exactly zero), and on the float back end
-    above that; equality-driven infeasibility is detected exactly either way
-    and returns a verified row-combination certificate.
+    The solver runs in exact rational arithmetic, so a state found has
+    residual exactly zero; equality-driven infeasibility returns a verified
+    row-combination certificate.
     """
-    if exact is None:
-        exact = len(l) <= EXACT_SOLVER_LIMIT
     names, rows = state_constraints(l)
-    result = solve_feasibility(names, rows, exact=exact)
+    result = solve_feasibility(names, rows)
     if not result.feasible:
         return StateSearchResult(False, None, result.certificate, 0.0, result.detail)
     residual = check_point(rows, result.point)
@@ -591,13 +587,17 @@ def legal_valuation_search(
     m: IntervalNMatrix,
     partial: Mapping[str, object] | None = None,
     extra_rows: Sequence[Row] = (),
-    exact: bool | None = None,
+    exact: bool | None = None,  # selects nothing; perfbench/workloads.py still passes it
 ) -> FeasibilityResult:
     """Search for a [0,1] valuation legal for the lattice tables.
 
     The rows encode ``quantum_nmatrix(alpha)``, whose tables do not depend
     on alpha; other matrices are refused.  ``partial`` pins chosen elements
-    and ``extra_rows`` lets callers inject additional constraints.
+    and ``extra_rows`` lets callers inject additional constraints.  A pin
+    is read by ``to_fraction`` with denominators up to 10**9; a pin that is
+    not a finite number in [0,1] raises ValueError.  The rows are solved
+    exactly, so a point found is rational and satisfies them with residual
+    zero.
 
     Precondition as for :func:`find_two_valued_valuation`.  On an OML the
     legal valuations are exactly the states, so the rows are those of
@@ -612,16 +612,14 @@ def legal_valuation_search(
         raise ValueError(
             f"the search encodes only quantum_nmatrix(alpha), not {m.name or 'an unnamed matrix'}"
         )
-    if exact is None:
-        exact = len(l) <= EXACT_SOLVER_LIMIT
     _require_oml(l)
     names, rows = state_constraints(l)
     for e, v in (partial or {}).items():
         if e not in l.index:
             raise ValueError(f"unknown element {e!r} in partial assignment")
-        if not 0.0 <= float(v) <= 1.0:
+        pin = to_fraction(v, 10**9)
+        if pin is None or not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
-        pin = Fraction(v).limit_denominator(10**9) if isinstance(v, float) else Fraction(v)
         rows.append(make_row({e: 1}, EQ, pin, f"pin:{e}"))
     rows.extend(extra_rows)
-    return solve_feasibility(names, rows, exact=exact)
+    return solve_feasibility(names, rows)

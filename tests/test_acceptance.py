@@ -277,7 +277,7 @@ def test_criterion_11_state_feasibility():
         assert oml.verify_general_state(lattice, result.state) <= 1e-9
     grid = fixtures.nostate_lattice()
     assert oml.verify_oml(grid).ok
-    result = oml.find_state(grid, exact=True)
+    result = oml.find_state(grid)
     assert not result.feasible
     assert result.certificate is not None
     _, rows = oml.state_constraints(grid)

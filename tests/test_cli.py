@@ -86,6 +86,10 @@ def test_usage_error(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and argv[-2] in err and "Traceback" not in err, argv
+    # the state solver is exact at every size and takes no back-end flag
+    for flag in ("--exact", "--no-exact"):
+        code, out, err = run(capsys, "oml", "find-state", "lattice.json", flag)
+        assert code == 1 and out == "" and f"unrecognized arguments: {flag}" in err and "Traceback" not in err, flag
 
 
 def test_missing_file(capsys):
@@ -238,7 +242,7 @@ def test_oml_greechie_and_nostate(capsys, write_json):
     greechie = write_json("grid.json", fixtures.nostate_greechie())
     code, out, _ = run(capsys, "oml", "verify", greechie)
     assert code == 0
-    code, out, _ = run(capsys, "oml", "find-state", greechie, "--exact")
+    code, out, _ = run(capsys, "oml", "find-state", greechie)
     assert code == 3 and "no state exists" in out and "verified: True" in out
 
 
@@ -279,25 +283,6 @@ def test_oml_missing_orthogonal_join_is_an_input_error(capsys, write_json):
     assert "meet of 'x' and 'y' does not exist or is not unique" in err
     code, out, _ = run(capsys, "oml", "verify", poset)
     assert code == 3 and "join(a, b) missing or not unique" in out
-
-
-def test_demo_paper_does_not_import_scipy():
-    # importing scipy costs about half a second and 45 MB of peak RSS, so
-    # the report must run without it; a fresh interpreter shows what it loads
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from qnsem import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['--format', 'json', 'demo', 'paper', '--trials', '1', '--samples', '10'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr
-    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0
-    assert scipy_modules == []
 
 
 def test_python_dash_m_runs_the_cli():
@@ -347,11 +332,11 @@ FIND_STATE_PINS = {
                     "6bf704902fec55a0210ccf34085cfe2fd0b6e33db74e5f88a36c903271807f5c"),
     "MO2": (lambda: oml.mo2().to_json(), [], 0,
             "034e58ef21da9294384e98cfe83cd789ddf875a0f5c610985a81869983cf78e6"),
-    # 128 elements: the float back end by default
+    # 128 elements, solved exactly like the others
     "boolean-2^7": (_benchmark_boolean_7, [], 0,
                     "53d9563a4005fb97abff36fa4942a13526ab99811e1f0708cf8da85cd0729cf5"),
     # no state: the certificate's rows and multipliers
-    "state-free": (fixtures.nostate_greechie, ["--exact"], 3,
+    "state-free": (fixtures.nostate_greechie, [], 3,
                    "e69155f16b007eb3c77dfd449a28550ecacbe585d957e5240f96ec27e8fdc002"),
 }
 
@@ -364,6 +349,37 @@ def test_find_state_json_pin(capsys, write_json, name):
     code, out, _ = run(capsys, "--format", "json", "oml", "find-state", write_json("l.json", build()), *extra)
     assert code == want
     assert hashlib.sha256(out.encode()).hexdigest() == pin, name
+
+
+# name -> (argv, lattice JSON builder for a file appended to argv or None, exit code)
+NO_SCIPY_CASES = {
+    "demo-paper": (["demo", "paper", "--trials", "1", "--samples", "10"], None, 0),
+    "find-state-boolean-2^7": (["oml", "find-state"], _benchmark_boolean_7, 0),
+    "find-state-state-free": (["oml", "find-state"], fixtures.nostate_greechie, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_SCIPY_CASES))
+def test_command_does_not_import_scipy(write_json, name):
+    # qnsem does not depend on scipy, whose import costs about half a second
+    # and 45 MB of peak RSS; a fresh interpreter shows what a command loads
+    argv, build, want = NO_SCIPY_CASES[name]
+    if build is not None:
+        argv = [*argv, write_json("l.json", build())]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qnsem import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({['--format', 'json', *argv]!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == want
+    assert scipy_modules == []
 
 
 def test_tol_flag(capsys, write_json):

@@ -1,11 +1,9 @@
 import itertools
-import json
 import math
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,69 +67,12 @@ def test_infeasible_inequalities():
     assert not solve_feasibility(["x"], rows).feasible
 
 
-def test_float_backend_agrees():
-    rows = [
-        make_row({"x": 1, "y": 1, "z": 1}, EQ, 1),
-        make_row({"x": 1, "y": -1}, GE, 0),
-    ]
-    exact = solve_feasibility(["x", "y", "z"], rows, exact=True)
-    floaty = solve_feasibility(["x", "y", "z"], rows, exact=False)
-    assert exact.feasible and floaty.feasible
-    assert check_point(rows, floaty.point) <= 1e-9
-    bad = [make_row({"x": 1}, EQ, 2)]
-    assert not solve_feasibility(["x"], bad, exact=False).feasible
-
-
-@pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("pin", [-1e-12, 1 + 1e-12])
-def test_pin_just_outside_the_box_is_infeasible(exact, pin):
-    # the pin leaves no free variable, so the box alone decides: both back
-    # ends must reject it exactly, with no tolerance
-    result = solve_feasibility(["x"], [make_row({"x": 1}, EQ, pin)], exact=exact)
+def test_pin_just_outside_the_box_is_infeasible(pin):
+    # the pin leaves no free variable, so the box alone decides: the solver
+    # must reject it exactly, with no tolerance
+    result = solve_feasibility(["x"], [make_row({"x": 1}, EQ, pin)])
     assert not result.feasible and result.point is None
-
-
-def test_float_solve_with_no_free_variable_does_not_import_scipy():
-    # the pin leaves nothing for HiGHS to solve, so the float back end must
-    # answer without paying for the scipy import; a fresh interpreter shows
-    # what it loads
-    script = (
-        "import json, sys\n"
-        "from fractions import Fraction\n"
-        "from qnsem.feasibility import EQ, make_row, solve_feasibility\n"
-        "r = solve_feasibility(['x'], [make_row({'x': 1}, EQ, Fraction(1, 2))], exact=False)\n"
-        "print(json.dumps([r.feasible, r.point, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr
-    feasible, point, scipy_modules = json.loads(done.stdout.splitlines()[-1])
-    assert feasible and point == {"x": 0.5}
-    assert scipy_modules == []
-
-
-@pytest.mark.parametrize("status", [1, 4])
-def test_float_phase_without_highs_verdict_solves_exactly(monkeypatch, status):
-    # HiGHS stopping at its iteration limit (1) or on numerical trouble (4)
-    # says nothing about feasibility; only status 2 means infeasible
-    import scipy.optimize
-
-    calls = []
-
-    def stalled(*args, **kwargs):
-        calls.append(status)
-        return scipy.optimize.OptimizeResult(status=status, success=False, x=None, message="stalled")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", stalled)
-    rows = [
-        make_row({"x": 1, "y": 1, "z": 1}, EQ, 1),
-        make_row({"x": 1, "y": -1}, GE, Fraction(1, 2)),
-    ]
-    result = solve_feasibility(["x", "y", "z"], rows, exact=False)
-    assert calls == [status]
-    assert result.feasible
-    assert check_point(rows, result.point) == 0.0
 
 
 def _holds(row, point) -> bool:
@@ -203,7 +144,7 @@ def test_exact_solver_matches_vertex_enumeration():
     verdicts = []
     for _ in range(400):
         variables, rows = _random_system(rnd)
-        result = solve_feasibility(variables, rows, exact=True)
+        result = solve_feasibility(variables, rows)
         expected = _vertex_oracle(variables, rows)
         assert result.feasible == expected, (variables, rows)
         if result.feasible:
@@ -219,11 +160,26 @@ def test_check_point_reports_violation():
     assert check_point(rows, {"x": Fraction(3, 4)}) == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+    pytest.param(np.float32("nan"), id="float32-nan"),
+    pytest.param(np.float32("-inf"), id="float32-inf"),
+    pytest.param(Decimal("nan"), id="decimal-nan"),
+    pytest.param(Decimal("inf"), id="decimal-inf"),
+])
 def test_check_point_non_finite_is_maximal_violation(bad):
     rows = [make_row({"x": 1}, LE, Fraction(1, 2)), make_row({"x": 1, "y": 1}, EQ, 1)]
     assert check_point(rows, {"x": Fraction(1, 4), "y": bad}) == math.inf
     assert check_point(rows, {"x": bad, "y": 0.75}) == math.inf
+
+
+def test_check_point_reads_any_real_number():
+    # a Rational exactly, any other number through float()
+    rows = [make_row({"x": 1, "y": 1}, EQ, 1), make_row({"x": 1}, LE, Fraction(1, 3))]
+    for x, y in [(np.float32(0.25), 0.75), (Decimal("0.25"), Decimal("0.75")), (np.int64(0), True),
+                 (Fraction(1, 3), Fraction(2, 3)), (1 / 3, np.float64(2 / 3))]:
+        assert check_point(rows, {"x": x, "y": y}) == 0.0, (x, y)
+    assert check_point(rows, {"x": np.float32(0.5), "y": np.float32(0.5)}) == pytest.approx(1 / 6)
 
 
 def test_make_row_validation():
@@ -374,35 +330,7 @@ def reference_exact_phase(ineqs, free_vars):
     return point
 
 
-def reference_float_phase(ineqs, free_vars):
-    order = sorted(free_vars)
-    if not order:
-        return reference_exact_phase(ineqs, free_vars)
-    from scipy.optimize import linprog
-
-    cols = {v: j for j, v in enumerate(order)}
-    a_ub, b_ub = [], []
-    for coeffs, rhs in ineqs:
-        vec = [0.0] * len(order)
-        for v, c in coeffs.items():
-            vec[cols[v]] = float(c)
-        a_ub.append(vec)
-        b_ub.append(float(rhs))
-    res = linprog(
-        c=[0.0] * len(order),
-        A_ub=a_ub or None,
-        b_ub=b_ub or None,
-        bounds=[(0.0, 1.0)] * len(order),
-        method="highs",
-    )
-    if res.status == 2:
-        return None
-    if not res.success:
-        return reference_exact_phase(ineqs, free_vars)
-    return {v: Fraction(float(res.x[cols[v]])).limit_denominator(10**12) for v in order}
-
-
-def reference_solve(variables, rows, exact=True):
+def reference_solve(variables, rows):
     rows = list(rows)
     pivots, var_index, cert = reference_presolve(variables, rows)
     if cert is not None:
@@ -428,15 +356,13 @@ def reference_solve(variables, rows, exact=True):
     for coeffs, rhs in ineqs:
         unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
     ineqs = list(unique.values())
-    point_free = (reference_exact_phase if exact else reference_float_phase)(ineqs, free_vars)
+    point_free = reference_exact_phase(ineqs, free_vars)
     if point_free is None:
         return FeasibilityResult(False, None, None, "bounded phase is infeasible")
     names = list(variables)
     point = {names[v]: val for v, val in point_free.items()}
     for p, (expr, prhs, _combo) in pivots.items():
         point[names[p]] = prhs + sum((c * point_free[v] for v, c in expr.items()), Fraction(0))
-    if not exact:
-        return FeasibilityResult(True, {k: float(v) for k, v in point.items()}, None)
     return FeasibilityResult(True, point, None)
 
 
@@ -473,33 +399,13 @@ def _pivot_map(pivots):
     return [(p, list(expr.items()), rhs, list(combo.items())) for p, (expr, rhs, combo) in pivots.items()]
 
 
-@pytest.fixture
-def highs_inputs(monkeypatch):
-    """Every linprog call's arguments, in call order."""
-    import scipy.optimize
-
-    calls = []
-    linprog = scipy.optimize.linprog
-
-    def recording(**kwargs):
-        calls.append(kwargs)
-        return linprog(**kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", recording)
-    return calls
-
-
-def _assert_same_as_reference(variables, rows, exact, highs_inputs):
+def _assert_same_as_reference(variables, rows):
     new_pivots, new_index, new_cert = feasibility._presolve(variables, rows)
     ref_pivots, ref_index, ref_cert = reference_presolve(variables, rows)
     assert _pivot_map(new_pivots) == _pivot_map(ref_pivots)
     assert new_index == ref_index and _typed(new_cert) == _typed(ref_cert)
-    highs_inputs.clear()
-    new = solve_feasibility(variables, rows, exact=exact)
-    new_highs = list(highs_inputs)
-    highs_inputs.clear()
-    ref = reference_solve(variables, rows, exact=exact)
-    assert new_highs == highs_inputs and _typed(new_highs) == _typed(list(highs_inputs))
+    new = solve_feasibility(variables, rows)
+    ref = reference_solve(variables, rows)
     assert (new.feasible, new.detail) == (ref.feasible, ref.detail)
     assert _typed(new.point) == _typed(ref.point)
     assert _typed(new.certificate) == _typed(ref.certificate)
@@ -519,23 +425,22 @@ BENCHMARK_LATTICES = _benchmark_lattices()
 
 
 @pytest.mark.parametrize("name", list(BENCHMARK_LATTICES))
-def test_integer_solver_matches_fraction_reference_on_lattices(name, highs_inputs):
+def test_integer_solver_matches_fraction_reference_on_lattices(name):
     data = BENCHMARK_LATTICES[name]
     lattice = oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")
     names, rows = oml.state_constraints(lattice)
     pins = known.infeasible_pins(data, np.random.default_rng(len(data)))
     pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
-    for exact in (True, False):
-        plain = _assert_same_as_reference(names, rows, exact, highs_inputs)
-        assert plain.feasible == (name != "state-free")
-        pinned = _assert_same_as_reference(names, rows + pin_rows, exact, highs_inputs)
-        assert not pinned.feasible
-        if plain.feasible:
-            # a point that misses rows by thirds and by float noise
-            moved = {k: v + Fraction(1, 3) if i % 3 == 0 else v for i, (k, v) in enumerate(plain.point.items())}
-            noisy = {k: float(v) + 1e-10 * (i % 5) for i, (k, v) in enumerate(plain.point.items())}
-            for point in (moved, noisy):
-                assert check_point(rows, point) == reference_check_point(rows, point) > 0
+    plain = _assert_same_as_reference(names, rows)
+    assert plain.feasible == (name != "state-free")
+    pinned = _assert_same_as_reference(names, rows + pin_rows)
+    assert not pinned.feasible
+    if plain.feasible:
+        # a point that misses rows by thirds and by float noise
+        moved = {k: v + Fraction(1, 3) if i % 3 == 0 else v for i, (k, v) in enumerate(plain.point.items())}
+        noisy = {k: float(v) + 1e-10 * (i % 5) for i, (k, v) in enumerate(plain.point.items())}
+        for point in (moved, noisy):
+            assert check_point(rows, point) == reference_check_point(rows, point) > 0
 
 
 def _rational(rnd: random.Random):
@@ -567,25 +472,23 @@ def _random_point(rnd: random.Random, variables):
     return {v: rnd.choice(draws)() for v in variables}
 
 
-def test_integer_solver_matches_fraction_reference_on_random_systems(highs_inputs):
+def test_integer_solver_matches_fraction_reference_on_random_systems():
     rnd = random.Random(1968)
     seen = Counter()
     for _ in range(250):
         variables = [f"x{j}" for j in range(rnd.randint(1, 6))]
         rows = _random_rows(rnd, variables)
-        for exact in (True, False):
-            result = _assert_same_as_reference(variables, rows, exact, highs_inputs)
-            seen[exact, result.feasible, result.detail.split(" ")[0]] += 1
-            if result.feasible and any(Fraction(v).denominator > 1 for v in result.point.values()):
-                seen["fractional point", exact] += 1
+        result = _assert_same_as_reference(variables, rows)
+        seen[result.feasible, result.detail.split(" ")[0]] += 1
+        if result.feasible and any(v.denominator > 1 for v in result.point.values()):
+            seen["fractional point"] += 1
         for _ in range(3):
             point = _random_point(rnd, variables)
             assert check_point(rows, point) == reference_check_point(rows, point)
     # feasible, certified, bounded-phase and reduced-row verdicts all occur
-    for exact in (True, False):
-        assert seen[exact, True, ""] > 40 and seen["fractional point", exact] > 10
-        assert seen[exact, False, "equality"] > 20 and seen[exact, False, "bounded"] > 10
-        assert seen[exact, False, "row"] > 2
+    assert seen[True, ""] > 40 and seen["fractional point"] > 10
+    assert seen[False, "equality"] > 20 and seen[False, "bounded"] > 10
+    assert seen[False, "row"] > 2
 
 
 def test_exact_phase_matches_fraction_reference_on_random_tableaux():

@@ -301,6 +301,23 @@ def test_search_loop_matches_recursive_oracle():
     assert satisfiable > 0  # both verdicts are covered
 
 
+def test_exhaustive_count_in_chunks_matches_search(monkeypatch):
+    # the count does not depend on the chunk size, down to one assignment
+    # per chunk; an uncovered vector counts as 0, as in the search
+    large = [f for f in _benchmark_families() if len(f.ids()) <= 20]
+    e = [hilbert.basis_vector(3, i) for i in range(3)]
+    uncovered = kscheck.VectorContextFamily(3, {"e1": e[0], "e2": e[1], "e3": e[2]}, (("e1", "e2"),))
+    small = [standard_family(), rotated_family(), uncovered, *(f for f in large if len(f.ids()) <= 10)]
+    counts = []
+    for chunk_bits, families in ((kscheck._CHUNK_BITS, large), (3, small), (0, small)):
+        monkeypatch.setattr(kscheck, "_CHUNK_BITS", chunk_bits)
+        for fam in families:
+            count = kscheck.exhaustive_count(fam)
+            assert count == kscheck.count_solutions(fam), (chunk_bits, fam.ids())
+            counts.append(count)
+    assert 0 in counts and max(counts) > 1
+
+
 def test_search_has_no_depth_limit():
     # one context per level: deeper than the recursion limit allows the
     # recursive oracle, which must fail where the loop gets a verdict

@@ -26,7 +26,6 @@ from qnsem.nmatrix import (
     adequacy_check,
     classical_matrix,
     dynamic_consequence,
-    enumerate_dynamic_valuations,
     f_expansion,
     is_deterministic,
     is_dynamic_legal,
@@ -37,6 +36,7 @@ from qnsem.nmatrix import (
     two_valued_matrix,
     verify_rexpansion,
     _ValueNetwork,
+    _ordered_domain,
 )
 from qnsem.quantum import adequate_restricted_tables, quantum_nmatrix, three_valued_collapse
 from qnsem.valuesets import FiniteValues, finite
@@ -177,6 +177,45 @@ def test_static_flags_equal_component_pairs():
 
 # ---------------------------------------------------------------------------
 # enumeration, validity, consequence
+
+
+def enumerate_dynamic_valuations(m, formulas):
+    """Yield exactly the legal dynamic valuations on the subformula closure:
+    the oracle the countermodel search is checked against.
+
+    Atoms range over V in lexicographic name order; each compound ranges over
+    its table cell in closure (children-first) order, so the enumeration is
+    deterministic.
+    """
+    domain = _ordered_domain(formulas)
+    assignment = {}
+
+    def options(f):
+        if isinstance(f, Atom):
+            return list(m.values)
+        if isinstance(f, Not):
+            return m.cell_values_ordered(m.cell("not", (assignment[f.child],)))
+        conn = "and" if isinstance(f, And) else "or"
+        return m.cell_values_ordered(m.cell(conn, (assignment[f.left], assignment[f.right])))
+
+    if not domain:
+        yield Valuation({})
+        return
+    # one iterator over the options of each assigned prefix of the domain
+    stack = [iter(options(domain[0]))]
+    done = object()
+    while stack:
+        f = domain[len(stack) - 1]
+        v = next(stack[-1], done)
+        if v is done:
+            stack.pop()
+            assignment.pop(f, None)
+            continue
+        assignment[f] = v
+        if len(stack) == len(domain):
+            yield Valuation(dict(assignment))
+        else:
+            stack.append(iter(options(domain[len(stack)])))
 
 
 def test_enumeration_counts():

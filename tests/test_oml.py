@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -319,12 +320,13 @@ def _greechie_chain(blocks: int) -> oml.FiniteOML:
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: oml.boolean_lattice(5), lambda: oml.boolean_lattice(6), lambda: _greechie_chain(15)],
-    ids=["boolean-2^5", "boolean-2^6", "chain-15"],
+    [lambda: oml.boolean_lattice(5), lambda: oml.boolean_lattice(6), lambda: _greechie_chain(15),
+     lambda: oml.boolean_lattice(7)],
+    ids=["boolean-2^5", "boolean-2^6", "chain-15", "boolean-2^7"],
 )
 def test_exact_find_state_at_benchmark_sizes(build):
     lattice = build()
-    result = oml.find_state(lattice, exact=True)
+    result = oml.find_state(lattice)
     assert result.feasible and result.residual == 0.0
     assert all(isinstance(v, Fraction) for v in result.state.values())
     assert oml.verify_general_state(lattice, result.state) == 0.0
@@ -348,7 +350,7 @@ def test_nostate_fixture_is_a_verified_oml():
 
 def test_nostate_fixture_infeasible_with_certificate():
     lattice = fixtures.nostate_lattice()
-    result = oml.find_state(lattice, exact=True)
+    result = oml.find_state(lattice)
     assert not result.feasible
     assert result.certificate is not None
     names, rows = oml.state_constraints(lattice)
@@ -711,7 +713,7 @@ def test_bindings_agree_across_backends():
 def test_valuation_search_unconstrained():
     matrix = quantum_nmatrix(1.0)
     for lattice in (oml.boolean_lattice(2), oml.boolean_lattice(3)):
-        result = oml.legal_valuation_search(lattice, matrix, exact=True)
+        result = oml.legal_valuation_search(lattice, matrix)
         assert result.feasible
         mu = {k: float(v) for k, v in result.point.items()}
         assert oml.lattice_valuation_legal(lattice, matrix, mu).ok
@@ -732,6 +734,20 @@ def test_valuation_search_respects_partial():
     assert result.feasible
     assert result.point["a"] == Fraction(1, 3)
     assert result.point["a'"] == Fraction(2, 3)
+
+
+def test_valuation_search_reads_any_real_pin():
+    # a Rational pin exactly, any other number through float(); a pin that
+    # is not a finite number in [0,1] is refused
+    lattice = oml.mo2()
+    matrix = quantum_nmatrix(1.0)
+    for pin, want in [(np.float32(0.5), Fraction(1, 2)), (Decimal("0.25"), Fraction(1, 4)), (0.1, Fraction(1, 10)),
+                      (Fraction(1, 3), Fraction(1, 3)), (np.int64(1), 1)]:
+        result = oml.legal_valuation_search(lattice, matrix, partial={"a": pin})
+        assert result.feasible and (result.point["a"], result.point["a'"]) == (want, 1 - want), pin
+    for bad in (Decimal("nan"), np.float32("nan"), float("inf"), np.float32(1.5), -1):
+        with pytest.raises(ValueError, match="out of"):
+            oml.legal_valuation_search(lattice, matrix, partial={"a": bad})
 
 
 def test_pairwise_constraints_propagate_to_families():
@@ -811,15 +827,13 @@ def test_legal_search_matches_the_interval_row_oracle():
         names, oracle_rows = legal_rows_oracle(lattice)
         for label, pins, feasible in _pin_sets(lattice):
             pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
-            for exact in (True, False):
-                result = oml.legal_valuation_search(lattice, matrix, partial=pins, exact=exact)
-                oracle = solve_feasibility(names, oracle_rows + pin_rows, exact=exact)
-                assert result.feasible == oracle.feasible == feasible, (len(lattice), label, exact)
-                seen[label, exact] += 1
-                if feasible:
-                    residual = check_point(oracle_rows + pin_rows, result.point)
-                    assert residual == 0.0 if exact else residual <= 1e-9, (len(lattice), label, exact)
-    assert seen["order-reversed", True] == 6  # Boolean 2^3..2^5 and the three chains
+            result = oml.legal_valuation_search(lattice, matrix, partial=pins)
+            oracle = solve_feasibility(names, oracle_rows + pin_rows)
+            assert result.feasible == oracle.feasible == feasible, (len(lattice), label)
+            seen[label] += 1
+            if feasible:
+                assert check_point(oracle_rows + pin_rows, result.point) == 0.0, (len(lattice), label)
+    assert seen["order-reversed"] == 6  # Boolean 2^3..2^5 and the three chains
 
 
 @pytest.mark.parametrize("build", [oml.chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
