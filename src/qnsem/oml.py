@@ -47,16 +47,25 @@ class FiniteOML:
         n = len(self.elements)
         self.leq = np.zeros((n, n), dtype=bool)
         np.fill_diagonal(self.leq, True)
-        for a, b in leq_pairs:
-            self.leq[self.index[a], self.index[b]] = True
+        for pair in leq_pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"leq entry {pair!r} is not a pair")
+            a, b = (self._known(f"leq pair {list(pair)!r}", e) for e in pair)
+            self.leq[a, b] = True
         missing = set(self.elements) - set(ortho)
         if missing:
             raise ValueError(f"orthocomplement map misses {sorted(missing)}")
-        self.ortho = np.array([self.index[ortho[e]] for e in self.elements])
-        self.bottom = self.index[bottom]
-        self.top = self.index[top]
+        self.ortho = np.array([self._known(f"ortho value of {e!r}", ortho[e]) for e in self.elements])
+        self.bottom = self._known("bottom", bottom)
+        self.top = self._known("top", top)
         self._meet: np.ndarray | None = None
         self._join: np.ndarray | None = None
+
+    def _known(self, field: str, name) -> int:
+        try:
+            return self.index[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"{field} names unknown element {name!r}") from None
 
     # -- basic queries ------------------------------------------------------
 
@@ -78,8 +87,13 @@ class FiniteOML:
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """meet/join index tables; -1 marks a missing or non-unique bound."""
         if self._meet is None:
-            self._meet = _greatest_common(self.leq.T, self.leq)
-            self._join = _greatest_common(self.leq, self.leq.T)
+            reflexive, two_way, unclosed = _order_defects(self.leq)
+            if reflexive and not two_way.any() and not unclosed.any():
+                self._meet = _greatest_below(self.leq.T)
+                self._join = _greatest_below(self.leq)
+            else:
+                self._meet = _greatest_common(self.leq.T, self.leq)
+                self._join = _greatest_common(self.leq, self.leq.T)
         return self._meet, self._join
 
     def bound_table(self, kind: str, where: np.ndarray | None = None) -> np.ndarray:
@@ -116,21 +130,62 @@ class FiniteOML:
     def from_json(obj: dict) -> "FiniteOML":
         return FiniteOML(
             obj["elements"],
-            [tuple(p) for p in obj["leq"]],
+            obj["leq"],
             obj["ortho"],
             obj["bottom"],
             obj["top"],
         )
 
 
+def _order_defects(leq: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether ``leq`` is reflexive, the pairs i != j it relates both ways,
+    and the pairs it relates through a third element but not directly: a
+    partial order has no defect."""
+    # float32 counts are exact below 2**24
+    closure = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
+    return bool(leq.diagonal().all()), leq & leq.T & ~np.eye(len(leq), dtype=bool), closure & ~leq
+
+
+def _greatest_below(down: np.ndarray) -> np.ndarray:
+    """table[i, j] is the greatest element of ``down[i] & down[j]``, or -1
+    when that set has none, where ``down[z]`` is the down-set of z in a
+    partial order (pass the transposed order for meets, the order itself
+    for joins).
+
+    Only for partial orders, which ``_order_defects`` tells apart.  There
+    the common set L has a greatest element z exactly when some z in L has
+    |down[z]| = |L|: down[z] lies inside L by transitivity, so the sizes
+    agree only when L = down[z]; and no other w in L reaches |L|, since
+    L = down[w] too would give w <= z <= w.  Every z in L has |down[z]| <=
+    |L|, so the candidate is the member of L with the largest down-set.
+    The columns are sorted by down-set size once, largest first; then row
+    i takes the candidate for every j >= i in one argmax over
+    ``down[i] & down[i:]`` and confirms it with one count, O(n**3) in all.
+    """
+    n = len(down)
+    size = np.count_nonzero(down, axis=1)
+    order = np.argsort(-size, kind="stable")
+    down, size = down[:, order], size[order]
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        common = down[i] & down[i:]
+        k = common.argmax(axis=1)
+        found = common[np.arange(n - i), k] & (size[k] == np.count_nonzero(common, axis=1))
+        table[i, i:] = table[i:, i] = np.where(found, order[k], -1)
+    return table
+
+
 def _greatest_common(rel: np.ndarray, below: np.ndarray) -> np.ndarray:
     """table[i, j] is the z in ``rel[i] & rel[j]`` with ``below[w, z]`` for
     every w of that set, or -1 when there is none or more than one.
 
-    Row i handles every j at once: the common sets are the rows of
-    ``rel[i] & rel``, and a member z bounds its set when the 0/1 product
-    ``common @ below`` counts the whole set at z.  The float32 product runs
-    on BLAS and is exact for counts below 2**24.
+    Serves only relations that are not partial orders, where a common set
+    may have no greatest element yet tied bounds; on a partial order
+    ``_greatest_below`` gives the same table in O(n**3).  Row i handles
+    every j at once: the common sets are the rows of ``rel[i] & rel``, and
+    a member z bounds its set when the 0/1 product ``common @ below``
+    counts the whole set at z.  The float32 product runs on BLAS and is
+    exact for counts below 2**24; the build is O(n**4).
     """
     n = len(rel)
     table = np.full((n, n), -1)
@@ -181,14 +236,12 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
 
     n = len(l.elements)
     leq, ortho, name = l.leq, l.ortho, l.name
-    if not leq.diagonal().all():
+    reflexive, two_way, unclosed = _order_defects(leq)
+    if not reflexive:
         fail(["order is not reflexive"])
-    fail(f"antisymmetry fails at ({name(i)}, {name(j)})"
-         for i, j in np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool)))
-    # float32 counts are exact below 2**24
-    closure = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
+    fail(f"antisymmetry fails at ({name(i)}, {name(j)})" for i, j in np.argwhere(two_way))
     fail(f"transitivity fails: {name(i)} <= ... <= {name(j)} but not directly"
-         for i, j in np.argwhere(closure & ~leq))
+         for i, j in np.argwhere(unclosed))
     if not leq[l.bottom, :].all():
         fail(["bottom is not below every element"])
     if not leq[:, l.top].all():

@@ -285,6 +285,15 @@ def test_oml_missing_orthogonal_join_is_an_input_error(capsys, write_json):
     assert code == 3 and "join(a, b) missing or not unique" in out
 
 
+def test_oml_cav_all_on_mo100(capsys, write_json):
+    # 202 elements: MO_n has no two-valued valuation once n >= 2
+    data = known.mo(100)
+    mo100 = write_json("mo100.json", oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1").to_json())
+    code, out, _ = run(capsys, "--format", "json", "oml", "cav", mo100, "--all")
+    assert code == 3
+    assert json.loads(out) == {"satisfiable": False, "solutions": 0}
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -429,6 +438,16 @@ def _lattice_with_list_name():
     return lattice
 
 
+def _mo2_with(**fields):
+    lattice = oml.mo2().to_json()
+    lattice.update(fields)
+    return lattice
+
+
+def _mo2_ortho_with(**values):
+    return _mo2_with(ortho={**oml.mo2().to_json()["ortho"], **values})
+
+
 # case -> builder of the argv for a command that reads one JSON file of the
 # wrong shape, with every other input well formed; a builder takes
 # write_json and writes only its own case's files
@@ -436,6 +455,11 @@ _WRONG_SHAPE_CASES = {
     "ks-top-level-array": lambda w: ["ks", "search", w("ks-array.json", [1, 2])],
     "ks-string-vector-entry": lambda w: ["ks", "search", w("family.json", _family_with_string_entry())],
     "oml-list-element-name": lambda w: ["oml", "verify", w("lattice.json", _lattice_with_list_name())],
+    "oml-leq-unknown-element": lambda w: ["oml", "verify", w("leq-unknown.json", _mo2_with(leq=[["0", "x"]]))],
+    "oml-leq-not-a-pair": lambda w: ["oml", "verify", w("leq-single.json", _mo2_with(leq=[["0"]]))],
+    "oml-ortho-unknown-element": lambda w: ["oml", "cav", w("ortho-unknown.json", _mo2_ortho_with(a="x"))],
+    "oml-bottom-unknown-element": lambda w: ["oml", "find-state", w("bottom-unknown.json", _mo2_with(bottom="x"))],
+    "oml-top-unknown-element": lambda w: ["oml", "cav", w("top-unknown.json", _mo2_with(top="x"))],
     "eval-bind-array": lambda w: ["eval", "--bind", w("bind-array.json", [1, 2]),
                                   "--state", w("state.json", _state_and_bindings_json()[0]), "P"],
     "eval-state-array": lambda w: ["eval", "--bind", w("bind.json", _state_and_bindings_json()[1]),
@@ -469,6 +493,16 @@ def test_wrong_shape_cases_write_distinct_files():
             assert owner.setdefault(name, case) == case, (name, owner[name], case)
 
 
+# case -> what its error message must name
+_WRONG_SHAPE_MESSAGES = {
+    "oml-leq-unknown-element": "leq pair ['0', 'x'] names unknown element 'x'",
+    "oml-leq-not-a-pair": "leq entry ['0'] is not a pair",
+    "oml-ortho-unknown-element": "ortho value of 'a' names unknown element 'x'",
+    "oml-bottom-unknown-element": "bottom names unknown element 'x'",
+    "oml-top-unknown-element": "top names unknown element 'x'",
+}
+
+
 @pytest.mark.parametrize("case", list(_WRONG_SHAPE_CASES))
 def test_wrong_json_shape_is_an_input_error(capsys, write_json, tmp_path, case):
     argv = _WRONG_SHAPE_CASES[case](write_json)
@@ -478,6 +512,7 @@ def test_wrong_json_shape_is_an_input_error(capsys, write_json, tmp_path, case):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert _WRONG_SHAPE_MESSAGES.get(case, "") in err
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,46 @@ def test_bound_tables_match_oracle_on_random_relations():
     assert missing and tied
 
 
+def _random_poset(rnd, n):
+    """The transitive closure of a random DAG, its elements shuffled."""
+    density = rnd.uniform(0.05, 0.6)
+    leq = np.eye(n, dtype=bool) | np.triu([[rnd.random() < density for _ in range(n)] for _ in range(n)])
+    for k in range(n):
+        leq |= np.outer(leq[:, k], leq[k])
+    perm = rnd.sample(range(n), n)
+    leq = leq[np.ix_(perm, perm)]
+    names = [str(k) for k in range(n)]
+    pairs = [(names[i], names[j]) for i, j in np.argwhere(leq) if i != j]
+    return oml.FiniteOML(names, pairs, {e: e for e in names}, "0", "0")
+
+
+def test_bound_tables_match_oracle_on_random_posets(monkeypatch):
+    # posets that need not be lattices: the order builder alone must find
+    # every bound and every missing one (ties cannot occur in a poset)
+    def product_path(*_):
+        raise AssertionError("a partial order took the product path")
+
+    monkeypatch.setattr(oml, "_greatest_common", product_path)
+    rnd = random.Random(11)
+    missing = 0
+    for _ in range(300):
+        poset = _random_poset(rnd, rnd.randint(1, 12))
+        _assert_bounds_match_oracle(poset)
+        meet, join = poset._bound_tables()
+        missing += np.count_nonzero(meet < 0) + np.count_nonzero(join < 0)
+    assert missing
+
+
+def test_bound_tables_on_large_mo_match_the_product_path():
+    # sizes the benchmark does not reach (62 and 202 elements)
+    for n in (30, 100):
+        data = known.mo(n)
+        lattice = oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")
+        meet, join = lattice._bound_tables()
+        assert np.array_equal(meet, oml._greatest_common(lattice.leq.T, lattice.leq))
+        assert np.array_equal(join, oml._greatest_common(lattice.leq, lattice.leq.T))
+
+
 def _poset_without_orthogonal_join():
     # a and b are orthogonal (a <= b' = x) but have two minimal upper bounds
     elements = ["0", "a", "b", "x", "y", "1"]
