@@ -161,6 +161,8 @@ def _greatest_below(down: np.ndarray) -> np.ndarray:
     The columns are sorted by down-set size once, largest first; then row
     i takes the candidate for every j >= i in one argmax over
     ``down[i] & down[i:]`` and confirms it with one count, O(n**3) in all.
+    An empty L needs no separate test: its argmax names some element,
+    whose down-set holds at least itself, so the count never matches.
     """
     n = len(down)
     size = np.count_nonzero(down, axis=1)
@@ -170,8 +172,7 @@ def _greatest_below(down: np.ndarray) -> np.ndarray:
     for i in range(n):
         common = down[i] & down[i:]
         k = common.argmax(axis=1)
-        found = common[np.arange(n - i), k] & (size[k] == np.count_nonzero(common, axis=1))
-        table[i, i:] = table[i:, i] = np.where(found, order[k], -1)
+        table[i, i:] = table[i:, i] = np.where(size[k] == np.count_nonzero(common, axis=1), order[k], -1)
     return table
 
 
@@ -179,9 +180,10 @@ def _greatest_common(rel: np.ndarray, below: np.ndarray) -> np.ndarray:
     """table[i, j] is the z in ``rel[i] & rel[j]`` with ``below[w, z]`` for
     every w of that set, or -1 when there is none or more than one.
 
-    Serves only relations that are not partial orders, where a common set
-    may have no greatest element yet tied bounds; on a partial order
-    ``_greatest_below`` gives the same table in O(n**3).  Row i handles
+    Serves only relations that are not partial orders: there a common set
+    may hold several members that bound it, and the size argument of
+    ``_greatest_below``, which gives the same table on a partial order in
+    O(n**3), does not hold.  Row i handles
     every j at once: the common sets are the rows of ``rel[i] & rel``, and
     a member z bounds its set when the 0/1 product ``common @ below``
     counts the whole set at z.  The float32 product runs on BLAS and is
