@@ -19,7 +19,7 @@ import sys
 from . import demo as demo_mod
 from . import fixtures, hilbert, kscheck, oml
 from .formulas import Atom, ParseError, children, parse, render, subformula_closure
-from .linalg import DEFAULT_TOL, DimensionMismatch, InvariantViolation
+from .linalg import DEFAULT_TOL, DimensionMismatch, InvariantViolation, json_object
 from .nmatrix import (
     FiniteNMatrix,
     ThresholdMap,
@@ -94,7 +94,7 @@ def _load_bindings(path: str, tol: float) -> ProjectorBindings:
     obj = _load_json(path)
     atoms = {}
     for name, op in obj.items():
-        matrix, kind = hilbert.operator_from_json(op, tol)
+        matrix, kind = hilbert.operator_from_json(json_object(op, f"binding {name!r}"), tol)
         if kind != "projector":
             raise InvariantViolation(f"binding {name!r} is not a projector")
         atoms[name] = matrix
@@ -451,6 +451,7 @@ def main(argv=None) -> int:
         TypeError,
         KeyError,
         OSError,
+        OverflowError,  # a JSON number beyond the float range
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

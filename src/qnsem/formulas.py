@@ -11,9 +11,11 @@ precedence ``!`` > ``&`` > ``|``)::
     atom  := [A-Za-z_][A-Za-z0-9_]*
 
 The unicode connectives ``¬ ∧ ∨`` are accepted as aliases of ``! & |``; the
-renderer always emits ASCII.  Formula identity is syntactic: ``P & Q`` and
-``Q & P`` are distinct formulas even though they denote the same lattice
-element.
+renderer always emits ASCII.  Any other non-whitespace character that
+starts no token is lexed as a one-character token of its own, which the
+grammar never accepts: it is reported as a lexical error at its offset.
+Formula identity is syntactic: ``P & Q`` and ``Q & P`` are distinct
+formulas even though they denote the same lattice element.
 
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): constructing a node whose structure already exists
@@ -22,6 +24,8 @@ of interned nodes: ``==`` and ``hash`` are the identity ones, O(1) at any
 depth.  The intern table keys an atom by its name, a negation by the
 tuple ``(child,)`` and a conjunction or disjunction by ``(left, right,
 tag)``; tuples of identity-hashed nodes are cheap to build and to hash.
+``parse`` looks nodes up in the table itself, with the same keys, and
+calls a constructor only when the table has no live node for the key.
 The table holds weak references to the nodes only; a node leaves it, key
 and all, when it is garbage-collected.  The table is not locked, so
 formulas are built by one thread at a time (qnsem starts no threads).
@@ -172,7 +176,7 @@ class ParseError(ValueError):
 
 
 _ALIASES = str.maketrans("¬∧∨", "!&|")
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]|\S")
 _NO_UNARY = frozenset(("&", "|", ")", ""))  # tokens that cannot start a unary
 
 
@@ -211,16 +215,19 @@ def parse(text: str) -> Formula:
     built so far and the negations that wait for the group.
 
     The tokens are plain strings from one ``findall``, with ``""`` for the
-    end.  The aliases map one character to one, so every offset stays put,
-    and the tokens cover the text exactly when they join to its
-    non-whitespace characters.  Offsets are looked up, by ``_tokenize``,
-    only for an error."""
+    end; a character that starts no token is a token of its own, which no
+    grammar rule accepts, so it always ends in ``_syntax_error``.  That
+    re-scans the text with ``_tokenize``, which raises at the first such
+    character before any syntax error is reported.  The aliases map one
+    character to one, so every offset stays put; offsets are looked up only
+    for an error.  Nodes are looked up in ``_TABLE`` here, with the keys
+    documented there, and built by their constructors only when the table
+    has no live node for the key."""
     ascii_text = str.translate(text, _ALIASES)  # a TypeError for a non-string
     tokens = _TOKEN_RE.findall(ascii_text)
-    if "".join(tokens) != "".join(ascii_text.split()):
-        _tokenize(text)  # raises at the first character that starts no token
     tokens.append("")
     interned = _TABLE.get
+    and_tag, or_tag = And._tag, Or._tag
     groups = []  # (disjunction, conjunction, negations) outside each open '('
     disj = conj = None
     nots = 0
@@ -240,23 +247,35 @@ def parse(text: str) -> Formula:
         if tok in _NO_UNARY:
             raise _syntax_error(text, pos - 1, ("atom", "'!'", "'('"))
         ref = interned(tok)
-        unary = None if ref is None else ref()
+        unary = ref and ref()
         if unary is None:
+            if not _ATOM_RE.fullmatch(tok):
+                raise _syntax_error(text, pos - 1, ("atom", "'!'", "'('"))
             unary = Atom(tok)
         # a unary is complete: negate it, fold it into the conjunction, and
-        # close every group that ends here
+        # close every group that ends here; a dead or missing entry is rebuilt
+        # by the constructor (nodes are always truthy)
         while True:
-            for _ in range(nots):
-                unary = Not(unary)
-            conj = unary if conj is None else And(conj, unary)
+            while nots:
+                ref = interned((unary,))
+                unary = ref and ref() or Not(unary)
+                nots -= 1
+            if conj is None:
+                conj = unary
+            else:
+                ref = interned((conj, unary, and_tag))
+                conj = ref and ref() or And(conj, unary)
             tok = tokens[pos]
             if tok == "&":
                 break
+            if disj is not None:
+                ref = interned((disj, conj, or_tag))
+                conj = ref and ref() or Or(disj, conj)
             if tok == "|":
-                disj = conj if disj is None else Or(disj, conj)
+                disj = conj
                 conj = None
                 break
-            unary = conj if disj is None else Or(disj, conj)
+            unary = conj
             if not groups:
                 if tok:
                     raise _syntax_error(text, pos, ("end of input", "'&'", "'|'"))
@@ -266,27 +285,44 @@ def parse(text: str) -> Formula:
             pos += 1
             disj, conj, nots = groups.pop()
         pos += 1  # past the '&' or '|'
-        nots = 0
 
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesis text form such that parse(render(f)) == f."""
+    """Minimal-parenthesis text form such that parse(render(f)) == f.
+
+    Text that opens a node's own form (``!``, ``!(`` and the ``(`` of a
+    parenthesised left child) is emitted at once; the rest is pushed."""
     out = []
+    append = out.append
     stack = [f]  # nodes still to print, and the text between them
+    push, pop = stack.append, stack.pop
     while stack:
-        f = stack.pop()
-        if type(f) is str:
-            out.append(f)
-        elif type(f) is Atom:
-            out.append(f.name)
-        elif type(f) is Not:
-            stack += (")", f.child, "!(") if f.child._level < 3 else (f.child, "!")
+        f = pop()
+        kind = type(f)
+        if kind is Atom:
+            append(f.name)
+        elif kind is str:
+            append(f)
+        elif kind is Not:
+            child = f.child
+            if child._level < 3:
+                append("!(")
+                push(")")
+            else:
+                append("!")
+            push(child)
         else:
             left, right, level = f.left, f.right, f._level
             # same-level right child would re-associate under the left-associative grammar
-            stack += (")", right, "(") if right._level <= level else (right,)
-            stack.append(f._sep)
-            stack += (")", left, "(") if left._level < level else (left,)
+            if right._level <= level:
+                stack += (")", right, "(")
+            else:
+                push(right)
+            push(f._sep)
+            if left._level < level:
+                append("(")
+                push(")")
+            push(left)
     return "".join(out)
 
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .linalg import DEFAULT_TOL, max_norm
+from .linalg import DEFAULT_TOL, json_list, json_object, max_norm
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,14 @@ class VectorContextFamily:
     def from_json(obj: dict) -> "VectorContextFamily":
         dim = int(obj["dim"])
         vectors = {}
-        for vid, entries in obj["vectors"].items():
+        for vid, entries in json_object(obj["vectors"], "vectors").items():
             v = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
             if v.size != dim:
                 raise ValueError(f"vector {vid!r} has length {v.size}, expected {dim}")
             vectors[vid] = v
-        contexts = tuple(tuple(ctx) for ctx in obj["contexts"])
+        contexts = tuple(
+            tuple(json_list(ctx, f"contexts[{i}]")) for i, ctx in enumerate(json_list(obj["contexts"], "contexts"))
+        )
         for ctx in contexts:
             for vid in ctx:
                 if vid not in vectors:

@@ -12,7 +12,7 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,6 +130,22 @@ def orthonormalize(vectors: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarr
         if norm > tol:
             basis.append(v / norm)
     return basis
+
+
+def json_list(value, field: str):
+    """``value`` unless it is a string: where a reader iterates a JSON list,
+    a string would be read as the list of its characters.  Any other
+    sequence passes, for callers that build the input in Python."""
+    if isinstance(value, str):
+        raise ValueError(f"{field} must be a list, not the string {value!r}")
+    return value
+
+
+def json_object(value, field: str) -> Mapping:
+    """``value`` if it is a mapping, as a JSON object is read."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def matrix_to_json(a) -> dict:

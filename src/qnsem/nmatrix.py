@@ -25,7 +25,7 @@ from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .formulas import And, Atom, Formula, Not, Or, children, render, subformula_closure
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, json_list, json_object
 from .valuesets import (
     OPEN_SHIFT,
     FiniteValues,
@@ -164,15 +164,15 @@ class FiniteNMatrix:
 
     @staticmethod
     def from_json(obj: dict, name: str = "") -> "FiniteNMatrix":
-        values = tuple(obj["values"])
+        values = tuple(json_list(obj["values"], "values"))
         tables = {}
-        for conn, table in obj["tables"].items():
+        for conn, table in json_object(obj["tables"], "tables").items():
             cells = {}
-            for key, labels in table.items():
+            for key, labels in json_object(table, f"tables[{conn!r}]").items():
                 parts = tuple(key.split(","))
-                cells[parts] = finite(*labels)
+                cells[parts] = finite(*json_list(labels, f"tables[{conn!r}][{key!r}]"))
             tables[conn] = cells
-        return FiniteNMatrix(values, frozenset(obj["designated"]), tables, name)
+        return FiniteNMatrix(values, frozenset(json_list(obj["designated"], "designated")), tables, name)
 
 
 def _table(values: Sequence[str], rows: Mapping[tuple[str, str], Iterable[str]]):

@@ -26,7 +26,7 @@ from .feasibility import (
     EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility, to_fraction,
 )
 from .formulas import Formula
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, json_list, json_object
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
 from .quantum import quantum_nmatrix
 
@@ -40,7 +40,7 @@ class FiniteOML:
 
     def __init__(self, elements: Sequence[str], leq_pairs: Iterable[tuple[str, str]],
                  ortho: Mapping[str, str], bottom: str, top: str):
-        self.elements = tuple(elements)
+        self.elements = tuple(json_list(elements, "elements"))
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element ids")
         self.index = {e: i for i, e in enumerate(self.elements)}
@@ -52,12 +52,13 @@ class FiniteOML:
                 raise ValueError(f"leq entry {pair!r} is not a pair")
             a, b = (self._known(f"leq pair {list(pair)!r}", e) for e in pair)
             self.leq[a, b] = True
-        missing = set(self.elements) - set(ortho)
+        missing = set(self.elements) - set(json_object(ortho, "ortho"))
         if missing:
             raise ValueError(f"orthocomplement map misses {sorted(missing)}")
         self.ortho = np.array([self._known(f"ortho value of {e!r}", ortho[e]) for e in self.elements])
         self.bottom = self._known("bottom", bottom)
         self.top = self._known("top", top)
+        self._defects: tuple[bool, np.ndarray, np.ndarray] | None = None
         self._meet: np.ndarray | None = None
         self._join: np.ndarray | None = None
 
@@ -84,10 +85,17 @@ class FiniteOML:
     def orthogonal(self, a: str, b: str) -> bool:
         return bool(self.leq[self.index[a], self.ortho[self.index[b]]])
 
+    def _order_defects(self) -> tuple[bool, np.ndarray, np.ndarray]:
+        """``_order_defects(self.leq)``, computed once: the bound tables and
+        every ``verify_oml`` call read it."""
+        if self._defects is None:
+            self._defects = _order_defects(self.leq)
+        return self._defects
+
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """meet/join index tables; -1 marks a missing or non-unique bound."""
         if self._meet is None:
-            reflexive, two_way, unclosed = _order_defects(self.leq)
+            reflexive, two_way, unclosed = self._order_defects()
             if reflexive and not two_way.any() and not unclosed.any():
                 self._meet = _greatest_below(self.leq.T)
                 self._join = _greatest_below(self.leq)
@@ -238,7 +246,7 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
 
     n = len(l.elements)
     leq, ortho, name = l.leq, l.ortho, l.name
-    reflexive, two_way, unclosed = _order_defects(leq)
+    reflexive, two_way, unclosed = l._order_defects()
     if not reflexive:
         fail(["order is not reflexive"])
     fail(f"antisymmetry fails at ({name(i)}, {name(j)})" for i, j in np.argwhere(two_way))
@@ -344,10 +352,10 @@ def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> Fini
     exactly when the diagram has no loops of order three or four; run
     :func:`verify_oml` on the output to certify.
     """
-    atoms = list(atoms)
+    atoms = list(json_list(atoms, "atoms"))
     if len(set(atoms)) != len(atoms):
         raise ValueError("duplicate atom names")
-    blocks = [list(b) for b in blocks]
+    blocks = [list(json_list(b, f"blocks[{i}]")) for i, b in enumerate(json_list(blocks, "blocks"))]
     for b in blocks:
         if len(b) < 3:
             raise ValueError(f"block {b} too small; need at least three atoms")

@@ -448,6 +448,27 @@ def _mo2_ortho_with(**values):
     return _mo2_with(ortho={**oml.mo2().to_json()["ortho"], **values})
 
 
+def _family_with(**fields):
+    return {**fixtures.single_context_dim3().to_json(), **fields}
+
+
+def _classical_with(**fields):
+    return {**classical_matrix().to_json(), **fields}
+
+
+def _state_with_entry(k, entry):
+    state = _state_and_bindings_json()[0]
+    state["entries"][k] = entry
+    return state
+
+
+def _lattice_with_string_elements():
+    # names of one character each, so the string would read as the list of
+    # them and pass unnoticed
+    lattice = oml.boolean_lattice(1).to_json()
+    return {**lattice, "elements": "".join(lattice["elements"])}
+
+
 # case -> builder of the argv for a command that reads one JSON file of the
 # wrong shape, with every other input well formed; a builder takes
 # write_json and writes only its own case's files
@@ -479,6 +500,16 @@ _WRONG_SHAPE_CASES = {
     ],
     "rexpansion-map-array": lambda w: ["rexpansion", "verify", "--m1", w("m1.json", classical_matrix().to_json()),
                                        "--quantum", "--map", w("map-array.json", [1, 2])],
+    "eval-bind-operator-array": lambda w: ["eval", "--bind", w("bind-operator-array.json", {"P": [1, 2]}),
+                                           "--state", w("state-for-array.json", _state_and_bindings_json()[0]), "P"],
+    "ks-vectors-array": lambda w: ["ks", "count", w("vectors-array.json", _family_with(vectors=[[1, 0]]))],
+    "ks-context-string": lambda w: ["ks", "count", w("context-string.json", _family_with(contexts=["e1"]))],
+    "consequence-tables-array": lambda w: ["consequence", "--matrix", w("tables-array.json", _classical_with(tables=[]))],
+    "consequence-values-string": lambda w: ["consequence", "--matrix", w("values-string.json", _classical_with(values="tF"))],
+    "oml-elements-string": lambda w: ["oml", "verify", w("elements-string.json", _lattice_with_string_elements())],
+    "eval-state-entry-too-large": lambda w: ["eval", "--bind", w("bind-for-large.json", _state_and_bindings_json()[1]),
+                                             "--state", w("state-large.json", _state_with_entry(0, [10**400, 0])), "P"],
+    "ks-dim-infinite": lambda w: ["ks", "count", w("dim-infinite.json", _family_with(dim=float("inf")))],
 }
 
 
@@ -500,6 +531,12 @@ _WRONG_SHAPE_MESSAGES = {
     "oml-ortho-unknown-element": "ortho value of 'a' names unknown element 'x'",
     "oml-bottom-unknown-element": "bottom names unknown element 'x'",
     "oml-top-unknown-element": "top names unknown element 'x'",
+    "eval-bind-operator-array": "binding 'P' must be a JSON object, got list",
+    "ks-vectors-array": "vectors must be a JSON object, got list",
+    "ks-context-string": "contexts[0] must be a list, not the string 'e1'",
+    "consequence-tables-array": "tables must be a JSON object, got list",
+    "consequence-values-string": "values must be a list, not the string 'tF'",
+    "oml-elements-string": "elements must be a list, not the string",
 }
 
 
@@ -571,4 +608,80 @@ def test_fuzz_consequence(gamma, delta, three_valued):
             with open(paths[-1], "w") as fh:
                 json.dump(obj, fh)
         code, err = run_quietly("consequence", "--matrix", paths[0], "--gamma", paths[1], "--delta", paths[2])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON inputs: one field of a valid file replaced by a value of
+# another JSON type; every outcome is an exit code, never a traceback
+
+
+def _valid_json_inputs():
+    """kind -> (valid object, argv builder given the paths of every kind)."""
+    state, bind = _state_and_bindings_json()
+    return {
+        "bindings": (bind, lambda p: ["eval", "--state", p["state"], "--bind", p["bindings"], "P | Q"]),
+        "state": (state, lambda p: ["eval", "--state", p["state"], "--bind", p["bindings"], "P & !Q"]),
+        "matrix": (three_valued_matrix().to_json(),
+                   lambda p: ["consequence", "--matrix", p["matrix"], "--gamma", p["gamma"], "--delta", p["delta"]]),
+        "collapse-map": (three_valued_collapse().to_json(),
+                         lambda p: ["rexpansion", "verify", "--m1", p["matrix"], "--quantum", "--map", p["collapse-map"]]),
+        "lattice": (oml.mo2().to_json(), lambda p: ["oml", "find-state", p["lattice"]]),
+        "greechie": ({"atoms": ["a", "b", "c", "d", "e"], "blocks": [["a", "b", "c"], ["c", "d", "e"]]},
+                     lambda p: ["oml", "cav", p["greechie"]]),
+        "vector-family": (fixtures.single_context_dim3().to_json(), lambda p: ["ks", "count", p["vector-family"]]),
+    }
+
+
+def _json_paths(obj, path=()):
+    """Every key path into ``obj``, the empty one excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+_NESTED = "\x00nested\x00"  # a placeholder string the writer swaps for a deep array
+_NESTED_DEPTH = 100_000
+
+_json_values = st.one_of(
+    st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([10**400, -(10**400), float("inf"), float("nan")]),  # beyond every float
+    st.booleans(),
+    st.none(),
+    st.just(_NESTED),
+)
+
+
+@st.composite
+def _mutated_input(draw):
+    inputs = _valid_json_inputs()
+    kind = draw(st.sampled_from(sorted(inputs)))
+    obj = json.loads(json.dumps(inputs[kind][0]))
+    path = draw(st.sampled_from(list(_json_paths(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_json_values)
+    return kind, path, obj
+
+
+@given(_mutated_input())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_json_inputs(mutated):
+    kind, _path, obj = mutated
+    files = {name: value for name, (value, _) in _valid_json_inputs().items()}
+    files.update({kind: obj, "gamma": {"formulas": ["P"]}, "delta": {"formulas": ["P | Q"]}})
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, value in files.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            text = json.dumps(value).replace(json.dumps(_NESTED), "[" * _NESTED_DEPTH + "]" * _NESTED_DEPTH)
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        code, err = run_quietly(*_valid_json_inputs()[kind][1](paths))
     assert code in (0, 1, 2, 3) and "Traceback" not in err

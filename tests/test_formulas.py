@@ -317,7 +317,8 @@ def test_walkers_match_oracles_on_benchmark_generators():
 
 token_soup = st.lists(
     st.sampled_from(
-        ["P", "Q", "x_1", "!", "&", "|", "(", ")", " ", "\t", "\x1c", "¬", "∧", "∨", "$", "1", "é", "_"]
+        ["P", "Q", "x_1", "!", "&", "|", "(", ")", " ", "\t", "\x1c", "¬", "∧", "∨", "$", "1", "é", "_",
+         "\u00a0", "\u3000", "\n", "\x1f", "#", "9x"]
     ),
     max_size=30,
 ).map("".join)
@@ -334,6 +335,46 @@ def test_parse_errors_match_recursive_oracle(text):
         assert (got.value.offset, got.value.expected, str(got.value)) == (err.offset, err.expected, str(err))
     else:
         assert parse(text) is expected
+
+
+# a stray character where a unary or an operator belongs, and after a
+# syntax error or an unclosed group: the lexical error always wins, as the
+# oracle scans the whole text first
+@pytest.mark.parametrize("text", ["P & $", "!9x", "(# | P)", "P $ Q", "P & & $", "(P $", "P Q #", "!)\u00a0é",
+                                  "((P) | ) 9x", "P &\n", "&\x1f$"])
+def test_lexical_error_wins(text):
+    with pytest.raises(ParseError) as want:
+        parse_oracle(text)
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert (got.value.offset, got.value.expected, str(got.value)) == (want.value.offset, want.value.expected, str(want.value))
+
+
+def test_parse_rebuilds_a_node_behind_a_dead_reference():
+    # the table can hold a reference whose node is gone while its entry is
+    # still there; parse must then build the node anew, not return None
+    class Gone:
+        pass
+
+    table = formulas_mod._TABLE
+    p, q = Atom("Dead_p"), Atom("Dead_q")
+    keys = ["Dead_r", (p,), (p, q, And._tag), (p, q, Or._tag)]
+    for key in keys:
+        assert key not in table
+        gone = Gone()
+        ref = formulas_mod._Ref(gone)
+        ref.key = key
+        del gone
+        assert ref() is None
+        table[key] = ref
+    f = parse("Dead_r | !Dead_p | Dead_p & Dead_q | (Dead_p | Dead_q)")
+    assert render(f) == "Dead_r | !Dead_p | Dead_p & Dead_q | (Dead_p | Dead_q)"
+    r, not_p, p_and_q, p_or_q = f.left.left.left, f.left.left.right, f.left.right, f.right
+    assert (type(r), type(not_p), type(p_and_q), type(p_or_q)) == (Atom, Not, And, Or)
+    assert r.name == "Dead_r" and not_p.child is p and (p_and_q.left, p_and_q.right) == (p, q)
+    for key, node in zip(keys, (r, not_p, p_and_q, p_or_q)):
+        assert table[key]() is node
+    assert parse("Dead_r | !Dead_p | Dead_p & Dead_q | (Dead_p | Dead_q)") is f
 
 
 @pytest.mark.parametrize("text", [1, None, b"P & Q"])

@@ -159,6 +159,21 @@ def test_bound_tables_on_large_mo_match_the_product_path():
         assert np.array_equal(join, oml._greatest_common(lattice.leq, lattice.leq.T))
 
 
+def test_order_defects_are_computed_once_per_lattice(monkeypatch):
+    # the bound tables, every verify_oml and the precondition of the
+    # two-valued search read one check of the order
+    calls = []
+    check = oml._order_defects
+    monkeypatch.setattr(oml, "_order_defects", lambda leq: calls.append(leq) or check(leq))
+    lattice = oml.FiniteOML.from_json(oml.boolean_lattice(3).to_json())
+    assert oml.verify_oml(lattice).ok and oml.verify_oml(lattice, max_failures=1).ok
+    assert oml.find_two_valued_valuation(lattice, count_all=True)[1] == 3
+    assert len(calls) == 1
+    broken = oml.chain_with_fixed_point()
+    assert not oml.verify_oml(broken).ok and not oml.verify_oml(broken).ok
+    assert len(calls) == 2
+
+
 def _poset_without_orthogonal_join():
     # a and b are orthogonal (a <= b' = x) but have two minimal upper bounds
     elements = ["0", "a", "b", "x", "y", "1"]
