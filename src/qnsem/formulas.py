@@ -215,14 +215,12 @@ def parse(text: str) -> Formula:
     built so far and the negations that wait for the group.
 
     The tokens are plain strings from one ``findall``, with ``""`` for the
-    end; a character that starts no token is a token of its own, which no
-    grammar rule accepts, so it always ends in ``_syntax_error``.  That
-    re-scans the text with ``_tokenize``, which raises at the first such
-    character before any syntax error is reported.  The aliases map one
-    character to one, so every offset stays put; offsets are looked up only
-    for an error.  Nodes are looked up in ``_TABLE`` here, with the keys
-    documented there, and built by their constructors only when the table
-    has no live node for the key."""
+    end.  A character that starts no token is a one-character token that no
+    rule accepts, so it ends in ``_syntax_error``, whose re-scan by
+    ``_tokenize`` raises the lexical error before any syntax error.  The
+    aliases map one character to one, so offsets stay put; they are looked
+    up only for an error.  Nodes are looked up in ``_TABLE`` with the keys
+    documented there; a constructor runs only when no live node has the key."""
     ascii_text = str.translate(text, _ALIASES)  # a TypeError for a non-string
     tokens = _TOKEN_RE.findall(ascii_text)
     tokens.append("")
@@ -253,8 +251,8 @@ def parse(text: str) -> Formula:
                 raise _syntax_error(text, pos - 1, ("atom", "'!'", "'('"))
             unary = Atom(tok)
         # a unary is complete: negate it, fold it into the conjunction, and
-        # close every group that ends here; a dead or missing entry is rebuilt
-        # by the constructor (nodes are always truthy)
+        # close every group that ends here (nodes are truthy, so `ref and
+        # ref()` is falsy exactly for a missing or dead entry)
         while True:
             while nots:
                 ref = interned((unary,))

@@ -657,11 +657,13 @@ _json_values = st.one_of(
 )
 
 
+_VALID_JSON_INPUTS = _valid_json_inputs()
+
+
 @st.composite
 def _mutated_input(draw):
-    inputs = _valid_json_inputs()
-    kind = draw(st.sampled_from(sorted(inputs)))
-    obj = json.loads(json.dumps(inputs[kind][0]))
+    kind = draw(st.sampled_from(sorted(_VALID_JSON_INPUTS)))
+    obj = json.loads(json.dumps(_VALID_JSON_INPUTS[kind][0]))
     path = draw(st.sampled_from(list(_json_paths(obj))))
     parent = obj
     for key in path[:-1]:
@@ -674,7 +676,7 @@ def _mutated_input(draw):
 @settings(max_examples=300, deadline=None)
 def test_fuzz_json_inputs(mutated):
     kind, _path, obj = mutated
-    files = {name: value for name, (value, _) in _valid_json_inputs().items()}
+    files = {name: value for name, (value, _) in _VALID_JSON_INPUTS.items()}
     files.update({kind: obj, "gamma": {"formulas": ["P"]}, "delta": {"formulas": ["P | Q"]}})
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -683,5 +685,5 @@ def test_fuzz_json_inputs(mutated):
             text = json.dumps(value).replace(json.dumps(_NESTED), "[" * _NESTED_DEPTH + "]" * _NESTED_DEPTH)
             with open(paths[name], "w") as fh:
                 fh.write(text)
-        code, err = run_quietly(*_valid_json_inputs()[kind][1](paths))
+        code, err = run_quietly(*_VALID_JSON_INPUTS[kind][1](paths))
     assert code in (0, 1, 2, 3) and "Traceback" not in err

@@ -347,7 +347,8 @@ def test_lexical_error_wins(text):
         parse_oracle(text)
     with pytest.raises(ParseError) as got:
         parse(text)
-    assert (got.value.offset, got.value.expected, str(got.value)) == (want.value.offset, want.value.expected, str(want.value))
+    got, want = got.value, want.value
+    assert (got.offset, got.expected, str(got)) == (want.offset, want.expected, str(want))
 
 
 def test_parse_rebuilds_a_node_behind_a_dead_reference():
@@ -371,7 +372,8 @@ def test_parse_rebuilds_a_node_behind_a_dead_reference():
     assert render(f) == "Dead_r | !Dead_p | Dead_p & Dead_q | (Dead_p | Dead_q)"
     r, not_p, p_and_q, p_or_q = f.left.left.left, f.left.left.right, f.left.right, f.right
     assert (type(r), type(not_p), type(p_and_q), type(p_or_q)) == (Atom, Not, And, Or)
-    assert r.name == "Dead_r" and not_p.child is p and (p_and_q.left, p_and_q.right) == (p, q)
+    assert r.name == "Dead_r" and not_p.child is p
+    assert (p_and_q.left, p_and_q.right) == (p_or_q.left, p_or_q.right) == (p, q)
     for key, node in zip(keys, (r, not_p, p_and_q, p_or_q)):
         assert table[key]() is node
     assert parse("Dead_r | !Dead_p | Dead_p & Dead_q | (Dead_p | Dead_q)") is f
