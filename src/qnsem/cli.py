@@ -30,6 +30,7 @@ from .nmatrix import (
     verify_rexpansion,
 )
 from .quantum import (
+    NEGATION_VARIANTS,
     ProjectorBindings,
     dynamic_witness,
     evaluate_state,
@@ -383,7 +384,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bind", required=True)
     p.add_argument("--formulas", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--negation", choices=("deterministic", "neg1", "neg2"), default="deterministic")
+    p.add_argument("--negation", choices=NEGATION_VARIANTS, default="deterministic")
     p.set_defaults(func=_cmd_legal)
 
     p = sub.add_parser("witness", help="print a worked counterexample")
@@ -401,7 +402,7 @@ def build_parser() -> _Parser:
     group.add_argument("--matrix")
     group.add_argument("--quantum", action="store_true")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--negation", choices=("deterministic", "neg1", "neg2"), default="deterministic")
+    p.add_argument("--negation", choices=NEGATION_VARIANTS, default="deterministic")
     p.set_defaults(func=_cmd_adequacy)
 
     p = sub.add_parser("rexpansion", help="verify a collapse map between matrices")
@@ -451,7 +452,6 @@ def main(argv=None) -> int:
         TypeError,
         KeyError,
         OSError,
-        OverflowError,  # a JSON number beyond the float range
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

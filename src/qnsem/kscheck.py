@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .linalg import DEFAULT_TOL, json_list, json_object, max_norm
+from .linalg import DEFAULT_TOL, json_entries, json_number, json_list, json_object, max_norm
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,10 @@ class VectorContextFamily:
 
     @staticmethod
     def from_json(obj: dict) -> "VectorContextFamily":
-        dim = int(obj["dim"])
+        dim = int(json_number(obj["dim"], "dim"))
         vectors = {}
         for vid, entries in json_object(obj["vectors"], "vectors").items():
-            v = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+            v = json_entries(entries, f"vectors[{vid!r}]")
             if v.size != dim:
                 raise ValueError(f"vector {vid!r} has length {v.size}, expected {dim}")
             vectors[vid] = v
@@ -61,15 +61,27 @@ class VectorContextFamily:
         return sorted(self.vectors)
 
 
+def _scaled(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``vectors``, each divided by the power of two 2**e that
+    brings its entries into [-1, 1], and the exponents e.  The scaling is
+    exact, and no norm or inner product of the scaled rows overflows."""
+    parts = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)  # re, im interleaved
+    exps = np.frexp(np.abs(parts).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(parts, -exps[..., None]).view(np.complex128), exps
+
+
 def orthogonality_graph(
     family: VectorContextFamily, tol: float = DEFAULT_TOL
 ) -> dict[str, set[str]]:
     """Adjacency by vanishing inner product, relative to the vector norms:
-    ``|<a, b>| <= tol * max(1, |a| |b|)``, every pair from one Gram product."""
+    ``|<a, b>| <= tol * max(1, |a| |b|)``, every pair from one Gram product
+    of the ``_scaled`` rows, both sides divided by 2**(e_a + e_b)."""
     ids = family.ids()
-    vectors = np.array([family.vectors[vid] for vid in ids], dtype=np.complex128).reshape(len(ids), family.dim)
+    vectors, exps = _scaled(np.reshape([family.vectors[vid] for vid in ids], (len(ids), family.dim)))
     norms = np.linalg.norm(vectors, axis=1)
-    apart = np.abs(vectors.conj() @ vectors.T) <= tol * np.maximum(1.0, np.outer(norms, norms))
+    with np.errstate(over="ignore"):  # an infinite tol / 2**(e_a + e_b) is right
+        floor = np.ldexp(tol, -np.add.outer(exps, exps))
+    apart = np.abs(vectors.conj() @ vectors.T) <= np.maximum(floor, tol * np.outer(norms, norms))
     np.fill_diagonal(apart, False)
     return {vid: {ids[k] for k in np.flatnonzero(row)} for vid, row in zip(ids, apart)}
 
@@ -98,21 +110,15 @@ def verify_contexts(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> Co
             continue
         if len(ctx) != family.dim:
             problems.append(f"context ({key}) has {len(ctx)} members, expected {family.dim}")
-        vecs = []
-        for vid in ctx:
-            v = family.vectors[vid]
-            norm = float(np.linalg.norm(v))
-            if norm == 0.0:
-                problems.append(f"vector {vid!r} is zero")
-                continue
-            vecs.append(v / norm)
-        gram = np.array([[complex(np.vdot(u, w)) for w in vecs] for u in vecs])
-        res = max_norm(gram - np.eye(len(vecs)))
+        vecs = _scaled(np.reshape([family.vectors[vid] for vid in ctx], (len(ctx), family.dim)))[0]
+        norms = np.linalg.norm(vecs, axis=1)
+        problems += [f"vector {vid!r} is zero" for vid, norm in zip(ctx, norms) if norm == 0.0]
+        vecs = vecs[norms > 0] / norms[norms > 0, None]
+        res = max_norm(vecs.conj() @ vecs.T - np.eye(len(vecs)))
         ortho_res[key] = res
         if res > tol:
             problems.append(f"context ({key}) is not orthonormal: residual {res:.3e}")
-        total = sum(np.outer(v, v.conj()) for v in vecs)
-        res = max_norm(total - hilbert.identity(family.dim))
+        res = max_norm(vecs.T @ vecs.conj() - hilbert.identity(family.dim))
         resolution_res[key] = res
         if res > tol:
             problems.append(f"context ({key}) does not resolve the identity: residual {res:.3e}")

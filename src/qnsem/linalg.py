@@ -12,6 +12,8 @@ concurrently.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -148,6 +150,26 @@ def json_object(value, field: str) -> Mapping:
     return value
 
 
+def json_number(value, field: str) -> float:
+    """``value`` as a float if it is a finite real number other than a
+    bool, else a ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int such as 10**400
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be a finite number in the float range")
+    return number
+
+
+def json_entries(entries, field: str) -> np.ndarray:
+    """The JSON list of ``[re, im]`` pairs ``entries`` as a complex vector."""
+    return np.array([complex(json_number(re, f"{field}[{k}][0]"), json_number(im, f"{field}[{k}][1]"))
+                     for k, (re, im) in enumerate(json_list(entries, field))], dtype=np.complex128)
+
+
 def matrix_to_json(a) -> dict:
     """Row-major wire form: {"rows": n, "cols": m, "entries": [[re, im], ...]}."""
     a = as_matrix(a)
@@ -157,7 +179,8 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, entries = int(obj["rows"]), int(obj["cols"]), obj["entries"]
+        rows, cols = (int(json_number(obj[k], k)) for k in ("rows", "cols"))
+        entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"malformed matrix object: {exc}") from exc
     if rows <= 0 or cols <= 0:
@@ -166,5 +189,4 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise InvariantViolation(
             f"entry count {len(entries)} does not match {rows}x{cols}={rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return as_matrix(flat.reshape(rows, cols))
+    return as_matrix(json_entries(entries, "entries").reshape(rows, cols))

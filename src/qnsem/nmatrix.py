@@ -25,7 +25,7 @@ from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .formulas import And, Atom, Formula, Not, Or, children, render, subformula_closure
-from .linalg import DEFAULT_TOL, json_list, json_object
+from .linalg import DEFAULT_TOL, json_list, json_number, json_object
 from .valuesets import (
     OPEN_SHIFT,
     FiniteValues,
@@ -175,7 +175,7 @@ class FiniteNMatrix:
         return FiniteNMatrix(values, frozenset(json_list(obj["designated"], "designated")), tables, name)
 
 
-def _table(values: Sequence[str], rows: Mapping[tuple[str, str], Iterable[str]]):
+def _table(rows: Mapping[tuple[str, ...], Iterable[str]]):
     return {key: finite(*labels) for key, labels in rows.items()}
 
 
@@ -198,9 +198,9 @@ def three_valued_matrix() -> FiniteNMatrix:
         (t, T, F),
         frozenset({t}),
         {
-            "or": _table((t, T, F), or_rows),
-            "and": _table((t, T, F), and_rows),
-            "not": _table((t, T, F), not_rows),
+            "or": _table(or_rows),
+            "and": _table(and_rows),
+            "not": _table(not_rows),
         },
         name="three-valued",
     )
@@ -216,7 +216,7 @@ def two_valued_matrix() -> FiniteNMatrix:
     return FiniteNMatrix(
         (t, F),
         frozenset({t}),
-        {"or": _table((t, F), or_rows), "and": _table((t, F), and_rows), "not": not_rows},
+        {"or": _table(or_rows), "and": _table(and_rows), "not": not_rows},
         name="two-valued",
     )
 
@@ -230,7 +230,7 @@ def classical_matrix() -> FiniteNMatrix:
     return FiniteNMatrix(
         (t, F),
         frozenset({t}),
-        {"or": _table((t, F), or_rows), "and": _table((t, F), and_rows), "not": not_rows},
+        {"or": _table(or_rows), "and": _table(and_rows), "not": not_rows},
         name="classical",
     )
 
@@ -550,7 +550,7 @@ def _values_equal(x, y, tol: float) -> bool:
     return abs(float(x) - float(y)) <= tol
 
 
-def is_static(valuation, matrix=None, tol: float = DEFAULT_TOL) -> StaticReport:
+def is_static(valuation, tol: float = DEFAULT_TOL) -> StaticReport:
     """Find same-connective compound pairs with equal component values but
     different values: witnesses against the composability principle."""
     mapping = _as_mapping(valuation)
@@ -1007,9 +1007,10 @@ class ThresholdMap:
 
     @staticmethod
     def from_json(obj: dict) -> "ThresholdMap":
-        return ThresholdMap(
-            tuple((p["label"], float(p["lo"]), float(p["hi"])) for p in obj["pieces"])
-        )
+        return ThresholdMap(tuple(
+            (p["label"], json_number(p["lo"], f"pieces[{k}].lo"), json_number(p["hi"], f"pieces[{k}].hi"))
+            for k, p in enumerate(json_list(obj["pieces"], "pieces"))
+        ))
 
 
 @dataclass(frozen=True)

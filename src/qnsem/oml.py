@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class FiniteOML:
         self.ortho = np.array([self._known(f"ortho value of {e!r}", ortho[e]) for e in self.elements])
         self.bottom = self._known("bottom", bottom)
         self.top = self._known("top", top)
-        self._defects: tuple[bool, np.ndarray, np.ndarray] | None = None
+        self._defects: tuple[np.ndarray, np.ndarray] | None = None
         self._meet: np.ndarray | None = None
         self._join: np.ndarray | None = None
 
@@ -85,23 +85,28 @@ class FiniteOML:
     def orthogonal(self, a: str, b: str) -> bool:
         return bool(self.leq[self.index[a], self.ortho[self.index[b]]])
 
-    def _order_defects(self) -> tuple[bool, np.ndarray, np.ndarray]:
-        """``_order_defects(self.leq)``, computed once: the bound tables and
-        every ``verify_oml`` call read it."""
+    def _order_failures(self) -> Iterator[str]:
+        """The failures of the (reflexive) order as a partial order,
+        antisymmetry then transitivity pairs in row-major order: the one
+        source of the messages ``verify_oml`` lists and ``_bound_tables``
+        raises."""
         if self._defects is None:
             self._defects = _order_defects(self.leq)
-        return self._defects
+        two_way, unclosed = self._defects
+        name = self.name
+        yield from (f"antisymmetry fails at ({name(i)}, {name(j)})" for i, j in np.argwhere(two_way))
+        yield from (f"transitivity fails: {name(i)} <= ... <= {name(j)} but not directly"
+                    for i, j in np.argwhere(unclosed))
 
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """meet/join index tables; -1 marks a missing or non-unique bound."""
+        """meet/join index tables, -1 marking a missing bound; defined on a
+        partial order only, else a ValueError names the first order failure."""
         if self._meet is None:
-            reflexive, two_way, unclosed = self._order_defects()
-            if reflexive and not two_way.any() and not unclosed.any():
-                self._meet = _greatest_below(self.leq.T)
-                self._join = _greatest_below(self.leq)
-            else:
-                self._meet = _greatest_common(self.leq.T, self.leq)
-                self._join = _greatest_common(self.leq, self.leq.T)
+            fault = next(self._order_failures(), None)
+            if fault is not None:
+                raise ValueError(f"not a partial order: {fault}")
+            self._meet = _greatest_below(self.leq.T)
+            self._join = _greatest_below(self.leq)
         return self._meet, self._join
 
     def bound_table(self, kind: str, where: np.ndarray | None = None) -> np.ndarray:
@@ -145,13 +150,13 @@ class FiniteOML:
         )
 
 
-def _order_defects(leq: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-    """Whether ``leq`` is reflexive, the pairs i != j it relates both ways,
+def _order_defects(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i != j the reflexive relation ``leq`` relates both ways,
     and the pairs it relates through a third element but not directly: a
     partial order has no defect."""
     # float32 counts are exact below 2**24
     closure = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
-    return bool(leq.diagonal().all()), leq & leq.T & ~np.eye(len(leq), dtype=bool), closure & ~leq
+    return leq & leq.T & ~np.eye(len(leq), dtype=bool), closure & ~leq
 
 
 def _greatest_below(down: np.ndarray) -> np.ndarray:
@@ -160,7 +165,7 @@ def _greatest_below(down: np.ndarray) -> np.ndarray:
     partial order (pass the transposed order for meets, the order itself
     for joins).
 
-    Only for partial orders, which ``_order_defects`` tells apart.  There
+    Only for partial orders, which ``_bound_tables`` checks first.  There
     the common set L has a greatest element z exactly when some z in L has
     |down[z]| = |L|: down[z] lies inside L by transitivity, so the sizes
     agree only when L = down[z]; and no other w in L reaches |L|, since
@@ -181,30 +186,6 @@ def _greatest_below(down: np.ndarray) -> np.ndarray:
         common = down[i] & down[i:]
         k = common.argmax(axis=1)
         table[i, i:] = table[i:, i] = np.where(size[k] == np.count_nonzero(common, axis=1), order[k], -1)
-    return table
-
-
-def _greatest_common(rel: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """table[i, j] is the z in ``rel[i] & rel[j]`` with ``below[w, z]`` for
-    every w of that set, or -1 when there is none or more than one.
-
-    Serves only relations that are not partial orders: there a common set
-    may hold several members that bound it, and the size argument of
-    ``_greatest_below``, which gives the same table on a partial order in
-    O(n**3), does not hold.  Row i handles
-    every j at once: the common sets are the rows of ``rel[i] & rel``, and
-    a member z bounds its set when the 0/1 product ``common @ below``
-    counts the whole set at z.  The float32 product runs on BLAS and is
-    exact for counts below 2**24; the build is O(n**4).
-    """
-    n = len(rel)
-    table = np.full((n, n), -1)
-    below = below.astype(np.float32)
-    for i in range(n):
-        common = rel[i] & rel
-        hits = common & ((common.astype(np.float32) @ below) == common.sum(axis=1, keepdims=True))
-        unique = hits.sum(axis=1) == 1
-        table[i, unique] = hits[unique].argmax(axis=1)
     return table
 
 
@@ -235,7 +216,9 @@ class OmlReport:
 
 def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
     """Exhaustive check of the partial order, bound existence, the
-    orthocomplement laws, and the orthomodular law.
+    orthocomplement laws, and the orthomodular law.  A relation that is no
+    partial order gets no bound check, and the complement laws run only
+    when every earlier check passed.
 
     Each law is one array expression over every element or pair; failures
     come law by law, pairs in row-major order, up to ``max_failures``."""
@@ -246,16 +229,13 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
 
     n = len(l.elements)
     leq, ortho, name = l.leq, l.ortho, l.name
-    reflexive, two_way, unclosed = l._order_defects()
-    if not reflexive:
-        fail(["order is not reflexive"])
-    fail(f"antisymmetry fails at ({name(i)}, {name(j)})" for i, j in np.argwhere(two_way))
-    fail(f"transitivity fails: {name(i)} <= ... <= {name(j)} but not directly"
-         for i, j in np.argwhere(unclosed))
+    fail(l._order_failures())
     if not leq[l.bottom, :].all():
         fail(["bottom is not below every element"])
     if not leq[:, l.top].all():
         fail(["top is not above every element"])
+    if next(l._order_failures(), None) is not None:
+        return OmlReport(tuple(failures))  # bounds are defined on a partial order only
     meet, join = l._bound_tables()
     no_meet, no_join = np.triu(meet < 0), np.triu(join < 0)
     fail(f"{kind}({name(i)}, {name(j)}) missing or not unique"

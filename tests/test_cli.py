@@ -285,6 +285,29 @@ def test_oml_missing_orthogonal_join_is_an_input_error(capsys, write_json):
     assert code == 3 and "join(a, b) missing or not unique" in out
 
 
+@pytest.mark.parametrize("leq, fault", [
+    # a <= b <= a
+    ([["0", "a"], ["0", "b"], ["0", "1"], ["a", "b"], ["b", "a"], ["a", "1"], ["b", "1"]],
+     "antisymmetry fails at (a, b)"),
+    # 0 <= a <= b <= 1 without 0 <= b or a <= 1: every join find-state
+    # reads exists here, so it printed a "state" before this was refused
+    ([["0", "a"], ["a", "b"], ["0", "1"], ["b", "1"]], "transitivity fails: 0 <= ... <= b but not directly"),
+])
+def test_oml_relation_that_is_no_partial_order(capsys, write_json, leq, fault):
+    relation = write_json("relation.json", {
+        "elements": ["0", "a", "b", "1"], "leq": leq,
+        "ortho": {"0": "1", "1": "0", "a": "b", "b": "a"}, "bottom": "0", "top": "1",
+    })
+    for action in ("find-state", "tables", "cav"):
+        code, out, err = run(capsys, "oml", action, relation)
+        assert (code, out) == (2, "") and err.startswith(f"error: not a partial order: {fault}")
+    code, out, _ = run(capsys, "oml", "verify", relation)
+    failures = [line for line in out.splitlines() if line.startswith("failure: ")]
+    assert code == 3 and f"failure: {fault}" in failures
+    assert all(line.startswith(("failure: antisymmetry", "failure: transitivity", "failure: bottom", "failure: top"))
+               for line in failures)
+
+
 def test_oml_cav_all_on_mo100(capsys, write_json):
     # 202 elements: MO_n has no two-valued valuation once n >= 2
     data = known.mo(100)
@@ -462,6 +485,17 @@ def _state_with_entry(k, entry):
     return state
 
 
+def _family_with_large_entry():
+    family = _family_with()
+    family["vectors"]["e1"][0] = [10**400, 0]
+    return family
+
+
+def _collapse_with_string_bounds():
+    pieces = three_valued_collapse().to_json()["pieces"]
+    return {"pieces": [{**p, "lo": str(p["lo"]), "hi": str(p["hi"])} for p in pieces]}
+
+
 def _lattice_with_string_elements():
     # names of one character each, so the string would read as the list of
     # them and pass unnoticed
@@ -510,6 +544,12 @@ _WRONG_SHAPE_CASES = {
     "eval-state-entry-too-large": lambda w: ["eval", "--bind", w("bind-for-large.json", _state_and_bindings_json()[1]),
                                              "--state", w("state-large.json", _state_with_entry(0, [10**400, 0])), "P"],
     "ks-dim-infinite": lambda w: ["ks", "count", w("dim-infinite.json", _family_with(dim=float("inf")))],
+    "ks-vector-entry-too-large": lambda w: ["ks", "count", w("vector-large.json", _family_with_large_entry())],
+    # a collapse map whose bounds are strings verified
+    "rexpansion-map-string-bound": lambda w: [
+        "rexpansion", "verify", "--m1", w("m1-for-strings.json", three_valued_matrix().to_json()),
+        "--quantum", "--map", w("map-strings.json", _collapse_with_string_bounds()),
+    ],
 }
 
 
@@ -537,6 +577,10 @@ _WRONG_SHAPE_MESSAGES = {
     "consequence-tables-array": "tables must be a JSON object, got list",
     "consequence-values-string": "values must be a list, not the string 'tF'",
     "oml-elements-string": "elements must be a list, not the string",
+    "eval-state-entry-too-large": "entries[0][0] must be a finite number in the float range",
+    "ks-dim-infinite": "dim must be a finite number in the float range",
+    "ks-vector-entry-too-large": "vectors['e1'][0][0] must be a finite number in the float range",
+    "rexpansion-map-string-bound": "pieces[0].lo must be a number, got str",
 }
 
 

@@ -390,3 +390,23 @@ def test_orthogonality_graph_matches_pair_loop():
     assert {"s1t0.5", "s1000t0.5"} <= adj["s1"] and adj["s1"].isdisjoint({"s1t2", "s1000t2"})
     assert "s0.1t50" in adj["s0.1"] and "s0.1t500" not in adj["s0.1"]
     assert kscheck.orthogonality_graph(kscheck.VectorContextFamily(3, {}, ())) == {}
+
+
+def test_huge_entries_do_not_overflow():
+    # a ray is a ray at any scale; entries above about 1e154 overflowed the
+    # norms and the Gram product
+    data = fixtures.single_context_dim3().to_json()
+    data["vectors"]["e1"] = [[1e200, 0], [0, 0], [0, 0]]
+    single = kscheck.VectorContextFamily.from_json(data)
+    assert kscheck.verify_contexts(single).ok and kscheck.count_solutions(single) == 3
+    # inf <= inf made a and b adjacent
+    huge = {"a": np.array([1e200, 1e200]), "b": np.array([1e200, 0.0]), "c": np.array([1e200, -1e200])}
+    assert kscheck.orthogonality_graph(kscheck.VectorContextFamily(2, huge, ())) == {
+        "a": {"c"}, "b": set(), "c": {"a"},
+    }
+    # norms of at least 1 put every pair in the relative regime of the
+    # bound, so scaling a whole family keeps its graph
+    for fam in _benchmark_families()[:7] + [_random_bases_family()]:
+        scaled = kscheck.VectorContextFamily(fam.dim, {k: v * 2.0**900 for k, v in fam.vectors.items()}, fam.contexts)
+        assert kscheck.orthogonality_graph(scaled) == kscheck.orthogonality_graph(fam)
+        assert kscheck.verify_contexts(scaled).ok == kscheck.verify_contexts(fam).ok

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from decimal import Decimal
@@ -97,28 +98,6 @@ def test_bound_tables_match_oracle_on_benchmark_lattices():
     _assert_bounds_match_oracle(fixtures.nostate_lattice())
 
 
-def test_bound_tables_match_oracle_on_random_relations():
-    # reflexive relations that need be neither antisymmetric nor
-    # transitive, so both missing and tied bounds occur
-    rnd = random.Random(7)
-    missing = tied = 0
-    for _ in range(300):
-        n = rnd.randint(1, 9)
-        density = rnd.uniform(0.1, 0.8)
-        names = [str(k) for k in range(n)]
-        pairs = [(a, b) for a in names for b in names if a != b and rnd.random() < density]
-        lattice = oml.FiniteOML(names, pairs, {e: e for e in names}, "0", "0")
-        _assert_bounds_match_oracle(lattice)
-        leq = lattice.leq
-        for i in range(n):
-            for j in range(n):
-                lower = leq[:, i] & leq[:, j]
-                greatest = sum(leq[lower, z].all() for z in np.flatnonzero(lower))
-                missing += greatest == 0
-                tied += greatest > 1
-    assert missing and tied
-
-
 def _random_poset(rnd, n):
     """The transitive closure of a random DAG, its elements shuffled."""
     density = rnd.uniform(0.05, 0.6)
@@ -132,13 +111,9 @@ def _random_poset(rnd, n):
     return oml.FiniteOML(names, pairs, {e: e for e in names}, "0", "0")
 
 
-def test_bound_tables_match_oracle_on_random_posets(monkeypatch):
-    # posets that need not be lattices: the order builder alone must find
-    # every bound and every missing one (ties cannot occur in a poset)
-    def product_path(*_):
-        raise AssertionError("a partial order took the product path")
-
-    monkeypatch.setattr(oml, "_greatest_common", product_path)
+def test_bound_tables_match_oracle_on_random_posets():
+    # posets that need not be lattices: the order builder must find every
+    # bound and every missing one (ties cannot occur in a poset)
     rnd = random.Random(11)
     missing = 0
     for _ in range(300):
@@ -149,14 +124,11 @@ def test_bound_tables_match_oracle_on_random_posets(monkeypatch):
     assert missing
 
 
-def test_bound_tables_on_large_mo_match_the_product_path():
+def test_bound_tables_on_large_mo_match_oracle():
     # sizes the benchmark does not reach (62 and 202 elements)
     for n in (30, 100):
         data = known.mo(n)
-        lattice = oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")
-        meet, join = lattice._bound_tables()
-        assert np.array_equal(meet, oml._greatest_common(lattice.leq.T, lattice.leq))
-        assert np.array_equal(join, oml._greatest_common(lattice.leq, lattice.leq.T))
+        _assert_bounds_match_oracle(oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1"))
 
 
 def test_order_defects_are_computed_once_per_lattice(monkeypatch):
@@ -202,6 +174,48 @@ def test_missing_bound_is_an_error_not_an_index():
     assert "join(a, b) missing or not unique" in report.failures
 
 
+def _two_way_relation():
+    # a <= b <= a: reflexive and transitive, not antisymmetric
+    elements = ["0", "a", "b", "1"]
+    pairs = [("0", "a"), ("0", "b"), ("0", "1"), ("a", "b"), ("b", "a"), ("a", "1"), ("b", "1")]
+    return oml.FiniteOML(elements, pairs, {"0": "1", "1": "0", "a": "b", "b": "a"}, "0", "1")
+
+
+def _unclosed_relation():
+    # 0 <= a <= b without 0 <= b: reflexive and antisymmetric, not transitive
+    return oml.FiniteOML(["0", "a", "b"], [("0", "a"), ("a", "b")], {"0": "b", "b": "0", "a": "a"}, "0", "b")
+
+
+@pytest.mark.parametrize("build, fault", [
+    (_two_way_relation, "antisymmetry fails at (a, b)"),
+    (_unclosed_relation, "transitivity fails: 0 <= ... <= b but not directly"),
+])
+def test_every_table_reader_refuses_a_relation_that_is_no_partial_order(build, fault):
+    message = f"^not a partial order: {re.escape(fault)}$"
+    lattice = build()
+    bindings = oml.LatticeBindings(lattice, {"P": "a", "Q": "b"})
+    readers = [
+        lambda: oml.meet_oml(lattice, "a", "b"),
+        lambda: oml.join_oml(lattice, "a", "a"),
+        lambda: lattice.bound_table("meet"),
+        lambda: bindings.denote(And(Atom("P"), Atom("Q"))),
+        lambda: bindings.denote(Or(Atom("P"), Atom("Q"))),
+        lambda: oml.state_constraints(lattice),
+        lambda: oml.find_state(lattice),
+        lambda: oml.lattice_valuation_legal(lattice, quantum_nmatrix(1.0), dict.fromkeys(lattice.elements, 0.5)),
+        lambda: oml.legal_valuation_search(lattice, quantum_nmatrix(1.0)),
+        lambda: oml.find_two_valued_valuation(lattice, count_all=True),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read()
+    # verify_oml stops after the order and bottom/top stage
+    failures = oml.verify_oml(lattice).failures
+    assert fault in failures
+    assert not any(f.startswith(("meet(", "join(")) for f in failures)
+    assert failures == verify_oml_oracle(lattice)
+
+
 def verify_oml_oracle(l, max_failures=50):
     """``verify_oml`` as Python loops over elements and pairs, kept as the
     oracle of the array expressions."""
@@ -213,8 +227,6 @@ def verify_oml_oracle(l, max_failures=50):
 
     n = len(l.elements)
     leq = l.leq
-    if not leq.diagonal().all():
-        fail("order is not reflexive")
     both = leq & leq.T
     for i, j in zip(*np.nonzero(both)):
         if i != j:
@@ -222,10 +234,14 @@ def verify_oml_oracle(l, max_failures=50):
     closure = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
     for i, j in zip(*np.nonzero(closure & ~leq)):
         fail(f"transitivity fails: {l.name(i)} <= ... <= {l.name(j)} but not directly")
+    two_way = both & ~np.eye(n, dtype=bool)
+    partial_order = not two_way.any() and not (closure & ~leq).any()
     if not leq[l.bottom, :].all():
         fail("bottom is not below every element")
     if not leq[:, l.top].all():
         fail("top is not above every element")
+    if not partial_order:
+        return tuple(failures)
     meet, join = l._bound_tables()
     for i in range(n):
         for j in range(i, n):
