@@ -159,7 +159,7 @@ def _cmd_legal(args) -> int:
     formulas = _load_formulas(args.formulas)
     matrix = quantum_nmatrix(args.alpha, args.negation)
     valuation = evaluate_state(rho, bindings, formulas, args.tol)
-    report = is_dynamic_legal(valuation, matrix, bindings)
+    report = is_dynamic_legal(valuation, matrix, bindings, args.tol)
     lines = [f"checked {report.checked} compound formulas against {matrix.name}"]
     lines += [f"violation: {v}" for v in report.violations]
     lines += [f"ambiguous relation: {render(a)} vs {render(b)}" for a, b in report.ambiguous]

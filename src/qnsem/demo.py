@@ -279,7 +279,6 @@ def section_double_negation(trials: int = 1000, seed: int = 0) -> Section:
     failures = 0
     for _ in range(trials):
         alpha = 0.5 + 0.5 * rng.random()
-        alpha = min(alpha, 1.0 - 1e-9) if alpha >= 1.0 else alpha
         if alpha <= 0.5:
             alpha = 0.5 + 1e-9
         a = alpha + (1.0 - alpha) * rng.random()

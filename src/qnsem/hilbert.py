@@ -2,13 +2,12 @@
 operators, and Born-rule probabilities.
 
 Projectors and density operators are plain complex matrices; the validators
-here are the single place their defining invariants are enforced, and they
-accept exactly one 2-d matrix (the residuals they read also come per slice
-of a stack).  Lattice operations (meet, join,
-orthocomplement) are computed numerically as kernel projectors ``V diag(mask)
-V^H`` of one Hermitian eigendecomposition.  ``meet``, ``join``, ``ortho`` and
-``born`` take a single matrix or a stack of shape ``(..., d, d)`` through the
-same code: a single matrix is a stack of one.  ``random_stacks`` draws random
+here are the single place their defining invariants are enforced.  Lattice
+operations (meet, join, orthocomplement) are computed numerically as kernel
+projectors ``V diag(mask) V^H`` of one Hermitian eigendecomposition.  The
+validators, their residuals, ``meet``, ``join``, ``ortho`` and ``born`` take
+a single matrix or a stack of shape ``(..., d, d)`` through the same code: a
+single matrix is a stack of one.  ``random_stacks`` draws random
 projectors and states as ``(trials, d, d)`` stacks in the per-trial RNG order.
 """
 
@@ -42,39 +41,45 @@ KERNEL_THRESHOLD = 1e-8
 
 def projector_residuals(m: np.ndarray) -> dict[str, float]:
     """Max-norm residuals of the projector invariants (idempotence,
-    self-adjointness): floats for one matrix, one value per slice of a stack."""
+    self-adjointness): floats for one matrix, one value per slice of a stack.
+    Entries too large to square give an inf or NaN residual, not a warning."""
     m = as_stack(m)
-    return {
-        "idempotent": _per_slice(max_norms(m @ m - m)),
-        "hermitian": _per_slice(max_norms(m - m.conj().swapaxes(-1, -2))),
-    }
+    with np.errstate(all="ignore"):
+        return {
+            "idempotent": _per_slice(max_norms(m @ m - m)),
+            "hermitian": _per_slice(max_norms(m - m.conj().swapaxes(-1, -2))),
+        }
 
 
 def check_projector(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"projector must be square, got {m.shape[0]}x{m.shape[1]}")
+    """One projector, or a stack ``(..., d, d)`` of them checked slice by slice."""
+    m = as_stack(m)
+    if m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"projector must be square, got {m.shape[-2]}x{m.shape[-1]}")
     require_residuals("projector", projector_residuals(m), tol)
     return m
 
 
 def density_residuals(m: np.ndarray) -> dict[str, float]:
     """Residuals of the density invariants (self-adjointness, positivity,
-    unit trace): floats for one matrix, one value per slice of a stack."""
+    unit trace): floats for one matrix, one value per slice of a stack.
+    The Hermitian part is formed as ``m/2 + adj/2``, which cannot overflow."""
     m = as_stack(m)
     adj = m.conj().swapaxes(-1, -2)
-    eigs = np.linalg.eigvalsh((m + adj) / 2.0)
-    return {
-        "hermitian": _per_slice(max_norms(m - adj)),
-        "negativity": _per_slice(np.maximum(0.0, -eigs.min(axis=-1, initial=0.0))),
-        "trace": _per_slice(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)),
-    }
+    with np.errstate(all="ignore"):
+        eigs = np.linalg.eigvalsh(m / 2.0 + adj / 2.0)
+        return {
+            "hermitian": _per_slice(max_norms(m - adj)),
+            "negativity": _per_slice(np.maximum(0.0, -eigs.min(axis=-1, initial=0.0))),
+            "trace": _per_slice(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)),
+        }
 
 
 def check_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"density operator must be square, got {m.shape[0]}x{m.shape[1]}")
+    """One density operator, or a stack ``(..., d, d)`` of them checked slice by slice."""
+    m = as_stack(m)
+    if m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"density operator must be square, got {m.shape[-2]}x{m.shape[-1]}")
     require_residuals("density operator", density_residuals(m), tol)
     return m
 
@@ -84,13 +89,15 @@ def _per_slice(values: np.ndarray):
 
 
 def require_residuals(kind: str, residuals: dict, tol: float) -> None:
-    """Raise ``InvariantViolation`` unless every residual is within ``tol``;
-    for a stack the message names the first offending slice."""
-    bad = np.any([np.asarray(v) > tol for v in residuals.values()], axis=0)
+    """Raise ``InvariantViolation`` unless every residual is within ``tol``
+    (a NaN residual is not); for a stack the message names the first
+    offending slice."""
+    over_tol = {k: ~(np.asarray(v) <= tol) for k, v in residuals.items()}
+    bad = np.any(list(over_tol.values()), axis=0)
     if not bad.any():
         return
     at = np.unravel_index(np.argmax(bad), bad.shape)
-    over = {k: float(np.asarray(v)[at]) for k, v in residuals.items() if np.asarray(v)[at] > tol}
+    over = {k: float(np.asarray(residuals[k])[at]) for k, v in over_tol.items() if v[at]}
     where = f" at slice {tuple(int(i) for i in at)}" if at else ""
     raise InvariantViolation(f"not a {kind}{where} (tol={tol:.1e}): residuals {over}")
 

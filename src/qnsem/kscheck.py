@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert
-from .linalg import DEFAULT_TOL, json_entries, json_number, json_list, json_object, max_norm
+from .linalg import DEFAULT_TOL, json_count, json_entries, json_list, json_object, max_norm
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class VectorContextFamily:
 
     @staticmethod
     def from_json(obj: dict) -> "VectorContextFamily":
-        dim = int(json_number(obj["dim"], "dim"))
+        dim = json_count(obj["dim"], "dim")
         vectors = {}
         for vid, entries in json_object(obj["vectors"], "vectors").items():
             v = json_entries(entries, f"vectors[{vid!r}]")

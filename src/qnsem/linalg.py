@@ -3,8 +3,9 @@ eigendecomposition, Gram-Schmidt orthonormalization, and the JSON wire form
 used by every fixture file.
 
 All matrices are numpy complex128 arrays.  ``as_matrix`` admits exactly one
-2-d matrix and guards the JSON and public boundary; ``as_stack`` also admits
-stacks of shape ``(..., n, m)`` and feeds the projector kernel, whose
+2-d matrix: it guards the JSON wire form and the helpers that multiply or
+compare single matrices.  ``as_stack`` also admits stacks of shape
+``(..., n, m)`` and feeds the validators and the projector kernel, whose
 ``hermitian_eigen`` factors a whole stack in one call.  Operations are pure
 functions and never mutate their inputs, so everything here is safe to call
 concurrently.
@@ -164,6 +165,15 @@ def json_number(value, field: str) -> float:
     return number
 
 
+def json_count(value, field: str) -> int:
+    """``value`` as an int if it is a whole number (``3`` or ``3.0``), else
+    a ValueError naming ``field``: a count is never truncated."""
+    number = json_number(value, field)
+    if not number.is_integer():
+        raise ValueError(f"{field} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def json_entries(entries, field: str) -> np.ndarray:
     """The JSON list of ``[re, im]`` pairs ``entries`` as a complex vector."""
     return np.array([complex(json_number(re, f"{field}[{k}][0]"), json_number(im, f"{field}[{k}][1]"))
@@ -179,7 +189,7 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols = (int(json_number(obj[k], k)) for k in ("rows", "cols"))
+        rows, cols = (json_count(obj[k], k) for k in ("rows", "cols"))
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"malformed matrix object: {exc}") from exc

@@ -521,9 +521,7 @@ def verify_general_state(l: FiniteOML, mu: Mapping[str, object], tol: float = DE
 # two-valued valuations
 
 
-def find_two_valued_valuation(
-    l: FiniteOML, count_all: bool = False, cap: int = 1_000_000
-) -> tuple[dict[str, int] | None, int]:
+def find_two_valued_valuation(l: FiniteOML, count_all: bool = False) -> tuple[dict[str, int] | None, int]:
     """The {0,1} assignments respecting joins, meets, complements, and truth
     of the top element, read off the atoms.
 
@@ -541,10 +539,8 @@ def find_two_valued_valuation(
     Returns (first solution or None, solution count).  The first solution
     is the lexicographically greatest in element order, the one an
     element-by-element search trying 1 before 0 meets first.  The count is
-    at most 1 unless ``count_all``, and at most ``cap`` (at least 1).
+    at most 1 unless ``count_all``.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
     _require_oml(l)
     # an atom's column of leq holds bottom and itself only
     atoms = l.leq[l.leq.sum(axis=0) == 2]
@@ -552,7 +548,7 @@ def find_two_valued_valuation(
     if not len(rows):
         return None, 0
     first = max(rows.tolist())
-    return dict(zip(l.elements, map(int, first))), min(len(rows), cap if count_all else 1)
+    return dict(zip(l.elements, map(int, first))), len(rows) if count_all else 1
 
 
 # ---------------------------------------------------------------------------

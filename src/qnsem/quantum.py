@@ -5,9 +5,10 @@ complement, designated set [alpha, 1].
 Every density operator induces a valuation through the Born probabilities of
 the denoted projectors; those valuations are exactly the ones the tables
 admit.  Formulas denote projectors through ``ProjectorBindings``, the
-projector instance of the shared ``nmatrix.Bindings`` evaluator;
-``born_legality_mask`` gives the same legality verdicts for a whole
-``(trials, d, d)`` stack of states and atoms at once.  The same tables serve
+projector instance of the shared ``nmatrix.Bindings`` evaluator, and
+``evaluate_state`` takes one state or a ``(trials, d, d)`` stack of states
+over atoms bound to stacks; ``born_legality_mask`` gives the legality
+verdicts of such a stack at once.  The same tables serve
 finite orthomodular lattices (see ``oml``).  The module also
 builds the restricted (adequacy-motivated) tables, the two non-deterministic
 negation variants, the double-negation ordering chain, and the two worked
@@ -162,18 +163,17 @@ class ProjectorBindings(Bindings[np.ndarray]):
     Serves as the relation oracle for interval-matrix legality: orthogonality
     is decided numerically, and pairs within a factor ``AMBIGUITY_BAND`` of
     the threshold are classified ambiguous rather than silently resolved.
+    Atoms bound to ``(trials, d, d)`` stacks make every compound denote a
+    stack, computed by one kernel call for all trials.
     """
 
     def __init__(self, atoms: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL):
         self.tol = tol
-        super().__init__({name: self._validated(m) for name, m in atoms.items()})
+        super().__init__({name: hilbert.check_projector(m, tol) for name, m in atoms.items()})
         dims = {m.shape[-1] for m in self.atoms.values()}
         if len(dims) > 1:
             raise ValueError(f"atom projectors live in different dimensions: {sorted(dims)}")
         self.dim = dims.pop() if dims else 0
-
-    def _validated(self, m) -> np.ndarray:
-        return hilbert.check_projector(m, self.tol)
 
     def ortho(self, p: np.ndarray) -> np.ndarray:
         return hilbert.ortho(p)
@@ -198,18 +198,6 @@ class ProjectorBindings(Bindings[np.ndarray]):
         return ORTHOGONAL if orthogonal else NON_ORTHOGONAL
 
 
-class _StackBindings(ProjectorBindings):
-    """Atoms bound to ``(trials, d, d)`` stacks of projectors: each closure
-    node denotes a stack, computed by one kernel call for every trial."""
-
-    def _validated(self, m) -> np.ndarray:
-        stack = as_stack(m)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatch(f"expected a (trials, d, d) stack of projectors, got shape {stack.shape}")
-        hilbert.require_residuals("projector", hilbert.projector_residuals(stack), self.tol)
-        return stack
-
-
 def evaluate_state(
     rho: np.ndarray,
     bindings: ProjectorBindings,
@@ -217,12 +205,15 @@ def evaluate_state(
     tol: float = DEFAULT_TOL,
 ) -> Valuation:
     """Born valuation of the state over the subformula closure: compounds
-    denote lattice elements first, then take their Born probability."""
+    denote lattice elements first, then take their Born probability.
+
+    The values are floats for one state, and ``(trials,)`` arrays for a
+    ``(trials, d, d)`` stack of states whose atoms are bound to stacks of
+    the same shape: entry t is the valuation of ``rho[t]`` with each atom
+    bound to its slice t.
+    """
     rho = hilbert.check_density(rho, max(tol, 1e-7))
-    values = {}
-    for f in subformula_closure(formulas):
-        values[f] = hilbert.born(rho, bindings.denote(f), tol)
-    return Valuation(values)
+    return Valuation({f: hilbert.born(rho, bindings.denote(f), tol) for f in subformula_closure(formulas)})
 
 
 def born_legality_mask(
@@ -237,31 +228,23 @@ def born_legality_mask(
 
     Entry t is the verdict of ``is_dynamic_legal`` on ``evaluate_state``
     of trial t (``rho[t]``, atoms bound to their slice t) under ``matrix``,
-    with the same checks, each raising as there: every atom slice a
-    projector, every state slice a density operator, the kernel's Hermitian
-    guard and the Born range.
-    The closure is denoted once over the stacks, all Born values come from
-    one einsum, and each compound is checked against its table's rules on
-    arrays of trials.  Born values are clipped into [0, 1], so atoms are
-    always legal.
+    and the checks are the ones that call makes, each raising as there: the
+    stacked ``evaluate_state`` is that call for every trial at once.  Each
+    compound is then checked against its table's rules on arrays of trials.
+    Born values are clipped into [0, 1], so atoms are always legal.
     """
-    bindings = _StackBindings(atoms, tol)
+    bindings = ProjectorBindings(atoms, tol)
     rho = as_stack(rho)
     if rho.ndim != 3 or any(m.shape != rho.shape for m in bindings.atoms.values()):
         shapes = sorted({m.shape for m in bindings.atoms.values()})
         raise DimensionMismatch(f"states of shape {rho.shape} but atom stacks of shapes {shapes}")
-    hilbert.require_residuals("density operator", hilbert.density_residuals(rho), max(tol, 1e-7))
+    valuation = evaluate_state(rho, bindings, formulas, tol)
     legal = np.ones(len(rho), dtype=bool)
-    closure = subformula_closure(formulas)
-    if not closure:
-        return legal
-    position = {f: i for i, f in enumerate(closure)}
-    values = hilbert.born(rho, np.stack([bindings.denote(f) for f in closure]), tol)
-    for f, value in zip(closure, values):
+    for f, value in valuation.items():
         if isinstance(f, Not):
-            legal &= matrix.admits("not", value, (values[position[f.child]],), tol=tol)
+            legal &= matrix.admits("not", value, (valuation[f.child],), tol=tol)
         elif isinstance(f, (And, Or)):
-            args = (values[position[f.left]], values[position[f.right]])
+            args = (valuation[f.left], valuation[f.right])
             conn = "and" if isinstance(f, And) else "or"
             legal &= matrix.admits(conn, value, args, bindings.relation(f.left, f.right), tol)
     return legal

@@ -166,6 +166,44 @@ def test_legal_rejects_under_second_negation(capsys, write_json):
     assert "ILLEGAL" in out
 
 
+def test_legal_tests_membership_at_tol(capsys, write_json):
+    # projectors off by 4e-9: v(P | Q) = 1/2 misses the orthogonal cell
+    # {v(P) + v(Q)} = {1/2 + 2e-9} by more than the default tolerance but
+    # less than --tol
+    eps = 4e-9
+    p, q = np.diag([1 + eps, 0, 0, 0]).astype(complex), np.diag([0, 1 + eps, 0, 0]).astype(complex)
+    p[2, 3] = p[3, 2] = q[2, 3] = q[3, 2] = eps
+    bind = write_json("bind.json", {"P": hilbert.operator_to_json(p, "projector"),
+                                    "Q": hilbert.operator_to_json(q, "projector")})
+    state = write_json("state.json", hilbert.operator_to_json(np.eye(4) / 4, "density"))
+    formulas = write_json("formulas.json", {"formulas": ["P | Q", "P & Q", "!P"]})
+    code, out, _ = run(capsys, "--tol", "1e-8", "legal", "--state", state, "--bind", bind, "--formulas", formulas)
+    assert code == 0 and out.endswith("legal\n")
+
+
+@pytest.mark.parametrize(
+    "kind, matrix",
+    [
+        ("density", [[0.5, 1.5e308], [1.5e308, 0.5]]),  # m + m^H would overflow
+        ("projector", [[1e200, 0.0], [0.0, 0.0]]),  # m @ m overflows
+    ],
+)
+def test_huge_entries_are_one_error_line(capsys, write_json, kind, matrix):
+    state, bind = np.diag([1.0, 0.0]), {"P": np.diag([1.0, 0.0])}
+    if kind == "density":
+        state = np.array(matrix)
+    else:
+        bind = {"P": np.array(matrix)}
+    state = write_json("state.json", hilbert.operator_to_json(state, "density"))
+    bind = write_json("bind.json", {k: hilbert.operator_to_json(m, "projector") for k, m in bind.items()})
+    formulas = write_json("formulas.json", {"formulas": ["P"]})
+    for argv in (["eval", "--state", state, "--bind", bind, "P"],
+                 ["legal", "--state", state, "--bind", bind, "--formulas", formulas]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: not a {kind}") and err.count("\n") == 1, err
+
+
 def test_consequence(capsys, write_json):
     matrix = write_json("three.json", three_valued_matrix().to_json())
     gamma = write_json("gamma.json", {"formulas": ["P"]})
@@ -449,6 +487,15 @@ def test_json_output_mode(capsys, write_json):
     assert json.loads(out)["solutions"] == 3
 
 
+def test_whole_float_counts_read_as_ints(capsys, write_json):
+    family = write_json("family.json", _family_with(dim=3.0))
+    state, bind = _state_and_bindings_json()
+    state = write_json("state.json", {**state, "rows": 3.0, "cols": 3.0})
+    bind = write_json("bind.json", bind)
+    assert run(capsys, "ks", "count", family)[:2] == (0, "solutions: 3\n")
+    assert run(capsys, "eval", "--state", state, "--bind", bind, "P")[0] == 0
+
+
 def _family_with_string_entry():
     family = fixtures.single_context_dim3().to_json()
     family["vectors"]["e1"][0] = ["1", "0"]
@@ -545,6 +592,11 @@ _WRONG_SHAPE_CASES = {
                                              "--state", w("state-large.json", _state_with_entry(0, [10**400, 0])), "P"],
     "ks-dim-infinite": lambda w: ["ks", "count", w("dim-infinite.json", _family_with(dim=float("inf")))],
     "ks-vector-entry-too-large": lambda w: ["ks", "count", w("vector-large.json", _family_with_large_entry())],
+    # counts that are not whole numbers were truncated: dim 3.9 read as 3
+    "ks-dim-fractional": lambda w: ["ks", "count", w("dim-fractional.json", _family_with(dim=3.9))],
+    "eval-state-rows-fractional": lambda w: ["eval", "--bind", w("bind-for-rows.json", _state_and_bindings_json()[1]),
+                                             "--state", w("state-rows.json", {**_state_and_bindings_json()[0],
+                                                                              "rows": 3.5}), "P"],
     # a collapse map whose bounds are strings verified
     "rexpansion-map-string-bound": lambda w: [
         "rexpansion", "verify", "--m1", w("m1-for-strings.json", three_valued_matrix().to_json()),
@@ -580,6 +632,8 @@ _WRONG_SHAPE_MESSAGES = {
     "eval-state-entry-too-large": "entries[0][0] must be a finite number in the float range",
     "ks-dim-infinite": "dim must be a finite number in the float range",
     "ks-vector-entry-too-large": "vectors['e1'][0][0] must be a finite number in the float range",
+    "ks-dim-fractional": "dim must be a whole number, got 3.9",
+    "eval-state-rows-fractional": "rows must be a whole number, got 3.5",
     "rexpansion-map-string-bound": "pieces[0].lo must be a number, got str",
 }
 

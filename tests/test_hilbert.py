@@ -307,16 +307,21 @@ def test_kernel_keeps_its_guards(monkeypatch):
     assert max_norm(hilbert.join(p, q) - np.eye(3)) <= 1e-12
 
 
-def test_boundary_refuses_stacks():
-    # the kernel takes stacks; the validators, the bindings and the wire
-    # form take exactly one matrix
+def test_validators_check_stacks_by_slice():
+    # the validators and the bindings take a stack as the kernel does,
+    # naming the first bad slice; the wire form takes exactly one matrix
     stack = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
-    with pytest.raises(DimensionMismatch):
-        hilbert.check_projector(stack)
-    with pytest.raises(DimensionMismatch):
+    assert hilbert.check_projector(stack).shape == (2, 2, 2)
+    assert hilbert.check_density(stack / np.array([1.0, 2.0])[:, None, None]).shape == (2, 2, 2)
+    assert ProjectorBindings({"P": stack}).dim == 2
+    with pytest.raises(InvariantViolation, match=r"not a projector at slice \(1,\)"):
+        hilbert.check_projector(stack * np.array([1.0, 0.5])[:, None, None])
+    with pytest.raises(InvariantViolation, match=r"not a density operator at slice \(0,\)"):
         hilbert.check_density(stack / 2)
-    with pytest.raises(DimensionMismatch):
-        ProjectorBindings({"P": stack})
+    with pytest.raises(InvariantViolation, match=r"not a projector at slice \(0, 1\)"):
+        ProjectorBindings({"P": np.array([[stack[0], stack[1] / 2]])})
+    with pytest.raises(DimensionMismatch, match="must be square, got 2x3"):
+        hilbert.check_projector(np.zeros((4, 2, 3)))
     with pytest.raises(DimensionMismatch):
         linalg.matrix_to_json(stack)
 

@@ -493,7 +493,7 @@ def test_cav_mo2_unsat_matches_brute_force():
     assert _brute_cav_count(lattice) == 0
 
 
-def recursive_two_valued(l, count_all=False, cap=1_000_000):
+def recursive_two_valued(l, count_all=False):
     """``find_two_valued_valuation`` as one recursion level per element:
     same choice order, kept as the oracle of the explicit-stack loop."""
     meet, join = l.bound_table("meet"), l.bound_table("join")
@@ -527,7 +527,7 @@ def recursive_two_valued(l, count_all=False, cap=1_000_000):
             return not count_all
         for v in (1, 0):
             values[k] = v
-            if consistent(k) and found["count"] < cap and rec(k + 1):
+            if consistent(k) and rec(k + 1):
                 return True
             values[k] = -1
         return False
@@ -558,9 +558,8 @@ def _search_lattices():
 
 def _assert_two_valued_matches_oracle(lattice):
     for count_all in (False, True):
-        for cap in ({}, {"cap": 1}, {"cap": 2}):
-            want = recursive_two_valued(lattice, count_all, **cap)
-            assert oml.find_two_valued_valuation(lattice, count_all, **cap) == want
+        want = recursive_two_valued(lattice, count_all)
+        assert oml.find_two_valued_valuation(lattice, count_all) == want
 
 
 def test_two_valued_loop_matches_recursive_oracle():
@@ -633,12 +632,6 @@ def test_two_valued_refuses_a_non_orthomodular_lattice(build):
     with pytest.raises(ValueError, match="not an orthomodular lattice") as info:
         oml.find_two_valued_valuation(lattice, count_all=True)
     assert str(info.value).endswith(first_law)
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_two_valued_cap_below_one_is_an_error(cap):
-    with pytest.raises(ValueError, match="cap must be at least 1"):
-        oml.find_two_valued_valuation(oml.boolean_lattice(3), count_all=True, cap=cap)
 
 
 # ---------------------------------------------------------------------------
