@@ -3,7 +3,10 @@ rational arithmetic.
 
 An exact presolve runs Gaussian elimination on the equality rows, so
 inconsistency is detected exactly and comes with a row-combination
-certificate that can be re-verified by direct arithmetic.  Consistent
+certificate that can be re-verified by direct arithmetic.  The elimination
+tracks no row combinations; only when a row reduces to 0 = rhs != 0 does it
+run again with them, over that row and the rows that became pivots, which
+gives the same combination as tracking throughout.  Consistent
 systems drop to a phase-one feasibility problem over the remaining free
 variables: Chvatal's single-auxiliary phase one with Bland's rule on the
 condensed tableau, one column per free variable plus the auxiliary, none
@@ -140,27 +143,51 @@ def _lowest_terms(expr: dict, rhs: int, combo: dict, den: int):
     )
 
 
-def _presolve(variables: Sequence[str], rows: Sequence[Row]):
-    """Exact elimination of the equality rows, tracking row combinations.
+def _presolve(variables: Sequence[str], rows: Sequence[Row], track: bool = False):
+    """Exact elimination of the equality rows.
 
     Returns (pivots, var_index, certificate); pivots maps a variable index to
-    (expression over free variable indices, constant, row combination), and a
-    certificate replaces both when the equalities are inconsistent.
+    (expression over free variable indices, constant, row combination), with
+    ints where integral, else Fractions, and a certificate replaces both when
+    the equalities are inconsistent.  The row combinations are empty unless
+    ``track``.  A certificate comes from a second elimination that tracks
+    them, over the rows that became pivots and the inconsistent row: a row
+    that reduces to 0 = 0 changes no pivot, so that gives the combination a
+    tracking first pass would.
+    """
+    var_index = {v: i for i, v in enumerate(variables)}
+    equalities = [i for i, row in enumerate(rows) if row.rel == EQ]
+    pivots, used, failure = _eliminate(rows, equalities, var_index, track)
+    if failure is not None:
+        if not track:
+            _, _, failure = _eliminate(rows, [*used, failure[0]], var_index, True)
+        _, rhs, combo, den = failure
+        multipliers = tuple(sorted((r, Fraction(m, den)) for r, m in combo.items()))
+        return None, None, Certificate(multipliers, Fraction(rhs, den))
+    return {p: _divided(*entry) for p, entry in pivots.items()}, var_index, None
+
+
+def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index, track: bool):
+    """Gaussian elimination of the equality rows ``rows[i]``, i in
+    ``indices``, in that order, up to the first inconsistent one.
+
+    Returns (pivots, used, failure).  pivots maps p to (expr, rhs, combo,
+    den): x_p = (rhs + sum expr[v] x_v) / den, and combo[r] / den is the
+    multiplier of row r in the row combination that gives it (empty unless
+    ``track``).  used lists the indices whose rows became pivots, in order;
+    failure is (i, rhs, combo, den) for the first row i that reduces to
+    0 = rhs / den != 0, else None.
 
     The elimination runs on integers: the working row and every pivot keep
     integer numerators over one positive denominator (a pivot's in lowest
     terms), so a pivot of denominator 1, the usual case, substitutes with
-    plain int products.  The pivots come out as ints where integral, else
-    Fractions.
+    plain int products.
     """
-    var_index = {v: i for i, v in enumerate(variables)}
-    # p -> (expr, rhs, combo, den): x_p = (rhs + sum expr[v] x_v) / den
     pivots: dict[int, tuple[dict[int, int], int, dict[int, int], int]] = {}
-    for i, row in enumerate(rows):
-        if row.rel != EQ:
-            continue
-        coeffs, rhs, den = _scaled(row, var_index)
-        combo = {i: den}  # the working row is sum combo[r] * row r, over den
+    used: list[int] = []
+    for i in indices:
+        coeffs, rhs, den = _scaled(rows[i], var_index)
+        combo = {i: den} if track else {}  # the working row is sum combo[r] * row r, over den
         for p in sorted(coeffs.keys() & pivots.keys()):
             factor = coeffs.pop(p)
             expr, prhs, pcombo, pden = pivots[p]
@@ -175,12 +202,11 @@ def _presolve(variables: Sequence[str], rows: Sequence[Row]):
             for r, m in pcombo.items():
                 combo[r] = combo.get(r, 0) - factor * m
         coeffs = {v: c for v, c in coeffs.items() if c}
-        combo = {r: m for r, m in combo.items() if m}
         if not coeffs:
             if rhs != 0:
-                multipliers = tuple(sorted((r, Fraction(m, den)) for r, m in combo.items()))
-                return None, None, Certificate(multipliers, Fraction(rhs, den))
+                return pivots, used, (i, rhs, {r: m for r, m in combo.items() if m}, den)
             continue
+        combo = {r: m for r, m in combo.items() if m}
         p = min(coeffs)
         factor = coeffs.pop(p)  # the row's denominator cancels in x_p
         if factor > 0:
@@ -212,7 +238,8 @@ def _presolve(variables: Sequence[str], rows: Sequence[Row]):
             )
             pivots[q] = _lowest_terms(*q_entry) if qden != 1 else q_entry
         pivots[p] = (expr, prhs, pcombo, pden)
-    return {p: _divided(*entry) for p, entry in pivots.items()}, var_index, None
+        used.append(i)
+    return pivots, used, None
 
 
 def _divided(expr: dict, rhs: int, combo: dict, den: int):

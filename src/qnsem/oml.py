@@ -47,11 +47,15 @@ class FiniteOML:
         n = len(self.elements)
         self.leq = np.zeros((n, n), dtype=bool)
         np.fill_diagonal(self.leq, True)
+        index = self.index
         for pair in leq_pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"leq entry {pair!r} is not a pair")
-            a, b = (self._known(f"leq pair {list(pair)!r}", e) for e in pair)
-            self.leq[a, b] = True
+            try:
+                self.leq[index[pair[0]], index[pair[1]]] = True
+            except (KeyError, TypeError):  # the message is built only here
+                for e in pair:
+                    self._known(f"leq pair {list(pair)!r}", e)
         missing = set(self.elements) - set(json_object(ortho, "ortho"))
         if missing:
             raise ValueError(f"orthocomplement map misses {sorted(missing)}")
@@ -61,6 +65,7 @@ class FiniteOML:
         self._defects: tuple[np.ndarray, np.ndarray] | None = None
         self._meet: np.ndarray | None = None
         self._join: np.ndarray | None = None
+        self._state_rows: tuple[tuple[str, ...], tuple[Row, ...]] | None = None
 
     def _known(self, field: str, name) -> int:
         try:
@@ -169,23 +174,26 @@ def _greatest_below(down: np.ndarray) -> np.ndarray:
     the common set L has a greatest element z exactly when some z in L has
     |down[z]| = |L|: down[z] lies inside L by transitivity, so the sizes
     agree only when L = down[z]; and no other w in L reaches |L|, since
-    L = down[w] too would give w <= z <= w.  Every z in L has |down[z]| <=
-    |L|, so the candidate is the member of L with the largest down-set.
-    The columns are sorted by down-set size once, largest first; then row
-    i takes the candidate for every j >= i in one argmax over
-    ``down[i] & down[i:]`` and confirms it with one count, O(n**3) in all.
-    An empty L needs no separate test: its argmax names some element,
-    whose down-set holds at least itself, so the count never matches.
+    L = down[w] too would give w <= z <= w.  So the table comes from array
+    products, O(n**3) in all and O(n**2) memory: one product counts |L| for
+    every pair, and one product per down-set size s sums z + 1 over the z
+    in L with |down[z]| = s.  Where |L| = s that sum is z + 1 for the
+    greatest z, or 0 when L has none; elsewhere the entry stays -1.  Such a
+    sum has at most one term z + 1 <= n, and float32 holds it and every
+    count exactly below 2**24.
     """
     n = len(down)
     size = np.count_nonzero(down, axis=1)
-    order = np.argsort(-size, kind="stable")
-    down, size = down[:, order], size[order]
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        common = down[i] & down[i:]
-        k = common.argmax(axis=1)
-        table[i, i:] = table[i:, i] = np.where(size[k] == np.count_nonzero(common, axis=1), order[k], -1)
+    order = np.argsort(size, kind="stable")
+    down = down[:, order].astype(np.float32)
+    weight = (order + 1).astype(np.float32)
+    common = down @ down.T
+    table = np.full((n, n), -1, dtype=np.int64)
+    sizes, starts = np.unique(size[order], return_index=True)
+    ends = [*starts[1:].tolist(), n]
+    for s, a, b in zip(sizes.tolist(), starts.tolist(), ends):
+        block = down[:, a:b]
+        np.copyto(table, (block * weight[a:b]) @ block.T - 1, casting="unsafe", where=common == s)
     return table
 
 
@@ -331,6 +339,10 @@ def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> Fini
     blocks may share at most one atom.  The result is an orthomodular lattice
     exactly when the diagram has no loops of order three or four; run
     :func:`verify_oml` on the output to certify.
+
+    The generated elements are named ``0``, ``1``, ``x'`` for the complement
+    of atom x and ``x+y`` for a join inside a block; an atom name equal to
+    one of them is refused.
     """
     atoms = list(json_list(atoms, "atoms"))
     if len(set(atoms)) != len(atoms):
@@ -354,25 +366,29 @@ def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> Fini
         if not bs:
             raise ValueError(f"atom {a!r} appears in no block")
 
-    all_atoms = frozenset(atoms)
-    atom_sets: dict[str, frozenset] = {"0": frozenset(), "1": all_atoms}
-    ortho_map: dict[str, str] = {"0": "1", "1": "0"}
+    atom_sets: dict[str, frozenset] = {}
+    ortho_map: dict[str, str] = {}
+
+    def add(name: str, members: frozenset, complement: str) -> None:
+        # in a valid diagram every element is added once, under its own name
+        if name in atom_sets:
+            if name in in_blocks:
+                raise ValueError(f"atom name {name!r} equals a generated element name")
+            raise ValueError(f"generated element name {name!r} arises twice; rename the atoms")
+        atom_sets[name] = members
+        ortho_map[name] = complement
+
+    add("0", frozenset(), "1")
+    add("1", frozenset(atoms), "0")
     for a in atoms:
-        atom_sets[a] = frozenset([a])
-        mates = frozenset(x for b in in_blocks[a] for x in b if x != a)
-        atom_sets[a + "'"] = mates
-        ortho_map[a] = a + "'"
-        ortho_map[a + "'"] = a
+        add(a, frozenset([a]), a + "'")
+        add(a + "'", frozenset(x for b in in_blocks[a] for x in b if x != a), a)
     for b in blocks:
         bset = frozenset(b)
         for mask in range(1, 1 << len(b)):
             sub = frozenset(x for i, x in enumerate(b) if mask >> i & 1)
-            if not 2 <= len(sub) <= len(b) - 2:
-                continue
-            name = "+".join(sorted(sub))
-            comp = "+".join(sorted(bset - sub))
-            atom_sets[name] = sub
-            ortho_map[name] = comp
+            if 2 <= len(sub) <= len(b) - 2:
+                add("+".join(sorted(sub)), sub, "+".join(sorted(bset - sub)))
 
     elements = list(atom_sets)
     pairs = [
@@ -458,25 +474,30 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     Additivity is imposed pairwise only; on a finite lattice the countable
     form reduces to finite additivity, and finite families follow from pairs
     by induction through (a v b) orthogonal to c.
+
+    The rows are built once per lattice; each call returns new lists.
     """
-    # only the joins of orthogonal pairs i < j are read
-    orthogonal = np.triu(l.leq[:, l.ortho], 1)
-    join = l.bound_table("join", orthogonal)
-    names = list(l.elements)
-    rows: list[Row] = [
-        make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
-        make_row({names[l.top]: 1}, EQ, 1, "top"),
-    ]
-    for i, oi in enumerate(l.ortho.tolist()):
-        if i <= oi:
-            coeffs = {names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2}
-            rows.append(make_row(coeffs, EQ, 1, f"complement:{names[i]}"))
-    for i, j in zip(*(a.tolist() for a in np.nonzero(orthogonal))):
-        coeffs = {names[join[i, j]]: 1}
-        coeffs[names[i]] = coeffs.get(names[i], 0) - 1
-        coeffs[names[j]] = coeffs.get(names[j], 0) - 1
-        rows.append(make_row(coeffs, EQ, 0, f"additivity:{names[i]}|{names[j]}"))
-    return names, rows
+    if l._state_rows is None:
+        # only the joins of orthogonal pairs i < j are read
+        orthogonal = np.triu(l.leq[:, l.ortho], 1)
+        join = l.bound_table("join", orthogonal)
+        names = l.elements
+        rows: list[Row] = [
+            make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
+            make_row({names[l.top]: 1}, EQ, 1, "top"),
+        ]
+        for i, oi in enumerate(l.ortho.tolist()):
+            if i <= oi:
+                coeffs = {names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2}
+                rows.append(make_row(coeffs, EQ, 1, f"complement:{names[i]}"))
+        for i, j in zip(*(a.tolist() for a in np.nonzero(orthogonal))):
+            coeffs = {names[join[i, j]]: 1}
+            coeffs[names[i]] = coeffs.get(names[i], 0) - 1
+            coeffs[names[j]] = coeffs.get(names[j], 0) - 1
+            rows.append(make_row(coeffs, EQ, 0, f"additivity:{names[i]}|{names[j]}"))
+        l._state_rows = names, tuple(rows)
+    names, rows = l._state_rows
+    return list(names), list(rows)
 
 
 @dataclass

@@ -284,6 +284,17 @@ def test_oml_greechie_and_nostate(capsys, write_json):
     assert code == 3 and "no state exists" in out and "verified: True" in out
 
 
+@pytest.mark.parametrize("atoms, clash", [(["0", "1", "2"], "'0'"), (["a", "a'", "b"], '"a\'"')])
+def test_greechie_atom_named_like_a_generated_element_is_an_input_error(capsys, write_json, atoms, clash):
+    # the atom replaced the generated element: verify said "NOT an
+    # orthomodular lattice", or find-state printed a state and exited 0
+    path = write_json("clash.json", {"atoms": atoms, "blocks": [atoms]})
+    for action in ("verify", "find-state", "cav"):
+        code, out, err = run(capsys, "oml", action, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: atom name {clash} equals a generated element name\n"
+
+
 def test_broken_lattice_exit(capsys, write_json):
     broken = write_json("broken.json", oml.chain_with_fixed_point().to_json())
     code, out, _ = run(capsys, "oml", "verify", broken)

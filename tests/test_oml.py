@@ -98,6 +98,14 @@ def test_bound_tables_match_oracle_on_benchmark_lattices():
     _assert_bounds_match_oracle(fixtures.nostate_lattice())
 
 
+def _poset(leq):
+    """The order ``leq`` (a partial order on 0..n-1) as a FiniteOML, for its
+    bound tables."""
+    names = [str(k) for k in range(len(leq))]
+    pairs = [(names[i], names[j]) for i, j in np.argwhere(leq) if i != j]
+    return oml.FiniteOML(names, pairs, {e: e for e in names}, "0", "0")
+
+
 def _random_poset(rnd, n):
     """The transitive closure of a random DAG, its elements shuffled."""
     density = rnd.uniform(0.05, 0.6)
@@ -105,10 +113,7 @@ def _random_poset(rnd, n):
     for k in range(n):
         leq |= np.outer(leq[:, k], leq[k])
     perm = rnd.sample(range(n), n)
-    leq = leq[np.ix_(perm, perm)]
-    names = [str(k) for k in range(n)]
-    pairs = [(names[i], names[j]) for i, j in np.argwhere(leq) if i != j]
-    return oml.FiniteOML(names, pairs, {e: e for e in names}, "0", "0")
+    return _poset(leq[np.ix_(perm, perm)])
 
 
 def test_bound_tables_match_oracle_on_random_posets():
@@ -122,6 +127,60 @@ def test_bound_tables_match_oracle_on_random_posets():
         meet, join = poset._bound_tables()
         missing += np.count_nonzero(meet < 0) + np.count_nonzero(join < 0)
     assert missing
+
+
+def test_bound_tables_match_oracle_on_total_orders():
+    # one down-set size per element: one size class per column
+    rnd = random.Random(3)
+    for n in (1, 2, 5, 17, 40):
+        rank = rnd.sample(range(n), n)
+        _assert_bounds_match_oracle(_poset(np.array([[rank[i] <= rank[j] for j in range(n)] for i in range(n)])))
+
+
+def test_bound_tables_match_oracle_on_repeated_down_set_sizes():
+    # grids of two chains, (a, b) <= (c, d) componentwise, where (a, b) and
+    # (b, a) share a down-set size; side by side, their pairs have no bound;
+    # and random posets of 20..40 elements
+    for shape in ((2, 2), (3, 4), (5, 8)):
+        cells = list(itertools.product(range(shape[0]), range(shape[1])))
+        grid = np.array([[a <= c and b <= d for c, d in cells] for a, b in cells])
+        _assert_bounds_match_oracle(_poset(grid))
+        n = len(cells)
+        twins = np.zeros((2 * n, 2 * n), dtype=bool)
+        twins[:n, :n] = twins[n:, n:] = grid
+        _assert_bounds_match_oracle(_poset(twins))
+    rnd = random.Random(29)
+    repeated = 0
+    for _ in range(15):
+        poset = _random_poset(rnd, rnd.randint(20, 40))
+        sizes = np.count_nonzero(poset.leq, axis=0)
+        repeated += len(np.unique(sizes)) < len(sizes)
+        _assert_bounds_match_oracle(poset)
+    assert repeated == 15
+
+
+def argmax_bound_table(down):
+    """The size-sorted argmax builder the size-class products replaced: row
+    i takes the member of ``down[i] & down[j]`` with the largest down-set
+    for every j >= i, and keeps it when its down-set is the whole set."""
+    n = len(down)
+    size = np.count_nonzero(down, axis=1)
+    order = np.argsort(-size, kind="stable")
+    down, size = down[:, order], size[order]
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        common = down[i] & down[i:]
+        k = common.argmax(axis=1)
+        table[i, i:] = table[i:, i] = np.where(size[k] == np.count_nonzero(common, axis=1), order[k], -1)
+    return table
+
+
+def test_bound_tables_on_mo_300_match_argmax_builder():
+    data = known.mo(300)
+    lattice = oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")
+    meet, join = lattice._bound_tables()
+    assert np.array_equal(meet, argmax_bound_table(lattice.leq.T))
+    assert np.array_equal(join, argmax_bound_table(lattice.leq))
 
 
 def test_bound_tables_on_large_mo_match_oracle():
@@ -382,6 +441,36 @@ def test_general_state_value_out_of_range(bad):
 def test_find_state_mo2():
     result = oml.find_state(oml.mo2())
     assert result.feasible and result.residual == 0.0
+
+
+def test_state_rows_are_built_once_and_returned_as_new_lists(monkeypatch):
+    lattice = oml.boolean_lattice(3)
+    built = []
+    build_row = oml.make_row
+    monkeypatch.setattr(oml, "make_row", lambda *args: built.append(args[-1]) or build_row(*args))
+    names, rows = oml.state_constraints(lattice)
+    count = len(built)
+    assert count == len(rows) and names == list(lattice.elements)
+    names.append("junk")
+    rows.append(make_row({"a": 1}, EQ, 1, "junk"))
+    again_names, again_rows = oml.state_constraints(lattice)
+    assert len(built) == count
+    assert again_names == list(lattice.elements) and again_rows == rows[:-1]
+    assert again_names is not names and again_rows is not rows
+
+
+def test_legal_search_pins_stay_out_of_the_state_rows():
+    # two orthogonal atoms cannot both be 1; the pins and extra rows of that
+    # search must not reach a later state search on the same lattice
+    lattice = oml.boolean_lattice(3)
+    before = oml.state_constraints(lattice)[1]
+    extra = [make_row({"ab": 1}, EQ, 1, "extra")]
+    pinned = oml.legal_valuation_search(lattice, quantum_nmatrix(1.0), partial={"a": 1, "b": 1}, extra_rows=extra)
+    assert not pinned.feasible
+    assert oml.state_constraints(lattice)[1] == before
+    result = oml.find_state(lattice)
+    assert result.feasible and result.residual == 0.0
+    assert oml.legal_valuation_search(lattice, quantum_nmatrix(1.0)).feasible
 
 
 def _greechie_chain(blocks: int) -> oml.FiniteOML:
@@ -942,6 +1031,27 @@ def test_greechie_loader_validation():
         oml.from_greechie(["a", "b", "c"], [["a", "b", "z"]])
     with pytest.raises(ValueError, match="no block"):
         oml.from_greechie(["a", "b", "c", "d"], [["a", "b", "c"]])
+
+
+@pytest.mark.parametrize("atoms, message", [
+    # bottom and top are 0 and 1: the block made 6 elements, not 8
+    (["0", "1", "2"], "atom name '0' equals a generated element name"),
+    # a' is the complement of a: verify_oml failed while find_state found a "state"
+    (["a", "a'", "b"], "atom name \"a'\" equals a generated element name"),
+    (["a'", "a", "b"], "atom name \"a'\" equals a generated element name"),
+    (["a", "b", "a+b", "c"], "atom name 'a+b' equals a generated element name"),
+    # no atom clashes, but {a, b+c} and {a+b, c} both join to "a+b+c"
+    (["a", "a+b", "b+c", "c"], "generated element name 'a+b+c' arises twice"),
+])
+def test_greechie_refuses_atom_names_that_clash_with_generated_ones(atoms, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oml.from_greechie(atoms, [atoms])
+
+
+def test_greechie_accepts_primed_atom_names_that_clash_with_nothing():
+    lattice = oml.from_greechie(["x'", "y", "z"], [["x'", "y", "z"]])
+    assert len(lattice) == 8 and oml.verify_oml(lattice).ok
+    assert lattice.ortho_id("x'") == "x''"
 
 
 def test_greechie_single_block_is_boolean():
