@@ -3,10 +3,8 @@ rational arithmetic.
 
 An exact presolve runs Gaussian elimination on the equality rows, so
 inconsistency is detected exactly and comes with a row-combination
-certificate that can be re-verified by direct arithmetic.  The elimination
-tracks no row combinations; only when a row reduces to 0 = rhs != 0 does it
-run again with them, over that row and the rows that became pivots, which
-gives the same combination as tracking throughout.  Consistent
+certificate that can be re-verified by direct arithmetic; the elimination
+tracks row combinations only to build that certificate.  Consistent
 systems drop to a phase-one feasibility problem over the remaining free
 variables: Chvatal's single-auxiliary phase one with Bland's rule on the
 condensed tableau, one column per free variable plus the auxiliary, none
@@ -202,11 +200,11 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index, track: bo
             for r, m in pcombo.items():
                 combo[r] = combo.get(r, 0) - factor * m
         coeffs = {v: c for v, c in coeffs.items() if c}
+        combo = {r: m for r, m in combo.items() if m}
         if not coeffs:
             if rhs != 0:
-                return pivots, used, (i, rhs, {r: m for r, m in combo.items() if m}, den)
+                return pivots, used, (i, rhs, combo, den)
             continue
-        combo = {r: m for r, m in combo.items() if m}
         p = min(coeffs)
         factor = coeffs.pop(p)  # the row's denominator cancels in x_p
         if factor > 0:
