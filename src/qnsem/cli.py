@@ -17,8 +17,8 @@ import json
 import sys
 
 from . import demo as demo_mod
-from . import fixtures, hilbert, kscheck, oml
-from .formulas import Atom, ParseError, children, parse, render, subformula_closure
+from . import hilbert, kscheck, oml
+from .formulas import Atom, ParseError, children, parse, render
 from .linalg import DEFAULT_TOL, DimensionMismatch, InvariantViolation, json_object
 from .nmatrix import (
     FiniteNMatrix,
@@ -26,7 +26,6 @@ from .nmatrix import (
     adequacy_check,
     dynamic_consequence,
     is_dynamic_legal,
-    is_static,
     verify_rexpansion,
 )
 from .quantum import (

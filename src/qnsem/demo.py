@@ -12,7 +12,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .nmatrix import (
     two_valued_matrix,
     verify_rexpansion,
     ThresholdMap,
-    Valuation,
 )
 from .quantum import (
     born_legality_mask,

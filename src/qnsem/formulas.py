@@ -360,7 +360,3 @@ def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
                 seen[f] = None
                 stack.pop()
     return list(seen)
-
-
-def atoms_of(f: Formula) -> set[str]:
-    return {g.name for g in subformula_closure([f]) if isinstance(g, Atom)}

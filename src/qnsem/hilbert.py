@@ -13,7 +13,6 @@ projectors and states as ``(trials, d, d)`` stacks in the per-trial RNG order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +25,9 @@ from .linalg import (
     as_stack,
     hermitian_eigen,
     matrix_from_json,
-    matrix_to_json,
     max_norm,
     max_norms,
     orthonormalize,
-    trace,
 )
 
 # Relative kernel threshold for subspace intersection: the operator
@@ -100,12 +97,6 @@ def require_residuals(kind: str, residuals: dict, tol: float) -> None:
     over = {k: float(np.asarray(residuals[k])[at]) for k, v in over_tol.items() if v[at]}
     where = f" at slice {tuple(int(i) for i in at)}" if at else ""
     raise InvariantViolation(f"not a {kind}{where} (tol={tol:.1e}): residuals {over}")
-
-
-def operator_to_json(m, kind: str) -> dict:
-    obj = matrix_to_json(m)
-    obj["kind"] = kind
-    return obj
 
 
 def operator_from_json(obj: dict, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, str]:
@@ -209,14 +200,6 @@ def is_orthogonal(p, q, tol: float = DEFAULT_TOL) -> bool:
     return max_norm(p @ q) <= tol
 
 
-def equal(p, q, tol: float = DEFAULT_TOL) -> bool:
-    return max_norm(as_matrix(p) - as_matrix(q)) <= tol
-
-
-def rank_of(p) -> int:
-    return int(round(float(np.real(trace(p)))))
-
-
 def born(rho, p, tol: float = DEFAULT_TOL):
     """Born probability Re tr(rho p), clipped to [0,1] only within tolerance.
 
@@ -232,114 +215,6 @@ def born(rho, p, tol: float = DEFAULT_TOL):
         raise InvariantViolation(f"Born value {float(value[bad][0])!r} outside [{-tol}, {1 + tol}]")
     value = value.clip(0.0, 1.0)
     return float(value) if value.ndim == 0 else value
-
-
-@dataclass(frozen=True)
-class StateAxiomReport:
-    """Residuals of the three state conditions on a finite orthogonal family."""
-
-    zero_residual: float
-    complement_residual: float
-    additivity_residual: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return max(self.zero_residual, self.complement_residual, self.additivity_residual) <= self.tol
-
-
-def verify_state_axioms(rho, family, tol: float = DEFAULT_TOL) -> StateAxiomReport:
-    """Check mu(0)=0, mu(P')=1-mu(P), and additivity of mu over the family join.
-
-    The family must be pairwise orthogonal; the offending pair is named
-    otherwise.
-    """
-    rho = as_matrix(rho)
-    family = [as_matrix(p) for p in family]
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if not is_orthogonal(family[i], family[j], tol):
-                raise InvariantViolation(
-                    f"family members {i} and {j} are not orthogonal "
-                    f"(max-norm of product {max_norm(family[i] @ family[j]):.3e})"
-                )
-    dim = rho.shape[0]
-    zero_res = abs(born(rho, zero(dim), tol))
-    comp_res = 0.0
-    for p in family:
-        comp_res = max(comp_res, abs(born(rho, ortho(p), tol) - (1.0 - born(rho, p, tol))))
-    if family:
-        total = zero(dim)
-        for p in family:
-            total = join(total, p, tol)
-        add_res = abs(born(rho, total, tol) - sum(born(rho, p, tol) for p in family))
-    else:
-        add_res = 0.0
-    return StateAxiomReport(zero_res, comp_res, add_res, tol)
-
-
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Real basis of the d^2-dimensional space of Hermitian d x d matrices."""
-    basis = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            f = np.zeros((dim, dim), dtype=np.complex128)
-            f[i, j] = 1.0j
-            f[j, i] = -1.0j
-            basis.append(f)
-    return basis
-
-
-@dataclass(frozen=True)
-class Reconstruction:
-    state: np.ndarray
-    residual: float
-
-
-def state_reconstruction(family, values, tol: float = DEFAULT_TOL) -> Reconstruction:
-    """Recover the density operator assigning the given Born values.
-
-    Solves tr(rho P_i) = value_i together with tr(rho) = 1 by least squares
-    over a Hermitian parametrization.  The family must span the Hermitian
-    matrices (an informationally complete set); the result must be positive
-    within tolerance, otherwise the values admit no quantum state.
-    """
-    family = [as_matrix(p) for p in family]
-    if not family:
-        raise InvariantViolation("empty projector family")
-    dim = family[0].shape[0]
-    for p in family:
-        _require_same_dim(family[0], p)
-    values = [float(v) for v in values]
-    if len(values) != len(family):
-        raise DimensionMismatch(f"{len(family)} projectors but {len(values)} values")
-    if any(v < -tol or v > 1 + tol for v in values):
-        raise InvariantViolation("target values must lie in [0,1]")
-
-    basis = _hermitian_basis(dim)
-    rows = [[float(np.real(np.trace(b @ p))) for b in basis] for p in family]
-    rank = np.linalg.matrix_rank(np.array(rows), tol=1e-8)
-    if rank < dim * dim:
-        raise InvariantViolation(f"family does not determine a state: rank {rank} < {dim * dim}")
-    rows.append([float(np.real(np.trace(b))) for b in basis])
-    rhs = values + [1.0]
-    theta, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    rho = sum(t * b for t, b in zip(theta, basis))
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if eigs.min() < -max(tol, 1e-8):
-        raise InvariantViolation(
-            f"values not realizable by a quantum state (minimum eigenvalue {eigs.min():.3e})"
-        )
-    residual = max(abs(float(np.real(np.trace(rho @ p))) - v) for p, v in zip(family, values))
-    residual = max(residual, abs(float(np.real(np.trace(rho))) - 1.0))
-    return Reconstruction(rho, residual)
 
 
 def _projector_block(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -262,92 +262,3 @@ def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> i
             ok &= (bit[a] & bit[b]) == 0
         total += int(ok.sum())
     return total
-
-
-def recheck_assignment(
-    family: VectorContextFamily, assignment: Mapping[str, int], tol: float = DEFAULT_TOL
-) -> list[str]:
-    """Independent full re-check of the two constraints; empty means valid."""
-    adj = orthogonality_graph(family, tol)
-    problems = []
-    for ctx in family.contexts:
-        ones = sum(assignment[v] for v in ctx)
-        if ones != 1:
-            problems.append(f"context ({','.join(ctx)}) carries {ones} ones")
-    for a, b in itertools.combinations(sorted(assignment), 2):
-        if assignment[a] == assignment[b] == 1 and b in adj[a]:
-            problems.append(f"orthogonal pair ({a}, {b}) both true")
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# order-respecting two-valued families over projector fragments
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Which of the nested admissibility conditions a {0,1} assignment on a
-    projector fragment satisfies: complement-flip plus order preservation,
-    then normality (some true ray), then exactly-one-per-context."""
-
-    s3_violations: tuple[str, ...]
-    normal: bool
-    rs3_violations: tuple[str, ...]
-
-    @property
-    def s3(self) -> bool:
-        return not self.s3_violations
-
-    @property
-    def ns3(self) -> bool:
-        return self.s3 and self.normal
-
-    @property
-    def rs3(self) -> bool:
-        return self.ns3 and not self.rs3_violations
-
-
-def s3_check(
-    values: Mapping[str, int],
-    fragment: Mapping[str, np.ndarray],
-    ortho_pairs: Mapping[str, str],
-    contexts: Sequence[Sequence[str]] = (),
-    tol: float = DEFAULT_TOL,
-) -> AdmissibilityReport:
-    """Check the admissibility clauses on a projector fragment closed under
-    complement: v(P)=1 iff v(P')=0, and truth propagates up the order."""
-    missing = set(fragment) - set(values)
-    if missing:
-        raise ValueError(f"assignment misses {sorted(missing)[:5]}")
-    if set(ortho_pairs) != set(fragment):
-        raise ValueError("fragment is not closed under complement")
-    violations: list[str] = []
-    for name, partner in ortho_pairs.items():
-        if partner not in fragment:
-            raise ValueError(f"complement {partner!r} of {name!r} missing from fragment")
-        if (values[name] == 1) != (values[partner] == 0):
-            violations.append(f"complement flip fails at ({name}, {partner})")
-    names = sorted(fragment)
-    for a in names:
-        if values[a] != 1:
-            continue
-        for b in names:
-            if a != b and hilbert.leq(fragment[a], fragment[b], tol) and values[b] != 1:
-                violations.append(f"order preservation fails: {a} <= {b} but v({b})=0")
-    normal = any(
-        values[a] == 1 and hilbert.rank_of(fragment[a]) == 1 for a in names
-    )
-    rs3_violations = []
-    for ctx in contexts:
-        ones = sum(values[v] for v in ctx)
-        if ones != 1:
-            rs3_violations.append(f"context ({','.join(ctx)}) carries {ones} ones")
-    return AdmissibilityReport(tuple(violations), normal, tuple(rs3_violations))
-
-
-def family_projectors(family: VectorContextFamily) -> dict[str, np.ndarray]:
-    """Rank-one projectors of the (normalized) family vectors."""
-    out = {}
-    for vid, v in family.vectors.items():
-        out[vid] = hilbert.projector_from_span([v])
-    return out

@@ -1,6 +1,6 @@
-"""Dense complex-matrix substrate: products, adjoints, traces, Hermitian
-eigendecomposition, Gram-Schmidt orthonormalization, and the JSON wire form
-used by every fixture file.
+"""Dense complex-matrix substrate: products, traces, Hermitian
+eigendecomposition, Gram-Schmidt orthonormalization, and the reader of the
+JSON wire form used by every fixture file.
 
 All matrices are numpy complex128 arrays.  ``as_matrix`` admits exactly one
 2-d matrix: it guards the JSON wire form and the helpers that multiply or
@@ -70,10 +70,6 @@ def multiply(a, b) -> np.ndarray:
             f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
         )
     return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
 
 
 def trace(a) -> complex:
@@ -178,13 +174,6 @@ def json_entries(entries, field: str) -> np.ndarray:
     """The JSON list of ``[re, im]`` pairs ``entries`` as a complex vector."""
     return np.array([complex(json_number(re, f"{field}[{k}][0]"), json_number(im, f"{field}[{k}][1]"))
                      for k, (re, im) in enumerate(json_list(entries, field))], dtype=np.complex128)
-
-
-def matrix_to_json(a) -> dict:
-    """Row-major wire form: {"rows": n, "cols": m, "entries": [[re, im], ...]}."""
-    a = as_matrix(a)
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Non-deterministic matrices: finite and interval-valued truth tables whose
-cells are sets of values, with the legality, validity, consequence, adequacy,
-and refinement/expansion machinery built on top of them.
+cells are sets of values, with the legality, validity, consequence, adequacy
+and rexpansion checks built on top of them.
 
 A matrix interprets each connective by a function from value tuples to
 non-empty value sets; a *dynamic* valuation picks one member per compound
@@ -19,7 +19,7 @@ a finite orthomodular lattice (``oml.LatticeBindings``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -34,7 +34,6 @@ from .valuesets import (
     finite,
     interval,
     interval_union,
-    point,
 )
 
 CONNECTIVE_ARITY = {"not": 1, "and": 2, "or": 2}
@@ -233,10 +232,6 @@ def classical_matrix() -> FiniteNMatrix:
         {"or": _table(or_rows), "and": _table(and_rows), "not": not_rows},
         name="classical",
     )
-
-
-def is_deterministic(m: FiniteNMatrix) -> bool:
-    return all(len(cell.labels) == 1 for table in m.tables.values() for cell in table.values())
 
 
 # ---------------------------------------------------------------------------
@@ -770,10 +765,6 @@ def dynamic_consequence(
     )
 
 
-def is_dynamically_valid(m: FiniteNMatrix, psi: Formula) -> bool:
-    return dynamic_consequence(m, [], [psi]).holds
-
-
 # ---------------------------------------------------------------------------
 # adequacy
 
@@ -907,56 +898,7 @@ def adequacy_check(m) -> AdequacyReport:
 
 
 # ---------------------------------------------------------------------------
-# refinement / expansion / rexpansion
-
-
-def is_refinement(m1: FiniteNMatrix, m2: FiniteNMatrix) -> bool:
-    """V1 inside V2, designation induced, and every cell of m1 inside m2's."""
-    if set(m1.tables) != set(m2.tables):
-        raise ValueError("matrices interpret different connective sets")
-    if not set(m1.values) <= set(m2.values):
-        return False
-    if m1.designated != m2.designated & set(m1.values):
-        return False
-    for conn, table in m1.tables.items():
-        for key, cell in table.items():
-            if not cell.subset_of(m2.cell(conn, key)):
-                return False
-    return True
-
-
-def f_expansion(m1: FiniteNMatrix, images: Mapping[str, Sequence[str]]) -> FiniteNMatrix:
-    """Duplicate truth values: each x becomes the copies images[x], each cell
-    becomes the union of the copies of its members."""
-    if set(images) != set(m1.values):
-        raise ValueError("image map must cover exactly the value domain")
-    seen: set[str] = set()
-    for x, copies in images.items():
-        copies = list(copies)
-        if not copies:
-            raise ValueError(f"image of {x!r} is empty")
-        if seen & set(copies):
-            raise ValueError(f"images overlap at {sorted(seen & set(copies))}")
-        seen |= set(copies)
-    new_values = tuple(y for x in m1.values for y in images[x])
-    origin = {y: x for x in m1.values for y in images[x]}
-    new_designated = frozenset(y for y in new_values if origin[y] in m1.designated)
-
-    def expand_cell(cell: FiniteValues) -> FiniteValues:
-        return finite(*(y for z in cell.labels for y in images[z]))
-
-    tables = {}
-    for conn, table in m1.tables.items():
-        arity = CONNECTIVE_ARITY[conn]
-        new_table = {}
-        keys = [(y,) for y in new_values] if arity == 1 else [
-            (y1, y2) for y1 in new_values for y2 in new_values
-        ]
-        for key in keys:
-            base = tuple(origin[y] for y in key)
-            new_table[key] = expand_cell(table[base])
-        tables[conn] = new_table
-    return FiniteNMatrix(new_values, new_designated, tables, name=f"{m1.name}-expanded")
+# rexpansion
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,8 @@ Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
 orthogonality relation, which ``LatticeBindings`` (an ``nmatrix.Bindings``)
 supplies.
 
-Lattices come from three sources: direct order tables (JSON), Greechie
-diagrams (blocks of mutually orthogonal atoms, pasted along shared atoms),
-and finite fragments of a concrete projection lattice (auto-closed under the
-lattice operations before verification).
+Lattices come from direct order tables (JSON) and from Greechie diagrams
+(blocks of mutually orthogonal atoms, pasted along shared atoms).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import hilbert
 from .feasibility import (
     EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility, to_fraction,
 )
@@ -328,15 +325,6 @@ def mo2() -> FiniteOML:
     return FiniteOML(elements, pairs, ortho, "0", "1")
 
 
-def chain_with_fixed_point() -> FiniteOML:
-    """Three-element chain whose middle element is its own complement: fails
-    the complement laws, useful as a negative fixture."""
-    elements = ["0", "m", "1"]
-    pairs = [("0", "m"), ("0", "1"), ("m", "1")]
-    ortho = {"0": "1", "1": "0", "m": "m"}
-    return FiniteOML(elements, pairs, ortho, "0", "1")
-
-
 def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> FiniteOML:
     """Paste Boolean blocks along shared atoms into one lattice.
 
@@ -370,6 +358,8 @@ def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> Fini
     for a, bs in in_blocks.items():
         if not bs:
             raise ValueError(f"atom {a!r} appears in no block")
+    if not blocks:
+        raise ValueError("blocks is empty; a diagram needs at least one block")
 
     atom_sets: dict[str, frozenset] = {}
     ortho_map: dict[str, str] = {}
@@ -400,72 +390,6 @@ def from_greechie(atoms: Sequence[str], blocks: Sequence[Sequence[str]]) -> Fini
         (x, y) for x in elements for y in elements if x != y and atom_sets[x] <= atom_sets[y]
     ]
     return FiniteOML(elements, pairs, ortho_map, "0", "1")
-
-
-def from_projectors(named: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL,
-                    max_elements: int = 128) -> FiniteOML:
-    """Close a finite projector fragment under meet, join, and complement,
-    then read off its order table.
-
-    Generated elements get synthetic names; closure beyond ``max_elements``
-    aborts, since generic projector pairs generate large lattices.
-    """
-    if not named:
-        raise ValueError("need at least one generating projector")
-    mats: list[np.ndarray] = []
-    names: list[str] = []
-
-    def find(m) -> int | None:
-        for k, known in enumerate(mats):
-            if hilbert.equal(known, m, max(tol, 1e-7)):
-                return k
-        return None
-
-    def add(name: str, m) -> int:
-        idx = find(m)
-        if idx is not None:
-            return idx
-        mats.append(m)
-        names.append(name)
-        return len(mats) - 1
-
-    first = next(iter(named.values()))
-    dim = first.shape[0]
-    add("0", hilbert.zero(dim))
-    add("1", hilbert.identity(dim))
-    for name, m in named.items():
-        add(name, hilbert.check_projector(m, tol))
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(mats)
-        for i in range(len(snapshot)):
-            if find(hilbert.ortho(snapshot[i])) is None:
-                add(f"e{len(mats)}", hilbert.ortho(snapshot[i]))
-                changed = True
-        snapshot = list(mats)
-        for i in range(len(snapshot)):
-            for j in range(i + 1, len(snapshot)):
-                for candidate in (
-                    hilbert.meet(snapshot[i], snapshot[j], tol),
-                    hilbert.join(snapshot[i], snapshot[j], tol),
-                ):
-                    if find(candidate) is None:
-                        add(f"e{len(mats)}", candidate)
-                        changed = True
-                if len(mats) > max_elements:
-                    raise ValueError(
-                        f"fragment closure exceeded {max_elements} elements; "
-                        "the generating projectors are too generic"
-                    )
-    pairs = [
-        (names[i], names[j])
-        for i in range(len(mats))
-        for j in range(len(mats))
-        if i != j and hilbert.leq(mats[i], mats[j], max(tol, 1e-7))
-    ]
-    ortho = {names[i]: names[find(hilbert.ortho(mats[i]))] for i in range(len(mats))}
-    return FiniteOML(names, pairs, ortho, "0", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +452,6 @@ def find_state(l: FiniteOML) -> StateSearchResult:
         return StateSearchResult(False, None, result.certificate, 0.0, result.detail)
     residual = check_point(rows, result.point)
     return StateSearchResult(True, result.point, None, residual)
-
-
-def verify_general_state(l: FiniteOML, mu: Mapping[str, object], tol: float = DEFAULT_TOL) -> float:
-    """Maximum residual of the state conditions at mu (0.0 means exact)."""
-    names, rows = state_constraints(l)
-    missing = set(names) - set(mu)
-    if missing:
-        raise ValueError(f"state misses elements {sorted(missing)[:5]}")
-    for e in names:
-        v = float(mu[e])
-        if not -tol <= v <= 1 + tol:  # NaN fails both comparisons
-            raise ValueError(f"state value out of range at {e!r}: {v}")
-    return check_point(rows, mu)
 
 
 # ---------------------------------------------------------------------------

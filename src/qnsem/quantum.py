@@ -9,12 +9,11 @@ projector instance of the shared ``nmatrix.Bindings`` evaluator, and
 ``evaluate_state`` takes one state or a ``(trials, d, d)`` stack of states
 over atoms bound to stacks; ``born_legality_mask`` gives the legality
 verdicts of such a stack at once.  The same tables serve
-finite orthomodular lattices (see ``oml``).  The module also
-builds the restricted (adequacy-motivated) tables, the two non-deterministic
-negation variants, the double-negation ordering chain, and the two worked
-counterexamples: a four-dimensional pair of states witnessing genuine
-non-determinism and a three-dimensional configuration breaking the
-composability principle.
+finite orthomodular lattices (see ``oml``).  The module also builds the two
+non-deterministic negation variants, the double-negation ordering chain,
+and the two worked counterexamples: a four-dimensional pair of states
+witnessing genuine non-determinism and a three-dimensional configuration
+breaking the composability principle.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .nmatrix import (
     ThresholdMap,
     Valuation,
 )
-from .valuesets import OPEN_SHIFT, IntervalUnion, interval
+from .valuesets import OPEN_SHIFT, IntervalUnion
 
 # The four relation-split rules shared by the projector and lattice tables.
 # Rules act elementwise on arrays of inputs (see ``IntervalRule``).
@@ -107,37 +106,6 @@ def quantum_nmatrix(alpha: float = 1.0, negation: str = "deterministic") -> Inte
             "not": _negation_cases(negation, alpha),
         },
         name=f"quantum(alpha={alpha:g}, negation={negation})",
-    )
-
-
-def adequate_restricted_tables(alpha: float) -> IntervalNMatrix:
-    """Tables cut down by input designation so the conjunction clauses of
-    adequacy hold; the undesignated disjunction cell is deliberately left
-    uncut, so that one clause still fails.
-
-    The designated-designated conjunction cell is [0, min(a,b)] intersected
-    with the designated interval; it is empty whenever an input pair sneaks
-    below the threshold, and that emptiness is reported as an error naming
-    the cell.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    and_cases = {
-        "dd": IntervalRule(
-            2, lambda a, b: alpha, lambda a, b: np.minimum(a, b), "[0, min(a,b)] cut to [alpha, min(a,b)]"
-        ),
-        "du": IntervalRule(2, lambda a, b: 0.0, lambda a, b: b, "[0, b]"),
-        "ud": IntervalRule(2, lambda a, b: 0.0, lambda a, b: a, "[0, a]"),
-        "uu": CAP_AND,
-    }
-    return IntervalNMatrix(
-        alpha,
-        {
-            "or": {ANY: SPAN_OR},
-            "and": and_cases,
-            "not": {ANY: DETERMINISTIC_NOT},
-        },
-        name=f"restricted(alpha={alpha:g})",
     )
 
 

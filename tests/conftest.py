@@ -3,6 +3,66 @@ import json
 import numpy as np
 import pytest
 
+from qnsem.nmatrix import ANY, IntervalNMatrix, IntervalRule
+from qnsem.oml import FiniteOML
+from qnsem.quantum import CAP_AND, DETERMINISTIC_NOT, SPAN_OR
+
+# Shared builders.  They are plain functions, not fixtures, because some
+# test modules parametrize over what they build at collection time; import
+# them with ``from conftest import ...``.
+
+
+def matrix_to_json(a) -> dict:
+    """Row-major wire form the CLI reads: {"rows": n, "cols": m, "entries": [[re, im], ...]}."""
+    a = np.asarray(a, dtype=np.complex128)
+    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
+
+
+def operator_to_json(m, kind: str) -> dict:
+    return {**matrix_to_json(m), "kind": kind}
+
+
+def adequate_restricted_tables(alpha: float) -> IntervalNMatrix:
+    """Tables cut down by input designation so the conjunction clauses of
+    adequacy hold; the undesignated disjunction cell is deliberately left
+    uncut, so that one clause still fails.
+
+    The designated-designated conjunction cell is [0, min(a,b)] intersected
+    with the designated interval; it is empty whenever an input pair sneaks
+    below the threshold, and that emptiness is reported as an error naming
+    the cell.  These are the only tables keyed by the designation of both
+    inputs (``dd``/``du``/``ud``/``uu``).
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    and_cases = {
+        "dd": IntervalRule(
+            2, lambda a, b: alpha, lambda a, b: np.minimum(a, b), "[0, min(a,b)] cut to [alpha, min(a,b)]"
+        ),
+        "du": IntervalRule(2, lambda a, b: 0.0, lambda a, b: b, "[0, b]"),
+        "ud": IntervalRule(2, lambda a, b: 0.0, lambda a, b: a, "[0, a]"),
+        "uu": CAP_AND,
+    }
+    return IntervalNMatrix(
+        alpha,
+        {
+            "or": {ANY: SPAN_OR},
+            "and": and_cases,
+            "not": {ANY: DETERMINISTIC_NOT},
+        },
+        name=f"restricted(alpha={alpha:g})",
+    )
+
+
+def chain_with_fixed_point() -> FiniteOML:
+    """Three-element chain whose middle element is its own complement: fails
+    the complement laws, useful as a negative fixture."""
+    elements = ["0", "m", "1"]
+    pairs = [("0", "m"), ("0", "1"), ("m", "1")]
+    ortho = {"0": "1", "1": "0", "m": "m"}
+    return FiniteOML(elements, pairs, ortho, "0", "1")
+
 
 @pytest.fixture
 def rng():

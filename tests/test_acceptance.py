@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qnsem import fixtures, hilbert, kscheck, oml
+from qnsem.feasibility import check_point
 from qnsem.formulas import And, Atom, Not, Or, parse, render, subformula_closure
 from qnsem.nmatrix import (
     FiniteNMatrix,
@@ -274,7 +275,7 @@ def test_criterion_11_state_feasibility():
         result = oml.find_state(lattice)
         assert result.feasible
         assert result.residual == 0.0  # exact arithmetic path
-        assert oml.verify_general_state(lattice, result.state) <= 1e-9
+        assert check_point(oml.state_constraints(lattice)[1], result.state) == 0
     grid = fixtures.nostate_lattice()
     assert oml.verify_oml(grid).ok
     result = oml.find_state(grid)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chain_with_fixed_point, operator_to_json
 from qnsem import fixtures, hilbert, oml
 from qnsem.cli import main
 from qnsem.formulas import parse, render
@@ -113,10 +114,10 @@ def _state_and_bindings_json():
     e = [hilbert.basis_vector(3, i) for i in range(3)]
     phi = (e[0] + e[1]) / np.sqrt(2)
     rho = np.outer(e[1], e[1].conj())
-    state = hilbert.operator_to_json(rho, "density")
+    state = operator_to_json(rho, "density")
     bind = {
-        "P": hilbert.operator_to_json(hilbert.projector_from_span([e[0]]), "projector"),
-        "Q": hilbert.operator_to_json(hilbert.projector_from_span([phi]), "projector"),
+        "P": operator_to_json(hilbert.projector_from_span([e[0]]), "projector"),
+        "Q": operator_to_json(hilbert.projector_from_span([phi]), "projector"),
     }
     return state, bind
 
@@ -147,10 +148,10 @@ def test_legal_rejects_under_second_negation(capsys, write_json):
     # with the parametric negation the flat complement value leaves the cell
     e = [hilbert.basis_vector(2, i) for i in range(2)]
     rho = np.outer(e[0], e[0].conj())
-    state = write_json("state.json", hilbert.operator_to_json(rho, "density"))
+    state = write_json("state.json", operator_to_json(rho, "density"))
     bind = write_json(
         "bind.json",
-        {"P": hilbert.operator_to_json(hilbert.projector_from_span([e[0]]), "projector")},
+        {"P": operator_to_json(hilbert.projector_from_span([e[0]]), "projector")},
     )
     formulas = write_json("formulas.json", {"formulas": ["!P"]})
     code, out, _ = run(
@@ -173,9 +174,9 @@ def test_legal_tests_membership_at_tol(capsys, write_json):
     eps = 4e-9
     p, q = np.diag([1 + eps, 0, 0, 0]).astype(complex), np.diag([0, 1 + eps, 0, 0]).astype(complex)
     p[2, 3] = p[3, 2] = q[2, 3] = q[3, 2] = eps
-    bind = write_json("bind.json", {"P": hilbert.operator_to_json(p, "projector"),
-                                    "Q": hilbert.operator_to_json(q, "projector")})
-    state = write_json("state.json", hilbert.operator_to_json(np.eye(4) / 4, "density"))
+    bind = write_json("bind.json", {"P": operator_to_json(p, "projector"),
+                                    "Q": operator_to_json(q, "projector")})
+    state = write_json("state.json", operator_to_json(np.eye(4) / 4, "density"))
     formulas = write_json("formulas.json", {"formulas": ["P | Q", "P & Q", "!P"]})
     code, out, _ = run(capsys, "--tol", "1e-8", "legal", "--state", state, "--bind", bind, "--formulas", formulas)
     assert code == 0 and out.endswith("legal\n")
@@ -194,8 +195,8 @@ def test_huge_entries_are_one_error_line(capsys, write_json, kind, matrix):
         state = np.array(matrix)
     else:
         bind = {"P": np.array(matrix)}
-    state = write_json("state.json", hilbert.operator_to_json(state, "density"))
-    bind = write_json("bind.json", {k: hilbert.operator_to_json(m, "projector") for k, m in bind.items()})
+    state = write_json("state.json", operator_to_json(state, "density"))
+    bind = write_json("bind.json", {k: operator_to_json(m, "projector") for k, m in bind.items()})
     formulas = write_json("formulas.json", {"formulas": ["P"]})
     for argv in (["eval", "--state", state, "--bind", bind, "P"],
                  ["legal", "--state", state, "--bind", bind, "--formulas", formulas]):
@@ -295,8 +296,18 @@ def test_greechie_atom_named_like_a_generated_element_is_an_input_error(capsys, 
         assert err == f"error: atom name {clash} equals a generated element name\n"
 
 
+def test_empty_greechie_diagram_is_an_input_error(capsys, write_json):
+    # the empty diagram built 0 and 1 over the same empty atom set: verify
+    # exited 3 on antisymmetry, the others 2 with "not a partial order"
+    path = write_json("empty.json", {"atoms": [], "blocks": []})
+    for action in ("verify", "find-state", "cav", "tables"):
+        code, out, err = run(capsys, "oml", action, path)
+        assert (code, out) == (2, "")
+        assert err == "error: blocks is empty; a diagram needs at least one block\n"
+
+
 def test_broken_lattice_exit(capsys, write_json):
-    broken = write_json("broken.json", oml.chain_with_fixed_point().to_json())
+    broken = write_json("broken.json", chain_with_fixed_point().to_json())
     code, out, _ = run(capsys, "oml", "verify", broken)
     assert code == 3 and "NOT an orthomodular lattice" in out
     code, out, err = run(capsys, "oml", "cav", broken)
@@ -468,11 +479,11 @@ def test_tol_flag(capsys, write_json):
     # main leaves the environment as it found it
     state, _ = _write_state_and_bindings(write_json)
     nearly = np.diag([1.0 + 1e-7, 0.0, 0.0])
-    bind = write_json("nearly.json", {"P": hilbert.operator_to_json(nearly, "projector")})
+    bind = write_json("nearly.json", {"P": operator_to_json(nearly, "projector")})
     # a tolerance that is not finite and positive is a usage error: at nan,
     # `residual > tol` is never true and a half projector would pass
-    half = write_json("half.json", {"P": hilbert.operator_to_json(np.diag([0.5, 0.0]), "projector")})
-    state2 = write_json("state2.json", hilbert.operator_to_json(np.eye(2) / 2, "density"))
+    half = write_json("half.json", {"P": operator_to_json(np.diag([0.5, 0.0]), "projector")})
+    state2 = write_json("state2.json", operator_to_json(np.eye(2) / 2, "density"))
     environ = dict(os.environ)
     for argv, want in [
         (["--tol", "1e-8", "witness", "static"], 0),

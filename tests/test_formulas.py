@@ -8,7 +8,6 @@ from qnsem.formulas import (
     Not,
     Or,
     ParseError,
-    atoms_of,
     children,
     parse,
     render,
@@ -70,10 +69,6 @@ def test_closure_is_topologically_sorted():
     for g in closure:
         assert all(c in seen for c in children(g))
         seen.add(g)
-
-
-def test_atoms_of():
-    assert atoms_of(parse("P & !Q | P")) == {"P", "Q"}
 
 
 def test_atom_name_validation():

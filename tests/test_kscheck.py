@@ -26,6 +26,20 @@ def rotated_family():
     return kscheck.VectorContextFamily(3, vecs, (("e1", "e2", "e3"), ("e1", "f2", "f3")))
 
 
+def recheck_assignment(family, assignment, tol=1e-9) -> list[str]:
+    """Independent full re-check of the two constraints; empty means valid."""
+    adj = kscheck.orthogonality_graph(family, tol)
+    problems = []
+    for ctx in family.contexts:
+        ones = sum(assignment[v] for v in ctx)
+        if ones != 1:
+            problems.append(f"context ({','.join(ctx)}) carries {ones} ones")
+    for a, b in itertools.combinations(sorted(assignment), 2):
+        if assignment[a] == assignment[b] == 1 and b in adj[a]:
+            problems.append(f"orthogonal pair ({a}, {b}) both true")
+    return problems
+
+
 def brute_force_count(family):
     """Test-local oracle over all 2^n assignments, independent of the library."""
     ids = family.ids()
@@ -84,7 +98,7 @@ def test_single_context_solutions():
     fam = standard_family()
     first = kscheck.search_classical_valuation(fam)
     assert first is not None
-    assert kscheck.recheck_assignment(fam, first) == []
+    assert recheck_assignment(fam, first) == []
     assert kscheck.count_solutions(fam) == 3
     assert kscheck.exhaustive_count(fam) == 3
     assert brute_force_count(fam) == 3
@@ -108,7 +122,7 @@ def test_shared_vector_family_agreement():
     fam = rotated_family()
     assert kscheck.count_solutions(fam) == kscheck.exhaustive_count(fam) == brute_force_count(fam)
     first = kscheck.search_classical_valuation(fam)
-    assert first is not None and kscheck.recheck_assignment(fam, first) == []
+    assert first is not None and recheck_assignment(fam, first) == []
 
 
 def test_ks_fixture_unsat_three_ways():
@@ -143,7 +157,7 @@ def test_propagation_soundness_on_random_subfamilies(rng):
         )
         result = kscheck.search_classical_valuation(sub)
         if result is not None:
-            assert kscheck.recheck_assignment(sub, result) == []
+            assert recheck_assignment(sub, result) == []
 
 
 def test_backtracking_matches_brute_force_small_families(rng):
@@ -159,64 +173,11 @@ def test_backtracking_matches_brute_force_small_families(rng):
             assert kscheck.count_solutions(trimmed) == brute_force_count(trimmed)
 
 
-# ---------------------------------------------------------------------------
-# admissibility families
-
-
-def _basis_fragment():
-    e = [hilbert.basis_vector(3, i) for i in range(3)]
-    frag = {}
-    ortho = {}
-    for i in range(3):
-        name = f"P{i+1}"
-        frag[name] = hilbert.projector_from_span([e[i]])
-        frag[name + "c"] = hilbert.ortho(frag[name])
-        ortho[name] = name + "c"
-        ortho[name + "c"] = name
-    return frag, ortho
-
-
-def test_s3_constructive_pass():
-    frag, ortho = _basis_fragment()
-    values = {"P1": 1, "P1c": 0, "P2": 0, "P2c": 1, "P3": 0, "P3c": 1}
-    report = kscheck.s3_check(values, frag, ortho, contexts=[["P1", "P2", "P3"]])
-    assert report.s3 and report.ns3 and report.rs3
-
-
-def test_s3_complement_flip_failure():
-    frag, ortho = _basis_fragment()
-    values = {"P1": 1, "P1c": 1, "P2": 0, "P2c": 1, "P3": 0, "P3c": 1}
-    report = kscheck.s3_check(values, frag, ortho)
-    assert not report.s3
-    assert any("complement flip" in v for v in report.s3_violations)
-
-
-def test_s3_order_preservation_failure():
-    frag, ortho = _basis_fragment()
-    # true ray with a false coatom above it
-    values = {"P1": 1, "P1c": 0, "P2": 0, "P2c": 0, "P3": 1, "P3c": 1}
-    report = kscheck.s3_check(values, frag, ortho)
-    assert not report.s3
-
-
 def test_rs3_on_ks_fixture_is_empty():
     # exactly-one-per-context is the binding constraint: its emptiness on the
     # bundled family is the backtracking verdict
     fam = fixtures.ks18()
     assert kscheck.search_classical_valuation(fam) is None
-
-
-def test_normality_detection():
-    frag, ortho = _basis_fragment()
-    values = {"P1": 0, "P1c": 1, "P2": 0, "P2c": 1, "P3": 0, "P3c": 1}
-    report = kscheck.s3_check(values, frag, ortho)
-    assert report.s3 and not report.normal and not report.ns3
-
-
-def test_family_projectors():
-    fam = standard_family()
-    projs = kscheck.family_projectors(fam)
-    assert all(hilbert.rank_of(p) == 1 for p in projs.values())
 
 
 # ---------------------------------------------------------------------------

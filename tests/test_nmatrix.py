@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import adequate_restricted_tables
 from qnsem import cli
 from qnsem.formulas import And, Atom, Not, Or, children, parse, subformula_closure
 from qnsem.nmatrix import (
@@ -26,11 +27,7 @@ from qnsem.nmatrix import (
     adequacy_check,
     classical_matrix,
     dynamic_consequence,
-    f_expansion,
-    is_deterministic,
     is_dynamic_legal,
-    is_dynamically_valid,
-    is_refinement,
     is_static,
     three_valued_matrix,
     two_valued_matrix,
@@ -38,7 +35,7 @@ from qnsem.nmatrix import (
     _ValueNetwork,
     _ordered_domain,
 )
-from qnsem.quantum import adequate_restricted_tables, quantum_nmatrix, three_valued_collapse
+from qnsem.quantum import quantum_nmatrix, three_valued_collapse
 from qnsem.valuesets import FiniteValues, finite
 
 P, Q = Atom("P"), Atom("Q")
@@ -428,12 +425,13 @@ def _brute_valid(m, psi):
 def test_validity_against_enumeration_oracle():
     m = three_valued_matrix()
     excluded_middle = parse("P | !P")
-    assert is_dynamically_valid(m, excluded_middle) == _brute_valid(m, excluded_middle)
-    assert not is_dynamically_valid(m, excluded_middle)  # the (T,T) cell reaches T
-    assert not is_dynamically_valid(m, P)  # atoms are never valid
+    # psi is valid exactly when it follows from no premises
+    assert dynamic_consequence(m, [], [excluded_middle]).holds == _brute_valid(m, excluded_middle)
+    assert not dynamic_consequence(m, [], [excluded_middle]).holds  # the (T,T) cell reaches T
+    assert not dynamic_consequence(m, [], [P]).holds  # atoms are never valid
     for text in ("P & Q", "!(P & !P)", "P | !P | Q"):
         psi = parse(text)
-        assert is_dynamically_valid(m, psi) == _brute_valid(m, psi)
+        assert dynamic_consequence(m, [], [psi]).holds == _brute_valid(m, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +448,51 @@ def test_adequacy_finite():
 
 # ---------------------------------------------------------------------------
 # refinement / expansion / rexpansion
+#
+# A rexpansion is a refinement of an expansion, so these two builders are the
+# oracle for ``verify_rexpansion``: every refinement of an f-expansion must
+# pass it with the projection as collapse map.
+
+
+def is_refinement(m1: FiniteNMatrix, m2: FiniteNMatrix) -> bool:
+    """V1 inside V2, designation induced, and every cell of m1 inside m2's."""
+    if set(m1.tables) != set(m2.tables):
+        raise ValueError("matrices interpret different connective sets")
+    if not set(m1.values) <= set(m2.values):
+        return False
+    if m1.designated != m2.designated & set(m1.values):
+        return False
+    for conn, table in m1.tables.items():
+        for key, cell in table.items():
+            if not cell.subset_of(m2.cell(conn, key)):
+                return False
+    return True
+
+
+def f_expansion(m1: FiniteNMatrix, images) -> FiniteNMatrix:
+    """Duplicate truth values: each x becomes the copies images[x], each cell
+    becomes the union of the copies of its members."""
+    if set(images) != set(m1.values):
+        raise ValueError("image map must cover exactly the value domain")
+    seen: set[str] = set()
+    for x, copies in images.items():
+        copies = list(copies)
+        if not copies:
+            raise ValueError(f"image of {x!r} is empty")
+        if seen & set(copies):
+            raise ValueError(f"images overlap at {sorted(seen & set(copies))}")
+        seen |= set(copies)
+    new_values = tuple(y for x in m1.values for y in images[x])
+    origin = {y: x for x in m1.values for y in images[x]}
+    new_designated = frozenset(y for y in new_values if origin[y] in m1.designated)
+    tables = {}
+    for conn, table in m1.tables.items():
+        keys = itertools.product(new_values, repeat=CONNECTIVE_ARITY[conn])
+        tables[conn] = {
+            key: finite(*(y for z in table[tuple(origin[y] for y in key)].labels for y in images[z]))
+            for key in keys
+        }
+    return FiniteNMatrix(new_values, new_designated, tables, name=f"{m1.name}-expanded")
 
 
 def test_every_matrix_refines_itself():
@@ -680,8 +723,3 @@ def test_threshold_map_totality():
 def test_threshold_map_json_roundtrip():
     m = three_valued_collapse()
     assert ThresholdMap.from_json(m.to_json()) == m
-
-
-def test_deterministic_detection():
-    assert is_deterministic(classical_matrix())
-    assert not is_deterministic(three_valued_matrix())

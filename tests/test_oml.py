@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnsem import fixtures, hilbert, oml
+from conftest import adequate_restricted_tables, chain_with_fixed_point
+from qnsem import fixtures, oml
 from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
 from qnsem.formulas import And, Atom, Not, Or, render
-from qnsem.quantum import ProjectorBindings, adequate_restricted_tables, quantum_nmatrix
+from qnsem.quantum import ProjectorBindings, quantum_nmatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
@@ -33,7 +34,7 @@ def test_boolean_verifies():
 
 
 def test_self_complement_chain_fails():
-    report = oml.verify_oml(oml.chain_with_fixed_point())
+    report = oml.verify_oml(chain_with_fixed_point())
     assert not report.ok
     assert any("complement" in f for f in report.failures)
 
@@ -200,7 +201,7 @@ def test_order_defects_are_computed_once_per_lattice(monkeypatch):
     assert oml.verify_oml(lattice).ok and oml.verify_oml(lattice, max_failures=1).ok
     assert oml.find_two_valued_valuation(lattice, count_all=True)[1] == 3
     assert len(calls) == 1
-    broken = oml.chain_with_fixed_point()
+    broken = chain_with_fixed_point()
     assert not oml.verify_oml(broken).ok and not oml.verify_oml(broken).ok
     assert len(calls) == 2
 
@@ -357,7 +358,7 @@ def _scrambled_complements(n_atoms: int, seed: int) -> oml.FiniteOML:
 def _broken_lattices():
     """Fixtures failing each law, and seeded random relations (nearly all
     broken, often in many places)."""
-    lattices = [oml.chain_with_fixed_point(), _o6(), _poset_without_orthogonal_join()]
+    lattices = [chain_with_fixed_point(), _o6(), _poset_without_orthogonal_join()]
     lattices += [_scrambled_complements(n, seed) for n in (2, 3, 5, 6) for seed in range(5)]
     rnd = random.Random(11)
     for _ in range(100):
@@ -409,7 +410,7 @@ def test_json_roundtrip():
 def test_find_state_boolean():
     result = oml.find_state(oml.boolean_lattice(3))
     assert result.feasible and result.residual == 0.0
-    assert oml.verify_general_state(oml.boolean_lattice(3), result.state) == 0.0
+    assert check_point(oml.state_constraints(oml.boolean_lattice(3))[1], result.state) == 0
 
 
 def test_uniform_atom_weights_are_a_state():
@@ -419,23 +420,26 @@ def test_uniform_atom_weights_are_a_state():
     for e in lattice.elements:
         size = 0 if e == "0" else (3 if e == "1" else len(e))
         mu[e] = size * third
-    assert oml.verify_general_state(lattice, mu) == 0.0
+    assert check_point(oml.state_constraints(lattice)[1], mu) == 0
 
 
 def test_mo2_half_state_checks_directly():
     mu = {"0": Fraction(0), "1": Fraction(1), "a": Fraction(1, 2), "a'": Fraction(1, 2),
           "b": Fraction(1, 2), "b'": Fraction(1, 2)}
-    assert oml.verify_general_state(oml.mo2(), mu) == 0.0
+    assert check_point(oml.state_constraints(oml.mo2())[1], mu) == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e-6, 1 + 1e-6, float("inf"), float("-inf")])
 def test_general_state_value_out_of_range(bad):
-    # NaN fails every comparison, so it must be caught as out of range
-    # before the exact residual tries to convert it to a ratio
+    # the state rows are equalities (the [0, 1] box is the solver's), so a
+    # value out of range shows as the broken row a + a' = 1; NaN fails every
+    # comparison, so check_point reports it as an infinite violation before
+    # the exact residual tries to convert it to a ratio
+    _, rows = oml.state_constraints(oml.mo2())
     mu = {"0": 0.0, "1": 1.0, "a": bad, "a'": 0.5, "b": 0.5, "b'": 0.5}
-    with pytest.raises(ValueError, match=r"state value out of range at 'a'"):
-        oml.verify_general_state(oml.mo2(), mu)
-    assert oml.verify_general_state(oml.mo2(), {**mu, "a": 0.5}) == 0.0
+    want = pytest.approx(abs(bad - 0.5), abs=1e-12) if np.isfinite(bad) else float("inf")
+    assert check_point(rows, mu) == want
+    assert check_point(rows, {**mu, "a": 0.5}) == 0
 
 
 def test_find_state_mo2():
@@ -489,7 +493,7 @@ def test_exact_find_state_at_benchmark_sizes(build):
     result = oml.find_state(lattice)
     assert result.feasible and result.residual == 0.0
     assert all(isinstance(v, Fraction) for v in result.state.values())
-    assert oml.verify_general_state(lattice, result.state) == 0.0
+    assert check_point(oml.state_constraints(lattice)[1], result.state) == 0
 
 
 def test_nostate_fixture_structure():
@@ -714,7 +718,7 @@ def test_two_valued_mo100_has_none():
     assert recursive_two_valued(lattice, count_all=True) == (None, 0)
 
 
-@pytest.mark.parametrize("build", [oml.chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
+@pytest.mark.parametrize("build", [chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
 def test_two_valued_refuses_a_non_orthomodular_lattice(build):
     lattice = build()
     first_law = oml.verify_oml(lattice).failures[0]
@@ -989,7 +993,7 @@ def test_legal_search_matches_the_interval_row_oracle():
     assert seen["order-reversed"] == 6  # Boolean 2^3..2^5 and the three chains
 
 
-@pytest.mark.parametrize("build", [oml.chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
+@pytest.mark.parametrize("build", [chain_with_fixed_point, _o6], ids=["chain-fixed-point", "O6"])
 def test_legal_search_refuses_a_non_orthomodular_lattice(build):
     lattice = build()
     first_law = oml.verify_oml(lattice).failures[0]
@@ -1008,18 +1012,7 @@ def test_valuation_search_rejects_bad_partial():
 
 
 # ---------------------------------------------------------------------------
-# projector fragments and the block-diagram loader
-
-
-def test_fragment_closure_of_qubit_rays(rng):
-    e = [hilbert.basis_vector(2, i) for i in range(2)]
-    tilted = (e[0] + 2 * e[1]) / np.sqrt(5)
-    fragment = oml.from_projectors(
-        {"P": hilbert.projector_from_span([e[0]]), "Q": hilbert.projector_from_span([tilted])}
-    )
-    # closure adds the two complements: an MO2-shaped six-element lattice
-    assert len(fragment) == 6
-    assert oml.verify_oml(fragment).ok
+# the block-diagram loader
 
 
 def test_greechie_loader_validation():
@@ -1031,6 +1024,9 @@ def test_greechie_loader_validation():
         oml.from_greechie(["a", "b", "c"], [["a", "b", "z"]])
     with pytest.raises(ValueError, match="no block"):
         oml.from_greechie(["a", "b", "c", "d"], [["a", "b", "c"]])
+    # the empty diagram: 0 and 1 would be two elements over one atom set
+    with pytest.raises(ValueError, match="blocks is empty"):
+        oml.from_greechie([], [])
 
 
 @pytest.mark.parametrize("atoms, message", [
@@ -1052,6 +1048,61 @@ def test_greechie_accepts_primed_atom_names_that_clash_with_nothing():
     lattice = oml.from_greechie(["x'", "y", "z"], [["x'", "y", "z"]])
     assert len(lattice) == 8 and oml.verify_oml(lattice).ok
     assert lattice.ortho_id("x'") == "x''"
+
+
+def _random_diagram(rnd: random.Random):
+    """A connected diagram of 1-6 three-atom blocks: each new block shares
+    an atom with an earlier one, and its other two atoms are fresh or, now
+    and then, earlier atoms (which closes loops), never two atoms shared
+    with one block."""
+    atoms = ["a0", "a1", "a2"]
+    blocks = [list(atoms)]
+    for _ in range(rnd.randint(0, 5)):
+        block = [rnd.choice(atoms)]
+        for _ in range(2):
+            free = [a for a in atoms if a not in block and all(len(set(b) & {*block, a}) <= 1 for b in blocks)]
+            if free and rnd.random() < 0.3:
+                block.append(rnd.choice(free))
+            else:
+                atoms.append(f"a{len(atoms)}")
+                block.append(atoms[-1])
+        blocks.append(block)
+    return atoms, blocks
+
+
+def _incidence_girth(atoms, blocks) -> float:
+    """Shortest cycle of the block-atom incidence graph (inf for a tree), by
+    a BFS from every vertex; a loop of order n is a cycle of length 2n."""
+    adj = {a: [] for a in atoms}
+    for i, b in enumerate(blocks):
+        adj[i] = list(b)
+        for a in b:
+            adj[a].append(i)
+    girth = float("inf")
+    for source in adj:
+        dist, parent = {source: 0}, {source: None}
+        queue = [source]
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v], parent[v] = dist[u] + 1, u
+                    queue.append(v)
+                elif parent[u] != v:
+                    girth = min(girth, dist[u] + dist[v] + 1)
+    return girth
+
+
+def test_greechie_is_oml_exactly_without_short_loops():
+    # the from_greechie contract: an orthomodular lattice exactly when the
+    # diagram has no loop of order three or four, i.e. incidence girth >= 10
+    rnd = random.Random(0)
+    orders = Counter()
+    for _ in range(400):
+        atoms, blocks = _random_diagram(rnd)
+        girth = _incidence_girth(atoms, blocks)
+        assert oml.verify_oml(oml.from_greechie(atoms, blocks)).ok == (girth >= 10), blocks
+        orders["tree" if girth == float("inf") else girth // 2] += 1
+    assert {"tree", 3, 4, 5} <= set(orders), orders
 
 
 def test_greechie_single_block_is_boolean():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import adequate_restricted_tables
 from qnsem import hilbert
 from qnsem.formulas import And, Atom, Not, Or, parse, subformula_closure
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian
@@ -33,7 +34,6 @@ from qnsem.quantum import (
     OrderReport,
     OrderViolation,
     ProjectorBindings,
-    adequate_restricted_tables,
     born_legality_mask,
     double_negation_chain,
     dynamic_witness,
@@ -62,7 +62,8 @@ GRID = np.linspace(0.0, 1.0, 41)
 
 
 def _every_rule():
-    """(label, rule) for every rule of the shipped interval tables."""
+    """(label, rule) for every rule of the shipped interval tables and of the
+    designation-keyed restricted tables."""
     matrices = [quantum_nmatrix(1.0), quantum_nmatrix(0.7), quantum_nmatrix(0.7, "neg1")]
     matrices += [quantum_nmatrix(a, "neg2") for a in ALPHAS]
     matrices += [adequate_restricted_tables(a) for a in (*ALPHAS, 0.3, 1.0)]
