@@ -3,8 +3,8 @@ rational arithmetic.
 
 An exact presolve runs Gaussian elimination on the equality rows, so
 inconsistency is detected exactly and comes with a row-combination
-certificate that can be re-verified by direct arithmetic; the elimination
-tracks row combinations only to build that certificate.  Consistent
+certificate that can be re-verified by direct arithmetic: the elimination
+tracks the row combination behind every pivot.  Consistent
 systems drop to a phase-one feasibility problem over the remaining free
 variables: Chvatal's single-auxiliary phase one with Bland's rule on the
 condensed tableau, one column per free variable plus the auxiliary, none
@@ -141,40 +141,34 @@ def _lowest_terms(expr: dict, rhs: int, combo: dict, den: int):
     )
 
 
-def _presolve(variables: Sequence[str], rows: Sequence[Row], track: bool = False):
+def _presolve(variables: Sequence[str], rows: Sequence[Row]):
     """Exact elimination of the equality rows.
 
     Returns (pivots, var_index, certificate); pivots maps a variable index to
     (expression over free variable indices, constant, row combination), with
     ints where integral, else Fractions, and a certificate replaces both when
-    the equalities are inconsistent.  The row combinations are empty unless
-    ``track``.  A certificate comes from a second elimination that tracks
-    them, over the rows that became pivots and the inconsistent row: a row
-    that reduces to 0 = 0 changes no pivot, so that gives the combination a
-    tracking first pass would.
+    the equalities are inconsistent: the row combination of the first row
+    that reduces to 0 = rhs != 0.
     """
     var_index = {v: i for i, v in enumerate(variables)}
     equalities = [i for i, row in enumerate(rows) if row.rel == EQ]
-    pivots, used, failure = _eliminate(rows, equalities, var_index, track)
+    pivots, failure = _eliminate(rows, equalities, var_index)
     if failure is not None:
-        if not track:
-            _, _, failure = _eliminate(rows, [*used, failure[0]], var_index, True)
-        _, rhs, combo, den = failure
+        rhs, combo, den = failure
         multipliers = tuple(sorted((r, Fraction(m, den)) for r, m in combo.items()))
         return None, None, Certificate(multipliers, Fraction(rhs, den))
     return {p: _divided(*entry) for p, entry in pivots.items()}, var_index, None
 
 
-def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index, track: bool):
+def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
     """Gaussian elimination of the equality rows ``rows[i]``, i in
     ``indices``, in that order, up to the first inconsistent one.
 
-    Returns (pivots, used, failure).  pivots maps p to (expr, rhs, combo,
-    den): x_p = (rhs + sum expr[v] x_v) / den, and combo[r] / den is the
-    multiplier of row r in the row combination that gives it (empty unless
-    ``track``).  used lists the indices whose rows became pivots, in order;
-    failure is (i, rhs, combo, den) for the first row i that reduces to
-    0 = rhs / den != 0, else None.
+    Returns (pivots, failure).  pivots maps p to (expr, rhs, combo, den):
+    x_p = (rhs + sum expr[v] x_v) / den, and combo[r] / den is the
+    multiplier of row r in the row combination that gives it.  failure is
+    (rhs, combo, den) for the first row that reduces to 0 = rhs / den != 0,
+    else None.
 
     The elimination runs on integers: the working row and every pivot keep
     integer numerators over one positive denominator (a pivot's in lowest
@@ -182,10 +176,9 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index, track: bo
     plain int products.
     """
     pivots: dict[int, tuple[dict[int, int], int, dict[int, int], int]] = {}
-    used: list[int] = []
     for i in indices:
         coeffs, rhs, den = _scaled(rows[i], var_index)
-        combo = {i: den} if track else {}  # the working row is sum combo[r] * row r, over den
+        combo = {i: den}  # the working row is sum combo[r] * row r, over den
         for p in sorted(coeffs.keys() & pivots.keys()):
             factor = coeffs.pop(p)
             expr, prhs, pcombo, pden = pivots[p]
@@ -203,7 +196,7 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index, track: bo
         combo = {r: m for r, m in combo.items() if m}
         if not coeffs:
             if rhs != 0:
-                return pivots, used, (i, rhs, combo, den)
+                return pivots, (rhs, combo, den)
             continue
         p = min(coeffs)
         factor = coeffs.pop(p)  # the row's denominator cancels in x_p
@@ -236,8 +229,7 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index, track: bo
             )
             pivots[q] = _lowest_terms(*q_entry) if qden != 1 else q_entry
         pivots[p] = (expr, prhs, pcombo, pden)
-        used.append(i)
-    return pivots, used, None
+    return pivots, None
 
 
 def _divided(expr: dict, rhs: int, combo: dict, den: int):

@@ -194,12 +194,6 @@ def leq(p, q, tol: float = DEFAULT_TOL) -> bool:
     return max_norm(q @ p - p) <= tol
 
 
-def is_orthogonal(p, q, tol: float = DEFAULT_TOL) -> bool:
-    p, q = as_matrix(p), as_matrix(q)
-    _require_same_dim(p, q)
-    return max_norm(p @ q) <= tol
-
-
 def born(rho, p, tol: float = DEFAULT_TOL):
     """Born probability Re tr(rho p), clipped to [0,1] only within tolerance.
 
@@ -272,8 +266,7 @@ def random_stacks(
     """One ``(trials, dim, dim)`` stack per entry of ``kinds`` ("projector"
     or "density").  Trial by trial, one operator of each kind is drawn in the
     order of ``kinds``: the same RNG calls, in the same order, and the same
-    matrices as ``random_projector`` and ``random_density`` called in that
-    loop."""
+    matrices as one-trial stacks drawn in that loop."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     blocks: list[list[np.ndarray]] = [[] for _ in kinds]
@@ -291,11 +284,6 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None
     if rank is not None and not 0 <= rank <= dim:
         raise ValueError(f"rank must lie in 0..{dim}, got {rank}")
     return _projectors([_projector_block(rng, dim, rank)], dim)[0]
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Full-support random state rho = G G^dagger / tr(G G^dagger)."""
-    return _densities([_density_block(rng, dim)], dim)[0]
 
 
 def basis_vector(dim: int, i: int) -> np.ndarray:

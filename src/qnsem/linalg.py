@@ -1,10 +1,10 @@
-"""Dense complex-matrix substrate: products, traces, Hermitian
-eigendecomposition, Gram-Schmidt orthonormalization, and the reader of the
-JSON wire form used by every fixture file.
+"""Dense complex-matrix substrate: Hermitian eigendecomposition,
+Gram-Schmidt orthonormalization, and the reader of the JSON wire form used
+by every fixture file.
 
 All matrices are numpy complex128 arrays.  ``as_matrix`` admits exactly one
-2-d matrix: it guards the JSON wire form and the helpers that multiply or
-compare single matrices.  ``as_stack`` also admits stacks of shape
+2-d matrix: it guards the JSON wire form and the helpers that compare
+single matrices.  ``as_stack`` also admits stacks of shape
 ``(..., n, m)`` and feeds the validators and the projector kernel, whose
 ``hermitian_eigen`` factors a whole stack in one call.  Operations are pure
 functions and never mutate their inputs, so everything here is safe to call
@@ -61,22 +61,6 @@ def max_norm(a: np.ndarray) -> float:
 def max_norms(a) -> np.ndarray:
     """Entrywise max-norm of each matrix of a stack ``(..., n, m)``."""
     return np.abs(np.asarray(a)).max(axis=(-2, -1), initial=0.0)
-
-
-def multiply(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"trace needs a square matrix, got {a.shape[0]}x{a.shape[1]}")
-    return complex(np.trace(a))
 
 
 class EigenResult(NamedTuple):

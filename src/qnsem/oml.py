@@ -1,10 +1,19 @@
 """Finite orthomodular lattices as explicit order tables: verification of the
-lattice laws, states via linear feasibility, interval truth tables and, on a
-verified OML only, two-valued homomorphisms and legal valuations (states).
+lattice laws, interval truth tables and, on a verified OML only, states,
+two-valued homomorphisms and legal valuations (states again).
 
 Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
 orthogonality relation, which ``LatticeBindings`` (an ``nmatrix.Bindings``)
 supplies.
+
+``state_constraints`` is the specification of a state: one equality per
+complement pair and per orthogonal pair.  The searches solve the lattice's
+test space instead: one equality per context, a maximal set of mutually
+orthogonal atoms, over the atom weights, with every element the sum over a
+greedy orthogonal atom decomposition of it.  That reduction holds on an
+orthomodular lattice only, so the state searches require one; a point found
+is extended to every element and a certificate is mapped back to the
+specification rows.
 
 Lattices come from direct order tables (JSON) and from Greechie diagrams
 (blocks of mutually orthogonal atoms, pasted along shared atoms).
@@ -15,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -62,7 +72,9 @@ class FiniteOML:
         self._defects: tuple[np.ndarray, np.ndarray] | None = None
         self._meet: np.ndarray | None = None
         self._join: np.ndarray | None = None
-        self._state_rows: tuple[tuple[str, ...], tuple[Row, ...]] | None = None
+        self._state_rows: tuple[tuple[str, ...], tuple[Row, ...], np.ndarray] | None = None
+        self._first_failure: tuple[str, ...] | None = None  # verify_oml's first failure, () on an OML
+        self._space: _TestSpace | None = None
 
     def _known(self, field: str, name) -> int:
         try:
@@ -231,7 +243,16 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
     when every earlier check passed.
 
     Each law is one array expression over every element or pair; failures
-    come law by law, pairs in row-major order, up to ``max_failures``."""
+    come law by law, pairs in row-major order, up to ``max_failures``.
+    With ``max_failures >= 1`` the verdict is recorded on ``l``, so the
+    searches that require an OML do not check the laws again."""
+    report = _check_laws(l, max_failures)
+    if max_failures >= 1:
+        l._first_failure = report.failures[:1]
+    return report
+
+
+def _check_laws(l: FiniteOML, max_failures: int) -> OmlReport:
     failures: list[str] = []
 
     def fail(msgs: Iterable[str]):
@@ -273,12 +294,14 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
 
 
 def _require_oml(l: FiniteOML) -> None:
-    """The precondition of the two-valued and legal-valuation searches."""
+    """The precondition of the state, two-valued and legal-valuation
+    searches; the laws are checked once per lattice."""
     for kind in ("meet", "join"):
         l.bound_table(kind)
-    report = verify_oml(l, max_failures=1)
-    if not report.ok:
-        raise ValueError(f"not an orthomodular lattice: {report.failures[0]}")
+    if l._first_failure is None:
+        verify_oml(l, max_failures=1)
+    if l._first_failure:
+        raise ValueError(f"not an orthomodular lattice: {l._first_failure[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +442,181 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
             if i <= oi:
                 coeffs = {names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2}
                 rows.append(make_row(coeffs, EQ, 1, f"complement:{names[i]}"))
-        for i, j in zip(*(a.tolist() for a in np.nonzero(orthogonal))):
+        pairs = np.nonzero(orthogonal)
+        additivity = np.full(orthogonal.shape, -1)  # the row of each orthogonal pair, both ways
+        additivity[pairs] = additivity[pairs[::-1]] = np.arange(len(rows), len(rows) + len(pairs[0]))
+        for i, j in zip(*(a.tolist() for a in pairs)):
             coeffs = {names[join[i, j]]: 1}
             coeffs[names[i]] = coeffs.get(names[i], 0) - 1
             coeffs[names[j]] = coeffs.get(names[j], 0) - 1
             rows.append(make_row(coeffs, EQ, 0, f"additivity:{names[i]}|{names[j]}"))
-        l._state_rows = names, tuple(rows)
-    names, rows = l._state_rows
+        l._state_rows = names, tuple(rows), additivity
+    names, rows, _ = l._state_rows
     return list(names), list(rows)
+
+
+@dataclass(frozen=True)
+class _TestSpace:
+    """The atoms of an OML grouped into contexts, the maximal sets of
+    mutually orthogonal atoms (Foulis & Randall, J. Math. Phys. 13, 1972).
+
+    ``atoms`` holds element indices, ascending; ``orthogonal`` is their
+    orthogonality matrix, and a context is a sorted tuple of positions in
+    ``atoms``.  Row e of ``decomposition`` marks an orthogonal set D(e) of
+    atoms whose join is e.  ``rows`` has one equality per context, in
+    context order: its atom weights sum to 1.  ``variables`` names the
+    atoms in the order the solver pivots on them, fewest contexts first:
+    an atom in one context only is eliminated with its row and enters no
+    other pivot's expression.
+    """
+
+    atoms: np.ndarray
+    orthogonal: np.ndarray
+    contexts: tuple[tuple[int, ...], ...]
+    decomposition: np.ndarray
+    variables: tuple[str, ...]
+    rows: tuple[Row, ...]
+
+
+def _test_space(l: FiniteOML) -> _TestSpace:
+    """The test space of ``l``, built once per lattice; only for an OML.
+
+    D(e) is greedy: the first atom below e, then the first atom below e
+    orthogonal to it, and so on, for every element at once.  A maximal
+    orthogonal set G of atoms below e joins to e, since otherwise
+    e ^ (v G)' != 0 holds an atom orthogonal to G; so D(e) is a
+    decomposition of e, and D(1) a context.
+    """
+    if l._space is None:
+        atoms = np.flatnonzero(l.leq.sum(axis=0) == 2)  # the down-set is {0, a}
+        orthogonal = l.leq[np.ix_(atoms, l.ortho[atoms])]
+        contexts = _maximal_cliques(orthogonal)
+        candidates = l.leq[atoms].T.copy()  # atoms below e, orthogonal to those taken
+        decomposition = np.zeros_like(candidates)
+        left = np.flatnonzero(candidates.any(axis=1))
+        while len(left):
+            first = candidates[left].argmax(axis=1)
+            decomposition[left, first] = True
+            candidates[left] &= orthogonal[first]
+            left = left[candidates[left].any(axis=1)]
+        names = [l.elements[a] for a in atoms.tolist()]
+        shared = np.bincount([a for c in contexts for a in c], minlength=len(atoms))
+        variables = tuple(names[a] for a in np.argsort(shared, kind="stable").tolist())
+        rows = tuple(make_row(dict.fromkeys([names[a] for a in c], 1), EQ, 1, "context") for c in contexts)
+        l._space = _TestSpace(atoms, orthogonal, contexts, decomposition, variables, rows)
+    return l._space
+
+
+def _maximal_cliques(adjacent: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The maximal cliques of the graph with boolean adjacency matrix
+    ``adjacent``, as sorted vertex tuples in lexicographic order.
+
+    Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi, Theor. Comput.
+    Sci. 363, 2006) on an explicit stack, with vertex sets as int bitmasks.
+    """
+    neighbours = [int.from_bytes(row.tobytes(), "little")
+                  for row in np.packbits(adjacent, axis=1, bitorder="little")]
+    cliques = []
+    stack = [(0, (1 << len(neighbours)) - 1, 0)]  # (clique, candidates, excluded)
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                cliques.append(tuple(_bits(clique)))
+            continue
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & neighbours[u]).bit_count())
+        for v in _bits(candidates & ~neighbours[pivot]):
+            stack.append((clique | 1 << v, candidates & neighbours[v], excluded & neighbours[v]))
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+    return tuple(sorted(cliques))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> FeasibilityResult:
+    """``solve_feasibility`` of the rows ``state_constraints(l)[1]`` plus
+    ``extra`` on the verified OML ``l``, whose state rows are built.
+
+    The variables are the atom weights and the rows are the context rows
+    of the test space, then ``extra`` with each element e rewritten as the
+    sum over D(e).  On an OML the two systems have the same solutions: a
+    state restricts to its atom weights, and weights that sum to 1 on every
+    context extend to a state by mu(e) = sum of the weights over D(e).  Two
+    decompositions of e, each joined with one of e', are contexts, so the
+    sum does not depend on the decomposition, and the union of D(a) and
+    D(b) decomposes a v b for orthogonal a, b.
+
+    A point is extended to every element that way.  A certificate is mapped
+    back to the original rows by index: a context row is the ``top`` row
+    minus the additivity rows along the join chain of its atoms, and an
+    element e rewritten as the sum over D(e) adds the chain of D(e).
+    """
+    space = _test_space(l)
+    names = [l.elements[a] for a in space.atoms.tolist()]
+    rows = list(space.rows)
+    for row in extra:
+        coeffs: dict[str, Fraction] = {}
+        for v, c in row.coeffs:
+            for a in np.flatnonzero(space.decomposition[l.index[v]]).tolist():
+                coeffs[names[a]] = coeffs.get(names[a], 0) + c
+        rows.append(make_row(coeffs, row.rel, row.rhs, row.label))
+    result = solve_feasibility(space.variables, rows)
+    if result.feasible:
+        weights = [result.point[name] for name in names]
+        den = lcm(*(w.denominator for w in weights))
+        # numerators over den; a sum over D(e) is mu(e) * den <= den
+        numerators = np.array([w.numerator * (den // w.denominator) for w in weights],
+                              dtype=np.int64 if den < 2**62 else object)
+        sums = (space.decomposition.astype(numerators.dtype) @ numerators).tolist()
+        value = {v: Fraction(v, den) for v in set(sums)}
+        return FeasibilityResult(True, dict(zip(l.elements, map(value.__getitem__, sums))))
+    certificate = result.certificate
+    if certificate is not None:
+        certificate = _state_row_certificate(l, space, certificate, extra)
+    return FeasibilityResult(False, None, certificate, result.detail)
+
+
+def _state_row_certificate(l: FiniteOML, space: _TestSpace, certificate: Certificate,
+                           extra: Sequence[Row]) -> Certificate:
+    """A certificate over the rows ``_solve_on_contexts`` solves, as one over
+    ``state_constraints(l)[1]`` plus ``extra``; the right-hand side stays."""
+    _, state_rows, additivity = l._state_rows
+    _, join = l._bound_tables()
+    atoms = space.atoms.tolist()
+    total: dict[int, Fraction] = {}
+
+    def add(r: int, m: Fraction) -> None:
+        total[r] = total.get(r, 0) + m
+
+    def subtract_chain(members: list[int], m: Fraction) -> None:
+        # m times the additivity rows along the join chain of the
+        # orthogonal atoms: they sum to mu(v members) - sum of mu(members)
+        if not members:
+            add(0, -m)  # the empty set joins to 0: the bottom row
+            return
+        s = members[0]
+        for d in members[1:]:
+            add(int(additivity[s, d]), -m)
+            s = join[s, d]
+
+    contexts = len(space.contexts)
+    for k, m in certificate.multipliers:
+        if k < contexts:
+            add(1, m)  # the top row
+            subtract_chain([atoms[a] for a in space.contexts[k]], m)
+            continue
+        add(len(state_rows) + k - contexts, m)
+        for v, c in extra[k - contexts].coeffs:
+            e = l.index[v]
+            subtract_chain([atoms[a] for a in np.flatnonzero(space.decomposition[e]).tolist()], m * c)
+    return Certificate(tuple(sorted((r, m) for r, m in total.items() if m)), certificate.combined_rhs)
 
 
 @dataclass
@@ -439,19 +629,27 @@ class StateSearchResult:
 
 
 def find_state(l: FiniteOML) -> StateSearchResult:
-    """Find a state (probability valuation) on the lattice or certify that
-    none exists.
+    """Find a state (probability valuation) on the orthomodular lattice or
+    certify that none exists.
 
-    The solver runs in exact rational arithmetic, so a state found has
-    residual exactly zero; equality-driven infeasibility returns a verified
-    row-combination certificate.
+    Precondition as for :func:`find_two_valued_valuation`, checked after
+    :func:`state_constraints`, so a missing join of an orthogonal pair is
+    named first.  The state is solved on the lattice's test space: one
+    equality per context, a maximal set of mutually orthogonal atoms, over
+    the atom weights, and each element takes the sum of the weights over
+    its orthogonal atom decomposition (see ``_solve_on_contexts``; without
+    the orthomodular law a "state" found that way can break the state
+    rows).  The rows of :func:`state_constraints` stay the specification:
+    ``residual`` is ``check_point`` over them, exactly zero for the
+    rational state found, and an infeasibility certificate is a
+    combination of them, mapped back from the context rows.
     """
-    names, rows = state_constraints(l)
-    result = solve_feasibility(names, rows)
+    _, rows = state_constraints(l)
+    _require_oml(l)
+    result = _solve_on_contexts(l)
     if not result.feasible:
         return StateSearchResult(False, None, result.certificate, 0.0, result.detail)
-    residual = check_point(rows, result.point)
-    return StateSearchResult(True, result.point, None, residual)
+    return StateSearchResult(True, result.point, None, check_point(rows, result.point))
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +781,19 @@ def legal_valuation_search(
     c ^ a', so mu(c) = mu(a) + mu(c ^ a') >= mu(a) by additivity and the
     box.  Conversely, legality gives mu(0) = mu(a ^ a') = 0, the complement
     rows, and additivity on orthogonal pairs.
+
+    Those rows, the pins and ``extra_rows`` are solved on the lattice's
+    contexts, as in :func:`find_state`; the point covers every element, and
+    a certificate indexes the rows of :func:`state_constraints` followed by
+    the pins, in the order of ``partial``, and ``extra_rows``.
     """
     if m.tables != quantum_nmatrix(m.alpha).tables:
         raise ValueError(
             f"the search encodes only quantum_nmatrix(alpha), not {m.name or 'an unnamed matrix'}"
         )
     _require_oml(l)
-    names, rows = state_constraints(l)
+    state_constraints(l)  # the rows a certificate is mapped back to
+    rows = []
     for e, v in (partial or {}).items():
         if e not in l.index:
             raise ValueError(f"unknown element {e!r} in partial assignment")
@@ -598,4 +802,4 @@ def legal_valuation_search(
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
         rows.append(make_row({e: 1}, EQ, pin, f"pin:{e}"))
     rows.extend(extra_rows)
-    return solve_feasibility(names, rows)
+    return _solve_on_contexts(l, rows)

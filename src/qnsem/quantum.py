@@ -345,8 +345,8 @@ def order_preservation_check(
     carry total probability above one.
 
     The domain is denoted once into a stack; each formula's row of pairs is
-    then one stacked product against it (``hilbert.leq`` and
-    ``hilbert.is_orthogonal`` per pair, O(n d^2) memory)."""
+    then one stacked product against it (range inclusion and p q = 0 per
+    pair, O(n d^2) memory)."""
     domain = valuation.domain()
     violations = []
     comparable = orthogonal = 0

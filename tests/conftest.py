@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from qnsem import hilbert
+from qnsem.linalg import DimensionMismatch, as_matrix, max_norm
 from qnsem.nmatrix import ANY, IntervalNMatrix, IntervalRule
 from qnsem.oml import FiniteOML
 from qnsem.quantum import CAP_AND, DETERMINISTIC_NOT, SPAN_OR
@@ -53,6 +55,20 @@ def adequate_restricted_tables(alpha: float) -> IntervalNMatrix:
         },
         name=f"restricted(alpha={alpha:g})",
     )
+
+
+def is_orthogonal(p, q, tol: float = 1e-9) -> bool:
+    """p q = 0 within tol, for two single matrices of one dimension."""
+    p, q = as_matrix(p), as_matrix(q)
+    if p.shape != q.shape:
+        raise DimensionMismatch(f"dimension mismatch: {p.shape} vs {q.shape}")
+    return max_norm(p @ q) <= tol
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Full-support random state rho = G G^dagger / tr(G G^dagger), drawn as
+    a one-trial stack."""
+    return hilbert.random_stacks(rng, dim, 1, ("density",))[0][0]
 
 
 def chain_with_fixed_point() -> FiniteOML:

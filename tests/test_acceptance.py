@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_density
 from qnsem import fixtures, hilbert, kscheck, oml
 from qnsem.feasibility import check_point
 from qnsem.formulas import And, Atom, Not, Or, parse, render, subformula_closure
@@ -107,7 +108,7 @@ def test_criterion_03_legality_sweep():
                     "Q": hilbert.random_projector(rng, dim),
                 }
             )
-            rho = hilbert.random_density(rng, dim)
+            rho = random_density(rng, dim)
             valuation = evaluate_state(rho, bindings, formulas)
             if not is_dynamic_legal(valuation, m, bindings, tol=1e-9).ok:
                 violations += 1

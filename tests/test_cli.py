@@ -306,6 +306,21 @@ def test_empty_greechie_diagram_is_an_input_error(capsys, write_json):
         assert err == "error: blocks is empty; a diagram needs at least one block\n"
 
 
+# the hexagon O6: an ortholattice, but a <= b and a v (b ^ a') = a
+O6_JSON = {
+    "elements": ["0", "a", "b", "b'", "a'", "1"],
+    "leq": [["0", "a"], ["0", "b"], ["0", "b'"], ["0", "a'"], ["0", "1"],
+            ["a", "b"], ["b'", "a'"], ["a", "1"], ["b", "1"], ["b'", "1"], ["a'", "1"]],
+    "ortho": {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"},
+    "bottom": "0", "top": "1",
+}
+# lattice JSON builder -> the first law verify_oml reports failed
+NON_OML_CASES = {
+    "chain-fixed-point": (lambda: chain_with_fixed_point().to_json(), "m meet its complement is not bottom"),
+    "O6": (lambda: O6_JSON, "orthomodular law fails: b != a v (b ^ a')"),
+}
+
+
 def test_broken_lattice_exit(capsys, write_json):
     broken = write_json("broken.json", chain_with_fixed_point().to_json())
     code, out, _ = run(capsys, "oml", "verify", broken)
@@ -313,17 +328,22 @@ def test_broken_lattice_exit(capsys, write_json):
     code, out, err = run(capsys, "oml", "cav", broken)
     assert code == 2 and out == ""
     assert err == "error: not an orthomodular lattice: m meet its complement is not bottom\n"
-    # the hexagon O6: an ortholattice, but a <= b and a v (b ^ a') = a
-    o6 = write_json("o6.json", {
-        "elements": ["0", "a", "b", "b'", "a'", "1"],
-        "leq": [["0", "a"], ["0", "b"], ["0", "b'"], ["0", "a'"], ["0", "1"],
-                ["a", "b"], ["b'", "a'"], ["a", "1"], ["b", "1"], ["b'", "1"], ["a'", "1"]],
-        "ortho": {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"},
-        "bottom": "0", "top": "1",
-    })
+    o6 = write_json("o6.json", O6_JSON)
     code, out, err = run(capsys, "oml", "cav", o6, "--all")
     assert code == 2 and out == ""
     assert err == "error: not an orthomodular lattice: orthomodular law fails: b != a v (b ^ a')\n"
+
+
+@pytest.mark.parametrize("name", list(NON_OML_CASES))
+@pytest.mark.parametrize("action", ["find-state", "tables"])
+def test_state_commands_refuse_a_lattice_that_is_not_orthomodular(capsys, write_json, name, action):
+    # the states are solved on contexts of atoms, which is valid on an
+    # orthomodular lattice only; find-state printed a "state" for O6 and
+    # exited 0
+    build, law = NON_OML_CASES[name]
+    code, out, err = run(capsys, "oml", action, write_json("l.json", build()))
+    assert (code, out) == (2, "")
+    assert err == f"error: not an orthomodular lattice: {law}\n"
 
 
 def test_oml_missing_orthogonal_join_is_an_input_error(capsys, write_json):
@@ -427,9 +447,10 @@ FIND_STATE_PINS = {
     # 128 elements, solved exactly like the others
     "boolean-2^7": (_benchmark_boolean_7, [], 0,
                     "53d9563a4005fb97abff36fa4942a13526ab99811e1f0708cf8da85cd0729cf5"),
-    # no state: the certificate's rows and multipliers
+    # no state: the certificate's rows and multipliers, mapped back from
+    # the context rows to the state rows
     "state-free": (fixtures.nostate_greechie, [], 3,
-                   "e69155f16b007eb3c77dfd449a28550ecacbe585d957e5240f96ec27e8fdc002"),
+                   "619a505936488cc60244188ef8de9da7570e26af5ff308a49af901993e95cd82"),
 }
 
 

@@ -392,25 +392,19 @@ def _typed(value):
     return (type(value).__name__, value)
 
 
-def _pivot_map(pivots, combos=True):
+def _pivot_map(pivots):
     """Pivot maps by value: the integer presolve holds ints where integral."""
     if pivots is None:
         return None
-    return [(p, list(expr.items()), rhs, list(combo.items()) if combos else None)
-            for p, (expr, rhs, combo) in pivots.items()]
+    return [(p, list(expr.items()), rhs, list(combo.items())) for p, (expr, rhs, combo) in pivots.items()]
 
 
 def _assert_same_as_reference(variables, rows):
     ref_pivots, ref_index, ref_cert = reference_presolve(variables, rows)
-    tracked = feasibility._presolve(variables, rows, track=True)
-    untracked = feasibility._presolve(variables, rows)
-    # every pivot's row combination, from the elimination that keeps them
-    assert _pivot_map(tracked[0]) == _pivot_map(ref_pivots)
-    # the elimination without them finds the same pivots and certificate
-    assert _pivot_map(untracked[0], combos=False) == _pivot_map(ref_pivots, combos=False)
-    assert all(not combo for _, _, combo in (untracked[0] or {}).values())
-    for _, new_index, new_cert in (tracked, untracked):
-        assert new_index == ref_index and _typed(new_cert) == _typed(ref_cert)
+    pivots, new_index, new_cert = feasibility._presolve(variables, rows)
+    # every pivot with its row combination, or the same certificate
+    assert _pivot_map(pivots) == _pivot_map(ref_pivots)
+    assert new_index == ref_index and _typed(new_cert) == _typed(ref_cert)
     new = solve_feasibility(variables, rows)
     ref = reference_solve(variables, rows)
     assert (new.feasible, new.detail) == (ref.feasible, ref.detail)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import operator_to_json
+from conftest import is_orthogonal, operator_to_json, random_density
 from qnsem import hilbert, linalg
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian, max_norm
 from qnsem.quantum import ProjectorBindings
@@ -87,10 +87,10 @@ def test_is_orthogonal():
     phi = (e[0] + e[1]) / np.sqrt(2)
     c = hilbert.projector_from_span([e[2]])
     q = hilbert.projector_from_span([phi])
-    assert hilbert.is_orthogonal(c, q)
+    assert is_orthogonal(c, q)
     p = hilbert.projector_from_span([e[0]])
-    assert hilbert.is_orthogonal(p, hilbert.ortho(p))
-    assert not hilbert.is_orthogonal(p, p)
+    assert is_orthogonal(p, hilbert.ortho(p))
+    assert not is_orthogonal(p, p)
 
 
 def test_born_examples():
@@ -112,7 +112,7 @@ def assert_state_axioms(rho, family, tol=1e-9):
     """mu(0) = 0, mu(P') = 1 - mu(P) and additivity of mu = born(rho, .) over
     the join of a pairwise orthogonal family."""
     dim = rho.shape[0]
-    assert all(hilbert.is_orthogonal(p, q) for i, p in enumerate(family) for q in family[i + 1:])
+    assert all(is_orthogonal(p, q) for i, p in enumerate(family) for q in family[i + 1:])
     assert abs(hilbert.born(rho, hilbert.zero(dim))) <= tol
     for p in family:
         assert abs(hilbert.born(rho, hilbert.ortho(p)) - (1.0 - hilbert.born(rho, p))) <= tol
@@ -123,7 +123,7 @@ def assert_state_axioms(rho, family, tol=1e-9):
 
 
 def test_state_axioms_complement_family(rng):
-    rho = hilbert.random_density(rng, 4)
+    rho = random_density(rng, 4)
     p = hilbert.random_projector(rng, 4)
     assert_state_axioms(rho, [p, hilbert.ortho(p)])
 
@@ -138,7 +138,7 @@ def test_state_axioms_maximally_mixed():
 
 
 def test_state_axioms_random_orthogonal_triple(rng):
-    rho = hilbert.random_density(rng, 4)
+    rho = random_density(rng, 4)
     vecs = [v for v in np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0].T]
     family = [hilbert.projector_from_span([v]) for v in vecs[:3]]
     assert_state_axioms(rho, family)
@@ -151,7 +151,7 @@ def test_state_axioms_rejects_non_orthogonal():
     rho = np.outer(e[0], e[0].conj())
     p = hilbert.projector_from_span([e[0]])
     q = hilbert.projector_from_span([(e[0] + e[1]) / np.sqrt(2)])
-    assert not hilbert.is_orthogonal(p, q)
+    assert not is_orthogonal(p, q)
     assert hilbert.born(rho, p) + hilbert.born(rho, q) == pytest.approx(1.5, abs=1e-12)
     assert hilbert.born(rho, hilbert.join(p, q)) == pytest.approx(1.0, abs=1e-12)
 
@@ -184,13 +184,13 @@ def test_orthomodular_law_random(rng, dim):
 def test_born_monotonicity_and_additivity(rng):
     for _ in range(200):
         dim = int(rng.integers(2, 5))
-        rho = hilbert.random_density(rng, dim)
+        rho = random_density(rng, dim)
         p = hilbert.random_projector(rng, dim)
         q = hilbert.random_projector(rng, dim)
         assert hilbert.born(rho, hilbert.meet(p, q)) <= hilbert.born(rho, p) + 1e-9
         assert hilbert.born(rho, p) <= hilbert.born(rho, hilbert.join(p, q)) + 1e-9
         r = hilbert.meet(q, hilbert.ortho(p))
-        if hilbert.is_orthogonal(p, r):
+        if is_orthogonal(p, r):
             total = hilbert.born(rho, hilbert.join(p, r))
             assert abs(total - hilbert.born(rho, p) - hilbert.born(rho, r)) <= 1e-9
 
@@ -242,7 +242,7 @@ def test_stack_matches_slices(rng, dim):
         (meet[5], 0 * x), (join[6], one), (meet[7], 0 * x), (join[7], one),
     ]:
         assert max_norm(got - want) <= 1e-12
-    rho = np.array([hilbert.random_density(rng, dim) for _ in range(n)])
+    rho = np.array([random_density(rng, dim) for _ in range(n)])
     values = hilbert.born(rho, p)
     assert values.shape == (n,)
     for i in range(n):
@@ -302,7 +302,7 @@ def test_batched_draws_match_successive_calls(dim):
     for kinds in (("projector", "projector", "density"), ("projector",) * 3):
         batched_rng, loop_rng = np.random.default_rng(dim), np.random.default_rng(dim)
         stacks = hilbert.random_stacks(batched_rng, dim, 200, kinds)
-        draw = {"projector": hilbert.random_projector, "density": hilbert.random_density}
+        draw = {"projector": hilbert.random_projector, "density": random_density}
         for t in range(200):
             for kind, stack in zip(kinds, stacks):
                 assert np.array_equal(stack[t], draw[kind](loop_rng, dim)), (kinds, t, kind)
@@ -370,7 +370,7 @@ def test_random_projector_rank_range(rng):
 def test_residuals_per_slice(rng):
     p = np.array([hilbert.random_projector(rng, 3) for _ in range(4)])
     p[2, 0, 1] += 1e-3
-    rho = np.array([hilbert.random_density(rng, 3) for _ in range(4)])
+    rho = np.array([random_density(rng, 3) for _ in range(4)])
     rho[1] *= 1.5
     for residuals, stack in ((hilbert.projector_residuals, p), (hilbert.density_residuals, rho)):
         per_slice = residuals(stack)

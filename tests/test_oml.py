@@ -536,6 +536,116 @@ def test_nostate_default_path_also_infeasible():
     assert not result.feasible and result.certificate is not None
 
 
+def maximal_cliques_oracle(adjacent):
+    """Every maximal clique, by listing all vertex subsets."""
+    k = len(adjacent)
+    cliques = [set(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)
+               if all(adjacent[i][j] for i, j in itertools.combinations(c, 2))]
+    return sorted(tuple(sorted(c)) for c in cliques if not any(c < other for other in cliques))
+
+
+def test_maximal_cliques_match_subset_oracle():
+    rnd = random.Random(1972)
+    for _ in range(300):
+        k = rnd.randint(0, 9)
+        density = rnd.random()
+        adjacent = np.zeros((k, k), dtype=bool)
+        for i, j in itertools.combinations(range(k), 2):
+            adjacent[i, j] = adjacent[j, i] = rnd.random() < density
+        assert list(oml._maximal_cliques(adjacent)) == maximal_cliques_oracle(adjacent)
+
+
+def _context_solve_lattices():
+    """The one-element lattice, whose one context is empty, the benchmark
+    lattices, then seeded random Greechie diagrams that verify as OMLs, 30
+    distinct ones of three-atom blocks and 30 of three- and four-atom
+    blocks mixed."""
+    lattices = {"one-element": oml.FiniteOML(["0"], [], {"0": "0"}, "0", "0")}
+    lattices.update((name, oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1"))
+                    for name, data in _benchmark_lattices().items())
+    rnd = random.Random(23)
+    for sizes in ((3,), (3, 4)):
+        found = 0
+        while found < 30:
+            atoms, blocks = _random_diagram(rnd, sizes)
+            name = f"greechie:{blocks}"
+            lattice = oml.from_greechie(atoms, blocks)
+            if name not in lattices and oml.verify_oml(lattice).ok:
+                lattices[name] = lattice
+                found += 1
+    return lattices
+
+
+def _benchmark_lattices():
+    lattices = [known.boolean(n) for n in workloads.BOOLEAN_ATOMS]
+    lattices += [known.mo(n) for n in workloads.MO_SIZES]
+    lattices += [known.chain(k) for k in workloads.CHAIN_BLOCKS]
+    return {data.name: data for data in [*lattices, known.state_free(REPO_ROOT)]}
+
+
+def test_context_solve_matches_the_state_row_solve():
+    # the state and legal searches solve one row per context; the rows of
+    # state_constraints, solved directly, are the oracle: the same verdict,
+    # points that satisfy every state row and pin exactly, and
+    # certificates over the state rows and pins
+    matrix = quantum_nmatrix(1.0)
+    seen = Counter()
+    lattices = _context_solve_lattices()
+    for name, lattice in lattices.items():
+        names, rows = oml.state_constraints(lattice)
+        oracle = solve_feasibility(names, rows)
+        result = oml.find_state(lattice)
+        assert result.feasible == oracle.feasible, name
+        if result.feasible:
+            assert result.residual == 0.0 and check_point(rows, result.state) == 0, name
+        else:
+            assert result.certificate.verify(rows), name
+        atoms = [lattice.name(i) for i in np.flatnonzero(lattice.leq.sum(axis=0) == 2).tolist()]
+        # inconsistent equalities through the top, the bottom and an atom;
+        # a feasible pin; two orthogonal atoms at 1, infeasible only in the
+        # bounded phase when their context has a third atom
+        pin_sets = [{lattice.name(lattice.top): 0}, {lattice.name(lattice.bottom): Fraction(1, 2)}]
+        if atoms:
+            atom = atoms[0]
+            mate = next(b for b in atoms if lattice.orthogonal(atom, b))
+            pin_sets += [{atom: 1, lattice.ortho_id(atom): 1}, {atom: Fraction(1, 3)}, {atom: 1, mate: 1}]
+        for pins in pin_sets:
+            pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+            got = oml.legal_valuation_search(lattice, matrix, partial=pins)
+            want = solve_feasibility(names, rows + pin_rows)
+            assert (got.feasible, got.detail) == (want.feasible, want.detail), (name, pins)
+            if got.feasible:
+                assert check_point(rows + pin_rows, got.point) == 0, (name, pins)
+            elif want.certificate is not None:
+                assert got.certificate.verify(rows + pin_rows), (name, pins)
+            else:
+                assert got.certificate is None
+            seen[got.feasible, want.certificate is not None] += 1
+    assert len(lattices) == 78 and seen[True, False] and seen[False, True] and seen[False, False]
+
+
+def test_law_check_runs_once_per_lattice(monkeypatch):
+    calls = []
+    verify = oml.verify_oml
+    monkeypatch.setattr(oml, "verify_oml", lambda l, *args, **kwargs: calls.append(l) or verify(l, *args, **kwargs))
+    lattice = fixtures.nostate_lattice()
+    assert oml.verify_oml(lattice).ok
+    oml.find_state(lattice)
+    oml.find_two_valued_valuation(lattice)
+    oml.legal_valuation_search(lattice, quantum_nmatrix(1.0))
+    assert len(calls) == 1
+    # a lattice not yet verified is checked by the first search, once
+    fresh = oml.boolean_lattice(3)
+    oml.find_state(fresh)
+    oml.find_state(fresh)
+    assert calls == [lattice, fresh]
+    # a check that lists no failure records no verdict
+    broken = chain_with_fixed_point()
+    assert oml.verify_oml(broken, max_failures=0).failures == ()
+    with pytest.raises(ValueError, match="not an orthomodular lattice"):
+        oml.find_state(broken)
+
+
 # ---------------------------------------------------------------------------
 # two-valued valuations
 
@@ -1050,16 +1160,21 @@ def test_greechie_accepts_primed_atom_names_that_clash_with_nothing():
     assert lattice.ortho_id("x'") == "x''"
 
 
-def _random_diagram(rnd: random.Random):
-    """A connected diagram of 1-6 three-atom blocks: each new block shares
-    an atom with an earlier one, and its other two atoms are fresh or, now
-    and then, earlier atoms (which closes loops), never two atoms shared
-    with one block."""
-    atoms = ["a0", "a1", "a2"]
+def _random_diagram(rnd: random.Random, sizes=(3,)):
+    """A connected diagram of 1-6 blocks whose sizes are drawn from
+    ``sizes``: each new block shares an atom with an earlier one, and its
+    other atoms are fresh or, now and then, earlier atoms (which closes
+    loops), never two atoms shared with one block.  With one size the
+    draws are those of a diagram of three-atom blocks."""
+
+    def size():
+        return sizes[0] if len(sizes) == 1 else rnd.choice(sizes)
+
+    atoms = [f"a{i}" for i in range(size())]
     blocks = [list(atoms)]
     for _ in range(rnd.randint(0, 5)):
         block = [rnd.choice(atoms)]
-        for _ in range(2):
+        for _ in range(size() - 1):
             free = [a for a in atoms if a not in block and all(len(set(b) & {*block, a}) <= 1 for b in blocks)]
             if free and rnd.random() < 0.3:
                 block.append(rnd.choice(free))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import adequate_restricted_tables
+from conftest import adequate_restricted_tables, is_orthogonal, random_density
 from qnsem import hilbert
 from qnsem.formulas import And, Atom, Not, Or, parse, subformula_closure
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian
@@ -274,7 +274,7 @@ def test_order_preservation_random_nested(rng):
         dim = int(rng.integers(2, 5))
         p = hilbert.random_projector(rng, dim)
         q = hilbert.join(p, hilbert.random_projector(rng, dim))
-        rho = hilbert.random_density(rng, dim)
+        rho = random_density(rng, dim)
         assert hilbert.born(rho, p) <= hilbert.born(rho, q) + 1e-9
 
 
@@ -290,7 +290,7 @@ def test_order_preservation_report(rng):
             "Z": hilbert.zero(3),
         }
     )
-    rho = hilbert.random_density(rng, 3)
+    rho = random_density(rng, 3)
     formulas = [Atom("P"), Atom("Q"), Atom("R"), Atom("Z")]
     valuation = evaluate_state(rho, bindings, formulas)
     report = order_preservation_check(valuation, bindings)
@@ -306,7 +306,7 @@ def test_order_preservation_report(rng):
 
 def order_check_oracle(valuation, bindings, tol=1e-9):
     """The order check one pair at a time, through hilbert.leq and
-    hilbert.is_orthogonal: the oracle of the stacked rows."""
+    is_orthogonal: the oracle of the stacked rows."""
     domain = valuation.domain()
     violations, comparable, orthogonal = [], 0, 0
     for f in domain:
@@ -317,7 +317,7 @@ def order_check_oracle(valuation, bindings, tol=1e-9):
                     violations.append(OrderViolation(f, g, "order", f"{valuation[f]} > {valuation[g]}"))
     for i, f in enumerate(domain):
         for g in domain[i + 1 :]:
-            if hilbert.is_orthogonal(bindings.denote(f), bindings.denote(g), tol):
+            if is_orthogonal(bindings.denote(f), bindings.denote(g), tol):
                 orthogonal += 1
                 total = valuation[f] + valuation[g]
                 if total > 1.0 + tol:
@@ -335,7 +335,7 @@ def test_order_check_matches_per_pair_oracle():
         atoms = {name: hilbert.random_projector(rng, dim) for name in ("A", "B", "C")}
         formula = workloads._formula_with_closure(rnd, [Atom(n) for n in atoms], 30, 6)
         bindings = ProjectorBindings(atoms)
-        born = evaluate_state(hilbert.random_density(rng, dim), bindings, [formula])
+        born = evaluate_state(random_density(rng, dim), bindings, [formula])
         # random values break the order and the orthogonal sums: the
         # violations must come out the same and in the same order
         scrambled = Valuation({f: float(rng.random()) for f in born.domain()})
@@ -464,7 +464,7 @@ def test_legality_sweep_small(rng):
                     "Q": hilbert.random_projector(rng, dim),
                 }
             )
-            rho = hilbert.random_density(rng, dim)
+            rho = random_density(rng, dim)
             valuation = evaluate_state(rho, bindings, formulas)
             report = is_dynamic_legal(valuation, m, bindings)
             assert report.ok, report.violations
