@@ -557,12 +557,14 @@ def test_maximal_cliques_match_subset_oracle():
 
 def _context_solve_lattices():
     """The one-element lattice, whose one context is empty, the benchmark
-    lattices, then seeded random Greechie diagrams that verify as OMLs, 30
-    distinct ones of three-atom blocks and 30 of three- and four-atom
-    blocks mixed."""
+    lattices with chain-8, then seeded random Greechie diagrams that verify
+    as OMLs, 30 distinct ones of three-atom blocks and 30 of three- and
+    four-atom blocks mixed."""
+    from test_feasibility import BENCHMARK_LATTICES
+
     lattices = {"one-element": oml.FiniteOML(["0"], [], {"0": "0"}, "0", "0")}
     lattices.update((name, oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1"))
-                    for name, data in _benchmark_lattices().items())
+                    for name, data in BENCHMARK_LATTICES.items())
     rnd = random.Random(23)
     for sizes in ((3,), (3, 4)):
         found = 0
@@ -574,13 +576,6 @@ def _context_solve_lattices():
                 lattices[name] = lattice
                 found += 1
     return lattices
-
-
-def _benchmark_lattices():
-    lattices = [known.boolean(n) for n in workloads.BOOLEAN_ATOMS]
-    lattices += [known.mo(n) for n in workloads.MO_SIZES]
-    lattices += [known.chain(k) for k in workloads.CHAIN_BLOCKS]
-    return {data.name: data for data in [*lattices, known.state_free(REPO_ROOT)]}
 
 
 def test_context_solve_matches_the_state_row_solve():
@@ -621,7 +616,7 @@ def test_context_solve_matches_the_state_row_solve():
             else:
                 assert got.certificate is None
             seen[got.feasible, want.certificate is not None] += 1
-    assert len(lattices) == 78 and seen[True, False] and seen[False, True] and seen[False, False]
+    assert len(lattices) == 79 and seen[True, False] and seen[False, True] and seen[False, False]
 
 
 def test_law_check_runs_once_per_lattice(monkeypatch):
