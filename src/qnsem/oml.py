@@ -481,24 +481,28 @@ class _TestSpace:
 def _test_space(l: FiniteOML) -> _TestSpace:
     """The test space of ``l``, built once per lattice; only for an OML.
 
-    D(e) is greedy: the first atom below e, then the first atom below e
-    orthogonal to it, and so on, for every element at once.  A maximal
-    orthogonal set G of atoms below e joins to e, since otherwise
-    e ^ (v G)' != 0 holds an atom orthogonal to G; so D(e) is a
-    decomposition of e, and D(1) a context.
+    D(e) is greedy: D(0) is empty and D(e) = {a} + D(e ^ a') for the first
+    atom a below e, followed for every element at once.  By the
+    orthomodular law e = a v (e ^ a'), and every atom below e ^ a' is
+    orthogonal to a, so D(e) is an orthogonal set of atoms that joins to e;
+    D(1) is a context, since an atom orthogonal to all of it would lie
+    below 1' = 0.
     """
     if l._space is None:
         atoms = np.flatnonzero(l.leq.sum(axis=0) == 2)  # the down-set is {0, a}
         orthogonal = l.leq[np.ix_(atoms, l.ortho[atoms])]
         contexts = _maximal_cliques(orthogonal)
-        candidates = l.leq[atoms].T.copy()  # atoms below e, orthogonal to those taken
-        decomposition = np.zeros_like(candidates)
-        left = np.flatnonzero(candidates.any(axis=1))
-        while len(left):
-            first = candidates[left].argmax(axis=1)
-            decomposition[left, first] = True
-            candidates[left] &= orthogonal[first]
-            left = left[candidates[left].any(axis=1)]
+        decomposition = np.zeros((len(l), len(atoms)), dtype=bool)
+        if len(atoms):  # only the one-element lattice has none
+            below, every = l.leq[atoms], np.arange(len(l))
+            first = below.argmax(axis=0)
+            nonzero = below[first, every]
+            rest = l._bound_tables()[0][every, l.ortho[atoms[first]]]  # e ^ a'
+            e = at = np.flatnonzero(nonzero)  # D(e) takes the first atom below at
+            while len(e):
+                decomposition[e, first[at]] = True
+                at = rest[at]
+                e, at = e[nonzero[at]], at[nonzero[at]]
         names = [l.elements[a] for a in atoms.tolist()]
         shared = np.bincount([a for c in contexts for a in c], minlength=len(atoms))
         variables = tuple(names[a] for a in np.argsort(shared, kind="stable").tolist())
