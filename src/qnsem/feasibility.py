@@ -173,9 +173,11 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
     The elimination runs on integers: the working row and every pivot keep
     integer numerators over one positive denominator (a pivot's in lowest
     terms), so a pivot of denominator 1, the usual case, substitutes with
-    plain int products.
+    plain int products.  ``holders[v]`` holds every pivot whose expression
+    may contain v, so a new pivot is substituted into those alone.
     """
     pivots: dict[int, tuple[dict[int, int], int, dict[int, int], int]] = {}
+    holders: dict[int, set[int]] = {}
     for i in indices:
         coeffs, rhs, den = _scaled(rows[i], var_index)
         combo = {i: den}  # the working row is sum combo[r] * row r, over den
@@ -207,7 +209,7 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
         pden = abs(factor)
         if pden != 1:
             expr, prhs, pcombo, pden = _lowest_terms(expr, prhs, pcombo, pden)
-        for q in list(pivots):
+        for q in holders.pop(p, ()):
             qexpr, qrhs, qcombo, qden = pivots[q]
             if p not in qexpr:
                 continue
@@ -219,6 +221,7 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
                 qden *= pden
             for v, c in expr.items():
                 qexpr[v] = qexpr.get(v, 0) + f * c
+                holders.setdefault(v, set()).add(q)
             for r, m in pcombo.items():
                 qcombo[r] = qcombo.get(r, 0) + f * m
             q_entry = (
@@ -228,6 +231,8 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
                 qden,
             )
             pivots[q] = _lowest_terms(*q_entry) if qden != 1 else q_entry
+        for v in expr:
+            holders.setdefault(v, set()).add(p)
         pivots[p] = (expr, prhs, pcombo, pden)
     return pivots, None
 
@@ -268,25 +273,24 @@ def _exact_phase(ineqs, free_vars):
     Returns a point (Fractions) over the free variable indices or None.
     """
     order = sorted(free_vars)
-    cols = {v: j for j, v in enumerate(order)}
+    rhs: list = [_canonical(b) for _, b in ineqs]
+    if all(b >= 0 for b in rhs):  # the upper bounds' rows read 1
+        return {v: Fraction(0) for v in order}
     n = len(order)
+    if n == 0:
+        return None
+    cols = {v: j for j, v in enumerate(order)}
     tab: list[list] = []  # the last column is x0's, -1 in every row
-    rhs: list = []
-    for coeffs, b in ineqs:
+    for coeffs, _ in ineqs:
         vec = [0] * n + [-1]
         for v, c in coeffs.items():
             vec[cols[v]] = _canonical(c)
         tab.append(vec)
-        rhs.append(_canonical(b))
     for j in range(n):  # upper bounds; lower bounds are nonnegativity
         vec = [0] * n + [-1]
         vec[j] = 1
         tab.append(vec)
         rhs.append(1)
-    if all(b >= 0 for b in rhs):
-        return {v: Fraction(0) for v in order}
-    if n == 0:
-        return None
     # variable ids: x0 is 0, free variable j is 1 + j, the slack of row i is 1 + n + i
     nonbasic = list(range(1, n + 1)) + [0]
     basic = list(range(n + 1, n + 1 + len(tab)))

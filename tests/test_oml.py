@@ -1159,8 +1159,8 @@ def _random_diagram(rnd: random.Random, sizes=(3,)):
     """A connected diagram of 1-6 blocks whose sizes are drawn from
     ``sizes``: each new block shares an atom with an earlier one, and its
     other atoms are fresh or, now and then, earlier atoms (which closes
-    loops), never two atoms shared with one block.  With one size the
-    draws are those of a diagram of three-atom blocks."""
+    loops), never two atoms shared with one block.  A single size is used
+    without a draw, so it leaves the other draws as they are."""
 
     def size():
         return sizes[0] if len(sizes) == 1 else rnd.choice(sizes)
