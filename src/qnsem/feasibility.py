@@ -39,9 +39,6 @@ class Row:
     rhs: Fraction
     label: str = ""
 
-    def coeff_map(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
     def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
         """The left-hand side at the point, exactly.
 

@@ -5,8 +5,12 @@ and no two orthogonal vectors carry it together.
 The orthogonality graph is precomputed once from the vector data (exact for
 the bundled integer fixtures), after which the search is purely
 combinatorial, so unsatisfiability verdicts do not depend on floating-point
-branching.  Contexts are processed most-constrained first with deterministic
-tie-breaking by id.
+branching.  It runs on int bitmasks, one bit per vector: contexts and
+orthogonality neighbourhoods are masks, an assignment is the pair of masks
+of its 1s and 0s, and each backtracking frame keeps the pair it started
+from, so a backtrack restores a snapshot.  Contexts are processed
+most-constrained first with deterministic tie-breaking by family order,
+their vectors in id order.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import hilbert
-from .linalg import DEFAULT_TOL, json_count, json_entries, json_list, json_object, max_norm
+from .linalg import DEFAULT_TOL, _bits, json_count, json_entries, json_list, json_object, max_norm
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,8 @@ class VectorContextFamily:
     @staticmethod
     def from_json(obj: dict) -> "VectorContextFamily":
         dim = json_count(obj["dim"], "dim")
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {obj['dim']!r}")
         vectors = {}
         for vid, entries in json_object(obj["vectors"], "vectors").items():
             v = json_entries(entries, f"vectors[{vid!r}]")
@@ -125,82 +131,67 @@ def verify_contexts(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> Co
     return ContextReport(ortho_res, resolution_res, tuple(problems))
 
 
-def _prepared(family: VectorContextFamily, tol: float):
-    adj = orthogonality_graph(family, tol)
-    ids = family.ids()
-    order = {vid: k for k, vid in enumerate(ids)}
-    contexts = [tuple(sorted(ctx, key=order.__getitem__)) for ctx in family.contexts]
-    return adj, ids, contexts
-
-
 def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
-    """Backtracking core: returns (first solution, count up to cap)."""
-    adj, ids, contexts = _prepared(family, tol)
-    state: dict[str, int] = {}
-    first: dict[str, int] | None = None
-    count = 0
+    """Backtracking core: returns (first solution, count up to cap).
 
-    def context_status(ctx) -> tuple[int, list[str]]:
-        ones = sum(1 for v in ctx if state.get(v) == 1)
-        free = [v for v in ctx if v not in state]
-        return ones, free
+    Vector k of ``family.ids()`` is bit k.  Each context and each vector's
+    orthogonality neighbourhood is an int mask, and an assignment is two
+    masks, ``ones`` and ``zeros``.  A vector that one context lists twice
+    can never be that context's one 1, so it starts in ``zeros``.
 
-    def choose_context():
-        best = None
-        for ctx in contexts:
-            ones, free = context_status(ctx)
-            if ones > 1:
-                return ctx, -1  # contradiction
-            if ones == 1:
-                continue
-            if not free:
-                return ctx, -1  # all zero, no candidate left
-            if best is None or len(free) < len(best[1]):
-                best = (ctx, free)
-        if best is None:
-            return None, 0
-        return best[0], best[1]
-
-    def assign_one(v: str):
-        changed = []
-        state[v] = 1
-        changed.append(v)
-        for w in adj[v]:
-            if state.get(w) == 1:
-                return changed, False
-            if w not in state:
-                state[w] = 0
-                changed.append(w)
-        return changed, True
-
-    # one frame per open context: [free vectors, index of the next to try,
-    # the assignments made by the current try]; the loop visits the same
-    # choices in the same order as recursing once per context would
+    At each level the open context is the first one in family order that
+    holds no 1 and has the fewest free vectors; a context with two 1s, or
+    with no 1 and nothing free, is a dead end.  Each open context gets a
+    frame: its free vectors in id order, the index of the next one to try
+    and the ``ones``/``zeros`` it started from.  Trying a vector restores
+    that snapshot, sets the vector to 1 and its neighbours to 0 (none of
+    them may be 1), so backtracking needs no undo list.  The frames are an
+    explicit stack, so the search has no depth limit.
+    """
+    ids = family.ids()
+    bit = {vid: 1 << k for k, vid in enumerate(ids)}
+    graph = orthogonality_graph(family, tol)
+    neighbours = [sum(bit[w] for w in graph[vid]) for vid in ids]
+    contexts, zeros = [], 0
+    for ctx in family.contexts:
+        mask = 0
+        for vid in ctx:  # unions: a repeated id is counted once
+            zeros |= mask & bit[vid]
+            mask |= bit[vid]
+        contexts.append(mask)
+    ones, first, count = 0, None, 0
     frames: list[list] = []
     while True:
-        ctx, free = choose_context()
-        if ctx is None:  # every context holds its one vector: a solution
-            count += 1
-            if first is None:
-                first = dict.fromkeys(ids, 0)
-                first.update(state)
-            if count_cap is None or count >= count_cap:
+        free, size, unassigned = 0, 0, ~(ones | zeros)
+        for ctx in contexts:
+            hit, left = ones & ctx, ctx & unassigned
+            if hit & (hit - 1) or not hit | left:  # two 1s, or no 1 and nothing free
                 break
-        elif free != -1:
-            frames.append([free, 0, []])
+            if not hit and (not free or left.bit_count() < size):
+                free, size = left, left.bit_count()
+        else:  # no dead end
+            if free:
+                frames.append([list(_bits(free)), 0, ones, zeros])
+            else:  # every context holds its one vector: a solution
+                count += 1
+                if first is None:
+                    first = {vid: ones >> k & 1 for k, vid in enumerate(ids)}
+                if count_cap is None or count >= count_cap:
+                    break
         # backtrack to the innermost context with an untried vector left,
-        # and assign that vector
-        descended = False
-        while frames and not descended:
+        # and set that vector to 1 on the snapshot the context started from
+        while frames:
             frame = frames[-1]
-            for w in frame[2]:
-                del state[w]
-            if frame[1] == len(frame[0]):
+            vectors, k, ones, zeros = frame
+            if k == len(vectors):
                 frames.pop()
-                continue
-            frame[2], descended = assign_one(frame[0][frame[1]])
-            frame[1] += 1
-        if not descended:
+            else:
+                frame[1] = k + 1
+                if not neighbours[vectors[k]] & ones:
+                    ones |= 1 << vectors[k]
+                    zeros |= neighbours[vectors[k]]
+                    break
+        if not frames:
             break
     return first, count
 

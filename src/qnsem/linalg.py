@@ -1,6 +1,7 @@
 """Dense complex-matrix substrate: Hermitian eigendecomposition,
-Gram-Schmidt orthonormalization, and the reader of the JSON wire form used
-by every fixture file.
+Gram-Schmidt orthonormalization, the reader of the JSON wire form used
+by every fixture file, and ``_bits``, which lists the set bits of the int
+masks that the searches of ``nmatrix``, ``oml`` and ``kscheck`` run on.
 
 All matrices are numpy complex128 arrays.  ``as_matrix`` admits exactly one
 2-d matrix: it guards the JSON wire form and the helpers that compare
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,6 +114,14 @@ def orthonormalize(vectors: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarr
         if norm > tol:
             basis.append(v / norm)
     return basis
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of the int ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def json_list(value, field: str):

@@ -25,7 +25,7 @@ from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .formulas import And, Atom, Formula, Not, Or, children, render, subformula_closure
-from .linalg import DEFAULT_TOL, json_list, json_number, json_object
+from .linalg import DEFAULT_TOL, _bits, json_list, json_number, json_object
 from .valuesets import (
     OPEN_SHIFT,
     FiniteValues,
@@ -589,16 +589,6 @@ class ConsequenceResult:
         return self.holds
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _ValueNetwork:
     """The legality constraints of dynamic valuations on an ordered domain.
 
@@ -664,7 +654,7 @@ class _ValueNetwork:
             return (k, head), (c, kept)
         left, right = self.scope[k]
         kept_left = kept_right = 0
-        rights = _bits(doms[right])
+        rights = list(_bits(doms[right]))
         for a in _bits(doms[left]):
             row = cells[a]
             for b in (a,) if left == right else rights:

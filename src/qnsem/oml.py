@@ -33,7 +33,7 @@ from .feasibility import (
     EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility, to_fraction,
 )
 from .formulas import Formula
-from .linalg import DEFAULT_TOL, json_list, json_object
+from .linalg import DEFAULT_TOL, _bits, json_list, json_object
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
 from .quantum import quantum_nmatrix
 
@@ -89,9 +89,6 @@ class FiniteOML:
 
     def name(self, i: int) -> str:
         return self.elements[i]
-
-    def leq_ids(self, a: str, b: str) -> bool:
-        return bool(self.leq[self.index[a], self.index[b]])
 
     def ortho_id(self, a: str) -> str:
         return self.elements[self.ortho[self.index[a]]]
@@ -536,17 +533,9 @@ def _maximal_cliques(adjacent: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cliques))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> FeasibilityResult:
     """``solve_feasibility`` of the rows ``state_constraints(l)[1]`` plus
-    ``extra`` on the verified OML ``l``, whose state rows are built.
+    ``extra`` on the verified OML ``l``.
 
     The variables are the atom weights and the rows are the context rows
     of the test space, then ``extra`` with each element e rewritten as the
@@ -590,7 +579,9 @@ def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> FeasibilityRe
 def _state_row_certificate(l: FiniteOML, space: _TestSpace, certificate: Certificate,
                            extra: Sequence[Row]) -> Certificate:
     """A certificate over the rows ``_solve_on_contexts`` solves, as one over
-    ``state_constraints(l)[1]`` plus ``extra``; the right-hand side stays."""
+    ``state_constraints(l)[1]`` plus ``extra``; the right-hand side stays.
+    It builds the state rows of ``l`` if no caller has."""
+    state_constraints(l)
     _, state_rows, additivity = l._state_rows
     _, join = l._bound_tables()
     atoms = space.atoms.tolist()
@@ -796,7 +787,6 @@ def legal_valuation_search(
             f"the search encodes only quantum_nmatrix(alpha), not {m.name or 'an unnamed matrix'}"
         )
     _require_oml(l)
-    state_constraints(l)  # the rows a certificate is mapped back to
     rows = []
     for e, v in (partial or {}).items():
         if e not in l.index:

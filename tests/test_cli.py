@@ -637,6 +637,9 @@ _WRONG_SHAPE_CASES = {
     "ks-vector-entry-too-large": lambda w: ["ks", "count", w("vector-large.json", _family_with_large_entry())],
     # counts that are not whole numbers were truncated: dim 3.9 read as 3
     "ks-dim-fractional": lambda w: ["ks", "count", w("dim-fractional.json", _family_with(dim=3.9))],
+    # a negative dim failed in numpy's reshape; dim 0 has no unit vectors
+    "ks-dim-negative": lambda w: ["ks", "search", w("dim-negative.json", _family_with(dim=-1, vectors={}, contexts=[]))],
+    "ks-dim-zero": lambda w: ["ks", "search", w("dim-zero.json", _family_with(dim=0, vectors={}, contexts=[]))],
     "eval-state-rows-fractional": lambda w: ["eval", "--bind", w("bind-for-rows.json", _state_and_bindings_json()[1]),
                                              "--state", w("state-rows.json", {**_state_and_bindings_json()[0],
                                                                               "rows": 3.5}), "P"],
@@ -676,6 +679,8 @@ _WRONG_SHAPE_MESSAGES = {
     "ks-dim-infinite": "dim must be a finite number in the float range",
     "ks-vector-entry-too-large": "vectors['e1'][0][0] must be a finite number in the float range",
     "ks-dim-fractional": "dim must be a whole number, got 3.9",
+    "ks-dim-negative": "dim must be at least 1, got -1",
+    "ks-dim-zero": "dim must be at least 1, got 0",
     "eval-state-rows-fractional": "rows must be a whole number, got 3.5",
     "rexpansion-map-string-bound": "pieces[0].lo must be a number, got str",
 }

@@ -110,7 +110,7 @@ def _vertex_oracle(variables, rows) -> bool:
     n = len(variables)
     bounds = _box(variables)
     planes = [
-        ([row.coeff_map().get(v, Fraction(0)) for v in variables], row.rhs) for row in rows + bounds
+        ([dict(row.coeffs).get(v, Fraction(0)) for v in variables], row.rhs) for row in rows + bounds
     ]
     for subset in itertools.combinations(planes, n):
         x = _solve_square(subset)

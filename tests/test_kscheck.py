@@ -187,7 +187,9 @@ def test_rs3_on_ks_fixture_is_empty():
 def recursive_search(family, cap=None):
     """The search as one recursion level per open context: same choice
     order, kept as the oracle of the explicit-stack loop."""
-    adj, ids, contexts = kscheck._prepared(family, kscheck.DEFAULT_TOL)
+    adj = kscheck.orthogonality_graph(family)
+    ids = family.ids()
+    contexts = [sorted(ctx, key=ids.index) for ctx in family.contexts]
     state, found = {}, {"first": None, "count": 0}
 
     def choose():
@@ -257,9 +259,22 @@ def test_search_loop_matches_recursive_oracle():
         _, count = recursive_search(fam, cap=10**6)
         assert kscheck.search_classical_valuation(fam) == first
         assert kscheck.count_solutions(fam) == count
-        assert kscheck.count_solutions(fam, cap=3) == recursive_search(fam, cap=3)[1]
+        for cap in (1, 3):
+            assert kscheck.count_solutions(fam, cap=cap) == recursive_search(fam, cap=cap)[1]
         satisfiable += first is not None
     assert satisfiable > 0  # both verdicts are covered
+
+
+def test_vector_listed_twice_in_a_context_is_zero():
+    # e1 can never be the one 1 of (e1, e1, e2, e3); context masks are
+    # unions, so the repeat must not set another bit
+    fam = kscheck.VectorContextFamily(3, standard_family().vectors, (("e1", "e1", "e2", "e3"),))
+    first = {"e1": 0, "e2": 1, "e3": 0}
+    assert kscheck.search_classical_valuation(fam) == recursive_search(fam)[0] == first
+    # cap None stops at the first solution, as the search does
+    for cap, count in ((None, 1), (1, 1), (3, 2), (10**6, 2)):
+        assert kscheck.count_solutions(fam, cap=cap) == recursive_search(fam, cap=cap)[1] == count
+    assert kscheck.exhaustive_count(fam) == brute_force_count(fam) == 2
 
 
 def test_exhaustive_count_in_chunks_matches_search(monkeypatch):

@@ -351,7 +351,7 @@ def _scrambled_complements(n_atoms: int, seed: int) -> oml.FiniteOML:
     b = oml.boolean_lattice(n_atoms)
     perm = list(b.elements)
     random.Random(seed).shuffle(perm)
-    pairs = [(x, y) for x in b.elements for y in b.elements if x != y and b.leq_ids(x, y)]
+    pairs = [(x, y) for x in b.elements for y in b.elements if x != y and b.leq[b.index[x], b.index[y]]]
     return oml.FiniteOML(b.elements, pairs, dict(zip(b.elements, perm)), "0", "1")
 
 
@@ -475,6 +475,21 @@ def test_legal_search_pins_stay_out_of_the_state_rows():
     result = oml.find_state(lattice)
     assert result.feasible and result.residual == 0.0
     assert oml.legal_valuation_search(lattice, quantum_nmatrix(1.0)).feasible
+
+
+def test_legal_search_builds_the_state_rows_only_for_a_certificate():
+    # a point needs no state rows; a certificate is mapped back to them,
+    # so the search that finds one builds them on a fresh lattice
+    matrix = quantum_nmatrix(1.0)
+    feasible = oml.boolean_lattice(3)
+    assert oml.legal_valuation_search(feasible, matrix, partial={"a": Fraction(1, 3)}).feasible
+    assert feasible._state_rows is None
+    lattice = oml.boolean_lattice(3)
+    pins = {"a": 1, lattice.ortho_id("a"): 1}  # contradicts the complement row at presolve
+    result = oml.legal_valuation_search(lattice, matrix, partial=pins)
+    assert not result.feasible and result.certificate is not None
+    pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+    assert result.certificate.verify(oml.state_constraints(lattice)[1] + pin_rows)
 
 
 def _greechie_chain(blocks: int) -> oml.FiniteOML:
@@ -1227,6 +1242,6 @@ def test_greechie_pasted_pair():
     lattice = oml.from_greechie(["a", "b", "c", "d", "e"], [["a", "b", "c"], ["c", "d", "e"]])
     assert oml.verify_oml(lattice).ok
     # shared atom: complement of c absorbs the other four atoms
-    assert lattice.leq_ids("a", "c'") and lattice.leq_ids("d", "c'")
+    assert lattice.leq[lattice.index["a"], lattice.index["c'"]] and lattice.leq[lattice.index["d"], lattice.index["c'"]]
     result = oml.find_state(lattice)
     assert result.feasible and result.residual == 0.0
