@@ -11,6 +11,12 @@ of its 1s and 0s, and each backtracking frame keeps the pair it started
 from, so a backtrack restores a snapshot.  Contexts are processed
 most-constrained first with deterministic tie-breaking by family order,
 their vectors in id order.
+
+``exhaustive_count`` is the independent oracle: it checks all 2^n
+assignments, bit-sliced, so bit x of a uint64 word is assignment x and one
+word op checks 64 assignments.  The low ``_CHUNK_BITS`` = 18 vectors range
+over a chunk of 4,096 words (32 KB per column, at most 12 columns, under
+0.4 MB); each pattern of the vectors above them is one chunk.
 """
 
 from __future__ import annotations
@@ -132,7 +138,8 @@ def verify_contexts(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> Co
 
 
 def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
-    """Backtracking core: returns (first solution, count up to cap).
+    """Backtracking core: returns (first solution, count up to cap), where a
+    cap of None counts every solution.
 
     Vector k of ``family.ids()`` is bit k.  Each context and each vector's
     orthogonality neighbourhood is an int mask, and an assignment is two
@@ -176,7 +183,7 @@ def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
                 count += 1
                 if first is None:
                     first = {vid: ones >> k & 1 for k, vid in enumerate(ids)}
-                if count_cap is None or count >= count_cap:
+                if count_cap is not None and count >= count_cap:
                     break
         # backtrack to the innermost context with an untried vector left,
         # and set that vector to 1 on the snapshot the context started from
@@ -206,50 +213,80 @@ def search_classical_valuation(
     across contexts, so a returned assignment is globally consistent;
     unassigned leftovers (vectors outside every context) default to 0.
     """
-    first, _ = _search(family, tol, count_cap=None)
+    first, _ = _search(family, tol, count_cap=1)
     return first
 
 
-def count_solutions(family: VectorContextFamily, cap: int = 10**6, tol: float = DEFAULT_TOL) -> int:
-    """Exact solution count (up to cap) by exhaustive backtracking."""
+def count_solutions(family: VectorContextFamily, cap: int | None = 10**6, tol: float = DEFAULT_TOL) -> int:
+    """Exact solution count (up to cap; None means no cap) by exhaustive
+    backtracking."""
     _, count = _search(family, tol, count_cap=cap)
     return count
 
 
-#: exhaustive_count checks at most 2**_CHUNK_BITS assignments at a time
-_CHUNK_BITS = 15
+#: exhaustive_count checks 2**_CHUNK_BITS assignments at a time
+_CHUNK_BITS = 18
+
+_ZERO, _ALL = np.uint64(0), np.uint64(2**64 - 1)
+#: the value of vector k < 6 in a word whose bit x is assignment x: bit x of
+#: _PATTERNS[k] is bit k of x (0xAAAA..., 0xCCCC..., 0xF0F0..., ...)
+_PATTERNS = [np.uint64(sum(1 << x for x in range(64) if x >> k & 1)) for k in range(6)]
 
 
 def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> int:
     """Solution count by sheer enumeration of all 2^n assignments.
 
-    Independent of the backtracking path: assignments are bitmasks, the
-    exactly-one and no-orthogonal-pair constraints are evaluated by
-    vectorized popcounts.  The low ``_CHUNK_BITS`` vectors range over one
-    fixed grid of bit columns and the others are constants per chunk, so
-    memory stays bounded.  Practical up to roughly 22 vectors.
+    Independent of the backtracking path, and bit-sliced: a chunk of
+    assignments is an array of 64-bit words whose bit x is assignment x, so
+    each word op checks 64 assignments at once.  Vector k of ``family.ids()``
+    is bit k of the assignment.  For k < 6 its value is one of the constant
+    ``_PATTERNS`` words; for 6 <= k < low, with low = min(n, ``_CHUNK_BITS``),
+    it is a column that is ~0 in the words whose index has bit k - 6 set and
+    0 elsewhere; the vectors above low are constants, 0 or ~0, one chunk per
+    pattern of them.  A chunk of 2**18 assignments is 4,096 words, 32 KB per
+    column, at most 12 columns.  Below 6 low bits a word holds 2**low
+    assignments and the rest of it is masked off.
+
+    A context holds exactly one 1 where its running parity is 1 and no 1
+    met a 1 before it; an orthogonal pair outside every shared context is
+    not both 1; an uncovered vector is 0, the convention of the search.
+    The count is the number of set bits that pass every constraint.
+    Practical up to roughly 22 vectors.
     """
     ids = family.ids()
     n = len(ids)
     if n > 22:
         raise ValueError(f"exhaustive enumeration over {n} vectors is too large")
     low = min(n, _CHUNK_BITS)
-    grid = np.arange(1 << low, dtype=np.int64)
-    low_bits = [((grid >> k) & 1).astype(np.uint8) for k in range(low)]
-    covered = {vid for ctx in family.contexts for vid in ctx}
+    words = np.arange(1 << max(low - 6, 0), dtype=np.uint64)
+    low_values = _PATTERNS[:low] + [np.where(words >> k & 1, _ALL, _ZERO) for k in range(low - 6)]
+    mask = _ALL if low >= 6 else np.uint64((1 << (1 << low)) - 1)
+    position = {vid: k for k, vid in enumerate(ids)}
+    contexts = [[position[vid] for vid in ctx] for ctx in family.contexts]
+    uncovered = sorted(set(range(n)).difference(*contexts))
+    together = {(a, b) for ctx in contexts for a in ctx for b in ctx}  # pairs exactly-one excludes
     adj = orthogonality_graph(family, tol)
-    edges = [(a, b) for a in ids for b in adj[a] if a < b]
+    later = [
+        [b for b in map(position.get, adj[vid]) if b > a and (a, b) not in together]
+        for a, vid in enumerate(ids)
+    ]
     total = 0
-    for high in itertools.product((0, 1), repeat=n - low):
-        # bit[vid] is vector vid's value: a column over the chunk, or one int
-        bit = dict(zip(ids, low_bits + list(high)))
-        ok = np.ones(1 << low, dtype=bool)
-        for vid in ids:
-            if vid not in covered:  # same convention as the search: default to 0
-                ok &= bit[vid] == 0
-        for ctx in family.contexts:
-            ok &= sum(bit[vid] for vid in ctx) == 1
-        for a, b in edges:
-            ok &= (bit[a] & bit[b]) == 0
-        total += int(ok.sum())
+    for high in itertools.product((_ZERO, _ALL), repeat=n - low):
+        value = low_values + list(high)
+        ok = np.full(len(words), mask)
+        for a in uncovered:
+            ok &= ~value[a]
+        for ctx in contexts:
+            one = more = _ZERO  # parity of the 1s so far; a 1 met a 1 before it
+            for a in ctx:
+                more = more | one & value[a]
+                one = one ^ value[a]
+            ok &= one & ~more
+        for a, bs in enumerate(later):
+            if bs:
+                either = _ZERO
+                for b in bs:
+                    either = either | value[b]
+                ok &= ~(value[a] & either)
+        total += int.from_bytes(ok.tobytes(), "little").bit_count()
     return total

@@ -11,9 +11,8 @@ the two notions coincide.
 Interval matrices over V = [0,1] interpret the binary connectives by cases on
 a binary relation between the denoted propositions (orthogonal or not), so
 legality checks for them need a relation oracle supplied by the caller.
-:class:`Bindings` is the one denotation evaluator behind both oracles the
-package ships: projectors (``quantum.ProjectorBindings``) and the elements of
-a finite orthomodular lattice (``oml.LatticeBindings``).
+:class:`Bindings` is the one denotation evaluator behind such an oracle;
+the package ships it for projectors (``quantum.ProjectorBindings``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@ lattice laws, interval truth tables and, on a verified OML only, states,
 two-valued homomorphisms and legal valuations (states again).
 
 Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
-orthogonality relation, which ``LatticeBindings`` (an ``nmatrix.Bindings``)
-supplies.
+orthogonality relation, read off the order table (``FiniteOML.orthogonal``).
 
 ``state_constraints`` is the specification of a state: one equality per
 complement pair and per orthogonal pair.  The searches solve the lattice's
@@ -32,9 +31,8 @@ import numpy as np
 from .feasibility import (
     EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility, to_fraction,
 )
-from .formulas import Formula
 from .linalg import DEFAULT_TOL, _bits, json_list, json_object
-from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix
+from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, IntervalNMatrix
 from .quantum import quantum_nmatrix
 
 
@@ -206,22 +204,6 @@ def _greatest_below(down: np.ndarray) -> np.ndarray:
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
     return table[rank][:, rank]
-
-
-def meet_oml(l: FiniteOML, a: str, b: str) -> str:
-    meet, _ = l._bound_tables()
-    idx = meet[l.index[a], l.index[b]]
-    if idx < 0:
-        raise ValueError(f"meet of {a!r} and {b!r} does not exist or is not unique")
-    return l.elements[idx]
-
-
-def join_oml(l: FiniteOML, a: str, b: str) -> str:
-    _, join = l._bound_tables()
-    idx = join[l.index[a], l.index[b]]
-    if idx < 0:
-        raise ValueError(f"join of {a!r} and {b!r} does not exist or is not unique")
-    return l.elements[idx]
 
 
 @dataclass(frozen=True)
@@ -442,11 +424,18 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
         pairs = np.nonzero(orthogonal)
         additivity = np.full(orthogonal.shape, -1)  # the row of each orthogonal pair, both ways
         additivity[pairs] = additivity[pairs[::-1]] = np.arange(len(rows), len(rows) + len(pairs[0]))
-        for i, j in zip(*(a.tolist() for a in pairs)):
-            coeffs = {names[join[i, j]]: 1}
-            coeffs[names[i]] = coeffs.get(names[i], 0) - 1
-            coeffs[names[j]] = coeffs.get(names[j], 0) - 1
-            rows.append(make_row(coeffs, EQ, 0, f"additivity:{names[i]}|{names[j]}"))
+        # join - i - j = 0, as make_row would build it: sorted, zero terms
+        # dropped (i < j, so the join is at most one of them)
+        one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+        for i, j, k in zip(pairs[0].tolist(), pairs[1].tolist(), join[pairs].tolist()):
+            a, b = names[i], names[j]
+            if k == i:
+                coeffs = ((b, minus_one),)
+            elif k == j:
+                coeffs = ((a, minus_one),)
+            else:
+                coeffs = tuple(sorted(((names[k], one), (a, minus_one), (b, minus_one))))
+            rows.append(Row(coeffs, EQ, zero, f"additivity:{a}|{b}"))
         l._state_rows = names, tuple(rows), additivity
     names, rows, _ = l._state_rows
     return list(names), list(rows)
@@ -683,30 +672,6 @@ def find_two_valued_valuation(l: FiniteOML, count_all: bool = False) -> tuple[di
 
 # ---------------------------------------------------------------------------
 # interval tables over a lattice
-
-
-class LatticeBindings(Bindings[str]):
-    """Binds formula atoms to lattice elements; denotation and orthogonality
-    come from the lattice tables, so classification is exact."""
-
-    def __init__(self, lattice: FiniteOML, atoms: Mapping[str, str]):
-        self.lattice = lattice
-        unknown = set(atoms.values()) - set(lattice.elements)
-        if unknown:
-            raise ValueError(f"bindings to unknown elements {sorted(unknown)}")
-        super().__init__(atoms)
-
-    def ortho(self, e: str) -> str:
-        return self.lattice.ortho_id(e)
-
-    def meet(self, a: str, b: str) -> str:
-        return meet_oml(self.lattice, a, b)
-
-    def join(self, a: str, b: str) -> str:
-        return join_oml(self.lattice, a, b)
-
-    def classify(self, left: Formula, right: Formula) -> str:
-        return ORTHOGONAL if self.lattice.orthogonal(self.denote(left), self.denote(right)) else NON_ORTHOGONAL
 
 
 @dataclass(frozen=True)

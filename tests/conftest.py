@@ -1,11 +1,13 @@
 import json
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 from qnsem import hilbert
 from qnsem.linalg import DimensionMismatch, as_matrix, max_norm
-from qnsem.nmatrix import ANY, IntervalNMatrix, IntervalRule
+from qnsem.formulas import Formula
+from qnsem.nmatrix import ANY, NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix, IntervalRule
 from qnsem.oml import FiniteOML
 from qnsem.quantum import CAP_AND, DETERMINISTIC_NOT, SPAN_OR
 
@@ -78,6 +80,46 @@ def chain_with_fixed_point() -> FiniteOML:
     pairs = [("0", "m"), ("0", "1"), ("m", "1")]
     ortho = {"0": "1", "1": "0", "m": "m"}
     return FiniteOML(elements, pairs, ortho, "0", "1")
+
+
+def meet_oml(l: FiniteOML, a: str, b: str) -> str:
+    meet, _ = l._bound_tables()
+    idx = meet[l.index[a], l.index[b]]
+    if idx < 0:
+        raise ValueError(f"meet of {a!r} and {b!r} does not exist or is not unique")
+    return l.elements[idx]
+
+
+def join_oml(l: FiniteOML, a: str, b: str) -> str:
+    _, join = l._bound_tables()
+    idx = join[l.index[a], l.index[b]]
+    if idx < 0:
+        raise ValueError(f"join of {a!r} and {b!r} does not exist or is not unique")
+    return l.elements[idx]
+
+
+class LatticeBindings(Bindings[str]):
+    """Binds formula atoms to lattice elements; denotation and orthogonality
+    come from the lattice tables, so classification is exact."""
+
+    def __init__(self, lattice: FiniteOML, atoms: Mapping[str, str]):
+        self.lattice = lattice
+        unknown = set(atoms.values()) - set(lattice.elements)
+        if unknown:
+            raise ValueError(f"bindings to unknown elements {sorted(unknown)}")
+        super().__init__(atoms)
+
+    def ortho(self, e: str) -> str:
+        return self.lattice.ortho_id(e)
+
+    def meet(self, a: str, b: str) -> str:
+        return meet_oml(self.lattice, a, b)
+
+    def join(self, a: str, b: str) -> str:
+        return join_oml(self.lattice, a, b)
+
+    def classify(self, left: Formula, right: Formula) -> str:
+        return ORTHOGONAL if self.lattice.orthogonal(self.denote(left), self.denote(right)) else NON_ORTHOGONAL
 
 
 @pytest.fixture

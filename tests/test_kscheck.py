@@ -186,7 +186,8 @@ def test_rs3_on_ks_fixture_is_empty():
 
 def recursive_search(family, cap=None):
     """The search as one recursion level per open context: same choice
-    order, kept as the oracle of the explicit-stack loop."""
+    order, kept as the oracle of the explicit-stack loop.  A cap of None
+    counts every solution."""
     adj = kscheck.orthogonality_graph(family)
     ids = family.ids()
     contexts = [sorted(ctx, key=ids.index) for ctx in family.contexts]
@@ -222,7 +223,7 @@ def recursive_search(family, cap=None):
             found["count"] += 1
             if found["first"] is None:
                 found["first"] = {**dict.fromkeys(ids, 0), **state}
-            return cap is None or found["count"] >= cap
+            return cap is not None and found["count"] >= cap
         for v in free:
             changed, ok = assign(v)
             if ok and rec():
@@ -255,11 +256,10 @@ def _benchmark_families():
 def test_search_loop_matches_recursive_oracle():
     satisfiable = 0
     for fam in _benchmark_families():
-        first, _ = recursive_search(fam)
-        _, count = recursive_search(fam, cap=10**6)
+        first, count = recursive_search(fam)
         assert kscheck.search_classical_valuation(fam) == first
         assert kscheck.count_solutions(fam) == count
-        for cap in (1, 3):
+        for cap in (None, 1, 3):
             assert kscheck.count_solutions(fam, cap=cap) == recursive_search(fam, cap=cap)[1]
         satisfiable += first is not None
     assert satisfiable > 0  # both verdicts are covered
@@ -271,10 +271,62 @@ def test_vector_listed_twice_in_a_context_is_zero():
     fam = kscheck.VectorContextFamily(3, standard_family().vectors, (("e1", "e1", "e2", "e3"),))
     first = {"e1": 0, "e2": 1, "e3": 0}
     assert kscheck.search_classical_valuation(fam) == recursive_search(fam)[0] == first
-    # cap None stops at the first solution, as the search does
-    for cap, count in ((None, 1), (1, 1), (3, 2), (10**6, 2)):
+    for cap, count in ((None, 2), (1, 1), (3, 2), (10**6, 2)):
         assert kscheck.count_solutions(fam, cap=cap) == recursive_search(fam, cap=cap)[1] == count
     assert kscheck.exhaustive_count(fam) == brute_force_count(fam) == 2
+
+
+def test_count_without_cap_counts_every_solution():
+    fam = rotated_family()
+    count = brute_force_count(fam)
+    assert count >= 2
+    assert kscheck.count_solutions(fam, cap=None) == count
+
+
+def _cut_peres_family(rng, n):
+    """n of Peres's 24 rays and a random third of its contexts, each cut down
+    to those rays: contexts lose vectors, and a ray whose contexts all went
+    is uncovered."""
+    import known
+
+    peres = known.peres24()
+    keep = set(rng.choice(sorted(peres.vectors), size=n, replace=False).tolist())
+    contexts = (tuple(v for v in ctx if v in keep) for ctx, pick in zip(peres.contexts, rng.random(24) < 0.35) if pick)
+    vectors = {vid: np.array(peres.vectors[vid], dtype=np.complex128) for vid in keep}
+    return kscheck.VectorContextFamily(4, vectors, tuple(ctx for ctx in contexts if ctx))
+
+
+def test_bit_sliced_count_matches_brute_force_at_every_chunk_size(monkeypatch):
+    # n = 5, 6 and 7 sit at the edge of one 64-bit word; chunks of 0 and 3
+    # bits (up to n = 10) make most vectors per-chunk constants, 6 and 7 one
+    # or two words
+    # the count, like the search, holds an uncovered vector at 0: it is the
+    # oracle's count on the covered vectors alone
+    rng = np.random.default_rng(2025)
+    families = [_cut_peres_family(rng, n) for n in range(1, 17) for _ in range(1 + (n <= 12))]
+    covered = [{v for ctx in fam.contexts for v in ctx} for fam in families]
+    expected = [
+        brute_force_count(kscheck.VectorContextFamily(4, {v: fam.vectors[v] for v in c}, fam.contexts))
+        for c, fam in zip(covered, families)
+    ]
+    assert any(len(c) < len(fam.vectors) for c, fam in zip(covered, families))  # uncovered vectors
+    assert any(0 < len(ctx) < 4 for fam in families for ctx in fam.contexts)  # contexts with vectors dropped
+    assert 0 in expected and max(expected) > 1
+    for chunk_bits in (0, 3, 6, 7, kscheck._CHUNK_BITS):
+        monkeypatch.setattr(kscheck, "_CHUNK_BITS", chunk_bits)
+        up_to = 16 if chunk_bits > 3 else 10  # one chunk per assignment is slow
+        cases = [(fam, count) for fam, count in zip(families, expected) if len(fam.vectors) <= up_to]
+        assert [kscheck.exhaustive_count(fam) for fam, _ in cases] == [count for _, count in cases], chunk_bits
+
+
+def test_exhaustive_count_stops_at_22_vectors():
+    # one single-vector context each: the all-ones assignment is the only one
+    vectors = {f"v{i:02d}": np.array([1.0 + 0j]) for i in range(23)}
+    fam = kscheck.VectorContextFamily(1, vectors, tuple((vid,) for vid in sorted(vectors)))
+    with pytest.raises(ValueError, match="23 vectors is too large"):
+        kscheck.exhaustive_count(fam)
+    del vectors["v22"]
+    assert kscheck.exhaustive_count(kscheck.VectorContextFamily(1, vectors, fam.contexts[:22])) == 1
 
 
 def test_exhaustive_count_in_chunks_matches_search(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import adequate_restricted_tables, chain_with_fixed_point
+from conftest import LatticeBindings, adequate_restricted_tables, chain_with_fixed_point, join_oml, meet_oml
 from qnsem import fixtures, oml
 from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
@@ -45,9 +45,9 @@ def test_mo2_verifies():
 
 def test_meet_join_examples():
     m = oml.mo2()
-    assert oml.meet_oml(m, "a", "1") == "a"
-    assert oml.meet_oml(m, "a", "b") == "0"  # horizontal sum
-    assert oml.join_oml(m, "a", "a'") == "1"
+    assert meet_oml(m, "a", "1") == "a"
+    assert meet_oml(m, "a", "b") == "0"  # horizontal sum
+    assert join_oml(m, "a", "a'") == "1"
 
 
 def test_bound_error_on_broken_poset():
@@ -59,7 +59,7 @@ def test_bound_error_on_broken_poset():
     ortho = {"0": "1", "1": "0", "x": "p", "p": "x", "y": "q", "q": "y"}
     broken = oml.FiniteOML(elements, pairs, ortho, "0", "1")
     with pytest.raises(ValueError, match="does not exist or is not unique"):
-        oml.meet_oml(broken, "p", "q")
+        meet_oml(broken, "p", "q")
     assert not oml.verify_oml(broken).ok
 
 
@@ -253,10 +253,10 @@ def _unclosed_relation():
 def test_every_table_reader_refuses_a_relation_that_is_no_partial_order(build, fault):
     message = f"^not a partial order: {re.escape(fault)}$"
     lattice = build()
-    bindings = oml.LatticeBindings(lattice, {"P": "a", "Q": "b"})
+    bindings = LatticeBindings(lattice, {"P": "a", "Q": "b"})
     readers = [
-        lambda: oml.meet_oml(lattice, "a", "b"),
-        lambda: oml.join_oml(lattice, "a", "a"),
+        lambda: meet_oml(lattice, "a", "b"),
+        lambda: join_oml(lattice, "a", "a"),
         lambda: lattice.bound_table("meet"),
         lambda: bindings.denote(And(Atom("P"), Atom("Q"))),
         lambda: bindings.denote(Or(Atom("P"), Atom("Q"))),
@@ -447,18 +447,17 @@ def test_find_state_mo2():
     assert result.feasible and result.residual == 0.0
 
 
-def test_state_rows_are_built_once_and_returned_as_new_lists(monkeypatch):
+def test_state_rows_are_built_once_and_returned_as_new_lists():
+    # a second build would make new Row objects and a new cache entry
     lattice = oml.boolean_lattice(3)
-    built = []
-    build_row = oml.make_row
-    monkeypatch.setattr(oml, "make_row", lambda *args: built.append(args[-1]) or build_row(*args))
     names, rows = oml.state_constraints(lattice)
-    count = len(built)
-    assert count == len(rows) and names == list(lattice.elements)
+    cached = lattice._state_rows
+    assert names == list(lattice.elements) and cached[1] == tuple(rows)
     names.append("junk")
     rows.append(make_row({"a": 1}, EQ, 1, "junk"))
     again_names, again_rows = oml.state_constraints(lattice)
-    assert len(built) == count
+    assert lattice._state_rows is cached
+    assert all(again is row for again, row in zip(again_rows, cached[1]))
     assert again_names == list(lattice.elements) and again_rows == rows[:-1]
     assert again_names is not names and again_rows is not rows
 
@@ -941,7 +940,7 @@ def test_mo2_distinct_blocks_are_not_orthogonal():
     lattice = oml.mo2()
     assert not lattice.orthogonal("a", "b")
     assert lattice.orthogonal("a", "a'")
-    bindings = oml.LatticeBindings(lattice, {"P": "a", "Q": "b"})
+    bindings = LatticeBindings(lattice, {"P": "a", "Q": "b"})
     assert bindings.classify(Atom("P"), Atom("Q")) == NON_ORTHOGONAL
     assert bindings.denote(Or(Atom("P"), Atom("Q"))) == "1"
 
@@ -949,7 +948,7 @@ def test_mo2_distinct_blocks_are_not_orthogonal():
 def test_lattice_bindings_formula_legality():
     lattice = oml.mo2()
     matrix = quantum_nmatrix(1.0)
-    bindings = oml.LatticeBindings(lattice, {"P": "a", "Q": "b"})
+    bindings = LatticeBindings(lattice, {"P": "a", "Q": "b"})
     mu = {Atom("P"): 0.5, Atom("Q"): 0.5, Or(Atom("P"), Atom("Q")): 1.0,
           Not(Atom("P")): 0.5}
     assert is_dynamic_legal(mu, matrix, bindings).ok
@@ -968,7 +967,7 @@ def test_bindings_agree_across_backends():
     # 2^3 with its atoms bound to a, b, c, and the diagonal rank-one
     # projectors: element "ab" must denote diag(1, 1, 0), and so on
     lattice = oml.boolean_lattice(3)
-    on_lattice = oml.LatticeBindings(lattice, {x: x for x in "abc"})
+    on_lattice = LatticeBindings(lattice, {x: x for x in "abc"})
     on_projectors = ProjectorBindings({x: np.diag([float(x == y) for y in "abc"]) for x in "abc"})
 
     def diagonal(element: str) -> np.ndarray:
