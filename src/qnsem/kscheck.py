@@ -263,7 +263,7 @@ def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> i
     mask = _ALL if low >= 6 else np.uint64((1 << (1 << low)) - 1)
     position = {vid: k for k, vid in enumerate(ids)}
     contexts = [[position[vid] for vid in ctx] for ctx in family.contexts]
-    uncovered = sorted(set(range(n)).difference(*contexts))
+    uncovered = set(range(n)).difference(*contexts)
     together = {(a, b) for ctx in contexts for a in ctx for b in ctx}  # pairs exactly-one excludes
     adj = orthogonality_graph(family, tol)
     later = [
