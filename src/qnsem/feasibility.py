@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 EQ, LE, GE = "==", "<=", ">="
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     coeffs: tuple[tuple[str, Fraction], ...]
     rel: str
     rhs: Fraction

@@ -180,33 +180,21 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]|\S")
 _NO_UNARY = frozenset(("&", "|", ")", ""))  # tokens that cannot start a unary
 
 
-def _tokenize(text: str):
-    """(kind, offset[, name]) per token and a final ("end", len(text)); raises
-    at the first character that starts no token.  Only errors need it."""
-    tokens = []
-    ascii_text = str.translate(text, _ALIASES)
-    i = 0
-    while i < len(text):
-        c = ascii_text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "!&|()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            tokens.append(("atom", i, m.group()))
-            i = m.end()
-            continue
-        raise ParseError(text, i, ("'!'", "'&'", "'|'", "'('", "')'", "atom"))
-    tokens.append(("end", len(text)))
-    return tokens
+_LEXICAL = ("'!'", "'&'", "'|'", "'('", "')'", "atom")  # what a stray character could have been
 
 
 def _syntax_error(text: str, k: int, expected: tuple[str, ...]) -> ParseError:
-    return ParseError(text, _tokenize(text)[k][1], expected)
+    """The error for token ``k`` of ``_TOKEN_RE`` over the alias-translated
+    text (``len(text)`` past the last): a character that starts no token,
+    wherever it stands, is reported as a lexical error instead."""
+    offsets = []
+    for m in _TOKEN_RE.finditer(str.translate(text, _ALIASES)):
+        tok = m.group()
+        if len(tok) == 1 and tok not in "!&|()" and not _ATOM_RE.fullmatch(tok):
+            return ParseError(text, m.start(), _LEXICAL)
+        offsets.append(m.start())
+    offsets.append(len(text))
+    return ParseError(text, offsets[k], expected)
 
 
 def parse(text: str) -> Formula:
@@ -216,8 +204,8 @@ def parse(text: str) -> Formula:
 
     The tokens are plain strings from one ``findall``, with ``""`` for the
     end.  A character that starts no token is a one-character token that no
-    rule accepts, so it ends in ``_syntax_error``, whose re-scan by
-    ``_tokenize`` raises the lexical error before any syntax error.  The
+    rule accepts, so it ends in ``_syntax_error``, whose re-scan reports the
+    first such character as a lexical error before any syntax error.  The
     aliases map one character to one, so offsets stay put; they are looked
     up only for an error.  Nodes are looked up in ``_TABLE`` with the keys
     documented there; a constructor runs only when no live node has the key."""

@@ -114,27 +114,15 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def zero(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim), dtype=np.complex128)
-
-
-def projector_from_span(vectors, tol: float = DEFAULT_TOL, dim: int | None = None) -> np.ndarray:
+def projector_from_span(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the given vectors.
 
-    Dependent vectors are dropped by Gram-Schmidt.  An empty span yields the
-    zero projector (the lattice bottom); pass ``dim`` when the list may be
-    empty, since the dimension cannot be inferred from nothing.
+    Dependent vectors are dropped by Gram-Schmidt.  Vectors that span
+    nothing (none, or all zero within ``tol``) raise ``DimensionMismatch``.
     """
-    vectors = list(vectors)
-    basis = orthonormalize(vectors, tol)
+    basis = orthonormalize(list(vectors), tol)
     if not basis:
-        if vectors:
-            dim = np.asarray(vectors[0]).reshape(-1).size
-        if dim is None:
-            raise DimensionMismatch("empty span needs an explicit dimension")
-        return zero(dim)
-    if dim is not None and dim != basis[0].size:
-        raise DimensionMismatch(f"vectors of length {basis[0].size} but dim={dim}")
+        raise DimensionMismatch("the vectors span nothing")
     dim = basis[0].size
     p = np.zeros((dim, dim), dtype=np.complex128)
     for e in basis:

@@ -219,7 +219,9 @@ def search_classical_valuation(
 
 def count_solutions(family: VectorContextFamily, cap: int | None = 10**6, tol: float = DEFAULT_TOL) -> int:
     """Exact solution count (up to cap; None means no cap) by exhaustive
-    backtracking."""
+    backtracking.  A cap below 1 raises ValueError."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     _, count = _search(family, tol, count_cap=cap)
     return count
 

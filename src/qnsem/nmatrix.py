@@ -42,9 +42,7 @@ ORTHOGONAL = "orthogonal"
 NON_ORTHOGONAL = "non_orthogonal"
 AMBIGUOUS = "ambiguous"
 
-# Input cases keyed by designation: unary tables split by whether the input
-# is designated, binary ones by both inputs ("du": designated left,
-# undesignated right).
+# Input cases of a unary table, keyed by whether the input is designated.
 DESIGNATED = "designated"
 UNDESIGNATED = "undesignated"
 ANY = "any"
@@ -161,7 +159,7 @@ class FiniteNMatrix:
         }
 
     @staticmethod
-    def from_json(obj: dict, name: str = "") -> "FiniteNMatrix":
+    def from_json(obj: dict) -> "FiniteNMatrix":
         values = tuple(json_list(obj["values"], "values"))
         tables = {}
         for conn, table in json_object(obj["tables"], "tables").items():
@@ -170,7 +168,7 @@ class FiniteNMatrix:
                 parts = tuple(key.split(","))
                 cells[parts] = finite(*json_list(labels, f"tables[{conn!r}][{key!r}]"))
             tables[conn] = cells
-        return FiniteNMatrix(values, frozenset(json_list(obj["designated"], "designated")), tables, name)
+        return FiniteNMatrix(values, frozenset(json_list(obj["designated"], "designated")), tables)
 
 
 def _table(rows: Mapping[tuple[str, ...], Iterable[str]]):
@@ -282,21 +280,19 @@ _RELATION_CASES = {
     AMBIGUOUS: (True, True),
 }
 
-# Whether each input of a designation-keyed case is designated.
-_DESIGNATION_PATTERNS = {
-    DESIGNATED: (True,),
-    UNDESIGNATED: (False,),
-    "dd": (True, True),
-    "du": (True, False),
-    "ud": (False, True),
-    "uu": (False, False),
-}
+# The case keys a table of each arity may use.
+_CASES = {1: (ANY, DESIGNATED, UNDESIGNATED), 2: (ANY, ORTHOGONAL, NON_ORTHOGONAL)}
 
 
 @dataclass(frozen=True)
 class IntervalNMatrix:
     """Truth values V = [0,1] with designated set D = [alpha, 1] and
     case-split interval rules per connective.
+
+    Binary tables split by the relation of their inputs (``any``,
+    ``orthogonal``, ``non_orthogonal``), unary ones by whether their input
+    is designated (``any``, ``designated``, ``undesignated``); another
+    connective or case key raises ValueError.
 
     The matrix alone decides which case of a table governs an input:
     ``rule_cases`` for a point or a stack of trials, ``case_boxes`` for a
@@ -311,6 +307,15 @@ class IntervalNMatrix:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        for conn, table in self.tables.items():
+            if conn not in CONNECTIVE_ARITY:
+                raise ValueError(f"unknown connective {conn!r}")
+            cases = _CASES[CONNECTIVE_ARITY[conn]]
+            for case in table:
+                if case not in cases:
+                    raise ValueError(
+                        f"table for {conn!r} has case {case!r}; expected one of {', '.join(cases)}"
+                    )
 
     def is_designated(self, x: float, tol: float = DEFAULT_TOL) -> bool:
         return x >= self.alpha - tol
@@ -326,11 +331,11 @@ class IntervalNMatrix:
         governs the inputs: a bool for scalar inputs, a mask for arrays of
         them (one entry per trial).
 
-        Tables keyed by relation read ``relation``, the pair (orthogonal,
+        Binary tables read ``relation``, the pair (orthogonal,
         non_orthogonal) of where each case may hold (see
-        ``_RELATION_CASES``); tables keyed by input designation read the
-        inputs within ``tol`` of the threshold and ignore the relation.
-        ``case_boxes`` makes the same decision for boxes of inputs.
+        ``_RELATION_CASES``); unary tables read whether the input is
+        designated, within ``tol`` of the threshold.  ``case_boxes`` makes
+        the same decision for boxes of inputs.
         """
         cases = []
         for case, rule in self.tables[conn].items():
@@ -341,22 +346,20 @@ class IntervalNMatrix:
             elif case == NON_ORTHOGONAL:
                 applies = relation[1]
             else:
-                applies = True
-                for x, designated in zip(args, _DESIGNATION_PATTERNS[case]):
-                    applies = applies & (self.is_designated(x, tol) == designated)
+                applies = self.is_designated(args[0], tol) == (case == DESIGNATED)
             cases.append((rule, applies))
         return cases
 
     def case_boxes(self, case: str, boxes) -> tuple[tuple[float, float], ...] | None:
         """The part of the input boxes (one ``(lo, hi)`` per argument) the
-        case governs, or None when it is empty: a designation-keyed case cuts
-        each box to the designated or the undesignated interval, exactly."""
-        sides = {True: self.designated_set().segments[0], False: self.undesignated_set().segments[0]}
-        cut = list(boxes)
-        for k, designated in enumerate(_DESIGNATION_PATTERNS.get(case, ())):
-            (lo, hi), (side_lo, side_hi) = cut[k], sides[designated]
-            cut[k] = (max(lo, side_lo), min(hi, side_hi))
-        return None if any(lo > hi for lo, hi in cut) else tuple(cut)
+        case governs, or None when it is empty: a designation case cuts the
+        one box to the designated or the undesignated interval, exactly."""
+        if case not in (DESIGNATED, UNDESIGNATED):
+            return tuple(boxes)
+        side = self.designated_set() if case == DESIGNATED else self.undesignated_set()
+        (lo, hi), (side_lo, side_hi) = boxes[0], side.segments[0]
+        lo, hi = max(lo, side_lo), min(hi, side_hi)
+        return None if lo > hi else ((lo, hi),)
 
     def cell(self, conn: str, args, relation=(True, True), tol: float = DEFAULT_TOL) -> IntervalUnion:
         """The union of the cells governing scalar inputs."""
@@ -465,7 +468,9 @@ def is_dynamic_legal(
 
     Finite matrices need no oracle.  Interval matrices consult ``oracle`` for
     the relation case of each binary compound; borderline pairs are recorded
-    as ambiguous and accepted if the value fits either case.
+    as ambiguous and accepted if the value fits either case.  A compound
+    with an input outside the value domain has no cell and is not checked;
+    the lowest value outside the domain is a violation of its own.
     """
     mapping = _as_mapping(valuation)
     Valuation(mapping)  # closure check
@@ -479,36 +484,43 @@ def is_dynamic_legal(
                 if v not in matrix.values:
                     violations.append(LegalityViolation(f, v, finite(*matrix.values)))
                 continue
+            args = tuple(mapping[c] for c in children(f))
+            if not all(x in matrix.values for x in args):
+                continue  # no cell: the lowest value outside the domain is reported
             checked += 1
-            if isinstance(f, Not):
-                cell = matrix.cell("not", (mapping[f.child],))
-            else:
-                conn = "and" if isinstance(f, And) else "or"
-                cell = matrix.cell(conn, (mapping[f.left], mapping[f.right]))
-            if not cell.contains(v):
+            conn = "not" if isinstance(f, Not) else "and" if isinstance(f, And) else "or"
+            cell = matrix.cell(conn, args)
+            if v not in matrix.values or not cell.contains(v):  # an unhashable v is not in a cell
                 violations.append(LegalityViolation(f, v, cell))
         return LegalityReport(tuple(violations), (), checked)
 
     if not isinstance(matrix, IntervalNMatrix):
         raise TypeError(f"unsupported matrix type {type(matrix).__name__}")
 
-    unit = interval(0.0, 1.0)
+    unit, top = interval(0.0, 1.0), 1.0 + tol
     for f, v in mapping.items():
         if isinstance(f, Atom):
             if not unit.contains(float(v), tol):
                 violations.append(LegalityViolation(f, v, unit))
             continue
-        checked += 1
+        # no cell over an input outside [0,1]: the lowest such value is reported
         if isinstance(f, Not):
-            conn, args, case, relation = "not", (float(mapping[f.child]),), None, (True, True)
+            x = float(mapping[f.child])
+            if not -tol <= x <= top:
+                continue
+            conn, args, case, relation = "not", (x,), None, (True, True)
         else:
             if oracle is None:
                 raise ValueError("interval matrices need a relation oracle for binary compounds")
+            a, b = float(mapping[f.left]), float(mapping[f.right])
+            if not (-tol <= a <= top and -tol <= b <= top):
+                continue
             conn = "and" if isinstance(f, And) else "or"
             case = oracle.classify(f.left, f.right)
             if case == AMBIGUOUS:
                 ambiguous.append((f.left, f.right))
-            args, relation = (float(mapping[f.left]), float(mapping[f.right])), _RELATION_CASES[case]
+            args, relation = (a, b), _RELATION_CASES[case]
+        checked += 1
         if not matrix.admits(conn, float(v), args, relation, tol):
             violations.append(LegalityViolation(f, v, matrix.cell(conn, args, relation, tol), case))
     return LegalityReport(tuple(violations), tuple(ambiguous), checked)

@@ -88,9 +88,6 @@ class FiniteOML:
     def name(self, i: int) -> str:
         return self.elements[i]
 
-    def ortho_id(self, a: str) -> str:
-        return self.elements[self.ortho[self.index[a]]]
-
     def orthogonal(self, a: str, b: str) -> bool:
         return bool(self.leq[self.index[a], self.ortho[self.index[b]]])
 
@@ -720,18 +717,16 @@ def legal_valuation_search(
     l: FiniteOML,
     m: IntervalNMatrix,
     partial: Mapping[str, object] | None = None,
-    extra_rows: Sequence[Row] = (),
     exact: bool | None = None,  # selects nothing; perfbench/workloads.py still passes it
 ) -> FeasibilityResult:
     """Search for a [0,1] valuation legal for the lattice tables.
 
     The rows encode ``quantum_nmatrix(alpha)``, whose tables do not depend
-    on alpha; other matrices are refused.  ``partial`` pins chosen elements
-    and ``extra_rows`` lets callers inject additional constraints.  A pin
-    is read by ``to_fraction`` with denominators up to 10**9; a pin that is
-    not a finite number in [0,1] raises ValueError.  The rows are solved
-    exactly, so a point found is rational and satisfies them with residual
-    zero.
+    on alpha; other matrices are refused.  ``partial`` pins chosen
+    elements.  A pin is read by ``to_fraction`` with denominators up to
+    10**9; a pin that is not a finite number in [0,1] raises ValueError.
+    The rows are solved exactly, so a point found is rational and satisfies
+    them with residual zero.
 
     Precondition as for :func:`find_two_valued_valuation`.  On an OML the
     legal valuations are exactly the states, so the rows are those of
@@ -742,10 +737,10 @@ def legal_valuation_search(
     box.  Conversely, legality gives mu(0) = mu(a ^ a') = 0, the complement
     rows, and additivity on orthogonal pairs.
 
-    Those rows, the pins and ``extra_rows`` are solved on the lattice's
-    contexts, as in :func:`find_state`; the point covers every element, and
-    a certificate indexes the rows of :func:`state_constraints` followed by
-    the pins, in the order of ``partial``, and ``extra_rows``.
+    Those rows and the pins are solved on the lattice's contexts, as in
+    :func:`find_state`; the point covers every element, and a certificate
+    indexes the rows of :func:`state_constraints` followed by the pins, in
+    the order of ``partial``.
     """
     if m.tables != quantum_nmatrix(m.alpha).tables:
         raise ValueError(
@@ -760,5 +755,4 @@ def legal_valuation_search(
         if pin is None or not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
         rows.append(make_row({e: 1}, EQ, pin, f"pin:{e}"))
-    rows.extend(extra_rows)
     return _solve_on_contexts(l, rows)

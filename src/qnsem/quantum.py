@@ -393,9 +393,7 @@ class DoubleNegationReport:
         return self.chain_holds and self.stays_designated
 
 
-def double_negation_chain(
-    alpha: float, a: float, b: float, variant: str = "neg1"
-) -> DoubleNegationReport:
+def double_negation_chain(alpha: float, a: float, b: float) -> DoubleNegationReport:
     """Apply the first negation twice starting from designated a, with b the
     value chosen inside the first negation set [0, 1-a].
 
@@ -403,8 +401,6 @@ def double_negation_chain(
     below by a, so repeated double negation can only push designated values
     upward.
     """
-    if variant != "neg1":
-        raise ValueError("the ordering chain is stated for the first negation variant only")
     if not 0.5 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
     if not alpha <= a <= 1.0:

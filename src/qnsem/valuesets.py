@@ -66,9 +66,9 @@ class IntervalUnion:
             for lo, hi in self.segments
         )
 
-    def intersects(self, other: "IntervalUnion", tol: float = 0.0) -> bool:
+    def intersects(self, other: "IntervalUnion") -> bool:
         return any(
-            lo <= ohi + tol and olo <= hi + tol
+            lo <= ohi and olo <= hi
             for lo, hi in self.segments
             for olo, ohi in other.segments
         )
@@ -90,10 +90,6 @@ class IntervalUnion:
 
 def interval(lo: float, hi: float) -> IntervalUnion:
     return IntervalUnion(((float(lo), float(hi)),))
-
-
-def point(x: float) -> IntervalUnion:
-    return interval(x, x)
 
 
 def interval_union(segments: Iterable[tuple[float, float]]) -> IntervalUnion:

@@ -7,9 +7,9 @@ import pytest
 from qnsem import hilbert
 from qnsem.linalg import DimensionMismatch, as_matrix, max_norm
 from qnsem.formulas import Formula
-from qnsem.nmatrix import ANY, NON_ORTHOGONAL, ORTHOGONAL, Bindings, IntervalNMatrix, IntervalRule
+from qnsem.nmatrix import DESIGNATED, NON_ORTHOGONAL, ORTHOGONAL, UNDESIGNATED, Bindings, IntervalNMatrix, IntervalRule
 from qnsem.oml import FiniteOML
-from qnsem.quantum import CAP_AND, DETERMINISTIC_NOT, SPAN_OR
+from qnsem.quantum import DETERMINISTIC_NOT, quantum_nmatrix
 
 # Shared builders.  They are plain functions, not fixtures, because some
 # test modules parametrize over what they build at collection time; import
@@ -27,36 +27,13 @@ def operator_to_json(m, kind: str) -> dict:
     return {**matrix_to_json(m), "kind": kind}
 
 
-def adequate_restricted_tables(alpha: float) -> IntervalNMatrix:
-    """Tables cut down by input designation so the conjunction clauses of
-    adequacy hold; the undesignated disjunction cell is deliberately left
-    uncut, so that one clause still fails.
-
-    The designated-designated conjunction cell is [0, min(a,b)] intersected
-    with the designated interval; it is empty whenever an input pair sneaks
-    below the threshold, and that emptiness is reported as an error naming
-    the cell.  These are the only tables keyed by the designation of both
-    inputs (``dd``/``du``/``ud``/``uu``).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    and_cases = {
-        "dd": IntervalRule(
-            2, lambda a, b: alpha, lambda a, b: np.minimum(a, b), "[0, min(a,b)] cut to [alpha, min(a,b)]"
-        ),
-        "du": IntervalRule(2, lambda a, b: 0.0, lambda a, b: b, "[0, b]"),
-        "ud": IntervalRule(2, lambda a, b: 0.0, lambda a, b: a, "[0, a]"),
-        "uu": CAP_AND,
-    }
-    return IntervalNMatrix(
-        alpha,
-        {
-            "or": {ANY: SPAN_OR},
-            "and": and_cases,
-            "not": {ANY: DETERMINISTIC_NOT},
-        },
-        name=f"restricted(alpha={alpha:g})",
-    )
+def empty_negation_tables(alpha: float) -> IntervalNMatrix:
+    """The sharp binary tables with a negation whose designated cell
+    [alpha, 1 - a] is empty once a > 1 - alpha: the one table here whose
+    cells can be empty, which legality checks report by naming the rule."""
+    empty_not = IntervalRule(1, lambda a: alpha, lambda a: 1.0 - a, "[alpha, 1-a]")
+    tables = {**quantum_nmatrix(alpha).tables, "not": {DESIGNATED: empty_not, UNDESIGNATED: DETERMINISTIC_NOT}}
+    return IntervalNMatrix(alpha, tables, name=f"empty-negation(alpha={alpha:g})")
 
 
 def is_orthogonal(p, q, tol: float = 1e-9) -> bool:
@@ -110,7 +87,8 @@ class LatticeBindings(Bindings[str]):
         super().__init__(atoms)
 
     def ortho(self, e: str) -> str:
-        return self.lattice.ortho_id(e)
+        l = self.lattice
+        return l.elements[l.ortho[l.index[e]]]
 
     def meet(self, a: str, b: str) -> str:
         return meet_oml(self.lattice, a, b)

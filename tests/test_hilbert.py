@@ -15,10 +15,9 @@ def test_projector_from_span_examples():
     e = basis(2)
     assert np.allclose(hilbert.projector_from_span([e[0]]), np.diag([1.0, 0.0]))
     assert np.allclose(hilbert.projector_from_span(e), np.eye(2))
-    # empty span is the lattice bottom
-    assert np.allclose(hilbert.projector_from_span([], dim=2), np.zeros((2, 2)))
-    with pytest.raises(hilbert.DimensionMismatch, match="explicit dimension"):
-        hilbert.projector_from_span([])
+    for nothing in ([], [np.zeros(2)]):
+        with pytest.raises(hilbert.DimensionMismatch, match="span nothing"):
+            hilbert.projector_from_span(nothing)
 
 
 def test_projector_validation():
@@ -60,13 +59,13 @@ def test_join_superposition_configuration():
 
 def test_join_trivial_cases(rng):
     p = hilbert.random_projector(rng, 4)
-    zero = hilbert.zero(4)
+    zero = np.zeros((4, 4), complex)
     assert max_norm(hilbert.join(p, zero) - p) <= 1e-10
     assert max_norm(hilbert.join(p, hilbert.ortho(p)) - np.eye(4)) <= 1e-10
 
 
 def test_ortho():
-    assert np.allclose(hilbert.ortho(hilbert.zero(3)), np.eye(3))
+    assert np.allclose(hilbert.ortho(np.zeros((3, 3), complex)), np.eye(3))
     assert np.allclose(hilbert.ortho(np.diag([1.0, 0, 0]).astype(complex)), np.diag([0.0, 1, 1]))
     p = np.diag([1.0, 0, 0]).astype(complex)
     assert np.allclose(hilbert.ortho(hilbert.ortho(p)), p)
@@ -76,7 +75,7 @@ def test_leq():
     e = basis(4)
     p = hilbert.projector_from_span([e[0], e[1]])
     ray = hilbert.projector_from_span([e[1]])
-    assert hilbert.leq(hilbert.zero(4), p)
+    assert hilbert.leq(np.zeros((4, 4), complex), p)
     assert hilbert.leq(p, p)
     assert hilbert.leq(ray, p)
     assert not hilbert.leq(p, ray)
@@ -99,7 +98,7 @@ def test_born_examples():
     rho = np.outer(psi, psi.conj())
     p = hilbert.projector_from_span([e[0], e[1]])
     assert hilbert.born(rho, p) == pytest.approx(0.5, abs=1e-12)
-    assert hilbert.born(rho, hilbert.zero(4)) == 0.0
+    assert hilbert.born(rho, np.zeros((4, 4), complex)) == 0.0
     assert hilbert.born(rho, np.outer(psi, psi.conj())) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -113,10 +112,10 @@ def assert_state_axioms(rho, family, tol=1e-9):
     the join of a pairwise orthogonal family."""
     dim = rho.shape[0]
     assert all(is_orthogonal(p, q) for i, p in enumerate(family) for q in family[i + 1:])
-    assert abs(hilbert.born(rho, hilbert.zero(dim))) <= tol
+    assert abs(hilbert.born(rho, np.zeros((dim, dim), complex))) <= tol
     for p in family:
         assert abs(hilbert.born(rho, hilbert.ortho(p)) - (1.0 - hilbert.born(rho, p))) <= tol
-    total = hilbert.zero(dim)
+    total = np.zeros((dim, dim), complex)
     for p in family:
         total = hilbert.join(total, p)
     assert abs(hilbert.born(rho, total) - sum(hilbert.born(rho, p) for p in family)) <= tol
@@ -214,7 +213,7 @@ def _stacked_pairs(rng, dim):
     ]
     p = hilbert.random_projector(rng, dim)
     ray = hilbert.projector_from_span([hilbert.ortho(p) @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))])
-    zero, one = hilbert.zero(dim), hilbert.identity(dim)
+    zero, one = np.zeros((dim, dim), complex), hilbert.identity(dim)
     pairs += [(p, p), (p, ray), (p, hilbert.ortho(p)), (p, zero), (p, one), (zero, zero), (one, one), (zero, one)]
     return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
@@ -258,7 +257,7 @@ def test_kernel_keeps_its_guards(monkeypatch):
     with pytest.raises(NotHermitian, match="asymmetry"):
         hilbert.meet(bad, good)
     with pytest.raises(NotHermitian):
-        hilbert.meet(np.array([[1.0, 1.0], [0.0, 0.0]]), hilbert.zero(2))
+        hilbert.meet(np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2), complex))
     # one Born value out of range anywhere in a stack is refused
     rho = np.array([np.eye(2) / 2, np.eye(2) / 2, np.eye(2)], dtype=complex)
     with pytest.raises(InvariantViolation, match="Born value 2.0 "):

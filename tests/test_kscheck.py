@@ -283,6 +283,12 @@ def test_count_without_cap_counts_every_solution():
     assert kscheck.count_solutions(fam, cap=None) == count
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_count_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        kscheck.count_solutions(fixtures.single_context_dim3(), cap=cap)
+
+
 def _cut_peres_family(rng, n):
     """n of Peres's 24 rays and a random third of its contexts, each cut down
     to those rays: contexts lose vectors, and a ray whose contexts all went

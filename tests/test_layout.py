@@ -2,10 +2,14 @@
 
 A top-level definition that only tests name belongs in ``tests/`` (as an
 oracle or fixture) or nowhere; an import its module never uses is dead.
+Only code reaches a name: comments and docstrings do not count, string
+literals do (the benchmark's tracer names functions in them).
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -39,15 +43,38 @@ def _words(lines) -> set[str]:
     return set(re.findall(r"\w+", "\n".join(lines)))
 
 
+def _code_lines(source: str) -> list[str]:
+    """The lines of a Python source with each comment and docstring blanked."""
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    lines = source.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT or (tok.type == tokenize.STRING and tok.start in docstrings):
+            (r0, c0), (r1, c1) = tok.start, tok.end
+            for r in range(r0, r1 + 1):
+                line = lines[r - 1]
+                lo, hi = (c0 if r == r0 else 0), (c1 if r == r1 else len(line))
+                lines[r - 1] = line[:lo] + " " + line[hi:]
+    return lines
+
+
 def unreached_definitions(modules=MODULES, searched=SEARCHED) -> list[str]:
-    """``module.name`` of each definition that no searched file names outside
-    the definition itself."""
-    texts = {path: path.read_text().splitlines() for path in {*modules, *searched}}
+    """``module.name`` of each definition that no searched file's code names
+    outside the definition itself."""
+    sources = {path: path.read_text() for path in {*modules, *searched}}
+    texts = {
+        path: _code_lines(source) if path.suffix == ".py" else source.splitlines()
+        for path, source in sources.items()
+    }
     words = {path: _words(lines) for path, lines in texts.items()}
     unreached = []
     for module in modules:
         lines = texts[module]
-        for name, first, last in _definitions(ast.parse("\n".join(lines))):
+        for name, first, last in _definitions(ast.parse(sources[module])):
             elsewhere = any(name in w for path, w in words.items() if path != module)
             if not elsewhere and name not in _words(lines[:first - 1] + lines[last:]):
                 unreached.append(f"{module.stem}.{name}")
@@ -86,11 +113,16 @@ def test_unreached_definition_detection(tmp_path):
     module, other = tmp_path / "m.py", tmp_path / "other.py"
     module.write_text(
         "import functools\n\n__all__ = []\nLIMIT = 3\n\n\n@functools.cache\ndef helper():\n    return helper\n\n\n"
-        "def used():\n    return LIMIT\n\n\nclass Lonely:\n    pass\n"
+        "def used():\n    return LIMIT\n\n\nclass Lonely:\n    pass\n\n\n"
+        "def documented():\n    pass\n\n\nQUOTED = 1\n"
     )
-    other.write_text("from m import used\n")
-    # helper names only itself; LIMIT is used in the module, used elsewhere
-    assert unreached_definitions([module], [module, other]) == ["m.helper", "m.Lonely"]
+    other.write_text(
+        '"""Calls documented()."""\n\nfrom m import used  # and documented\n\n\n'
+        'def f():\n    """documented, again."""\n    return getattr(m, "QUOTED")\n'
+    )
+    # helper names only itself; LIMIT is used in the module, used elsewhere;
+    # documented is named only in a docstring or comment, QUOTED in a string
+    assert unreached_definitions([module], [module, other]) == ["m.helper", "m.Lonely", "m.documented"]
 
 
 @pytest.mark.parametrize("source, expected", [

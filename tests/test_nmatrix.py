@@ -1,12 +1,13 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import adequate_restricted_tables
+from conftest import empty_negation_tables
 from qnsem import cli
 from qnsem.formulas import And, Atom, Not, Or, children, parse, subformula_closure
 from qnsem.nmatrix import (
@@ -20,6 +21,7 @@ from qnsem.nmatrix import (
     ORTHOGONAL,
     FiniteNMatrix,
     IntervalNMatrix,
+    IntervalRule,
     RelationOracle,
     RexpansionIssue,
     ThresholdMap,
@@ -134,11 +136,37 @@ def test_dynamic_legal_inputs_just_outside_the_unit_interval(x, legal_not):
 
 
 def test_empty_interval_rule_still_raises():
-    # the designated-designated conjunction cell [alpha, min(a, b)] is empty
-    # when an input sits just below the threshold
-    m = adequate_restricted_tables(0.5)
+    # the designated negation cell [alpha, 1 - a] is empty above 1 - alpha
+    m = empty_negation_tables(0.5)
     with pytest.raises(ValueError, match=r"rule '.*' is empty at"):
-        m.cell("and", (0.5 - 1e-10, 0.8))
+        m.cell("not", (0.8,))
+
+
+@pytest.mark.parametrize("conn, case, message", [
+    ("and", "dd", "table for 'and' has case 'dd'"),
+    ("or", DESIGNATED, "table for 'or' has case 'designated'"),
+    ("not", ORTHOGONAL, "table for 'not' has case 'orthogonal'"),
+    ("xor", ANY, "unknown connective 'xor'"),
+])
+def test_interval_tables_refuse_cases_their_arity_cannot_have(conn, case, message):
+    rule = IntervalRule(CONNECTIVE_ARITY.get(conn, 2), lambda *a: 0.0, lambda *a: 1.0, "[0, 1]")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IntervalNMatrix(0.5, {conn: {case: rule}})
+
+
+def test_dynamic_legal_reports_values_outside_the_domain():
+    # a compound over a value outside the domain has no cell to look up
+    report = is_dynamic_legal({P: "X", Not(P): "t"}, three_valued_matrix())
+    assert not report.ok and [v.formula for v in report.violations] == [P]
+    report = is_dynamic_legal({P: "t", Not(P): "X", Not(Not(P)): "t"}, three_valued_matrix())
+    assert not report.ok and [v.formula for v in report.violations] == [Not(P)]
+    report = is_dynamic_legal({P: "t", Not(P): ["F"]}, three_valued_matrix())
+    assert not report.ok and [v.formula for v in report.violations] == [Not(P)]
+
+
+def test_dynamic_legal_reports_nan_inputs():
+    report = is_dynamic_legal({P: float("nan"), Not(P): 0.5}, quantum_nmatrix(1.0))
+    assert not report.ok and [v.formula for v in report.violations] == [P]
 
 
 def test_dynamic_legal_finite_matrix():
@@ -646,12 +674,6 @@ def _interval_rexpansion_sampled(
                     want = DESIGNATED if m2.is_designated(a) else UNDESIGNATED
                     if case != want:
                         continue
-                if case in ("dd", "du", "ud", "uu"):
-                    want = ("d" if m2.is_designated(a) else "u") + (
-                        "d" if m2.is_designated(b) else "u"
-                    )
-                    if case != want:
-                        continue
                 vs = rule.value_set(*args)
                 lo, hi = vs.lo, vs.hi
                 ys = {lo, hi, lo + (hi - lo) * rng.random()}
@@ -698,7 +720,6 @@ def test_symbolic_rexpansion_rejects_every_sampled_failure():
         for negation in ("deterministic", "neg1", "neg2")
         for alpha in (0.55, 0.7, 0.85, 0.95)
     ]
-    matrices += [adequate_restricted_tables(alpha) for alpha in (0.6, 1.0)]
     flagged = 0
     for m2 in matrices:
         for m1, f in _collapse_variants():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import LatticeBindings, adequate_restricted_tables, chain_with_fixed_point, join_oml, meet_oml
+from conftest import LatticeBindings, chain_with_fixed_point, join_oml, meet_oml
 from qnsem import fixtures, oml
 from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
@@ -463,13 +463,14 @@ def test_state_rows_are_built_once_and_returned_as_new_lists():
 
 
 def test_legal_search_pins_stay_out_of_the_state_rows():
-    # two orthogonal atoms cannot both be 1; the pins and extra rows of that
-    # search must not reach a later state search on the same lattice
+    # two orthogonal atoms cannot both be 1; the pins of that search, and a
+    # row solved with the state rows, must not reach a later state search on
+    # the same lattice
     lattice = oml.boolean_lattice(3)
-    before = oml.state_constraints(lattice)[1]
-    extra = [make_row({"ab": 1}, EQ, 1, "extra")]
-    pinned = oml.legal_valuation_search(lattice, quantum_nmatrix(1.0), partial={"a": 1, "b": 1}, extra_rows=extra)
+    names, before = oml.state_constraints(lattice)
+    pinned = oml.legal_valuation_search(lattice, quantum_nmatrix(1.0), partial={"a": 1, "b": 1})
     assert not pinned.feasible
+    assert solve_feasibility(names, before + [make_row({"ab": 1}, EQ, 1, "extra")]).feasible
     assert oml.state_constraints(lattice)[1] == before
     result = oml.find_state(lattice)
     assert result.feasible and result.residual == 0.0
@@ -484,7 +485,7 @@ def test_legal_search_builds_the_state_rows_only_for_a_certificate():
     assert oml.legal_valuation_search(feasible, matrix, partial={"a": Fraction(1, 3)}).feasible
     assert feasible._state_rows is None
     lattice = oml.boolean_lattice(3)
-    pins = {"a": 1, lattice.ortho_id("a"): 1}  # contradicts the complement row at presolve
+    pins = {"a": 1, "bc": 1}  # a' = bc: contradicts the complement row at presolve
     result = oml.legal_valuation_search(lattice, matrix, partial=pins)
     assert not result.feasible and result.certificate is not None
     pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
@@ -617,7 +618,8 @@ def test_context_solve_matches_the_state_row_solve():
         if atoms:
             atom = atoms[0]
             mate = next(b for b in atoms if lattice.orthogonal(atom, b))
-            pin_sets += [{atom: 1, lattice.ortho_id(atom): 1}, {atom: Fraction(1, 3)}, {atom: 1, mate: 1}]
+            ortho = lattice.elements[lattice.ortho[lattice.index[atom]]]
+            pin_sets += [{atom: 1, ortho: 1}, {atom: Fraction(1, 3)}, {atom: 1, mate: 1}]
         for pins in pin_sets:
             pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
             got = oml.legal_valuation_search(lattice, matrix, partial=pins)
@@ -900,8 +902,8 @@ def pairwise_lattice_legality(l, m, mu, tol=1e-9):
 
 
 def test_lattice_legality_matches_pair_loop():
-    # the benchmark lattices, under the sharp tables, the first
-    # non-deterministic negation and the designation-keyed tables, with a
+    # the benchmark lattices, under the sharp tables and the first
+    # non-deterministic negation, with a
     # found state (Fractions up to 64 elements), the state with one value
     # moved, and on the smaller lattices random maps, which break most
     # cells; above 64 elements only the sharp tables, to bound the time
@@ -909,7 +911,7 @@ def test_lattice_legality_matches_pair_loop():
     lattices += [known.mo(n) for n in workloads.MO_SIZES]
     lattices += [known.chain(k) for k in workloads.CHAIN_BLOCKS]
     lattices.append(known.state_free(REPO_ROOT))
-    matrices = (quantum_nmatrix(1.0), quantum_nmatrix(0.8, "neg1"), adequate_restricted_tables(0.6))
+    matrices = (quantum_nmatrix(1.0), quantum_nmatrix(0.8, "neg1"))
     rng = np.random.default_rng(4)
     states = 0
     for data in lattices:
@@ -1032,9 +1034,9 @@ def test_pairwise_constraints_propagate_to_families():
     # no feasible valuation
     lattice = oml.boolean_lattice(3)
     matrix = quantum_nmatrix(1.0)
+    names, rows = oml.state_constraints(lattice)
     gap = make_row({"1": 1, "a": -1, "b": -1, "c": -1}, EQ, Fraction(1, 10), "ternary-gap")
-    result = oml.legal_valuation_search(lattice, matrix, extra_rows=[gap])
-    assert not result.feasible
+    assert not solve_feasibility(names, rows + [gap]).feasible
     # sanity: without the distortion the same system is feasible
     assert oml.legal_valuation_search(lattice, matrix).feasible
 
@@ -1166,7 +1168,7 @@ def test_greechie_refuses_atom_names_that_clash_with_generated_ones(atoms, messa
 def test_greechie_accepts_primed_atom_names_that_clash_with_nothing():
     lattice = oml.from_greechie(["x'", "y", "z"], [["x'", "y", "z"]])
     assert len(lattice) == 8 and oml.verify_oml(lattice).ok
-    assert lattice.ortho_id("x'") == "x''"
+    assert lattice.elements[lattice.ortho[lattice.index["x'"]]] == "x''"
 
 
 def _random_diagram(rnd: random.Random, sizes=(3,)):

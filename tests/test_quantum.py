@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import adequate_restricted_tables, is_orthogonal, random_density
+from conftest import empty_negation_tables, is_orthogonal, random_density
 from qnsem import hilbert
 from qnsem.formulas import And, Atom, Not, Or, parse, subformula_closure
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian
@@ -15,7 +15,6 @@ from qnsem.nmatrix import (
     DESIGNATED,
     NON_ORTHOGONAL,
     ORTHOGONAL,
-    UNDESIGNATED,
     IntervalNMatrix,
     LegalityReport,
     LegalityViolation,
@@ -62,11 +61,9 @@ GRID = np.linspace(0.0, 1.0, 41)
 
 
 def _every_rule():
-    """(label, rule) for every rule of the shipped interval tables and of the
-    designation-keyed restricted tables."""
+    """(label, rule) for every rule of the shipped interval tables."""
     matrices = [quantum_nmatrix(1.0), quantum_nmatrix(0.7), quantum_nmatrix(0.7, "neg1")]
     matrices += [quantum_nmatrix(a, "neg2") for a in ALPHAS]
-    matrices += [adequate_restricted_tables(a) for a in (*ALPHAS, 0.3, 1.0)]
     rules = {}  # the relation-split rules are shared objects: test each once
     for m in matrices:
         for conn, table in m.tables.items():
@@ -287,7 +284,7 @@ def test_order_preservation_report(rng):
             "P": hilbert.projector_from_span([e[0]]),
             "Q": hilbert.projector_from_span([e[0], e[1]]),
             "R": hilbert.projector_from_span([e[2]]),
-            "Z": hilbert.zero(3),
+            "Z": np.zeros((3, 3), complex),
         }
     )
     rho = random_density(rng, 3)
@@ -361,8 +358,6 @@ def test_double_negation_chain_validation():
         double_negation_chain(0.9, 0.5, 0.1)
     with pytest.raises(ValueError, match="negation set"):
         double_negation_chain(0.9, 0.95, 0.5)
-    with pytest.raises(ValueError, match="first negation"):
-        double_negation_chain(0.9, 0.95, 0.02, variant="neg2")
 
 
 def test_double_negation_sampled(rng):
@@ -387,49 +382,7 @@ def test_deterministic_negation_involution():
 
 
 # ---------------------------------------------------------------------------
-# restricted tables
-
-
-def test_restricted_tables_cells():
-    m = adequate_restricted_tables(1.0)
-    dd = m.tables["and"]["dd"]
-    assert dd.value_set(1.0, 1.0).segments == ((1.0, 1.0),)
-    m8 = adequate_restricted_tables(0.8)
-    du = m8.tables["and"]["du"]
-    assert du.value_set(0.9, 0.3).segments == ((0.0, 0.3),)  # inside the undesignated side
-    uu_or = m8.tables["or"]["any"]
-    assert uu_or.value_set(0.3, 0.4).segments == ((0.4, 1.0),)
-
-
-def test_restricted_tables_empty_cell_error():
-    m = adequate_restricted_tables(0.8)
-    dd = m.tables["and"]["dd"]
-    with pytest.raises(ValueError, match="empty"):
-        dd.value_set(0.3, 0.2)  # inputs below the threshold make the cut empty
-
-
-def test_restricted_tables_adequacy_profile():
-    report = adequacy_check(adequate_restricted_tables(0.8))
-    assert not report.adequate
-    bad_clauses = {(v.connective, v.clause) for v in report.violations}
-    assert all(conn == "or" for conn, _ in bad_clauses)
-    assert all("undesignated" in clause for _, clause in bad_clauses)
-
-
-def test_restricted_tables_formula_legality():
-    # designation-keyed tables ignore the relation case entirely
-    from qnsem.nmatrix import RelationOracle
-
-    class AnyOracle(RelationOracle):
-        def classify(self, left, right):
-            return NON_ORTHOGONAL
-
-    m = adequate_restricted_tables(0.8)
-    good = {P: 0.9, Q: 0.95, And(P, Q): 0.85}
-    assert is_dynamic_legal(good, m, AnyOracle()).ok
-    bad = {P: 0.9, Q: 0.95, And(P, Q): 0.5}  # below the designated cut
-    report = is_dynamic_legal(bad, m, AnyOracle())
-    assert not report.ok and report.violations[0].formula == And(P, Q)
+# adequacy
 
 
 def test_quantum_adequacy_witness():
@@ -488,9 +441,8 @@ def governing_cells(matrix, conn, args, case=None, tol=1e-9):
             governs = True
         elif key in (ORTHOGONAL, NON_ORTHOGONAL):
             governs = case in (key, AMBIGUOUS)
-        else:  # one letter per input, "d" designated and "u" not
-            pattern = {DESIGNATED: "d", UNDESIGNATED: "u"}.get(key, key)
-            governs = all((x >= matrix.alpha - tol) == (side == "d") for x, side in zip(args, pattern))
+        else:
+            governs = (args[0] >= matrix.alpha - tol) == (key == DESIGNATED)
         if governs:
             cells.append(rule.value_set(*args))
     return cells
@@ -590,7 +542,7 @@ def test_dynamic_legality_matches_reference():
     tol = 1e-9
     matrices = [quantum_nmatrix(1.0), quantum_nmatrix(0.7), quantum_nmatrix(0.7, "neg1")]
     matrices += [quantum_nmatrix(a, "neg2") for a in ALPHAS]
-    matrices += [adequate_restricted_tables(a) for a in (*ALPHAS, 0.3, 1.0)]
+    matrices += [empty_negation_tables(a) for a in (0.3, 0.6)]
     rnd = random.Random(11)
     legal = illegal = empty = 0
     for matrix in matrices:
@@ -619,12 +571,11 @@ def test_stacked_verdict_matches_per_trial(dim):
     rng = np.random.default_rng(dim)
     p, q, rho = hilbert.random_stacks(rng, dim, 100, ("projector", "projector", "density"))
     atoms = {"P": p, "Q": q}
-    # the sharp tables, a relation-keyed table with a designation-keyed
-    # negation, and designation-keyed conjunctions
+    # the sharp tables and a relation-keyed table with a designation-keyed
+    # negation
     for matrix, all_legal in (
         (quantum_nmatrix(1.0), True),
         (quantum_nmatrix(0.55, "neg2"), False),
-        (adequate_restricted_tables(0.3), False),
     ):
         for formulas in (SWEEP, DEEPER):
             mask = born_legality_mask(rho, atoms, formulas, matrix)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qnsem.valuesets import FiniteValues, finite, interval, interval_union, point
+from qnsem.valuesets import FiniteValues, finite, interval, interval_union
 
 
 def test_finite_values():
@@ -38,8 +38,8 @@ def test_subset_and_intersects():
     b = interval(0.0, 0.7)
     assert a.subset_of(b)
     assert not b.subset_of(a)
-    assert a.intersects(point(0.5))
-    assert not a.intersects(point(0.3))
+    assert a.intersects(interval(0.5, 0.5))
+    assert not a.intersects(interval(0.3, 0.3))
 
 
 segments = st.lists(
