@@ -18,7 +18,8 @@ the tableau and :func:`check_point` hold a number as an int where it is
 integral and as a ``Fraction`` only where it is not.  ``Row``,
 ``Certificate`` and points carry ``Fraction`` values; only their conversion
 at the boundary builds them.  Numbers given from outside (points, pins) are
-read by :func:`to_fraction`.
+read by :func:`to_fraction`, except that :func:`check_point` takes an int or
+Fraction coordinate as it is.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def make_row(coeffs: Mapping[str, object], rel: str, rhs, label: str = "") -> Ro
 
 @dataclass(frozen=True)
 class Certificate:
-    """Multipliers over the original equality rows combining to 0 = rhs != 0."""
+    """Multipliers over the original equality rows combining to 0 = rhs != 0;
+    a row index outside the rows does not verify."""
 
     multipliers: tuple[tuple[int, Fraction], ...]
     combined_rhs: Fraction
@@ -81,6 +83,8 @@ class Certificate:
         total: dict[str, Fraction] = {}
         rhs = Fraction(0)
         for idx, mult in self.multipliers:
+            if not 0 <= idx < len(rows):  # a negative index would wrap around
+                return False
             row = rows[idx]
             if row.rel != EQ:
                 return False
@@ -397,11 +401,14 @@ def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
     points satisfying every row, and ``math.inf`` for a point with a NaN or
     infinite coordinate.
 
-    Coordinates are read by :func:`to_fraction` with denominators up to
-    10**15; every sum is exact.
+    An int or Fraction coordinate is read as it is; any other is read by
+    :func:`to_fraction` with denominators up to 10**15.  Every sum is exact.
     """
     value = {}
     for k, v in point.items():
+        if v.__class__ is int or v.__class__ is Fraction:
+            value[k] = _canonical(v)
+            continue
         x = to_fraction(v, 10**15)
         if x is None:
             return inf

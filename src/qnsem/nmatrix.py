@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import nan
 from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -470,7 +471,8 @@ def is_dynamic_legal(
     the relation case of each binary compound; borderline pairs are recorded
     as ambiguous and accepted if the value fits either case.  A compound
     with an input outside the value domain has no cell and is not checked;
-    the lowest value outside the domain is a violation of its own.
+    the lowest value outside the domain is a violation of its own.  Under
+    an interval matrix a value that ``float()`` cannot read is outside it.
     """
     mapping = _as_mapping(valuation)
     Valuation(mapping)  # closure check
@@ -500,19 +502,19 @@ def is_dynamic_legal(
     unit, top = interval(0.0, 1.0), 1.0 + tol
     for f, v in mapping.items():
         if isinstance(f, Atom):
-            if not unit.contains(float(v), tol):
+            if not unit.contains(_real(v), tol):
                 violations.append(LegalityViolation(f, v, unit))
             continue
         # no cell over an input outside [0,1]: the lowest such value is reported
         if isinstance(f, Not):
-            x = float(mapping[f.child])
+            x = _real(mapping[f.child])
             if not -tol <= x <= top:
                 continue
             conn, args, case, relation = "not", (x,), None, (True, True)
         else:
             if oracle is None:
                 raise ValueError("interval matrices need a relation oracle for binary compounds")
-            a, b = float(mapping[f.left]), float(mapping[f.right])
+            a, b = _real(mapping[f.left]), _real(mapping[f.right])
             if not (-tol <= a <= top and -tol <= b <= top):
                 continue
             conn = "and" if isinstance(f, And) else "or"
@@ -521,9 +523,18 @@ def is_dynamic_legal(
                 ambiguous.append((f.left, f.right))
             args, relation = (a, b), _RELATION_CASES[case]
         checked += 1
-        if not matrix.admits(conn, float(v), args, relation, tol):
+        if not matrix.admits(conn, _real(v), args, relation, tol):
             violations.append(LegalityViolation(f, v, matrix.cell(conn, args, relation, tol), case))
     return LegalityReport(tuple(violations), tuple(ambiguous), checked)
+
+
+def _real(v) -> float:
+    """A value under an interval matrix as a float; NaN, which lies in no
+    interval, when ``float()`` cannot read it."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return nan
 
 
 @dataclass(frozen=True)

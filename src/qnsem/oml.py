@@ -5,6 +5,10 @@ two-valued homomorphisms and legal valuations (states again).
 Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
 orthogonality relation, read off the order table (``FiniteOML.orthogonal``).
 
+The meet table comes from array products over the order; the join table is
+read off it through the orthocomplement (de Morgan) whenever that map is an
+order-reversing involution, and from a second product otherwise.
+
 ``state_constraints`` is the specification of a state: one equality per
 complement pair and per orthogonal pair.  The searches solve the lattice's
 test space instead: one equality per context, a maximal set of mutually
@@ -12,7 +16,9 @@ orthogonal atoms, over the atom weights, with every element the sum over a
 greedy orthogonal atom decomposition of it.  That reduction holds on an
 orthomodular lattice only, so the state searches require one; a point found
 is extended to every element and a certificate is mapped back to the
-specification rows.
+specification rows, which are built only then.  ``find_state`` checks its
+point against them as one identity per row over the tables, without
+building them.
 
 Lattices come from direct order tables (JSON) and from Greechie diagrams
 (blocks of mutually orthogonal atoms, pasted along shared atoms).
@@ -29,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .feasibility import (
-    EQ, Certificate, FeasibilityResult, Row, check_point, make_row, solve_feasibility, to_fraction,
+    EQ, Certificate, FeasibilityResult, Row, make_row, solve_feasibility, to_fraction,
 )
 from .linalg import DEFAULT_TOL, _bits, json_list, json_object
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, IntervalNMatrix
@@ -106,13 +112,24 @@ class FiniteOML:
 
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """meet/join index tables, -1 marking a missing bound; defined on a
-        partial order only, else a ValueError names the first order failure."""
+        partial order only, else a ValueError names the first order failure.
+
+        When the orthocomplement is an order-reversing involution, the join
+        table is the meet table read through it (de Morgan): the map sends
+        the upper bounds of {i, j} onto the lower bounds of {i', j'}, the
+        least one onto the greatest and a missing bound onto a missing one.
+        Any other map gets a second product, as the meet table does."""
         if self._meet is None:
             fault = next(self._order_failures(), None)
             if fault is not None:
                 raise ValueError(f"not a partial order: {fault}")
-            self._meet = _greatest_below(self.leq.T)
-            self._join = _greatest_below(self.leq)
+            leq, o = self.leq, self.ortho
+            self._meet = _greatest_below(leq.T)
+            if np.array_equal(o[o], np.arange(len(o))) and np.array_equal(leq, leq[np.ix_(o, o)].T):
+                m = self._meet[np.ix_(o, o)]
+                self._join = np.where(m < 0, -1, o[m])
+            else:
+                self._join = _greatest_below(leq)
         return self._meet, self._join
 
     def bound_table(self, kind: str, where: np.ndarray | None = None) -> np.ndarray:
@@ -272,6 +289,8 @@ def _check_laws(l: FiniteOML, max_failures: int) -> OmlReport:
 def _require_oml(l: FiniteOML) -> None:
     """The precondition of the state, two-valued and legal-valuation
     searches; the laws are checked once per lattice."""
+    if l._first_failure == ():
+        return  # verify_oml accepted l, so every bound exists
     for kind in ("meet", "join"):
         l.bound_table(kind)
     if l._first_failure is None:
@@ -406,9 +425,7 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
     The rows are built once per lattice; each call returns new lists.
     """
     if l._state_rows is None:
-        # only the joins of orthogonal pairs i < j are read
-        orthogonal = np.triu(l.leq[:, l.ortho], 1)
-        join = l.bound_table("join", orthogonal)
+        orthogonal, join = _orthogonal_joins(l)
         names = l.elements
         rows: list[Row] = [
             make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
@@ -436,6 +453,14 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
         l._state_rows = names, tuple(rows), additivity
     names, rows, _ = l._state_rows
     return list(names), list(rows)
+
+
+def _orthogonal_joins(l: FiniteOML) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal pairs i < j as a boolean mask, and the join table,
+    which is read only at those pairs: a missing join of one of them raises
+    the ValueError of ``bound_table``."""
+    orthogonal = np.triu(l.leq[:, l.ortho], 1)
+    return orthogonal, l.bound_table("join", orthogonal)
 
 
 @dataclass(frozen=True)
@@ -519,9 +544,11 @@ def _maximal_cliques(adjacent: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cliques))
 
 
-def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> FeasibilityResult:
+def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> tuple[FeasibilityResult, np.ndarray | None, int]:
     """``solve_feasibility`` of the rows ``state_constraints(l)[1]`` plus
-    ``extra`` on the verified OML ``l``.
+    ``extra`` on the verified OML ``l``, with the point's values as
+    numerators over one common denominator (element order; None and 1 when
+    there is no point).
 
     The variables are the atom weights and the rows are the context rows
     of the test space, then ``extra`` with each element e rewritten as the
@@ -553,13 +580,14 @@ def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> FeasibilityRe
         # numerators over den; a sum over D(e) is mu(e) * den <= den
         numerators = np.array([w.numerator * (den // w.denominator) for w in weights],
                               dtype=np.int64 if den < 2**62 else object)
-        sums = (space.decomposition.astype(numerators.dtype) @ numerators).tolist()
-        value = {v: Fraction(v, den) for v in set(sums)}
-        return FeasibilityResult(True, dict(zip(l.elements, map(value.__getitem__, sums))))
+        sums = space.decomposition.astype(numerators.dtype) @ numerators
+        listed = sums.tolist()
+        value = {v: Fraction(v, den) for v in set(listed)}
+        return FeasibilityResult(True, dict(zip(l.elements, map(value.__getitem__, listed)))), sums, den
     certificate = result.certificate
     if certificate is not None:
         certificate = _state_row_certificate(l, space, certificate, extra)
-    return FeasibilityResult(False, None, certificate, result.detail)
+    return FeasibilityResult(False, None, certificate, result.detail), None, 1
 
 
 def _state_row_certificate(l: FiniteOML, space: _TestSpace, certificate: Certificate,
@@ -614,23 +642,44 @@ def find_state(l: FiniteOML) -> StateSearchResult:
     certify that none exists.
 
     Precondition as for :func:`find_two_valued_valuation`, checked after
-    :func:`state_constraints`, so a missing join of an orthogonal pair is
-    named first.  The state is solved on the lattice's test space: one
-    equality per context, a maximal set of mutually orthogonal atoms, over
-    the atom weights, and each element takes the sum of the weights over
-    its orthogonal atom decomposition (see ``_solve_on_contexts``; without
-    the orthomodular law a "state" found that way can break the state
-    rows).  The rows of :func:`state_constraints` stay the specification:
-    ``residual`` is ``check_point`` over them, exactly zero for the
-    rational state found, and an infeasibility certificate is a
-    combination of them, mapped back from the context rows.
+    the joins of the orthogonal pairs, so a missing one is named first, as
+    :func:`state_constraints` names it.  The state is solved on the
+    lattice's test space: one equality per context, a maximal set of
+    mutually orthogonal atoms, over the atom weights, and each element
+    takes the sum of the weights over its orthogonal atom decomposition
+    (see ``_solve_on_contexts``; without the orthomodular law a "state"
+    found that way can break the state rows).
+
+    The rows of :func:`state_constraints` stay the specification, but a
+    state found builds none of them: ``residual`` is ``check_point`` over
+    them, exactly zero for the rational state found, computed as one
+    identity per row over the join table (see ``_state_residual``).  Only an
+    infeasibility certificate builds them: it is a combination of them,
+    mapped back from the context rows.
     """
-    _, rows = state_constraints(l)
+    orthogonal, join = _orthogonal_joins(l)
     _require_oml(l)
-    result = _solve_on_contexts(l)
+    result, numerators, den = _solve_on_contexts(l)
     if not result.feasible:
         return StateSearchResult(False, None, result.certificate, 0.0, result.detail)
-    return StateSearchResult(True, result.point, None, check_point(rows, result.point))
+    return StateSearchResult(True, result.point, None, _state_residual(l, orthogonal, join, numerators, den))
+
+
+def _state_residual(l: FiniteOML, orthogonal: np.ndarray, join: np.ndarray, num: np.ndarray, den: int) -> float:
+    """``check_point(state_constraints(l)[1], point)`` for the point with
+    values num / den, in element order, without the rows: the largest of
+    |num[0]| and |num[1] - den| at bottom and top, |num[e] + num[e'] - den|
+    for e <= e' (that is 2 num[e] - den when e = e') and
+    |num[i v j] - num[i] - num[j]| for the orthogonal pairs i < j, over
+    den.  Each term is one row's violation times den; values in [0, 1] keep
+    every sum within int64."""
+    o = l.ortho
+    pair = o >= np.arange(len(o))
+    i, j = np.nonzero(orthogonal)
+    worst = max(abs(num[l.bottom]), abs(num[l.top] - den),
+                np.abs(num[pair] + num[o[pair]] - den).max(initial=0),
+                np.abs(num[join[i, j]] - num[i] - num[j]).max(initial=0))
+    return int(worst) / den
 
 
 # ---------------------------------------------------------------------------
@@ -755,4 +804,4 @@ def legal_valuation_search(
         if pin is None or not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
         rows.append(make_row({e: 1}, EQ, pin, f"pin:{e}"))
-    return _solve_on_contexts(l, rows)
+    return _solve_on_contexts(l, rows)[0]
