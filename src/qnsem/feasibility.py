@@ -386,12 +386,14 @@ def to_fraction(value, max_denominator: int) -> Fraction | None:
     """A number given from outside, as a Fraction; None when it is not finite.
 
     A ``numbers.Rational`` (int, bool, Fraction, a numpy integer) is read
-    exactly.  Any other number (float, numpy float32, Decimal) goes through
-    ``float(value)`` and is read as the nearest fraction with denominator at
-    most ``max_denominator``.
+    exactly, into Python ints: a Fraction built from a numpy integer keeps
+    it as its numerator and wraps around in later products.  Any other
+    number (float, numpy float32, Decimal) goes through ``float(value)`` and
+    is read as the nearest fraction with denominator at most
+    ``max_denominator``.
     """
     if isinstance(value, Rational):
-        return Fraction(value)
+        return Fraction(int(value.numerator), int(value.denominator))
     x = float(value)
     return Fraction(x).limit_denominator(max_denominator) if isfinite(x) else None
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnsem import feasibility, oml
-from qnsem.feasibility import EQ, GE, LE, Certificate, FeasibilityResult, check_point, make_row, solve_feasibility
+from qnsem import feasibility, fixtures, oml
+from qnsem.feasibility import (
+    EQ, GE, LE, Certificate, FeasibilityResult, check_point, make_row, solve_feasibility, to_fraction,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
@@ -180,6 +182,75 @@ def test_check_point_reads_any_real_number():
                  (Fraction(1, 3), Fraction(2, 3)), (1 / 3, np.float64(2 / 3))]:
         assert check_point(rows, {"x": x, "y": y}) == 0.0, (x, y)
     assert check_point(rows, {"x": np.float32(0.5), "y": np.float32(0.5)}) == pytest.approx(1 / 6)
+
+
+@pytest.mark.parametrize("shift", ["negative", "past-the-end"])
+def test_certificate_refuses_a_row_index_outside_the_rows(shift):
+    # shifting every index by -len(rows) names the same rows through
+    # Python's negative indexing, and by +len(rows) names none
+    lattice = fixtures.nostate_lattice()
+    certificate = oml.find_state(lattice).certificate
+    rows = oml.state_constraints(lattice)[1]
+    assert certificate.verify(rows)
+    offset = -len(rows) if shift == "negative" else len(rows)
+    moved = Certificate(tuple((k + offset, m) for k, m in certificate.multipliers), certificate.combined_rhs)
+    assert not moved.verify(rows)
+
+
+def loop_check_point(rows, point):
+    """``check_point`` reading every coordinate through ``to_fraction``, as
+    it did before int and Fraction coordinates were taken as they are: the
+    reference for that shortcut."""
+    value = {}
+    for k, v in point.items():
+        x = to_fraction(v, 10**15)
+        if x is None:
+            return math.inf
+        value[k] = x
+    worst = Fraction(0)
+    for row in rows:
+        gap = row.evaluate(value) - row.rhs
+        if row.rel == EQ:
+            gap = abs(gap)
+        elif row.rel != LE:
+            gap = -gap
+        worst = max(worst, gap)
+    return float(worst)
+
+
+def _as_any_type(rnd: random.Random, x: Fraction):
+    """x as an int, bool, numpy int64 or Decimal where that type holds it
+    exactly, else as a Fraction, float, numpy float32 or Decimal quotient."""
+    if x.denominator == 1 and rnd.random() < 0.6:
+        return rnd.choice((int, np.int64, lambda n: Decimal(int(n)), *(bool,) * (x in (0, 1))))(x.numerator)
+    return rnd.choice((Fraction, float, np.float32, lambda f: Decimal(f.numerator) / Decimal(f.denominator)))(x)
+
+
+def test_check_point_matches_the_to_fraction_loop_on_mixed_coordinates():
+    # points of random values and solved points, each coordinate cast to a
+    # random type, now and then one NaN or infinity
+    rnd = random.Random(2801)
+    draws = (
+        lambda: rnd.randint(-1, 2), lambda: rnd.random() < 0.5, lambda: _rational(rnd), lambda: rnd.random(),
+        lambda: np.float32(rnd.random()), lambda: np.int64(rnd.randint(-1, 2)),
+        lambda: Decimal(rnd.randint(0, 16)) / 16, lambda: Decimal(str(rnd.random())),
+    )
+    non_finite = (math.nan, math.inf, -math.inf, np.float32("nan"), Decimal("inf"))
+    seen = Counter()
+    for _ in range(600):
+        variables = [f"x{j}" for j in range(rnd.randint(1, 6))]
+        rows = _random_rows(rnd, variables)
+        solved = solve_feasibility(variables, rows).point
+        if solved is not None and rnd.random() < 0.5:
+            point = {v: _as_any_type(rnd, x) for v, x in solved.items()}
+        else:
+            point = {v: rnd.choice(draws)() for v in variables}
+        if rnd.random() < 0.1:
+            point[rnd.choice(variables)] = rnd.choice(non_finite)
+        got = check_point(rows, point)
+        assert got == loop_check_point(rows, point), (rows, point)
+        seen[0.0 if got == 0 else math.inf if got == math.inf else 1.0] += 1
+    assert all(seen[k] > 20 for k in (0.0, 1.0, math.inf)), seen
 
 
 def test_make_row_validation():

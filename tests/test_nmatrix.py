@@ -169,6 +169,20 @@ def test_dynamic_legal_reports_nan_inputs():
     assert not report.ok and [v.formula for v in report.violations] == [P]
 
 
+@pytest.mark.parametrize("bad", ["x", None, [0.5], 10**400], ids=["str", "none", "list", "overflow"])
+def test_dynamic_legal_reports_values_float_cannot_read(bad):
+    # such a value is outside [0,1]: an atom's is a violation, a compound
+    # over it has no cell, and a compound's own is a violation
+    m, oracle = quantum_nmatrix(1.0), FixedOracle({(P, Q): ORTHOGONAL})
+    report = is_dynamic_legal({P: bad, Not(P): 0.5}, m)
+    assert [v.formula for v in report.violations] == [P] and report.checked == 0
+    report = is_dynamic_legal({P: 0.5, Q: bad, Or(P, Q): 0.5}, m, oracle)
+    assert [v.formula for v in report.violations] == [Q] and report.checked == 0
+    for compound in (Not(P), Or(P, Q)):
+        report = is_dynamic_legal({P: 0.5, Q: 0.25, compound: bad}, m, oracle)
+        assert [(v.formula, v.value) for v in report.violations] == [(compound, bad)] and report.checked == 1
+
+
 def test_dynamic_legal_finite_matrix():
     m = three_valued_matrix()
     v = {P: "t", Q: "F", Or(P, Q): "t"}

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import re
 import sys
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import LatticeBindings, chain_with_fixed_point, join_oml, meet_oml
-from qnsem import fixtures, oml
-from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility
+from qnsem import feasibility, fixtures, oml
+from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility, to_fraction
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
 from qnsem.formulas import And, Atom, Not, Or, render
 from qnsem.quantum import ProjectorBindings, quantum_nmatrix
@@ -189,6 +190,40 @@ def test_bound_tables_on_large_mo_match_oracle():
     for n in (30, 100):
         data = known.mo(n)
         _assert_bounds_match_oracle(oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1"))
+
+
+def _below_its_dual(leq, perm):
+    """The partial order ``leq`` on 0..n-1 glued below its order dual: the
+    elements q', with p' <= q' when q <= p and every p below every q'.
+    q <-> q' is an order-reversing involution.  The elements are listed in
+    the order ``perm``."""
+    n = len(leq)
+    glued = np.ones((2 * n, 2 * n), dtype=bool)
+    glued[n:, :n] = False
+    glued[:n, :n], glued[n:, n:] = leq, leq.T
+    names = [str(k) for k in range(n)] + [f"{k}'" for k in range(n)]
+    pairs = [(names[i], names[j]) for i, j in np.argwhere(glued) if i != j]
+    ortho = {names[k]: names[(k + n) % (2 * n)] for k in range(2 * n)}
+    listed = [names[k] for k in perm]
+    return oml.FiniteOML(listed, pairs, ortho, listed[0], listed[0])
+
+
+def test_join_table_by_de_morgan_matches_oracle_with_missing_bounds(monkeypatch):
+    # under an order-reversing involution the join table is read off the
+    # meet table, with no second product; a random poset glued below its
+    # dual lacks meets and joins on both sides
+    built = []
+    greatest_below = oml._greatest_below
+    monkeypatch.setattr(oml, "_greatest_below", lambda down: built.append(down) or greatest_below(down))
+    rnd = random.Random(28)
+    missing = 0
+    for _ in range(200):
+        leq = _random_poset(rnd, rnd.randint(1, 10)).leq
+        poset = _below_its_dual(leq, rnd.sample(range(2 * len(leq)), 2 * len(leq)))
+        _assert_bounds_match_oracle(poset)
+        meet, join = poset._bound_tables()
+        missing += bool((meet < 0).any() and (join < 0).any())
+    assert len(built) == 200 and missing > 100
 
 
 def test_order_defects_are_computed_once_per_lattice(monkeypatch):
@@ -633,6 +668,77 @@ def test_context_solve_matches_the_state_row_solve():
                 assert got.certificate is None
             seen[got.feasible, want.certificate is not None] += 1
     assert len(lattices) == 79 and seen[True, False] and seen[False, True] and seen[False, False]
+
+
+def _identity_residual(lattice, point):
+    """``oml._state_residual`` at ``point``, its coordinates read as
+    ``check_point`` reads them and put over one common denominator."""
+    values = [to_fraction(point[e], 10**15) for e in lattice.elements]
+    den = math.lcm(*(v.denominator for v in values))
+    num = np.array([v.numerator * (den // v.denominator) for v in values],
+                   dtype=np.int64 if den < 2**60 else object)
+    return oml._state_residual(lattice, *oml._orthogonal_joins(lattice), num, den)
+
+
+def test_state_residual_identities_match_check_point_over_the_state_rows():
+    # find_state checks its point by one identity per state row, without
+    # the rows; check_point over them is the oracle.  The points: the state
+    # found (or, on a lattice with none, every element at 1/2 but bottom
+    # and top), one atom moved by 1/7 and by a fraction whose denominator
+    # needs Python ints, an atom and its complement swapped, a float copy
+    lattices = {**_context_solve_lattices(), "nostate-fixture": fixtures.nostate_lattice()}
+    broken = Counter()
+    for name, lattice in lattices.items():
+        rows = oml.state_constraints(lattice)[1]
+        result = oml.find_state(lattice)
+        if result.feasible:
+            base = result.state
+            assert result.residual == check_point(rows, base) == 0.0, name
+        else:
+            base = dict.fromkeys(lattice.elements, Fraction(1, 2))
+            base[lattice.name(lattice.bottom)], base[lattice.name(lattice.top)] = Fraction(0), Fraction(1)
+        atoms = np.flatnonzero(lattice.leq.sum(axis=0) == 2).tolist()
+        a = lattice.name(atoms[0] if atoms else lattice.top)
+        a_ = lattice.name(lattice.ortho[lattice.index[a]])
+        points = {
+            "base": base,
+            "+1/7": {**base, a: base[a] + Fraction(1, 7)},
+            "+1/(2**61-1)": {**base, a: base[a] + Fraction(1, 2**61 - 1)},
+            "swapped": {**base, a: base[a_], a_: base[a]},
+            "float": {e: float(v) for e, v in base.items()},
+        }
+        for kind, point in points.items():
+            want = check_point(rows, point)
+            assert _identity_residual(lattice, point) == want, (name, kind)
+            broken[kind] += want > 0
+    assert len(lattices) == 80
+    assert broken["+1/7"] == broken["+1/(2**61-1)"] == 80 and broken["swapped"] and broken["base"] == 3
+
+
+def test_find_state_builds_no_state_rows_for_a_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_point was called")
+
+    monkeypatch.setattr(feasibility, "check_point", refuse)
+    monkeypatch.setattr(oml, "check_point", refuse, raising=False)
+    for lattice in (oml.mo2(), oml.boolean_lattice(7), _greechie_chain(15)):
+        result = oml.find_state(lattice)
+        assert result.feasible and result.residual == 0.0
+        assert lattice._state_rows is None
+
+
+def test_searches_read_no_bound_table_on_a_verified_lattice(monkeypatch):
+    # verify_oml has found every bound, so the precondition checks none
+    lattice = oml.boolean_lattice(3)
+    assert oml.verify_oml(lattice).ok
+
+    def refuse(*args):
+        raise AssertionError("bound_table was read")
+
+    monkeypatch.setattr(lattice, "bound_table", refuse)
+    oml._require_oml(lattice)
+    assert oml.find_two_valued_valuation(lattice, count_all=True)[1] == 3
+    assert oml.legal_valuation_search(lattice, quantum_nmatrix(1.0), partial={"a": 1}).feasible
 
 
 def test_law_check_runs_once_per_lattice(monkeypatch):
