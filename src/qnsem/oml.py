@@ -73,7 +73,7 @@ class FiniteOML:
         self.ortho = np.array([self._known(f"ortho value of {e!r}", ortho[e]) for e in self.elements])
         self.bottom = self._known("bottom", bottom)
         self.top = self._known("top", top)
-        self._defects: tuple[np.ndarray, np.ndarray] | None = None
+        self._defects: tuple[np.ndarray, ...] | None = None  # the order's failing pairs
         self._meet: np.ndarray | None = None
         self._join: np.ndarray | None = None
         self._state_rows: tuple[tuple[str, ...], tuple[Row, ...], np.ndarray] | None = None
@@ -102,13 +102,12 @@ class FiniteOML:
         antisymmetry then transitivity pairs in row-major order: the one
         source of the messages ``verify_oml`` lists and ``_bound_tables``
         raises."""
-        if self._defects is None:
-            self._defects = _order_defects(self.leq)
+        if self._defects is None:  # kept as pairs, so a later call scans no n x n array
+            self._defects = tuple(map(np.argwhere, _order_defects(self.leq)))
         two_way, unclosed = self._defects
         name = self.name
-        yield from (f"antisymmetry fails at ({name(i)}, {name(j)})" for i, j in np.argwhere(two_way))
-        yield from (f"transitivity fails: {name(i)} <= ... <= {name(j)} but not directly"
-                    for i, j in np.argwhere(unclosed))
+        yield from (f"antisymmetry fails at ({name(i)}, {name(j)})" for i, j in two_way)
+        yield from (f"transitivity fails: {name(i)} <= ... <= {name(j)} but not directly" for i, j in unclosed)
 
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """meet/join index tables, -1 marking a missing bound; defined on a
@@ -135,8 +134,12 @@ class FiniteOML:
     def bound_table(self, kind: str, where: np.ndarray | None = None) -> np.ndarray:
         """The ``"meet"`` or ``"join"`` table, for callers that index elements
         by it: raises ValueError naming the first pair in the boolean mask
-        ``where`` (default every pair) whose bound is missing or not unique."""
+        ``where`` (default every pair) whose bound is missing or not unique.
+        A lattice ``verify_oml`` accepted has every bound, so none is
+        looked for."""
         table = self._bound_tables()[kind == "join"]
+        if self._first_failure == ():
+            return table
         missing = np.argwhere(table < 0 if where is None else (table < 0) & where)
         if len(missing):
             i, j = missing[0]

@@ -267,6 +267,8 @@ def test_missing_bound_is_an_error_not_an_index():
         oml.legal_valuation_search(broken, quantum_nmatrix(1.0))
     report = oml.verify_oml(broken)
     assert "join(a, b) missing or not unique" in report.failures
+    with pytest.raises(ValueError, match=message):  # a recorded failure still looks for it
+        oml.find_state(broken)
 
 
 def _two_way_relation():
