@@ -500,21 +500,22 @@ def is_dynamic_legal(
         raise TypeError(f"unsupported matrix type {type(matrix).__name__}")
 
     unit, top = interval(0.0, 1.0), 1.0 + tol
+    real = {f: _real(v) for f, v in mapping.items()}
     for f, v in mapping.items():
         if isinstance(f, Atom):
-            if not unit.contains(_real(v), tol):
+            if not unit.contains(real[f], tol):
                 violations.append(LegalityViolation(f, v, unit))
             continue
         # no cell over an input outside [0,1]: the lowest such value is reported
         if isinstance(f, Not):
-            x = _real(mapping[f.child])
+            x = real[f.child]
             if not -tol <= x <= top:
                 continue
             conn, args, case, relation = "not", (x,), None, (True, True)
         else:
             if oracle is None:
                 raise ValueError("interval matrices need a relation oracle for binary compounds")
-            a, b = _real(mapping[f.left]), _real(mapping[f.right])
+            a, b = real[f.left], real[f.right]
             if not (-tol <= a <= top and -tol <= b <= top):
                 continue
             conn = "and" if isinstance(f, And) else "or"
@@ -523,7 +524,7 @@ def is_dynamic_legal(
                 ambiguous.append((f.left, f.right))
             args, relation = (a, b), _RELATION_CASES[case]
         checked += 1
-        if not matrix.admits(conn, _real(v), args, relation, tol):
+        if not matrix.admits(conn, real[f], args, relation, tol):
             violations.append(LegalityViolation(f, v, matrix.cell(conn, args, relation, tol), case))
     return LegalityReport(tuple(violations), tuple(ambiguous), checked)
 
