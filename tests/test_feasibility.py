@@ -222,7 +222,8 @@ def _as_any_type(rnd: random.Random, x: Fraction):
     """x as an int, bool, numpy int64 or Decimal where that type holds it
     exactly, else as a Fraction, float, numpy float32 or Decimal quotient."""
     if x.denominator == 1 and rnd.random() < 0.6:
-        return rnd.choice((int, np.int64, lambda n: Decimal(int(n)), *(bool,) * (x in (0, 1))))(x.numerator)
+        exact = [int, np.int64, lambda n: Decimal(int(n))] + ([bool] if x in (0, 1) else [])
+        return rnd.choice(exact)(x.numerator)
     return rnd.choice((Fraction, float, np.float32, lambda f: Decimal(f.numerator) / Decimal(f.denominator)))(x)
 
 
