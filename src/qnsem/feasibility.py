@@ -1,14 +1,15 @@
-"""Small-scale linear feasibility over variables boxed to [0,1], in exact
-rational arithmetic.
+"""Small-scale feasibility of linear equalities over variables boxed to
+[0,1], in exact rational arithmetic; the box, left implicit, is the only
+inequality.
 
-An exact presolve runs Gaussian elimination on the equality rows, so
-inconsistency is detected exactly and comes with a row-combination
-certificate that can be re-verified by direct arithmetic: the elimination
-tracks the row combination behind every pivot.  Consistent
-systems drop to a phase-one feasibility problem over the remaining free
-variables: Chvatal's single-auxiliary phase one with Bland's rule on the
-condensed tableau, one column per free variable plus the auxiliary, none
-per slack, so a pivot costs O(rows * free variables).
+An exact presolve runs Gaussian elimination on the rows, so inconsistency
+is detected exactly and comes with a row-combination certificate that can
+be re-verified by direct arithmetic: the elimination tracks the row
+combination behind every pivot.  Consistent systems drop to a phase-one
+problem over the free variables whose only rows are the box bounds of the
+pivots and of the free variables: Chvatal's single-auxiliary phase one with
+Bland's rule on the condensed tableau, one column per free variable plus
+the auxiliary, none per slack, so a pivot costs O(rows * free variables).
 
 The arithmetic runs on Python ints (never fixed-width numpy integers, which
 wrap).  The presolve keeps each row as integer numerators over one positive
@@ -30,14 +31,14 @@ from math import gcd, inf, isfinite, lcm
 from numbers import Rational
 from typing import Mapping, NamedTuple, Sequence
 
-EQ, LE, GE = "==", "<=", ">="
-
 
 class Row(NamedTuple):
+    """The equality sum(c * x_v for v, c in coeffs) == rhs; ``rel`` is always "==", not a field."""
+
     coeffs: tuple[tuple[str, Fraction], ...]
-    rel: str
     rhs: Fraction
     label: str = ""
+    rel = "=="
 
     def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
         """The left-hand side at the point, exactly.
@@ -64,11 +65,11 @@ def _fraction(x) -> Fraction:
     return Fraction(x) if f is None else f
 
 
-def make_row(coeffs: Mapping[str, object], rel: str, rhs, label: str = "") -> Row:
-    if rel not in (EQ, LE, GE):
-        raise ValueError(f"bad relation {rel!r}")
+def make_row(coeffs: Mapping[str, object], rhs, label: str = "") -> Row:
+    """The equality row ``sum coeffs[v] * x_v == rhs``: each number read by
+    ``Fraction()``, the terms sorted by variable, zero terms dropped."""
     cleaned = tuple(sorted((v, f) for v, c in coeffs.items() if (f := _fraction(c))))
-    return Row(cleaned, rel, _fraction(rhs), label)
+    return Row(cleaned, _fraction(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,9 @@ class Certificate:
         for idx, mult in self.multipliers:
             if not 0 <= idx < len(rows):  # a negative index would wrap around
                 return False
-            row = rows[idx]
-            if row.rel != EQ:
-                return False
-            for v, c in row.coeffs:
+            for v, c in rows[idx].coeffs:
                 total[v] = total.get(v, Fraction(0)) + mult * c
-            rhs += mult * row.rhs
+            rhs += mult * rows[idx].rhs
         return all(c == 0 for c in total.values()) and rhs != 0 and rhs == self.combined_rhs
 
 
@@ -142,27 +140,25 @@ def _lowest_terms(expr: dict, rhs: int, combo: dict, den: int):
 
 
 def _presolve(variables: Sequence[str], rows: Sequence[Row]):
-    """Exact elimination of the equality rows.
+    """Exact elimination of the rows.
 
-    Returns (pivots, var_index, certificate); pivots maps a variable index to
+    Returns (pivots, certificate); pivots maps a variable index to
     (expression over free variable indices, constant, row combination), with
     ints where integral, else Fractions, and a certificate replaces both when
     the equalities are inconsistent: the row combination of the first row
     that reduces to 0 = rhs != 0.
     """
-    var_index = {v: i for i, v in enumerate(variables)}
-    equalities = [i for i, row in enumerate(rows) if row.rel == EQ]
-    pivots, failure = _eliminate(rows, equalities, var_index)
+    pivots, failure = _eliminate(rows, {v: i for i, v in enumerate(variables)})
     if failure is not None:
         rhs, combo, den = failure
         multipliers = tuple(sorted((r, Fraction(m, den)) for r, m in combo.items()))
-        return None, None, Certificate(multipliers, Fraction(rhs, den))
-    return {p: _divided(*entry) for p, entry in pivots.items()}, var_index, None
+        return None, Certificate(multipliers, Fraction(rhs, den))
+    return {p: _divided(*entry) for p, entry in pivots.items()}, None
 
 
-def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
-    """Gaussian elimination of the equality rows ``rows[i]``, i in
-    ``indices``, in that order, up to the first inconsistent one.
+def _eliminate(rows: Sequence[Row], var_index):
+    """Gaussian elimination of the rows, in order, up to the first
+    inconsistent one.
 
     Returns (pivots, failure).  pivots maps p to (expr, rhs, combo, den):
     x_p = (rhs + sum expr[v] x_v) / den, and combo[r] / den is the
@@ -178,8 +174,8 @@ def _eliminate(rows: Sequence[Row], indices: Sequence[int], var_index):
     """
     pivots: dict[int, tuple[dict[int, int], int, dict[int, int], int]] = {}
     holders: dict[int, set[int]] = {}
-    for i in indices:
-        coeffs, rhs, den = _scaled(rows[i], var_index)
+    for i, row in enumerate(rows):
+        coeffs, rhs, den = _scaled(row, var_index)
         combo = {i: den}  # the working row is sum combo[r] * row r, over den
         for p in sorted(coeffs.keys() & pivots.keys()):
             factor = coeffs.pop(p)
@@ -246,17 +242,6 @@ def _divided(expr: dict, rhs: int, combo: dict, den: int):
         _quotient(rhs, den),
         {r: _quotient(m, den) for r, m in combo.items()},
     )
-
-
-def _substitute(row: Row, pivots, var_index) -> tuple[dict[int, object], object]:
-    coeffs, rhs, den = _scaled(row, var_index)
-    for p in sorted(coeffs.keys() & pivots.keys()):
-        factor = coeffs.pop(p)
-        expr, prhs = pivots[p][0], pivots[p][1]
-        for v, c in expr.items():
-            coeffs[v] = coeffs.get(v, 0) + factor * c
-        rhs -= factor * prhs
-    return {v: _quotient(c, den) for v, c in coeffs.items() if c}, _quotient(rhs, den)
 
 
 def _exact_phase(ineqs, free_vars):
@@ -338,40 +323,24 @@ def solve_feasibility(
     variables: Sequence[str],
     rows: Sequence[Row],
 ) -> FeasibilityResult:
-    """Decide feasibility of the rows with every variable boxed to [0,1]."""
+    """Decide feasibility of the equality rows with every variable boxed to
+    [0,1]."""
     rows = list(rows)
-    pivots, var_index, cert = _presolve(variables, rows)
+    pivots, cert = _presolve(variables, rows)
     if cert is not None:
         if not cert.verify(rows):  # pragma: no cover - internal consistency
             raise RuntimeError("presolve produced an unverifiable certificate")
         return FeasibilityResult(False, None, cert, "equality rows are inconsistent")
     free_vars = [i for i in range(len(variables)) if i not in pivots]
-    ineqs: list[tuple[dict[int, object], object]] = []
-    for row in rows:
-        if row.rel == EQ:
-            continue
-        coeffs, rhs = _substitute(row, pivots, var_index)
-        if row.rel == GE:
-            coeffs = {v: -c for v, c in coeffs.items()}
-            rhs = -rhs
-        if not coeffs:
-            if rhs < 0:
-                return FeasibilityResult(
-                    False, None, None, f"row {row.label!r} reduces to 0 <= {Fraction(rhs)}"
-                )
-            continue
-        ineqs.append((coeffs, rhs))
-    for p, (expr, prhs, _combo) in pivots.items():
-        ineqs.append(({v: -c for v, c in expr.items()}, prhs))  # pivot >= 0
-        ineqs.append((dict(expr), 1 - prhs))  # pivot <= 1
-    # exact duplicates add tableau rows and nothing else; in a lattice an
-    # element and its complement reduce to the same pair of pivot bounds
-    # (an int and the equal Fraction hash and compare alike)
+    # the bounds 0 <= pivot <= 1 over the free variables; exact duplicates
+    # add tableau rows and nothing else, and in a lattice an element and its
+    # complement reduce to the same pair (an int and the equal Fraction hash
+    # and compare alike)
     unique: dict[tuple, tuple[dict[int, object], object]] = {}
-    for coeffs, rhs in ineqs:
-        unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
-    ineqs = list(unique.values())
-    point_free = _exact_phase(ineqs, free_vars)
+    for expr, prhs, _combo in pivots.values():
+        for coeffs, rhs in (({v: -c for v, c in expr.items()}, prhs), (expr, 1 - prhs)):
+            unique.setdefault((frozenset(coeffs.items()), rhs), (coeffs, rhs))
+    point_free = _exact_phase(list(unique.values()), free_vars)
     if point_free is None:
         return FeasibilityResult(False, None, None, "bounded phase is infeasible")
     names = list(variables)
@@ -399,9 +368,9 @@ def to_fraction(value, max_denominator: int) -> Fraction | None:
 
 
 def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
-    """Maximum constraint violation at the point; exactly 0.0 for rational
-    points satisfying every row, and ``math.inf`` for a point with a NaN or
-    infinite coordinate.
+    """The largest |lhs - rhs| over the rows at the point; exactly 0.0 for
+    a rational point satisfying every row, and ``math.inf`` for a point with
+    a NaN or infinite coordinate.  The box is not checked.
 
     An int or Fraction coordinate is read as it is; any other is read by
     :func:`to_fraction` with denominators up to 10**15.  Every sum is exact.
@@ -417,11 +386,7 @@ def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
         value[k] = _canonical(x)
     worst = 0
     for row in rows:
-        gap = row.evaluate(value) - _canonical(row.rhs)
-        if row.rel == EQ:
-            gap = abs(gap)
-        elif row.rel != LE:
-            gap = -gap
+        gap = abs(row.evaluate(value) - _canonical(row.rhs))
         if gap > worst:
             worst = gap
     return float(worst)

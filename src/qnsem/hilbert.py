@@ -21,11 +21,9 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatch,
     InvariantViolation,
-    as_matrix,
     as_stack,
     hermitian_eigen,
     matrix_from_json,
-    max_norm,
     max_norms,
     orthonormalize,
 )
@@ -175,13 +173,6 @@ def ortho(p) -> np.ndarray:
     return identity(p.shape[-1]) - p
 
 
-def leq(p, q, tol: float = DEFAULT_TOL) -> bool:
-    """Range inclusion: p <= q exactly when q absorbs p (q p = p)."""
-    p, q = as_matrix(p), as_matrix(q)
-    _require_same_dim(p, q)
-    return max_norm(q @ p - p) <= tol
-
-
 def born(rho, p, tol: float = DEFAULT_TOL):
     """Born probability Re tr(rho p), clipped to [0,1] only within tolerance.
 
@@ -199,13 +190,12 @@ def born(rho, p, tol: float = DEFAULT_TOL):
     return float(value) if value.ndim == 0 else value
 
 
-def _projector_block(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """The RNG calls of one projector draw: the rank (1..dim-1 unless
-    given), then one ``(2, rank, dim)`` Gaussian block, the real and the
-    imaginary parts of ``rank`` vectors.  One call draws the same bits as
-    two ``(rank, dim)`` calls."""
-    if rank is None:
-        rank = int(rng.integers(1, dim)) if dim > 1 else 1
+def _projector_block(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The RNG calls of one projector draw: the rank in 1..dim-1, then one
+    ``(2, rank, dim)`` Gaussian block, the real and the imaginary parts of
+    ``rank`` vectors.  One call draws the same bits as two ``(rank, dim)``
+    calls."""
+    rank = int(rng.integers(1, dim)) if dim > 1 else 1
     return rng.normal(size=(2, rank, dim))
 
 
@@ -263,15 +253,6 @@ def random_stacks(
         for draw, out in zip(draws, blocks):
             out.append(draw(rng, dim))
     return tuple(_DRAWS[kind][1](b, dim) for kind, b in zip(kinds, blocks))
-
-
-def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Projector onto the span of Gaussian random vectors of rank 1..dim-1,
-    or of the given rank in 0..dim, built from the orthonormal QR factor of
-    the vectors."""
-    if rank is not None and not 0 <= rank <= dim:
-        raise ValueError(f"rank must lie in 0..{dim}, got {rank}")
-    return _projectors([_projector_block(rng, dim, rank)], dim)[0]
 
 
 def basis_vector(dim: int, i: int) -> np.ndarray:

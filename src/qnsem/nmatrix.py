@@ -113,7 +113,8 @@ class Bindings(RelationOracle, Generic[E]):
 
 @dataclass(frozen=True)
 class FiniteNMatrix:
-    """Finite truth-value domain, designated subset, and set-valued tables."""
+    """Finite truth-value domain, designated subset, and set-valued tables; a
+    truth value has no ``,``, which joins a cell's arguments in JSON keys."""
 
     values: tuple[str, ...]
     designated: frozenset[str]
@@ -124,6 +125,9 @@ class FiniteNMatrix:
         vset = set(self.values)
         if len(self.values) != len(vset):
             raise ValueError("duplicate truth values")
+        for v in self.values:
+            if "," in str(v):
+                raise ValueError(f"truth value {v!r} contains ','")
         if not self.designated or not self.designated < vset:
             raise ValueError("designated values must be a non-empty proper subset")
         for conn, table in self.tables.items():

@@ -10,15 +10,17 @@ read off it through the orthocomplement (de Morgan) whenever that map is an
 order-reversing involution, and from a second product otherwise.
 
 ``state_constraints`` is the specification of a state: one equality per
-complement pair and per orthogonal pair.  The searches solve the lattice's
-test space instead: one equality per context, a maximal set of mutually
-orthogonal atoms, over the atom weights, with every element the sum over a
-greedy orthogonal atom decomposition of it.  That reduction holds on an
-orthomodular lattice only, so the state searches require one; a point found
-is extended to every element and a certificate is mapped back to the
-specification rows, which are built only then.  ``find_state`` checks its
-point against them as one identity per row over the tables, without
-building them.
+complement pair and per orthogonal pair.  Every system solved here is
+equalities boxed to [0,1] (state rows, context rows, pins); on an OML the
+inequalities of the interval cells follow from them.  The searches solve
+the lattice's test space instead: one equality per context, a maximal set
+of mutually orthogonal atoms, over the atom weights, with every element the
+sum over a greedy orthogonal atom decomposition of it.  That reduction
+holds on an orthomodular lattice only, so the state searches require one; a
+point found is extended to every element and a certificate is mapped back
+to the specification rows, which are built only then.  ``find_state``
+checks its point against them as one identity per row over the tables,
+without building them.
 
 Lattices come from direct order tables (JSON) and from Greechie diagrams
 (blocks of mutually orthogonal atoms, pasted along shared atoms).
@@ -28,15 +30,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from numbers import Real
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .feasibility import (
-    EQ, Certificate, FeasibilityResult, Row, make_row, solve_feasibility, to_fraction,
-)
+from .feasibility import Certificate, FeasibilityResult, Row, make_row, solve_feasibility, to_fraction
 from .linalg import DEFAULT_TOL, _bits, json_list, json_object
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, IntervalNMatrix
 from .quantum import quantum_nmatrix
@@ -239,12 +241,13 @@ def verify_oml(l: FiniteOML, max_failures: int = 50) -> OmlReport:
     when every earlier check passed.
 
     Each law is one array expression over every element or pair; failures
-    come law by law, pairs in row-major order, up to ``max_failures``.
-    With ``max_failures >= 1`` the verdict is recorded on ``l``, so the
-    searches that require an OML do not check the laws again."""
+    come law by law, pairs in row-major order, up to ``max_failures``, which
+    must be at least 1.  The verdict is recorded on ``l``, so the searches
+    that require an OML do not check the laws again."""
+    if max_failures < 1:
+        raise ValueError(f"max_failures must be at least 1, got {max_failures}")
     report = _check_laws(l, max_failures)
-    if max_failures >= 1:
-        l._first_failure = report.failures[:1]
+    l._first_failure = report.failures[:1]
     return report
 
 
@@ -435,13 +438,13 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
         orthogonal, join = _orthogonal_joins(l)
         names = l.elements
         rows: list[Row] = [
-            make_row({names[l.bottom]: 1}, EQ, 0, "bottom"),
-            make_row({names[l.top]: 1}, EQ, 1, "top"),
+            make_row({names[l.bottom]: 1}, 0, "bottom"),
+            make_row({names[l.top]: 1}, 1, "top"),
         ]
         for i, oi in enumerate(l.ortho.tolist()):
             if i <= oi:
                 coeffs = {names[i]: 1, names[oi]: 1} if i != oi else {names[i]: 2}
-                rows.append(make_row(coeffs, EQ, 1, f"complement:{names[i]}"))
+                rows.append(make_row(coeffs, 1, f"complement:{names[i]}"))
         pairs = np.nonzero(orthogonal)
         additivity = np.full(orthogonal.shape, -1)  # the row of each orthogonal pair, both ways
         additivity[pairs] = additivity[pairs[::-1]] = np.arange(len(rows), len(rows) + len(pairs[0]))
@@ -456,7 +459,7 @@ def state_constraints(l: FiniteOML) -> tuple[list[str], list[Row]]:
                 coeffs = ((a, minus_one),)
             else:
                 coeffs = tuple(sorted(((names[k], one), (a, minus_one), (b, minus_one))))
-            rows.append(Row(coeffs, EQ, zero, f"additivity:{a}|{b}"))
+            rows.append(Row(coeffs, zero, f"additivity:{a}|{b}"))
         l._state_rows = names, tuple(rows), additivity
     names, rows, _ = l._state_rows
     return list(names), list(rows)
@@ -521,7 +524,7 @@ def _test_space(l: FiniteOML) -> _TestSpace:
         names = [l.elements[a] for a in atoms.tolist()]
         shared = np.bincount([a for c in contexts for a in c], minlength=len(atoms))
         variables = tuple(names[a] for a in np.argsort(shared, kind="stable").tolist())
-        rows = tuple(make_row(dict.fromkeys([names[a] for a in c], 1), EQ, 1, "context") for c in contexts)
+        rows = tuple(make_row(dict.fromkeys([names[a] for a in c], 1), 1, "context") for c in contexts)
         l._space = _TestSpace(atoms, orthogonal, contexts, decomposition, variables, rows)
     return l._space
 
@@ -579,7 +582,7 @@ def _solve_on_contexts(l: FiniteOML, extra: Sequence[Row] = ()) -> tuple[Feasibi
         for v, c in row.coeffs:
             for a in np.flatnonzero(space.decomposition[l.index[v]]).tolist():
                 coeffs[names[a]] = coeffs.get(names[a], 0) + c
-        rows.append(make_row(coeffs, row.rel, row.rhs, row.label))
+        rows.append(make_row(coeffs, row.rhs, row.label))
     result = solve_feasibility(space.variables, rows)
     if result.feasible:
         weights = [result.point[name] for name in names]
@@ -780,7 +783,8 @@ def legal_valuation_search(
     The rows encode ``quantum_nmatrix(alpha)``, whose tables do not depend
     on alpha; other matrices are refused.  ``partial`` pins chosen
     elements.  A pin is read by ``to_fraction`` with denominators up to
-    10**9; a pin that is not a finite number in [0,1] raises ValueError.
+    10**9; a pin that is not a finite real number (``numbers.Real`` or
+    ``Decimal``) in [0,1], compared exactly, raises ValueError.
     The rows are solved exactly, so a point found is rational and satisfies
     them with residual zero.
 
@@ -807,8 +811,8 @@ def legal_valuation_search(
     for e, v in (partial or {}).items():
         if e not in l.index:
             raise ValueError(f"unknown element {e!r} in partial assignment")
-        pin = to_fraction(v, 10**9)
-        if pin is None or not 0.0 <= float(v) <= 1.0:
-            raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v}")
-        rows.append(make_row({e: 1}, EQ, pin, f"pin:{e}"))
+        pin = to_fraction(v, 10**9) if isinstance(v, (Real, Decimal)) else None
+        if pin is None or not 0 <= v <= 1:  # v itself: the pin is rounded
+            raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v!r}")
+        rows.append(make_row({e: 1}, pin, f"pin:{e}"))
     return _solve_on_contexts(l, rows)[0]

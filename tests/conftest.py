@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qnsem import hilbert
-from qnsem.linalg import DimensionMismatch, as_matrix, max_norm
+from qnsem.linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, max_norm
 from qnsem.formulas import Formula
 from qnsem.nmatrix import DESIGNATED, NON_ORTHOGONAL, ORTHOGONAL, UNDESIGNATED, Bindings, IntervalNMatrix, IntervalRule
 from qnsem.oml import FiniteOML
@@ -42,6 +42,27 @@ def is_orthogonal(p, q, tol: float = 1e-9) -> bool:
     if p.shape != q.shape:
         raise DimensionMismatch(f"dimension mismatch: {p.shape} vs {q.shape}")
     return max_norm(p @ q) <= tol
+
+
+def leq(p, q, tol: float = DEFAULT_TOL) -> bool:
+    """Range inclusion: p <= q exactly when q absorbs p (q p = p), for two
+    single matrices of one dimension."""
+    p, q = as_matrix(p), as_matrix(q)
+    hilbert._require_same_dim(p, q)
+    return max_norm(q @ p - p) <= tol
+
+
+def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+    """Projector onto the span of Gaussian random vectors of rank 1..dim-1,
+    or of the given rank in 0..dim, built from the orthonormal QR factor of
+    the vectors; without a rank, the draw of one ``random_stacks`` trial."""
+    if rank is None:
+        block = hilbert._projector_block(rng, dim)
+    elif 0 <= rank <= dim:
+        block = rng.normal(size=(2, rank, dim))  # _projector_block's draw once it has a rank
+    else:
+        raise ValueError(f"rank must lie in 0..{dim}, got {rank}")
+    return hilbert._projectors([block], dim)[0]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

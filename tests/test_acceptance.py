@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, random_projector
 from qnsem import fixtures, hilbert, kscheck, oml
 from qnsem.feasibility import check_point
 from qnsem.formulas import And, Atom, Not, Or, parse, render, subformula_closure
@@ -104,8 +104,8 @@ def test_criterion_03_legality_sweep():
         for _ in range(1000):
             bindings = ProjectorBindings(
                 {
-                    "P": hilbert.random_projector(rng, dim),
-                    "Q": hilbert.random_projector(rng, dim),
+                    "P": random_projector(rng, dim),
+                    "Q": random_projector(rng, dim),
                 }
             )
             rho = random_density(rng, dim)
@@ -121,15 +121,15 @@ def test_criterion_04_lattice_laws():
     bound = 1e-8
     for dim in (2, 3, 4, 5, 6):
         for _ in range(1000):
-            p = hilbert.random_projector(rng, dim)
-            q = hilbert.random_projector(rng, dim)
+            p = random_projector(rng, dim)
+            q = random_projector(rng, dim)
             absorption = hilbert.join(p, hilbert.meet(p, q))
             assert float(np.max(np.abs(absorption - p))) <= bound
             de_morgan_left = hilbert.ortho(hilbert.join(p, q))
             de_morgan_right = hilbert.meet(hilbert.ortho(p), hilbert.ortho(q))
             assert float(np.max(np.abs(de_morgan_left - de_morgan_right))) <= bound
             small = hilbert.meet(p, q)
-            big = hilbert.join(small, hilbert.random_projector(rng, dim))
+            big = hilbert.join(small, random_projector(rng, dim))
             rebuilt = hilbert.join(small, hilbert.meet(big, hilbert.ortho(small)))
             assert float(np.max(np.abs(big - rebuilt))) <= bound
 

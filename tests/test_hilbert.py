@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import is_orthogonal, operator_to_json, random_density
+from conftest import is_orthogonal, leq, operator_to_json, random_density, random_projector
 from qnsem import hilbert, linalg
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian, max_norm
 from qnsem.quantum import ProjectorBindings
@@ -42,7 +42,7 @@ def test_meet_paper_configuration():
 
 
 def test_meet_trivial_cases(rng):
-    p = hilbert.random_projector(rng, 3)
+    p = random_projector(rng, 3)
     assert max_norm(hilbert.meet(p, p) - p) <= 1e-10
     assert max_norm(hilbert.meet(p, hilbert.ortho(p))) <= 1e-10
 
@@ -58,7 +58,7 @@ def test_join_superposition_configuration():
 
 
 def test_join_trivial_cases(rng):
-    p = hilbert.random_projector(rng, 4)
+    p = random_projector(rng, 4)
     zero = np.zeros((4, 4), complex)
     assert max_norm(hilbert.join(p, zero) - p) <= 1e-10
     assert max_norm(hilbert.join(p, hilbert.ortho(p)) - np.eye(4)) <= 1e-10
@@ -75,10 +75,10 @@ def test_leq():
     e = basis(4)
     p = hilbert.projector_from_span([e[0], e[1]])
     ray = hilbert.projector_from_span([e[1]])
-    assert hilbert.leq(np.zeros((4, 4), complex), p)
-    assert hilbert.leq(p, p)
-    assert hilbert.leq(ray, p)
-    assert not hilbert.leq(p, ray)
+    assert leq(np.zeros((4, 4), complex), p)
+    assert leq(p, p)
+    assert leq(ray, p)
+    assert not leq(p, ray)
 
 
 def test_is_orthogonal():
@@ -123,7 +123,7 @@ def assert_state_axioms(rho, family, tol=1e-9):
 
 def test_state_axioms_complement_family(rng):
     rho = random_density(rng, 4)
-    p = hilbert.random_projector(rng, 4)
+    p = random_projector(rng, 4)
     assert_state_axioms(rho, [p, hilbert.ortho(p)])
 
 
@@ -158,8 +158,8 @@ def test_state_axioms_rejects_non_orthogonal():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_lattice_laws_random(rng, dim):
     for _ in range(100):
-        p = hilbert.random_projector(rng, dim)
-        q = hilbert.random_projector(rng, dim)
+        p = random_projector(rng, dim)
+        q = random_projector(rng, dim)
         meet_pq = hilbert.meet(p, q)
         join_pq = hilbert.join(p, q)
         assert max_norm(meet_pq - hilbert.meet(q, p)) <= 1e-8
@@ -173,9 +173,9 @@ def test_lattice_laws_random(rng, dim):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_orthomodular_law_random(rng, dim):
     for _ in range(100):
-        p = hilbert.random_projector(rng, dim)
-        q = hilbert.join(p, hilbert.random_projector(rng, dim))
-        assert hilbert.leq(p, q, 1e-7)
+        p = random_projector(rng, dim)
+        q = hilbert.join(p, random_projector(rng, dim))
+        assert leq(p, q, 1e-7)
         rebuilt = hilbert.join(p, hilbert.meet(q, hilbert.ortho(p)))
         assert max_norm(q - rebuilt) <= 1e-8
 
@@ -184,8 +184,8 @@ def test_born_monotonicity_and_additivity(rng):
     for _ in range(200):
         dim = int(rng.integers(2, 5))
         rho = random_density(rng, dim)
-        p = hilbert.random_projector(rng, dim)
-        q = hilbert.random_projector(rng, dim)
+        p = random_projector(rng, dim)
+        q = random_projector(rng, dim)
         assert hilbert.born(rho, hilbert.meet(p, q)) <= hilbert.born(rho, p) + 1e-9
         assert hilbert.born(rho, p) <= hilbert.born(rho, hilbert.join(p, q)) + 1e-9
         r = hilbert.meet(q, hilbert.ortho(p))
@@ -195,7 +195,7 @@ def test_born_monotonicity_and_additivity(rng):
 
 
 def test_operator_json_roundtrip(rng):
-    p = hilbert.random_projector(rng, 3)
+    p = random_projector(rng, 3)
     obj = operator_to_json(p, "projector")
     back, kind = hilbert.operator_from_json(obj)
     assert kind == "projector" and max_norm(back - p) <= 1e-12
@@ -207,11 +207,11 @@ def _stacked_pairs(rng, dim):
     """Random pairs of every rank combination, then the degenerate pairs:
     p = q, p orthogonal to q (a ray and the whole complement), 0 and I."""
     pairs = [
-        (hilbert.random_projector(rng, dim, a), hilbert.random_projector(rng, dim, b))
+        (random_projector(rng, dim, a), random_projector(rng, dim, b))
         for a in range(1, dim)
         for b in range(1, dim)
     ]
-    p = hilbert.random_projector(rng, dim)
+    p = random_projector(rng, dim)
     ray = hilbert.projector_from_span([hilbert.ortho(p) @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))])
     zero, one = np.zeros((dim, dim), complex), hilbert.identity(dim)
     pairs += [(p, p), (p, ray), (p, hilbert.ortho(p)), (p, zero), (p, one), (zero, zero), (one, one), (zero, one)]
@@ -301,7 +301,7 @@ def test_batched_draws_match_successive_calls(dim):
     for kinds in (("projector", "projector", "density"), ("projector",) * 3):
         batched_rng, loop_rng = np.random.default_rng(dim), np.random.default_rng(dim)
         stacks = hilbert.random_stacks(batched_rng, dim, 200, kinds)
-        draw = {"projector": hilbert.random_projector, "density": random_density}
+        draw = {"projector": random_projector, "density": random_density}
         for t in range(200):
             for kind, stack in zip(kinds, stacks):
                 assert np.array_equal(stack[t], draw[kind](loop_rng, dim)), (kinds, t, kind)
@@ -359,15 +359,15 @@ def test_random_projector_rank_range(rng):
     state = rng.bit_generator.state
     for rank in (-1, 4, 5):
         with pytest.raises(ValueError, match=r"rank must lie in 0\.\.3"):
-            hilbert.random_projector(rng, 3, rank)
+            random_projector(rng, 3, rank)
     assert rng.bit_generator.state == state  # refused before any draw
-    assert max_norm(hilbert.random_projector(rng, 3, 0)) == 0.0
-    assert max_norm(hilbert.random_projector(rng, 3, 3) - np.eye(3)) <= 1e-12
-    assert np.trace(hilbert.random_projector(rng, 3, 2)).real == pytest.approx(2)
+    assert max_norm(random_projector(rng, 3, 0)) == 0.0
+    assert max_norm(random_projector(rng, 3, 3) - np.eye(3)) <= 1e-12
+    assert np.trace(random_projector(rng, 3, 2)).real == pytest.approx(2)
 
 
 def test_residuals_per_slice(rng):
-    p = np.array([hilbert.random_projector(rng, 3) for _ in range(4)])
+    p = np.array([random_projector(rng, 3) for _ in range(4)])
     p[2, 0, 1] += 1e-3
     rho = np.array([random_density(rng, 3) for _ in range(4)])
     rho[1] *= 1.5

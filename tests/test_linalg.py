@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import matrix_to_json
+from conftest import leq, matrix_to_json
 from qnsem import hilbert, linalg
 
 
@@ -137,7 +137,7 @@ def test_default_tolerance_ignores_environment(monkeypatch):
     monkeypatch.setenv("QNSEM_TOL", "0.5")
     p = hilbert.projector_from_span([[1, 0]])
     q = hilbert.projector_from_span([[1, 1e-3]])
-    assert not hilbert.leq(p, q)
-    assert hilbert.leq(p, q, 1e-2)
+    assert not leq(p, q)
+    assert leq(p, q, 1e-2)
     sources = Path(linalg.__file__).parent.glob("*.py")
     assert [f.name for f in sources if "os.environ" in f.read_text()] == []

@@ -85,6 +85,23 @@ def test_json_roundtrip():
             assert back.cell(conn, key).labels == cell.labels
 
 
+@pytest.mark.parametrize("label", ["t,1", ",", "t,"])
+def test_value_label_with_a_comma_is_refused(label):
+    # the JSON form keys a cell by its arguments joined with ",", so the
+    # matrix would not read back: from_json(m.to_json()) said "bad key"
+    m = classical_matrix()
+    rename = {"t": label, "F": "F"}
+    tables = {
+        conn: {tuple(rename[v] for v in key): finite(*(rename[v] for v in cell.labels)) for key, cell in table.items()}
+        for conn, table in m.tables.items()
+    }
+    with pytest.raises(ValueError, match=re.escape(f"truth value {label!r} contains ','")):
+        FiniteNMatrix((label, "F"), frozenset({label}), tables)
+    as_json = {"values": [label, "F"], "designated": [label], "tables": {}}
+    with pytest.raises(ValueError, match="contains ','"):
+        FiniteNMatrix.from_json(as_json)
+
+
 # ---------------------------------------------------------------------------
 # legality and the composability check
 

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import LatticeBindings, chain_with_fixed_point, join_oml, meet_oml
+from test_feasibility import inequality, reference_check_point, reference_solve
 from qnsem import feasibility, fixtures, oml
-from qnsem.feasibility import EQ, GE, check_point, make_row, solve_feasibility, to_fraction
+from qnsem.feasibility import check_point, make_row, solve_feasibility, to_fraction
 from qnsem.nmatrix import NON_ORTHOGONAL, ORTHOGONAL, is_dynamic_legal
 from qnsem.formulas import And, Atom, Not, Or, render
 from qnsem.quantum import ProjectorBindings, quantum_nmatrix
@@ -491,7 +492,7 @@ def test_state_rows_are_built_once_and_returned_as_new_lists():
     cached = lattice._state_rows
     assert names == list(lattice.elements) and cached[1] == tuple(rows)
     names.append("junk")
-    rows.append(make_row({"a": 1}, EQ, 1, "junk"))
+    rows.append(make_row({"a": 1}, 1, "junk"))
     again_names, again_rows = oml.state_constraints(lattice)
     assert lattice._state_rows is cached
     assert all(again is row for again, row in zip(again_rows, cached[1]))
@@ -507,7 +508,7 @@ def test_legal_search_pins_stay_out_of_the_state_rows():
     names, before = oml.state_constraints(lattice)
     pinned = oml.legal_valuation_search(lattice, quantum_nmatrix(1.0), partial={"a": 1, "b": 1})
     assert not pinned.feasible
-    assert solve_feasibility(names, before + [make_row({"ab": 1}, EQ, 1, "extra")]).feasible
+    assert solve_feasibility(names, before + [make_row({"ab": 1}, 1, "extra")]).feasible
     assert oml.state_constraints(lattice)[1] == before
     result = oml.find_state(lattice)
     assert result.feasible and result.residual == 0.0
@@ -525,7 +526,7 @@ def test_legal_search_builds_the_state_rows_only_for_a_certificate():
     pins = {"a": 1, "bc": 1}  # a' = bc: contradicts the complement row at presolve
     result = oml.legal_valuation_search(lattice, matrix, partial=pins)
     assert not result.feasible and result.certificate is not None
-    pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+    pin_rows = [make_row({e: 1}, v, f"pin:{e}") for e, v in pins.items()]
     assert result.certificate.verify(oml.state_constraints(lattice)[1] + pin_rows)
 
 
@@ -658,7 +659,7 @@ def test_context_solve_matches_the_state_row_solve():
             ortho = lattice.elements[lattice.ortho[lattice.index[atom]]]
             pin_sets += [{atom: 1, ortho: 1}, {atom: Fraction(1, 3)}, {atom: 1, mate: 1}]
         for pins in pin_sets:
-            pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+            pin_rows = [make_row({e: 1}, v, f"pin:{e}") for e, v in pins.items()]
             got = oml.legal_valuation_search(lattice, matrix, partial=pins)
             want = solve_feasibility(names, rows + pin_rows)
             assert (got.feasible, got.detail) == (want.feasible, want.detail), (name, pins)
@@ -758,11 +759,15 @@ def test_law_check_runs_once_per_lattice(monkeypatch):
     oml.find_state(fresh)
     oml.find_state(fresh)
     assert calls == [lattice, fresh]
-    # a check that lists no failure records no verdict
-    broken = chain_with_fixed_point()
-    assert oml.verify_oml(broken, max_failures=0).failures == ()
-    with pytest.raises(ValueError, match="not an orthomodular lattice"):
-        oml.find_state(broken)
+    # a cap below 1 could list no failure: it is refused and records no
+    # verdict
+    for broken in (chain_with_fixed_point(), _o6()):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match=f"max_failures must be at least 1, got {cap}"):
+                oml.verify_oml(broken, max_failures=cap)
+        assert broken._first_failure is None
+        with pytest.raises(ValueError, match="not an orthomodular lattice"):
+            oml.find_state(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,14 +1129,16 @@ def test_valuation_search_respects_partial():
 
 def test_valuation_search_reads_any_real_pin():
     # a Rational pin exactly, any other number through float(); a pin that
-    # is not a finite number in [0,1] is refused
+    # is not a finite number in [0,1], compared exactly, is refused: a huge
+    # Rational, one just above 1, and what is no number, a string included
     lattice = oml.mo2()
     matrix = quantum_nmatrix(1.0)
     for pin, want in [(np.float32(0.5), Fraction(1, 2)), (Decimal("0.25"), Fraction(1, 4)), (0.1, Fraction(1, 10)),
                       (Fraction(1, 3), Fraction(1, 3)), (np.int64(1), 1)]:
         result = oml.legal_valuation_search(lattice, matrix, partial={"a": pin})
         assert result.feasible and (result.point["a"], result.point["a'"]) == (want, 1 - want), pin
-    for bad in (Decimal("nan"), np.float32("nan"), float("inf"), np.float32(1.5), -1):
+    for bad in (Decimal("nan"), np.float32("nan"), float("inf"), np.float32(1.5), -1, 1 + 1e-12, -1e-12,
+                10**400, Fraction(10**400, 3), None, "0.5"):
         with pytest.raises(ValueError, match="out of"):
             oml.legal_valuation_search(lattice, matrix, partial={"a": bad})
 
@@ -1143,7 +1150,7 @@ def test_pairwise_constraints_propagate_to_families():
     lattice = oml.boolean_lattice(3)
     matrix = quantum_nmatrix(1.0)
     names, rows = oml.state_constraints(lattice)
-    gap = make_row({"1": 1, "a": -1, "b": -1, "c": -1}, EQ, Fraction(1, 10), "ternary-gap")
+    gap = make_row({"1": 1, "a": -1, "b": -1, "c": -1}, Fraction(1, 10), "ternary-gap")
     assert not solve_feasibility(names, rows + [gap]).feasible
     # sanity: without the distortion the same system is feasible
     assert oml.legal_valuation_search(lattice, matrix).feasible
@@ -1165,7 +1172,8 @@ def legal_rows_oracle(l):
     """The rows the legal search built before it reduced to the state rows:
     an ``and-zero:`` equality for every orthogonal pair and the interval
     ``bound:`` inequalities for every other pair, on top of the state rows.
-    Kept as the reference the state rows must agree with."""
+    Kept as the reference the state rows must agree with; the solver takes
+    equalities only, so ``reference_solve`` solves these."""
     meet, join = l.bound_table("meet"), l.bound_table("join")
     names, rows = oml.state_constraints(l)
     n = len(names)
@@ -1173,13 +1181,13 @@ def legal_rows_oracle(l):
         for j in range(i + 1, n):
             jj, mm = join[i, j], meet[i, j]
             if l.leq[i, l.ortho[j]]:
-                rows.append(make_row({names[mm]: 1}, EQ, 0, f"and-zero:{names[i]}|{names[j]}"))
+                rows.append(make_row({names[mm]: 1}, 0, f"and-zero:{names[i]}|{names[j]}"))
             else:
                 for low, high in ((names[i], names[jj]), (names[j], names[jj]),
                                   (names[mm], names[i]), (names[mm], names[j])):
                     if low == high:
                         continue
-                    rows.append(make_row({high: 1, low: -1}, GE, 0, f"bound:{low}<={high}"))
+                    rows.append(inequality({high: 1, low: -1}, ">=", 0, f"bound:{low}<={high}"))
     return names, rows
 
 
@@ -1212,13 +1220,13 @@ def test_legal_search_matches_the_interval_row_oracle():
     for lattice in lattices:
         names, oracle_rows = legal_rows_oracle(lattice)
         for label, pins, feasible in _pin_sets(lattice):
-            pin_rows = [make_row({e: 1}, EQ, v, f"pin:{e}") for e, v in pins.items()]
+            pin_rows = [make_row({e: 1}, v, f"pin:{e}") for e, v in pins.items()]
             result = oml.legal_valuation_search(lattice, matrix, partial=pins)
-            oracle = solve_feasibility(names, oracle_rows + pin_rows)
+            oracle = reference_solve(names, oracle_rows + pin_rows)
             assert result.feasible == oracle.feasible == feasible, (len(lattice), label)
             seen[label] += 1
             if feasible:
-                assert check_point(oracle_rows + pin_rows, result.point) == 0.0, (len(lattice), label)
+                assert reference_check_point(oracle_rows + pin_rows, result.point) == 0.0, (len(lattice), label)
     assert seen["order-reversed"] == 6  # Boolean 2^3..2^5 and the three chains
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import empty_negation_tables, is_orthogonal, random_density
+from conftest import empty_negation_tables, is_orthogonal, leq, random_density, random_projector
 from qnsem import hilbert
 from qnsem.formulas import And, Atom, Not, Or, parse, subformula_closure
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian
@@ -269,8 +269,8 @@ def test_order_preservation_random_nested(rng):
 
     for _ in range(1000):
         dim = int(rng.integers(2, 5))
-        p = hilbert.random_projector(rng, dim)
-        q = hilbert.join(p, hilbert.random_projector(rng, dim))
+        p = random_projector(rng, dim)
+        q = hilbert.join(p, random_projector(rng, dim))
         rho = random_density(rng, dim)
         assert hilbert.born(rho, p) <= hilbert.born(rho, q) + 1e-9
 
@@ -302,13 +302,13 @@ def test_order_preservation_report(rng):
 
 
 def order_check_oracle(valuation, bindings, tol=1e-9):
-    """The order check one pair at a time, through hilbert.leq and
+    """The order check one pair at a time, through conftest.leq and
     is_orthogonal: the oracle of the stacked rows."""
     domain = valuation.domain()
     violations, comparable, orthogonal = [], 0, 0
     for f in domain:
         for g in domain:
-            if f is not g and hilbert.leq(bindings.denote(f), bindings.denote(g), tol):
+            if f is not g and leq(bindings.denote(f), bindings.denote(g), tol):
                 comparable += 1
                 if valuation[f] > valuation[g] + tol:
                     violations.append(OrderViolation(f, g, "order", f"{valuation[f]} > {valuation[g]}"))
@@ -329,7 +329,7 @@ def test_order_check_matches_per_pair_oracle():
 
     rnd, rng = random.Random(0), np.random.default_rng(0)
     for dim in (2, 3, 4, 6):
-        atoms = {name: hilbert.random_projector(rng, dim) for name in ("A", "B", "C")}
+        atoms = {name: random_projector(rng, dim) for name in ("A", "B", "C")}
         formula = workloads._formula_with_closure(rnd, [Atom(n) for n in atoms], 30, 6)
         bindings = ProjectorBindings(atoms)
         born = evaluate_state(random_density(rng, dim), bindings, [formula])
@@ -413,8 +413,8 @@ def test_legality_sweep_small(rng):
         for _ in range(60):
             bindings = ProjectorBindings(
                 {
-                    "P": hilbert.random_projector(rng, dim),
-                    "Q": hilbert.random_projector(rng, dim),
+                    "P": random_projector(rng, dim),
+                    "Q": random_projector(rng, dim),
                 }
             )
             rho = random_density(rng, dim)
