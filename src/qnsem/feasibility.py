@@ -144,8 +144,8 @@ def _presolve(variables: Sequence[str], rows: Sequence[Row]):
 
     Returns (pivots, certificate); pivots maps a variable index to
     (expression over free variable indices, constant, row combination), with
-    ints where integral, else Fractions, and a certificate replaces both when
-    the equalities are inconsistent: the row combination of the first row
+    ints where integral, else Fractions, and the certificate replaces them
+    when the rows are inconsistent: the row combination of the first row
     that reduces to 0 = rhs != 0.
     """
     pivots, failure = _eliminate(rows, {v: i for i, v in enumerate(variables)})
