@@ -26,9 +26,10 @@ Fraction coordinate as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
-from numbers import Rational
+from numbers import Rational, Real
 from typing import Mapping, NamedTuple, Sequence
 
 
@@ -352,17 +353,20 @@ def solve_feasibility(
 
 
 def to_fraction(value, max_denominator: int) -> Fraction | None:
-    """A number given from outside, as a Fraction; None when it is not finite.
+    """A number given from outside, as a Fraction; None when it is not a
+    finite real number (``numbers.Real`` or ``Decimal``).
 
     A ``numbers.Rational`` (int, bool, Fraction, a numpy integer) is read
     exactly, into Python ints: a Fraction built from a numpy integer keeps
-    it as its numerator and wraps around in later products.  Any other
+    it as its numerator and wraps around in later products.  Any other real
     number (float, numpy float32, Decimal) goes through ``float(value)`` and
     is read as the nearest fraction with denominator at most
-    ``max_denominator``.
+    ``max_denominator``.  Anything else, a string or None say, is not read.
     """
     if isinstance(value, Rational):
         return Fraction(int(value.numerator), int(value.denominator))
+    if not isinstance(value, (Real, Decimal)):
+        return None
     x = float(value)
     return Fraction(x).limit_denominator(max_denominator) if isfinite(x) else None
 
@@ -370,7 +374,8 @@ def to_fraction(value, max_denominator: int) -> Fraction | None:
 def check_point(rows: Sequence[Row], point: Mapping[str, object]) -> float:
     """The largest |lhs - rhs| over the rows at the point; exactly 0.0 for
     a rational point satisfying every row, and ``math.inf`` for a point with
-    a NaN or infinite coordinate.  The box is not checked.
+    a coordinate that is not a finite real number (NaN, infinite, a string,
+    None).  The box is not checked.
 
     An int or Fraction coordinate is read as it is; any other is read by
     :func:`to_fraction` with denominators up to 10**15.  Every sum is exact.

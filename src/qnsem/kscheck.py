@@ -59,16 +59,6 @@ class VectorContextFamily:
                     raise ValueError(f"context {ctx} references unknown vector {vid!r}")
         return VectorContextFamily(dim, vectors, contexts)
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "vectors": {
-                vid: [[float(z.real), float(z.imag)] for z in vec]
-                for vid, vec in sorted(self.vectors.items())
-            },
-            "contexts": [list(ctx) for ctx in self.contexts],
-        }
-
     def ids(self) -> list[str]:
         return sorted(self.vectors)
 
@@ -137,9 +127,8 @@ def verify_contexts(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> Co
     return ContextReport(ortho_res, resolution_res, tuple(problems))
 
 
-def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
-    """Backtracking core: returns (first solution, count up to cap), where a
-    cap of None counts every solution.
+def _search(family: VectorContextFamily, tol: float, count_cap: int):
+    """Backtracking core: returns (first solution, count up to cap).
 
     Vector k of ``family.ids()`` is bit k.  Each context and each vector's
     orthogonality neighbourhood is an int mask, and an assignment is two
@@ -183,7 +172,7 @@ def _search(family: VectorContextFamily, tol: float, count_cap: int | None):
                 count += 1
                 if first is None:
                     first = {vid: ones >> k & 1 for k, vid in enumerate(ids)}
-                if count_cap is not None and count >= count_cap:
+                if count >= count_cap:
                     break
         # backtrack to the innermost context with an untried vector left,
         # and set that vector to 1 on the snapshot the context started from
@@ -217,10 +206,10 @@ def search_classical_valuation(
     return first
 
 
-def count_solutions(family: VectorContextFamily, cap: int | None = 10**6, tol: float = DEFAULT_TOL) -> int:
-    """Exact solution count (up to cap; None means no cap) by exhaustive
-    backtracking.  A cap below 1 raises ValueError."""
-    if cap is not None and cap < 1:
+def count_solutions(family: VectorContextFamily, cap: int = 10**6, tol: float = DEFAULT_TOL) -> int:
+    """Exact solution count, up to cap, by exhaustive backtracking.  A cap
+    below 1 raises ValueError."""
+    if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     _, count = _search(family, tol, count_cap=cap)
     return count

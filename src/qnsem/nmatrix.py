@@ -2,6 +2,10 @@
 cells are sets of values, with the legality, validity, consequence, adequacy
 and rexpansion checks built on top of them.
 
+Legality is checked under the interval tables, consequence under finite
+ones, and a rexpansion collapses the interval tables onto a finite matrix;
+adequacy takes either kind.
+
 A matrix interprets each connective by a function from value tuples to
 non-empty value sets; a *dynamic* valuation picks one member per compound
 formula, a *static* one additionally agrees on same-connective compounds with
@@ -148,20 +152,6 @@ class FiniteNMatrix:
 
     def is_designated(self, value: str) -> bool:
         return value in self.designated
-
-    def cell_values_ordered(self, cell: FiniteValues) -> list[str]:
-        order = {v: i for i, v in enumerate(self.values)}
-        return sorted(cell.labels, key=order.__getitem__)
-
-    def to_json(self) -> dict:
-        return {
-            "values": list(self.values),
-            "designated": sorted(self.designated, key=self.values.index),
-            "tables": {
-                conn: {",".join(key): self.cell_values_ordered(cell) for key, cell in table.items()}
-                for conn, table in self.tables.items()
-            },
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteNMatrix":
@@ -469,40 +459,22 @@ def is_dynamic_legal(
     oracle: RelationOracle | None = None,
     tol: float = DEFAULT_TOL,
 ) -> LegalityReport:
-    """Check membership of every compound's value in its interpretation set.
+    """Check membership of every compound's value in its interpretation set
+    under an interval matrix; any other matrix type raises TypeError.
 
-    Finite matrices need no oracle.  Interval matrices consult ``oracle`` for
-    the relation case of each binary compound; borderline pairs are recorded
-    as ambiguous and accepted if the value fits either case.  A compound
-    with an input outside the value domain has no cell and is not checked;
-    the lowest value outside the domain is a violation of its own.  Under
-    an interval matrix a value that ``float()`` cannot read is outside it.
+    The relation case of each binary compound comes from ``oracle``;
+    borderline pairs are recorded as ambiguous and accepted if the value
+    fits either case.  A compound with an input outside [0,1] has no cell
+    and is not checked; the lowest value outside [0,1] is a violation of
+    its own.  A value that ``float()`` cannot read is outside [0,1].
     """
+    if not isinstance(matrix, IntervalNMatrix):
+        raise TypeError(f"unsupported matrix type {type(matrix).__name__}")
     mapping = _as_mapping(valuation)
     Valuation(mapping)  # closure check
     violations: list[LegalityViolation] = []
     ambiguous: list[tuple[Formula, Formula]] = []
     checked = 0
-
-    if isinstance(matrix, FiniteNMatrix):
-        for f, v in mapping.items():
-            if isinstance(f, Atom):
-                if v not in matrix.values:
-                    violations.append(LegalityViolation(f, v, finite(*matrix.values)))
-                continue
-            args = tuple(mapping[c] for c in children(f))
-            if not all(x in matrix.values for x in args):
-                continue  # no cell: the lowest value outside the domain is reported
-            checked += 1
-            conn = "not" if isinstance(f, Not) else "and" if isinstance(f, And) else "or"
-            cell = matrix.cell(conn, args)
-            if v not in matrix.values or not cell.contains(v):  # an unhashable v is not in a cell
-                violations.append(LegalityViolation(f, v, cell))
-        return LegalityReport(tuple(violations), (), checked)
-
-    if not isinstance(matrix, IntervalNMatrix):
-        raise TypeError(f"unsupported matrix type {type(matrix).__name__}")
-
     unit, top = interval(0.0, 1.0), 1.0 + tol
     real = {f: _real(v) for f, v in mapping.items()}
     for f, v in mapping.items():
@@ -932,12 +904,6 @@ class ThresholdMap:
         if not self.pieces:
             raise ValueError("threshold map needs at least one piece")
 
-    def label(self, x: float) -> str:
-        for name, lo, hi in self.pieces:
-            if lo - OPEN_SHIFT <= x <= hi + OPEN_SHIFT:
-                return name
-        raise ValueError(f"threshold map is partial: no piece matches {x}")
-
     def regions(self) -> list[tuple[str, tuple[float, float]]]:
         out = []
         taken: list[tuple[float, float]] = []
@@ -961,9 +927,6 @@ class ThresholdMap:
         if not interval(0.0, 1.0).subset_of(cover, tol=2 * OPEN_SHIFT):
             raise ValueError("threshold map does not cover [0,1]")
 
-    def to_json(self) -> dict:
-        return {"pieces": [{"label": n, "lo": lo, "hi": hi} for n, lo, hi in self.pieces]}
-
     @staticmethod
     def from_json(obj: dict) -> "ThresholdMap":
         return ThresholdMap(tuple(
@@ -985,32 +948,6 @@ class RexpansionReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-
-def _finite_rexpansion(m1: FiniteNMatrix, m2: FiniteNMatrix, f: Mapping[str, str]):
-    issues = []
-    missing = set(m2.values) - set(f)
-    if missing:
-        raise ValueError(f"collapse map is partial: missing {sorted(missing)}")
-    for x in m2.values:
-        if m2.is_designated(x) != m1.is_designated(f[x]):
-            issues.append(
-                RexpansionIssue(1, f"designation mismatch at {x!r}: f({x!r})={f[x]!r}")
-            )
-    for conn, table in m2.tables.items():
-        for key, cell in table.items():
-            base = tuple(f[x] for x in key)
-            target = m1.cell(conn, base)
-            for y in cell.labels:
-                if not target.contains(f[y]):
-                    issues.append(
-                        RexpansionIssue(
-                            2,
-                            f"{conn}{key}: value {y!r} collapses to {f[y]!r} "
-                            f"outside {conn}{base} = {target}",
-                        )
-                    )
-    return issues
 
 
 def _interval_rexpansion_symbolic(m1: FiniteNMatrix, m2: IntervalNMatrix, f: ThresholdMap):
@@ -1052,21 +989,17 @@ def _interval_rexpansion_symbolic(m1: FiniteNMatrix, m2: IntervalNMatrix, f: Thr
     return issues
 
 
-def verify_rexpansion(m1: FiniteNMatrix, m2, f) -> RexpansionReport:
-    """Check the collapse-map characterization of a rexpansion.
+def verify_rexpansion(m1: FiniteNMatrix, m2: IntervalNMatrix, f: ThresholdMap) -> RexpansionReport:
+    """Check the collapse-map characterization of a rexpansion of the finite
+    m1 to the interval matrix m2; any other type of m2 raises TypeError.
 
     Condition 1: a value of m2 is designated exactly when its image under f
     is.  Condition 2: every value a cell of m2 can take collapses into the
-    corresponding cell of m1.  Finite m2 is checked exhaustively.  Interval
-    m2 is checked in one symbolic pass over the pieces of f per table case;
-    the pass is exact because every ``IntervalRule`` is monotone in each
-    argument, the contract ``test_interval_rule_contract`` checks for every
-    shipped rule.
+    corresponding cell of m1.  Both are checked in one symbolic pass over
+    the pieces of f per table case; the pass is exact because every
+    ``IntervalRule`` is monotone in each argument, the contract
+    ``test_interval_rule_contract`` checks for every shipped rule.
     """
-    if isinstance(m2, FiniteNMatrix):
-        return RexpansionReport(tuple(_finite_rexpansion(m1, m2, f)))
-    if isinstance(m2, IntervalNMatrix):
-        if not isinstance(f, ThresholdMap):
-            raise ValueError("interval-domain collapse maps must be ThresholdMap instances")
-        return RexpansionReport(tuple(_interval_rexpansion_symbolic(m1, m2, f)))
-    raise TypeError(f"unsupported matrix type {type(m2).__name__}")
+    if not isinstance(m2, IntervalNMatrix):
+        raise TypeError(f"unsupported matrix type {type(m2).__name__}")
+    return RexpansionReport(tuple(_interval_rexpansion_symbolic(m1, m2, f)))

@@ -3,7 +3,8 @@ lattice laws, interval truth tables and, on a verified OML only, states,
 two-valued homomorphisms and legal valuations (states again).
 
 Those tables are ``quantum.quantum_nmatrix`` under the lattice's own
-orthogonality relation, read off the order table (``FiniteOML.orthogonal``).
+orthogonality relation, read off the order table: a is orthogonal to b
+when a <= b'.
 
 The meet table comes from array products over the order; the join table is
 read off it through the orthocomplement (de Morgan) whenever that map is an
@@ -30,10 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from numbers import Real
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -96,9 +95,6 @@ class FiniteOML:
     def name(self, i: int) -> str:
         return self.elements[i]
 
-    def orthogonal(self, a: str, b: str) -> bool:
-        return bool(self.leq[self.index[a], self.ortho[self.index[b]]])
-
     def _order_failures(self) -> Iterator[str]:
         """The failures of the (reflexive) order as a partial order,
         antisymmetry then transitivity pairs in row-major order: the one
@@ -151,21 +147,6 @@ class FiniteOML:
         return table
 
     # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        pairs = [
-            [self.elements[i], self.elements[j]]
-            for i in range(len(self.elements))
-            for j in range(len(self.elements))
-            if i != j and self.leq[i, j]
-        ]
-        return {
-            "elements": list(self.elements),
-            "leq": pairs,
-            "ortho": {e: self.elements[self.ortho[self.index[e]]] for e in self.elements},
-            "bottom": self.elements[self.bottom],
-            "top": self.elements[self.top],
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteOML":
@@ -478,18 +459,16 @@ class _TestSpace:
     """The atoms of an OML grouped into contexts, the maximal sets of
     mutually orthogonal atoms (Foulis & Randall, J. Math. Phys. 13, 1972).
 
-    ``atoms`` holds element indices, ascending; ``orthogonal`` is their
-    orthogonality matrix, and a context is a sorted tuple of positions in
-    ``atoms``.  Row e of ``decomposition`` marks an orthogonal set D(e) of
-    atoms whose join is e.  ``rows`` has one equality per context, in
-    context order: its atom weights sum to 1.  ``variables`` names the
-    atoms in the order the solver pivots on them, fewest contexts first:
-    an atom in one context only is eliminated with its row and enters no
-    other pivot's expression.
+    ``atoms`` holds element indices, ascending, and a context is a sorted
+    tuple of positions in ``atoms``.  Row e of ``decomposition`` marks an
+    orthogonal set D(e) of atoms whose join is e.  ``rows`` has one equality
+    per context, in context order: its atom weights sum to 1.
+    ``variables`` names the atoms in the order the solver pivots on them,
+    fewest contexts first: an atom in one context only is eliminated with
+    its row and enters no other pivot's expression.
     """
 
     atoms: np.ndarray
-    orthogonal: np.ndarray
     contexts: tuple[tuple[int, ...], ...]
     decomposition: np.ndarray
     variables: tuple[str, ...]
@@ -508,8 +487,7 @@ def _test_space(l: FiniteOML) -> _TestSpace:
     """
     if l._space is None:
         atoms = np.flatnonzero(l.leq.sum(axis=0) == 2)  # the down-set is {0, a}
-        orthogonal = l.leq[np.ix_(atoms, l.ortho[atoms])]
-        contexts = _maximal_cliques(orthogonal)
+        contexts = _maximal_cliques(l.leq[np.ix_(atoms, l.ortho[atoms])])
         decomposition = np.zeros((len(l), len(atoms)), dtype=bool)
         if len(atoms):  # only the one-element lattice has none
             below, every = l.leq[atoms], np.arange(len(l))
@@ -525,7 +503,7 @@ def _test_space(l: FiniteOML) -> _TestSpace:
         shared = np.bincount([a for c in contexts for a in c], minlength=len(atoms))
         variables = tuple(names[a] for a in np.argsort(shared, kind="stable").tolist())
         rows = tuple(make_row(dict.fromkeys([names[a] for a in c], 1), 1, "context") for c in contexts)
-        l._space = _TestSpace(atoms, orthogonal, contexts, decomposition, variables, rows)
+        l._space = _TestSpace(atoms, contexts, decomposition, variables, rows)
     return l._space
 
 
@@ -811,7 +789,7 @@ def legal_valuation_search(
     for e, v in (partial or {}).items():
         if e not in l.index:
             raise ValueError(f"unknown element {e!r} in partial assignment")
-        pin = to_fraction(v, 10**9) if isinstance(v, (Real, Decimal)) else None
+        pin = to_fraction(v, 10**9)
         if pin is None or not 0 <= v <= 1:  # v itself: the pin is rounded
             raise ValueError(f"partial assignment out of [0,1] at {e!r}: {v!r}")
         rows.append(make_row({e: 1}, pin, f"pin:{e}"))

@@ -242,25 +242,16 @@ _P, _Q = Atom("P"), Atom("Q")
 _AND_PQ, _OR_PQ = And(_P, _Q), Or(_P, _Q)
 
 
-def dynamic_witness(
-    weights: Sequence[float] = (0.25, 0.25, 0.25, 0.25),
-    eps: float = 0.125,
-) -> DynamicWitness:
+def dynamic_witness() -> DynamicWitness:
     """Four-dimensional construction: P spans the first two basis rays, Q the
-    middle two, and the states carry weights (w0..w3) resp. the eps-shifted
-    weights (w0+e, w1-e, w2+e, w3-e), leaving the P and Q probabilities
-    untouched while moving the meet and join probabilities by eps.
+    middle two, and the states carry the weights (1/4, 1/4, 1/4, 1/4) resp.
+    the weights shifted by eps = 1/8, (3/8, 1/8, 3/8, 1/8), leaving the P
+    and Q probabilities untouched while moving the meet and join
+    probabilities by eps.
     """
-    w = [float(x) for x in weights]
-    if len(w) != 4 or any(x <= 0 for x in w):
-        raise ValueError("need four positive weights")
-    if abs(sum(w) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
-    if not 0.0 < eps < min(w):
-        raise ValueError(f"eps must lie strictly between 0 and min(weights)={min(w)}")
+    weights, shifted = (0.25, 0.25, 0.25, 0.25), (0.375, 0.125, 0.375, 0.125)
     e = [hilbert.basis_vector(4, i) for i in range(4)]
-    psi = sum(np.sqrt(w[i]) * e[i] for i in range(4))
-    shifted = [w[0] + eps, w[1] - eps, w[2] + eps, w[3] - eps]
+    psi = sum(np.sqrt(weights[i]) * e[i] for i in range(4))
     psi_eps = sum(np.sqrt(shifted[i]) * e[i] for i in range(4))
     rho = np.outer(psi, psi.conj())
     rho_eps = np.outer(psi_eps, psi_eps.conj())

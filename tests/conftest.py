@@ -5,11 +5,23 @@ import numpy as np
 import pytest
 
 from qnsem import hilbert
+from qnsem.kscheck import VectorContextFamily
 from qnsem.linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, max_norm
 from qnsem.formulas import Formula
-from qnsem.nmatrix import DESIGNATED, NON_ORTHOGONAL, ORTHOGONAL, UNDESIGNATED, Bindings, IntervalNMatrix, IntervalRule
+from qnsem.nmatrix import (
+    DESIGNATED,
+    NON_ORTHOGONAL,
+    ORTHOGONAL,
+    UNDESIGNATED,
+    Bindings,
+    FiniteNMatrix,
+    IntervalNMatrix,
+    IntervalRule,
+    ThresholdMap,
+)
 from qnsem.oml import FiniteOML
 from qnsem.quantum import DETERMINISTIC_NOT, quantum_nmatrix
+from qnsem.valuesets import OPEN_SHIFT, FiniteValues
 
 # Shared builders.  They are plain functions, not fixtures, because some
 # test modules parametrize over what they build at collection time; import
@@ -25,6 +37,65 @@ def matrix_to_json(a) -> dict:
 
 def operator_to_json(m, kind: str) -> dict:
     return {**matrix_to_json(m), "kind": kind}
+
+
+def cell_values_ordered(m: FiniteNMatrix, cell: FiniteValues) -> list[str]:
+    """The members of a cell of ``m`` in the order of ``m.values``."""
+    order = {v: i for i, v in enumerate(m.values)}
+    return sorted(cell.labels, key=order.__getitem__)
+
+
+# JSON writers of the fixture formats the CLI reads (each type's
+# ``from_json`` reads them back)
+
+
+def nmatrix_to_json(m: FiniteNMatrix) -> dict:
+    return {
+        "values": list(m.values),
+        "designated": sorted(m.designated, key=m.values.index),
+        "tables": {
+            conn: {",".join(key): cell_values_ordered(m, cell) for key, cell in table.items()}
+            for conn, table in m.tables.items()
+        },
+    }
+
+
+def collapse_map_to_json(f: ThresholdMap) -> dict:
+    return {"pieces": [{"label": n, "lo": lo, "hi": hi} for n, lo, hi in f.pieces]}
+
+
+def lattice_to_json(l: FiniteOML) -> dict:
+    return {
+        "elements": list(l.elements),
+        "leq": [[l.elements[i], l.elements[j]] for i, j in np.argwhere(l.leq).tolist() if i != j],
+        "ortho": {e: l.elements[l.ortho[l.index[e]]] for e in l.elements},
+        "bottom": l.elements[l.bottom],
+        "top": l.elements[l.top],
+    }
+
+
+def family_to_json(family: VectorContextFamily) -> dict:
+    return {
+        "dim": family.dim,
+        "vectors": {
+            vid: [[float(z.real), float(z.imag)] for z in vec] for vid, vec in sorted(family.vectors.items())
+        },
+        "contexts": [list(ctx) for ctx in family.contexts],
+    }
+
+
+def collapse_label(f: ThresholdMap, x: float) -> str:
+    """The label of the first piece of ``f`` within the closing
+    displacement of ``x``."""
+    for name, lo, hi in f.pieces:
+        if lo - OPEN_SHIFT <= x <= hi + OPEN_SHIFT:
+            return name
+    raise ValueError(f"threshold map is partial: no piece matches {x}")
+
+
+def lattice_orthogonal(l: FiniteOML, a: str, b: str) -> bool:
+    """a <= b' in the order table of ``l``."""
+    return bool(l.leq[l.index[a], l.ortho[l.index[b]]])
 
 
 def empty_negation_tables(alpha: float) -> IntervalNMatrix:
@@ -118,7 +189,8 @@ class LatticeBindings(Bindings[str]):
         return join_oml(self.lattice, a, b)
 
     def classify(self, left: Formula, right: Formula) -> str:
-        return ORTHOGONAL if self.lattice.orthogonal(self.denote(left), self.denote(right)) else NON_ORTHOGONAL
+        orthogonal = lattice_orthogonal(self.lattice, self.denote(left), self.denote(right))
+        return ORTHOGONAL if orthogonal else NON_ORTHOGONAL
 
 
 @pytest.fixture

@@ -78,7 +78,7 @@ def test_criterion_01_static_violation():
 
 @criterion(2, "dynamic-witness reproduction (dim 4)", 1.0)
 def test_criterion_02_dynamic_witness():
-    w = dynamic_witness(weights=(0.25, 0.25, 0.25, 0.25), eps=0.125)
+    w = dynamic_witness()
     tol = 1e-12
     for formula, expected, expected_eps in (
         (P, 0.5, 0.5),

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_with_fixed_point, operator_to_json
+from conftest import (
+    chain_with_fixed_point,
+    collapse_map_to_json,
+    family_to_json,
+    lattice_to_json,
+    nmatrix_to_json,
+    operator_to_json,
+)
 from qnsem import fixtures, hilbert, oml
 from qnsem.cli import main
 from qnsem.formulas import parse, render
@@ -206,7 +213,7 @@ def test_huge_entries_are_one_error_line(capsys, write_json, kind, matrix):
 
 
 def test_consequence(capsys, write_json):
-    matrix = write_json("three.json", three_valued_matrix().to_json())
+    matrix = write_json("three.json", nmatrix_to_json(three_valued_matrix()))
     gamma = write_json("gamma.json", {"formulas": ["P"]})
     delta = write_json("delta.json", {"formulas": ["P | Q"]})
     code, out, _ = run(
@@ -227,14 +234,14 @@ def test_consequence(capsys, write_json):
 def test_adequacy_exit_codes(capsys, write_json):
     code, out, _ = run(capsys, "adequacy", "--quantum")
     assert code == 3 and "NOT adequate" in out
-    classical = write_json("classical.json", classical_matrix().to_json())
+    classical = write_json("classical.json", nmatrix_to_json(classical_matrix()))
     code, out, _ = run(capsys, "adequacy", "--matrix", classical)
     assert code == 0 and "adequate" in out
 
 
 def test_rexpansion_verify(capsys, write_json):
-    m1 = write_json("three.json", three_valued_matrix().to_json())
-    collapse = write_json("map.json", three_valued_collapse().to_json())
+    m1 = write_json("three.json", nmatrix_to_json(three_valued_matrix()))
+    collapse = write_json("map.json", collapse_map_to_json(three_valued_collapse()))
     code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", collapse)
     assert code == 0 and "verified" in out
     corrupted = write_json(
@@ -252,10 +259,10 @@ def test_rexpansion_verify(capsys, write_json):
 
 
 def test_ks_commands(capsys, write_json):
-    family = write_json("ks.json", fixtures.ks18().to_json())
+    family = write_json("ks.json", family_to_json(fixtures.ks18()))
     code, out, _ = run(capsys, "ks", "search", family)
     assert code == 3 and "UNSAT" in out
-    single = write_json("single.json", fixtures.single_context_dim3().to_json())
+    single = write_json("single.json", family_to_json(fixtures.single_context_dim3()))
     code, out, _ = run(capsys, "ks", "search", single)
     assert code == 0 and "SAT" in out
     code, out, _ = run(capsys, "ks", "count", single)
@@ -263,14 +270,14 @@ def test_ks_commands(capsys, write_json):
 
 
 def test_oml_commands(capsys, write_json):
-    mo2 = write_json("mo2.json", oml.mo2().to_json())
+    mo2 = write_json("mo2.json", lattice_to_json(oml.mo2()))
     code, out, _ = run(capsys, "oml", "verify", mo2)
     assert code == 0 and "verified" in out
     code, out, _ = run(capsys, "oml", "find-state", mo2)
     assert code == 0 and "state found" in out
     code, out, _ = run(capsys, "oml", "cav", mo2)
     assert code == 3 and "UNSAT" in out
-    boolean = write_json("b8.json", oml.boolean_lattice(3).to_json())
+    boolean = write_json("b8.json", lattice_to_json(oml.boolean_lattice(3)))
     code, out, _ = run(capsys, "oml", "cav", boolean, "--all")
     assert code == 0 and "3 total" in out
     code, out, _ = run(capsys, "oml", "tables", mo2)
@@ -316,13 +323,13 @@ O6_JSON = {
 }
 # lattice JSON builder -> the first law verify_oml reports failed
 NON_OML_CASES = {
-    "chain-fixed-point": (lambda: chain_with_fixed_point().to_json(), "m meet its complement is not bottom"),
+    "chain-fixed-point": (lambda: lattice_to_json(chain_with_fixed_point()), "m meet its complement is not bottom"),
     "O6": (lambda: O6_JSON, "orthomodular law fails: b != a v (b ^ a')"),
 }
 
 
 def test_broken_lattice_exit(capsys, write_json):
-    broken = write_json("broken.json", chain_with_fixed_point().to_json())
+    broken = write_json("broken.json", lattice_to_json(chain_with_fixed_point()))
     code, out, _ = run(capsys, "oml", "verify", broken)
     assert code == 3 and "NOT an orthomodular lattice" in out
     code, out, err = run(capsys, "oml", "cav", broken)
@@ -391,7 +398,7 @@ def test_oml_relation_that_is_no_partial_order(capsys, write_json, leq, fault):
 def test_oml_cav_all_on_mo100(capsys, write_json):
     # 202 elements: MO_n has no two-valued valuation once n >= 2
     data = known.mo(100)
-    mo100 = write_json("mo100.json", oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1").to_json())
+    mo100 = write_json("mo100.json", lattice_to_json(oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1")))
     code, out, _ = run(capsys, "--format", "json", "oml", "cav", mo100, "--all")
     assert code == 3
     assert json.loads(out) == {"satisfiable": False, "solutions": 0}
@@ -435,14 +442,14 @@ def test_demo_json_pin(capsys):
 
 def _benchmark_boolean_7():
     data = known.boolean(7)
-    return oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1").to_json()
+    return lattice_to_json(oml.FiniteOML(data.elements, data.pairs, data.ortho, "0", "1"))
 
 
 # name -> (lattice JSON builder, extra argv, exit code, sha256 of the output)
 FIND_STATE_PINS = {
-    "boolean-2^3": (lambda: oml.boolean_lattice(3).to_json(), [], 0,
+    "boolean-2^3": (lambda: lattice_to_json(oml.boolean_lattice(3)), [], 0,
                     "6bf704902fec55a0210ccf34085cfe2fd0b6e33db74e5f88a36c903271807f5c"),
-    "MO2": (lambda: oml.mo2().to_json(), [], 0,
+    "MO2": (lambda: lattice_to_json(oml.mo2()), [], 0,
             "034e58ef21da9294384e98cfe83cd789ddf875a0f5c610985a81869983cf78e6"),
     # 128 elements, solved exactly like the others
     "boolean-2^7": (_benchmark_boolean_7, [], 0,
@@ -524,7 +531,7 @@ def test_tol_flag(capsys, write_json):
 
 
 def test_json_output_mode(capsys, write_json):
-    single = write_json("single.json", fixtures.single_context_dim3().to_json())
+    single = write_json("single.json", family_to_json(fixtures.single_context_dim3()))
     code, out, _ = run(capsys, "--format", "json", "ks", "count", single)
     assert code == 0
     assert json.loads(out)["solutions"] == 3
@@ -540,33 +547,33 @@ def test_whole_float_counts_read_as_ints(capsys, write_json):
 
 
 def _family_with_string_entry():
-    family = fixtures.single_context_dim3().to_json()
+    family = family_to_json(fixtures.single_context_dim3())
     family["vectors"]["e1"][0] = ["1", "0"]
     return family
 
 
 def _lattice_with_list_name():
-    lattice = oml.mo2().to_json()
+    lattice = lattice_to_json(oml.mo2())
     lattice["elements"][1] = ["a"]
     return lattice
 
 
 def _mo2_with(**fields):
-    lattice = oml.mo2().to_json()
+    lattice = lattice_to_json(oml.mo2())
     lattice.update(fields)
     return lattice
 
 
 def _mo2_ortho_with(**values):
-    return _mo2_with(ortho={**oml.mo2().to_json()["ortho"], **values})
+    return _mo2_with(ortho={**lattice_to_json(oml.mo2())["ortho"], **values})
 
 
 def _family_with(**fields):
-    return {**fixtures.single_context_dim3().to_json(), **fields}
+    return {**family_to_json(fixtures.single_context_dim3()), **fields}
 
 
 def _classical_with(**fields):
-    return {**classical_matrix().to_json(), **fields}
+    return {**nmatrix_to_json(classical_matrix()), **fields}
 
 
 def _state_with_entry(k, entry):
@@ -582,14 +589,14 @@ def _family_with_large_entry():
 
 
 def _collapse_with_string_bounds():
-    pieces = three_valued_collapse().to_json()["pieces"]
+    pieces = collapse_map_to_json(three_valued_collapse())["pieces"]
     return {"pieces": [{**p, "lo": str(p["lo"]), "hi": str(p["hi"])} for p in pieces]}
 
 
 def _lattice_with_string_elements():
     # names of one character each, so the string would read as the list of
     # them and pass unnoticed
-    lattice = oml.boolean_lattice(1).to_json()
+    lattice = lattice_to_json(oml.boolean_lattice(1))
     return {**lattice, "elements": "".join(lattice["elements"])}
 
 
@@ -610,19 +617,19 @@ _WRONG_SHAPE_CASES = {
     "eval-state-array": lambda w: ["eval", "--bind", w("bind.json", _state_and_bindings_json()[1]),
                                    "--state", w("state-array.json", [1, 2]), "P"],
     "consequence-matrix-array": lambda w: ["consequence", "--matrix", w("matrix-array.json", [1, 2])],
-    "consequence-gamma-number": lambda w: ["consequence", "--matrix", w("matrix.json", classical_matrix().to_json()),
+    "consequence-gamma-number": lambda w: ["consequence", "--matrix", w("matrix.json", nmatrix_to_json(classical_matrix())),
                                            "--gamma", w("gamma.json", {"formulas": [1]})],
     # a misspelled key is no empty premise list, and a string is no list
     # of its letters
     "consequence-gamma-missing-key": lambda w: [
-        "consequence", "--matrix", w("misspelt-matrix.json", classical_matrix().to_json()),
+        "consequence", "--matrix", w("misspelt-matrix.json", nmatrix_to_json(classical_matrix())),
         "--gamma", w("misspelt.json", {"formula": ["Q"]}), "--delta", w("p.json", {"formulas": ["P"]}),
     ],
     "consequence-gamma-string": lambda w: [
-        "consequence", "--matrix", w("string-matrix.json", classical_matrix().to_json()),
+        "consequence", "--matrix", w("string-matrix.json", nmatrix_to_json(classical_matrix())),
         "--gamma", w("string.json", {"formulas": "PQ"}), "--delta", w("pq.json", {"formulas": ["P & Q"]}),
     ],
-    "rexpansion-map-array": lambda w: ["rexpansion", "verify", "--m1", w("m1.json", classical_matrix().to_json()),
+    "rexpansion-map-array": lambda w: ["rexpansion", "verify", "--m1", w("m1.json", nmatrix_to_json(classical_matrix())),
                                        "--quantum", "--map", w("map-array.json", [1, 2])],
     "eval-bind-operator-array": lambda w: ["eval", "--bind", w("bind-operator-array.json", {"P": [1, 2]}),
                                            "--state", w("state-for-array.json", _state_and_bindings_json()[0]), "P"],
@@ -645,7 +652,7 @@ _WRONG_SHAPE_CASES = {
                                                                               "rows": 3.5}), "P"],
     # a collapse map whose bounds are strings verified
     "rexpansion-map-string-bound": lambda w: [
-        "rexpansion", "verify", "--m1", w("m1-for-strings.json", three_valued_matrix().to_json()),
+        "rexpansion", "verify", "--m1", w("m1-for-strings.json", nmatrix_to_json(three_valued_matrix())),
         "--quantum", "--map", w("map-strings.json", _collapse_with_string_bounds()),
     ],
 }
@@ -746,7 +753,7 @@ def test_fuzz_consequence(gamma, delta, three_valued):
     # atoms have 8 valuations; the three-valued one only sees short soup
     if three_valued:
         gamma, delta = [t[:12] for t in gamma], [t[:12] for t in delta]
-    matrix = (three_valued_matrix() if three_valued else classical_matrix()).to_json()
+    matrix = nmatrix_to_json(three_valued_matrix() if three_valued else classical_matrix())
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, obj in (("m", matrix), ("g", {"formulas": gamma}), ("d", {"formulas": delta})):
@@ -768,14 +775,14 @@ def _valid_json_inputs():
     return {
         "bindings": (bind, lambda p: ["eval", "--state", p["state"], "--bind", p["bindings"], "P | Q"]),
         "state": (state, lambda p: ["eval", "--state", p["state"], "--bind", p["bindings"], "P & !Q"]),
-        "matrix": (three_valued_matrix().to_json(),
+        "matrix": (nmatrix_to_json(three_valued_matrix()),
                    lambda p: ["consequence", "--matrix", p["matrix"], "--gamma", p["gamma"], "--delta", p["delta"]]),
-        "collapse-map": (three_valued_collapse().to_json(),
+        "collapse-map": (collapse_map_to_json(three_valued_collapse()),
                          lambda p: ["rexpansion", "verify", "--m1", p["matrix"], "--quantum", "--map", p["collapse-map"]]),
-        "lattice": (oml.mo2().to_json(), lambda p: ["oml", "find-state", p["lattice"]]),
+        "lattice": (lattice_to_json(oml.mo2()), lambda p: ["oml", "find-state", p["lattice"]]),
         "greechie": ({"atoms": ["a", "b", "c", "d", "e"], "blocks": [["a", "b", "c"], ["c", "d", "e"]]},
                      lambda p: ["oml", "cav", p["greechie"]]),
-        "vector-family": (fixtures.single_context_dim3().to_json(), lambda p: ["ks", "count", p["vector-family"]]),
+        "vector-family": (family_to_json(fixtures.single_context_dim3()), lambda p: ["ks", "count", p["vector-family"]]),
     }
 
 

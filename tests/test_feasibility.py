@@ -233,6 +233,14 @@ def test_check_point_non_finite_is_maximal_violation(bad):
     assert check_point(rows, {"x": bad, "y": 0.75}) == math.inf
 
 
+@pytest.mark.parametrize("bad", ["0.5", None, [0.5]], ids=["str", "none", "list"])
+def test_check_point_value_that_is_no_real_number_is_maximal_violation(bad):
+    # "0.5" was read through float() as 1/2, and None raised TypeError
+    rows = [make_row({"x": 1}, Fraction(1, 2)), make_row({"x": 1, "y": 1}, 1)]
+    assert check_point(rows, {"x": bad, "y": Fraction(1, 2)}) == math.inf
+    assert check_point(rows, {"x": Fraction(1, 2), "y": bad}) == math.inf
+
+
 def test_check_point_reads_any_real_number():
     # a Rational exactly, any other number through float()
     rows = [make_row({"x": 1, "y": 1}, 1), make_row({"x": 2, "y": -2}, -1)]

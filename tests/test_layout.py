@@ -1,14 +1,18 @@
 """Layout guards: ``src/qnsem`` holds only what the program itself reaches.
 
-A top-level definition that only tests name belongs in ``tests/`` (as an
-oracle or fixture) or nowhere; an import its module never uses is dead.
-Only code reaches a name: comments and docstrings do not count, string
-literals do.  The benchmark's tracer is not searched: it names the functions
-it wraps in strings and skips any name the program lacks, so naming one
-does not reach it.
+A top-level definition or a method that only tests name belongs in
+``tests/`` (as an oracle or fixture) or nowhere; an import its module never
+uses is dead.  Only code reaches a name: comments and docstrings do not
+count, string literals do for a top-level name.  A method is reached by an
+attribute load of its name, or by overriding a method of a class outside
+the package, which that class's own code calls (``cli._Parser.error``).
+The benchmark's tracer is not searched: it names the functions it wraps in
+strings and skips any name the program lacks, so naming one does not reach
+it.
 """
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -84,6 +88,51 @@ def unreached_definitions(modules=MODULES, searched=SEARCHED) -> list[str]:
     return unreached
 
 
+def _methods(tree: ast.Module):
+    """(class, method, first line, last line) of each method of each
+    top-level class, dunders aside; the first line includes decorators."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    yield node.name, item.name, first, item.end_lineno
+
+
+def _loads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(attribute, line) of each attribute load in the tree."""
+    return [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+def _import(path: Path):
+    """The module at ``path``: a ``qnsem`` module by its package name, any
+    other by its file name, from a directory on ``sys.path``."""
+    return importlib.import_module(f"qnsem.{path.stem}" if path in MODULES else path.stem)
+
+
+def unreached_methods(modules=MODULES, searched=SEARCHED) -> list[str]:
+    """``module.Class.method`` of each method that no searched file's code
+    loads as an attribute outside the method itself, and that overrides no
+    method of a class outside ``modules``."""
+    trees = {path: ast.parse(path.read_text()) for path in {*modules, *searched} if path.suffix == ".py"}
+    loads = {path: _loads(tree) for path, tree in trees.items()}
+    imported = {module: _import(module) for module in modules}
+    inside = {m.__name__ for m in imported.values()}
+    unreached = []
+    for module in modules:
+        for cls, name, first, last in _methods(trees[module]):
+            if any(attr == name and (path != module or not first <= line <= last)
+                   for path, found in loads.items() for attr, line in found):
+                continue
+            bases = getattr(imported[module], cls).__mro__[1:]
+            if not any(hasattr(base, name) for base in bases if base.__module__ not in inside):
+                unreached.append(f"{module.stem}.{cls}.{name}")
+    return unreached
+
+
 def unused_imports(modules=MODULES) -> list[str]:
     """``module: name`` of each module-level import its module never uses."""
     unused = []
@@ -107,6 +156,11 @@ def test_every_definition_is_reached_outside_tests():
     assert not unreached, "named only by tests: " + ", ".join(unreached)
 
 
+def test_every_method_is_reached_outside_tests():
+    unreached = unreached_methods()
+    assert not unreached, "methods loaded only by tests: " + ", ".join(unreached)
+
+
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "unused imports: " + ", ".join(unused)
@@ -126,6 +180,29 @@ def test_unreached_definition_detection(tmp_path):
     # helper names only itself; LIMIT is used in the module, used elsewhere;
     # documented is named only in a docstring or comment, QUOTED in a string
     assert unreached_definitions([module], [module, other]) == ["m.helper", "m.Lonely", "m.documented"]
+
+
+def test_unreached_method_detection(tmp_path, monkeypatch):
+    module, other = tmp_path / "layout_planted.py", tmp_path / "layout_caller.py"
+    module.write_text(
+        "import argparse\n\n\nclass Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(message)\n\n"
+        "    def helper(self):\n        return self.helper\n\n"
+        "    @property\n    def size(self):\n        return self.inner()\n\n"
+        "    def inner(self):\n        return 1\n\n"
+        "    def documented(self):\n        return 0\n\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    other.write_text(
+        '"""Calls Parser.documented()."""\n\n\n'
+        'def f(p):\n    return p.size, getattr(p, "documented")  # p.documented()\n'
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    # error overrides argparse's; helper loads only itself; size is loaded
+    # elsewhere, inner in its module; documented is named in a docstring, a
+    # string and a comment, never loaded; dunders are not checked
+    assert unreached_methods([module], [module, other]) == ["layout_planted.Parser.helper",
+                                                             "layout_planted.Parser.documented"]
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import LatticeBindings, chain_with_fixed_point, join_oml, meet_oml
+from conftest import LatticeBindings, chain_with_fixed_point, join_oml, lattice_orthogonal, lattice_to_json, meet_oml
 from test_feasibility import inequality, reference_check_point, reference_solve
 from qnsem import feasibility, fixtures, oml
 from qnsem.feasibility import check_point, make_row, solve_feasibility, to_fraction
@@ -233,7 +233,7 @@ def test_order_defects_are_computed_once_per_lattice(monkeypatch):
     calls = []
     check = oml._order_defects
     monkeypatch.setattr(oml, "_order_defects", lambda leq: calls.append(leq) or check(leq))
-    lattice = oml.FiniteOML.from_json(oml.boolean_lattice(3).to_json())
+    lattice = oml.FiniteOML.from_json(lattice_to_json(oml.boolean_lattice(3)))
     assert oml.verify_oml(lattice).ok and oml.verify_oml(lattice, max_failures=1).ok
     assert oml.find_two_valued_valuation(lattice, count_all=True)[1] == 3
     assert len(calls) == 1
@@ -254,7 +254,7 @@ def _poset_without_orthogonal_join():
 
 def test_missing_bound_is_an_error_not_an_index():
     broken = _poset_without_orthogonal_join()
-    assert broken.orthogonal("a", "b")
+    assert lattice_orthogonal(broken, "a", "b")
     message = "join of 'a' and 'b' does not exist or is not unique"
     with pytest.raises(ValueError, match=message):
         oml.state_constraints(broken)
@@ -435,7 +435,7 @@ def test_o6_fails_only_the_orthomodular_law():
 
 def test_json_roundtrip():
     m = oml.mo2()
-    back = oml.FiniteOML.from_json(m.to_json())
+    back = oml.FiniteOML.from_json(lattice_to_json(m))
     assert back.elements == m.elements
     assert (back.leq == m.leq).all()
     assert (back.ortho == m.ortho).all()
@@ -655,7 +655,7 @@ def test_context_solve_matches_the_state_row_solve():
         pin_sets = [{lattice.name(lattice.top): 0}, {lattice.name(lattice.bottom): Fraction(1, 2)}]
         if atoms:
             atom = atoms[0]
-            mate = next(b for b in atoms if lattice.orthogonal(atom, b))
+            mate = next(b for b in atoms if lattice_orthogonal(lattice, atom, b))
             ortho = lattice.elements[lattice.ortho[lattice.index[atom]]]
             pin_sets += [{atom: 1, ortho: 1}, {atom: Fraction(1, 3)}, {atom: 1, mate: 1}]
         for pins in pin_sets:
@@ -1053,8 +1053,8 @@ def test_mo2_distinct_blocks_are_not_orthogonal():
     # in the horizontal sum, a sits below no complement of b, so the
     # disjunction cell for (a, b) is the non-orthogonal interval
     lattice = oml.mo2()
-    assert not lattice.orthogonal("a", "b")
-    assert lattice.orthogonal("a", "a'")
+    assert not lattice_orthogonal(lattice, "a", "b")
+    assert lattice_orthogonal(lattice, "a", "a'")
     bindings = LatticeBindings(lattice, {"P": "a", "Q": "b"})
     assert bindings.classify(Atom("P"), Atom("Q")) == NON_ORTHOGONAL
     assert bindings.denote(Or(Atom("P"), Atom("Q"))) == "1"
