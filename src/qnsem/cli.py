@@ -8,6 +8,9 @@ reproduction).  ``--tol`` (default ``linalg.DEFAULT_TOL``; finite and
 positive, else a usage error) is the tolerance of the commands that read
 operators or vectors from files: ``eval``, ``legal`` and ``ks``.  The other
 commands check fixed constructions at their own pinned tolerances.
+``rexpansion verify`` checks a collapse map (``--map``) from the interval
+tables ``quantum_nmatrix(--alpha)``, the one expanded matrix, onto the
+finite matrix ``--m1``.
 """
 
 from __future__ import annotations
@@ -238,8 +241,6 @@ def _cmd_adequacy(args) -> int:
 
 def _cmd_rexpansion(args) -> int:
     m1 = FiniteNMatrix.from_json(_load_json(args.m1))
-    if not args.quantum:
-        raise InvariantViolation("only the interval tables are supported as the expanded matrix")
     m2 = quantum_nmatrix(args.alpha)
     collapse = ThresholdMap.from_json(_load_json(args.map))
     report = verify_rexpansion(m1, m2, collapse)
@@ -404,11 +405,10 @@ def build_parser() -> _Parser:
     p.add_argument("--negation", choices=NEGATION_VARIANTS, default="deterministic")
     p.set_defaults(func=_cmd_adequacy)
 
-    p = sub.add_parser("rexpansion", help="verify a collapse map between matrices")
+    p = sub.add_parser("rexpansion", help="verify a collapse map from the interval tables onto a finite matrix")
     psub = p.add_subparsers(dest="action", required=True)
     pv = psub.add_parser("verify")
     pv.add_argument("--m1", required=True)
-    pv.add_argument("--quantum", action="store_true")
     pv.add_argument("--alpha", type=float, default=1.0)
     pv.add_argument("--map", required=True)
     pv.set_defaults(func=_cmd_rexpansion)

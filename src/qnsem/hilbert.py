@@ -112,13 +112,14 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def projector_from_span(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
+def projector_from_span(vectors) -> np.ndarray:
     """Orthogonal projector onto the span of the given vectors.
 
     Dependent vectors are dropped by Gram-Schmidt.  Vectors that span
-    nothing (none, or all zero within ``tol``) raise ``DimensionMismatch``.
+    nothing (none, or all zero within ``DEFAULT_TOL``) raise
+    ``DimensionMismatch``.
     """
-    basis = orthonormalize(list(vectors), tol)
+    basis = orthonormalize(list(vectors))
     if not basis:
         raise DimensionMismatch("the vectors span nothing")
     dim = basis[0].size

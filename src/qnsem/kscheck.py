@@ -224,7 +224,7 @@ _ZERO, _ALL = np.uint64(0), np.uint64(2**64 - 1)
 _PATTERNS = [np.uint64(sum(1 << x for x in range(64) if x >> k & 1)) for k in range(6)]
 
 
-def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> int:
+def exhaustive_count(family: VectorContextFamily) -> int:
     """Solution count by sheer enumeration of all 2^n assignments.
 
     Independent of the backtracking path, and bit-sliced: a chunk of
@@ -256,7 +256,7 @@ def exhaustive_count(family: VectorContextFamily, tol: float = DEFAULT_TOL) -> i
     contexts = [[position[vid] for vid in ctx] for ctx in family.contexts]
     uncovered = set(range(n)).difference(*contexts)
     together = {(a, b) for ctx in contexts for a in ctx for b in ctx}  # pairs exactly-one excludes
-    adj = orthogonality_graph(family, tol)
+    adj = orthogonality_graph(family)
     later = [
         [b for b in map(position.get, adj[vid]) if b > a and (a, b) not in together]
         for a, vid in enumerate(ids)

@@ -3,13 +3,12 @@ Gram-Schmidt orthonormalization, the reader of the JSON wire form used
 by every fixture file, and ``_bits``, which lists the set bits of the int
 masks that the searches of ``nmatrix``, ``oml`` and ``kscheck`` run on.
 
-All matrices are numpy complex128 arrays.  ``as_matrix`` admits exactly one
-2-d matrix: it guards the JSON wire form and the helpers that compare
-single matrices.  ``as_stack`` also admits stacks of shape
-``(..., n, m)`` and feeds the validators and the projector kernel, whose
-``hermitian_eigen`` factors a whole stack in one call.  Operations are pure
-functions and never mutate their inputs, so everything here is safe to call
-concurrently.
+All matrices are numpy complex128 arrays.  ``as_stack`` admits a matrix
+or a stack of them of shape ``(..., n, m)``; it guards the JSON wire form
+and feeds the validators and the projector kernel, whose
+``hermitian_eigen`` factors a whole stack in one call.  Operations are
+pure functions and never mutate their inputs, so everything here is safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 #: The one default tolerance of the package: every ``tol`` parameter defaults
-#: to it, and callers that want another pass it explicitly (the CLI's ``--tol``).
+#: to it, callers that want another pass it explicitly (the CLI's ``--tol``),
+#: and the checks that take no ``tol`` use it as it is.
 DEFAULT_TOL = 1e-9
 
 
@@ -45,13 +45,6 @@ def as_stack(a) -> np.ndarray:
     if not np.isfinite(m).all():  # finite in both real and imaginary parts
         raise InvariantViolation("matrix contains non-finite entries")
     return m
-
-
-def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    return as_stack(m)
 
 
 def max_norm(a: np.ndarray) -> float:
@@ -93,11 +86,12 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenResult:
     return EigenResult(values, vectors)
 
 
-def orthonormalize(vectors: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def orthonormalize(vectors: Sequence) -> list[np.ndarray]:
     """Modified Gram-Schmidt with a second pass for numerical orthogonality.
 
-    Vectors whose residual norm after projection is at most ``tol`` are
-    dropped as linearly dependent.  Empty input yields an empty list.
+    Vectors whose residual norm after projection is at most
+    ``DEFAULT_TOL`` are dropped as linearly dependent.  Empty input yields
+    an empty list.
     """
     basis: list[np.ndarray] = []
     dim = None
@@ -111,7 +105,7 @@ def orthonormalize(vectors: Sequence, tol: float = DEFAULT_TOL) -> list[np.ndarr
             for e in basis:
                 v = v - np.vdot(e, v) * e
         norm = float(np.linalg.norm(v))
-        if norm > tol:
+        if norm > DEFAULT_TOL:
             basis.append(v / norm)
     return basis
 
@@ -181,4 +175,4 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise InvariantViolation(
             f"entry count {len(entries)} does not match {rows}x{cols}={rows * cols}"
         )
-    return as_matrix(json_entries(entries, "entries").reshape(rows, cols))
+    return as_stack(json_entries(entries, "entries").reshape(rows, cols))

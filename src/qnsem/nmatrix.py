@@ -276,7 +276,7 @@ _RELATION_CASES = {
 }
 
 # The case keys a table of each arity may use.
-_CASES = {1: (ANY, DESIGNATED, UNDESIGNATED), 2: (ANY, ORTHOGONAL, NON_ORTHOGONAL)}
+_CASES = {1: (ANY, DESIGNATED, UNDESIGNATED), 2: (ORTHOGONAL, NON_ORTHOGONAL)}
 
 
 @dataclass(frozen=True)
@@ -284,10 +284,10 @@ class IntervalNMatrix:
     """Truth values V = [0,1] with designated set D = [alpha, 1] and
     case-split interval rules per connective.
 
-    Binary tables split by the relation of their inputs (``any``,
-    ``orthogonal``, ``non_orthogonal``), unary ones by whether their input
-    is designated (``any``, ``designated``, ``undesignated``); another
-    connective or case key raises ValueError.
+    Binary tables split by the relation of their inputs (``orthogonal``,
+    ``non_orthogonal``), unary ones by whether their input is designated
+    (``any``, ``designated``, ``undesignated``); another connective or
+    case key raises ValueError.
 
     The matrix alone decides which case of a table governs an input:
     ``rule_cases`` for a point or a stack of trials, ``case_boxes`` for a
@@ -538,15 +538,14 @@ class StaticReport:
         return not self.violations
 
 
-def _values_equal(x, y, tol: float) -> bool:
-    if isinstance(x, str) or isinstance(y, str):
-        return x == y
-    return abs(float(x) - float(y)) <= tol
+def _values_equal(x, y) -> bool:
+    return abs(float(x) - float(y)) <= DEFAULT_TOL
 
 
-def is_static(valuation, tol: float = DEFAULT_TOL) -> StaticReport:
+def is_static(valuation) -> StaticReport:
     """Find same-connective compound pairs with equal component values but
-    different values: witnesses against the composability principle."""
+    different values: witnesses against the composability principle.
+    Values are numbers, equal within ``DEFAULT_TOL``."""
     mapping = _as_mapping(valuation)
     Valuation(mapping)
     groups: dict[type, list[Formula]] = {}
@@ -560,10 +559,10 @@ def is_static(valuation, tol: float = DEFAULT_TOL) -> StaticReport:
             for j in range(i + 1, len(formulas)):
                 f, g = formulas[i], formulas[j]
                 fc, gc = children(f), children(g)
-                if not all(_values_equal(mapping[a], mapping[b], tol) for a, b in zip(fc, gc)):
+                if not all(_values_equal(mapping[a], mapping[b]) for a, b in zip(fc, gc)):
                     continue
                 pairs += 1
-                if not _values_equal(mapping[f], mapping[g], tol):
+                if not _values_equal(mapping[f], mapping[g]):
                     violations.append(StaticViolation(f, g, mapping[f], mapping[g]))
     return StaticReport(tuple(violations), pairs)
 
@@ -844,10 +843,7 @@ def _interval_adequacy(m: IntervalNMatrix) -> AdequacyReport:
                 # and the half-open displacement must not be absorbed
                 if interval(lo, hi).subset_of(target):
                     continue
-                witness = _interval_witness(rule, box_a, box_b, target, m.alpha)
-                if witness is None:
-                    continue
-                a, b = witness
+                a, b = _interval_witness(rule, box_a, box_b, target, m.alpha)
                 violations.append(
                     ClauseViolation(conn, text, (a, b), rule.value_set(a, b), case)
                 )
@@ -855,10 +851,13 @@ def _interval_adequacy(m: IntervalNMatrix) -> AdequacyReport:
 
 
 def _interval_witness(rule, box_a, box_b, target, alpha):
-    """Concrete input pair whose output set escapes the target side.
+    """Concrete input pair whose output set escapes the target side, for a
+    rule whose hull over the boxes escapes it.
 
     The half-threshold pair is tried first so that threshold-sum witnesses
     (the superposition case) are reported in their sharpest form.
+    ``IntervalRule.hull`` is spanned by the corner values and every corner
+    is a candidate, so some candidate escapes.
     """
     candidates = [(alpha / 2.0, alpha / 2.0)]
     for a in (box_a[0], box_a[1], (box_a[0] + box_a[1]) / 2.0):
@@ -869,7 +868,6 @@ def _interval_witness(rule, box_a, box_b, target, alpha):
             continue
         if not rule.value_set(a, b).subset_of(target):
             return (a, b)
-    return None
 
 
 def adequacy_check(m) -> AdequacyReport:

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .feasibility import Certificate, FeasibilityResult, Row, make_row, solve_feasibility, to_fraction
-from .linalg import DEFAULT_TOL, _bits, json_list, json_object
+from .linalg import _bits, json_list, json_object
 from .nmatrix import NON_ORTHOGONAL, ORTHOGONAL, IntervalNMatrix
 from .quantum import quantum_nmatrix
 
@@ -718,9 +718,7 @@ class LatticeLegalityReport:
         return not self.violations
 
 
-def lattice_valuation_legal(
-    l: FiniteOML, m: IntervalNMatrix, mu: Mapping[str, object], tol: float = DEFAULT_TOL
-) -> LatticeLegalityReport:
+def lattice_valuation_legal(l: FiniteOML, m: IntervalNMatrix, mu: Mapping[str, object]) -> LatticeLegalityReport:
     """Elementwise legality of a [0,1]-valued map on the whole lattice: the
     value of every join, meet, and complement must sit inside the matrix cell
     selected by the orthogonality relation.  Each of the three checks is one
@@ -737,14 +735,14 @@ def lattice_valuation_legal(
     )
     violations = []
     for conn, inputs, target, relation in checks:
-        ok = m.admits(conn, values[target], tuple(values[x] for x in inputs), relation, tol)
+        ok = m.admits(conn, values[target], tuple(values[x] for x in inputs), relation)
         for k in np.flatnonzero(~ok):
             args = tuple(float(values[x[k]]) for x in inputs)
             got = mu[names[target[k]]]
             if conn == "not":
-                violations.append(f"complement of {names[k]}: {got} not in {m.cell(conn, args, tol=tol)}")
+                violations.append(f"complement of {names[k]}: {got} not in {m.cell(conn, args)}")
             else:
-                cell = m.cell(conn, args, (orthogonal[k], not orthogonal[k]), tol)
+                cell = m.cell(conn, args, (orthogonal[k], not orthogonal[k]))
                 case = ORTHOGONAL if orthogonal[k] else NON_ORTHOGONAL
                 violations.append(f"{conn}({names[i[k]]}, {names[j[k]]}) [{case}]: {got} not in {cell}")
     return LatticeLegalityReport(tuple(violations), len(names) + 2 * len(i))

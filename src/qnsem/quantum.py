@@ -141,7 +141,6 @@ class ProjectorBindings(Bindings[np.ndarray]):
         dims = {m.shape[-1] for m in self.atoms.values()}
         if len(dims) > 1:
             raise ValueError(f"atom projectors live in different dimensions: {sorted(dims)}")
-        self.dim = dims.pop() if dims else 0
 
     def ortho(self, p: np.ndarray) -> np.ndarray:
         return hilbert.ortho(p)
@@ -189,7 +188,6 @@ def born_legality_mask(
     atoms: Mapping[str, np.ndarray],
     formulas: Sequence[Formula],
     matrix: IntervalNMatrix,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Per-trial legality of Born valuations, for a ``(trials, d, d)`` stack
     of states and one such stack of projectors per atom.
@@ -201,20 +199,20 @@ def born_legality_mask(
     compound is then checked against its table's rules on arrays of trials.
     Born values are clipped into [0, 1], so atoms are always legal.
     """
-    bindings = ProjectorBindings(atoms, tol)
+    bindings = ProjectorBindings(atoms)
     rho = as_stack(rho)
     if rho.ndim != 3 or any(m.shape != rho.shape for m in bindings.atoms.values()):
         shapes = sorted({m.shape for m in bindings.atoms.values()})
         raise DimensionMismatch(f"states of shape {rho.shape} but atom stacks of shapes {shapes}")
-    valuation = evaluate_state(rho, bindings, formulas, tol)
+    valuation = evaluate_state(rho, bindings, formulas)
     legal = np.ones(len(rho), dtype=bool)
     for f, value in valuation.items():
         if isinstance(f, Not):
-            legal &= matrix.admits("not", value, (valuation[f.child],), tol=tol)
+            legal &= matrix.admits("not", value, (valuation[f.child],))
         elif isinstance(f, (And, Or)):
             args = (valuation[f.left], valuation[f.right])
             conn = "and" if isinstance(f, And) else "or"
-            legal &= matrix.admits(conn, value, args, bindings.relation(f.left, f.right), tol)
+            legal &= matrix.admits(conn, value, args, bindings.relation(f.left, f.right))
     return legal
 
 
@@ -329,9 +327,7 @@ class OrderReport:
         return not self.violations
 
 
-def order_preservation_check(
-    valuation: Valuation, bindings: ProjectorBindings, tol: float = DEFAULT_TOL
-) -> OrderReport:
+def order_preservation_check(valuation: Valuation, bindings: ProjectorBindings) -> OrderReport:
     """Born valuations respect the lattice order, and orthogonal pairs never
     carry total probability above one.
 
@@ -346,20 +342,20 @@ def order_preservation_check(
     denoted = np.stack([bindings.denote(f) for f in domain])
     for i, f in enumerate(domain):
         # f <= g exactly when g absorbs f: g f = f
-        below = max_norms(denoted @ denoted[i] - denoted[i]) <= tol
+        below = max_norms(denoted @ denoted[i] - denoted[i]) <= DEFAULT_TOL
         below[i] = False
         for j in np.flatnonzero(below):
             g = domain[j]
             comparable += 1
-            if valuation[f] > valuation[g] + tol:
+            if valuation[f] > valuation[g] + DEFAULT_TOL:
                 violations.append(OrderViolation(f, g, "order", f"{valuation[f]} > {valuation[g]}"))
     for i, f in enumerate(domain):
-        apart = max_norms(denoted[i] @ denoted[i + 1 :]) <= tol
+        apart = max_norms(denoted[i] @ denoted[i + 1 :]) <= DEFAULT_TOL
         for j in np.flatnonzero(apart) + i + 1:
             g = domain[j]
             orthogonal += 1
             total = valuation[f] + valuation[g]
-            if total > 1.0 + tol:
+            if total > 1.0 + DEFAULT_TOL:
                 violations.append(
                     OrderViolation(f, g, "orthogonal-sum", f"{valuation[f]} + {valuation[g]} = {total} > 1")
                 )

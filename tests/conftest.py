@@ -6,7 +6,7 @@ import pytest
 
 from qnsem import hilbert
 from qnsem.kscheck import VectorContextFamily
-from qnsem.linalg import DEFAULT_TOL, DimensionMismatch, as_matrix, max_norm
+from qnsem.linalg import DEFAULT_TOL, DimensionMismatch, as_stack, max_norm
 from qnsem.formulas import Formula
 from qnsem.nmatrix import (
     DESIGNATED,
@@ -105,6 +105,15 @@ def empty_negation_tables(alpha: float) -> IntervalNMatrix:
     empty_not = IntervalRule(1, lambda a: alpha, lambda a: 1.0 - a, "[alpha, 1-a]")
     tables = {**quantum_nmatrix(alpha).tables, "not": {DESIGNATED: empty_not, UNDESIGNATED: DETERMINISTIC_NOT}}
     return IntervalNMatrix(alpha, tables, name=f"empty-negation(alpha={alpha:g})")
+
+
+def as_matrix(a) -> np.ndarray:
+    """``linalg.as_stack`` of exactly one 2-d matrix, for the helpers that
+    compare single matrices."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
+    return as_stack(m)
 
 
 def is_orthogonal(p, q, tol: float = 1e-9) -> bool:

@@ -242,20 +242,20 @@ def test_adequacy_exit_codes(capsys, write_json):
 def test_rexpansion_verify(capsys, write_json):
     m1 = write_json("three.json", nmatrix_to_json(three_valued_matrix()))
     collapse = write_json("map.json", collapse_map_to_json(three_valued_collapse()))
-    code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", collapse)
+    code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--map", collapse)
     assert code == 0 and "verified" in out
     corrupted = write_json(
         "bad_map.json",
         {"pieces": [{"label": "F", "lo": 1.0, "hi": 1.0}, {"label": "F", "lo": 0.0, "hi": 0.0},
                     {"label": "T", "lo": 0.0, "hi": 1.0}]},
     )
-    code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", corrupted)
+    code, out, _ = run(capsys, "rexpansion", "verify", "--m1", m1, "--map", corrupted)
     assert code == 3
-    # the check is one exact symbolic pass: there is no sample count to set
-    code, _, err = run(
-        capsys, "rexpansion", "verify", "--m1", m1, "--quantum", "--map", collapse, "--samples", "500"
-    )
-    assert code == 1 and "--samples" in err and "Traceback" not in err
+    # the check is one exact symbolic pass: there is no sample count to set;
+    # and the interval tables are the one expanded matrix: nothing selects them
+    for extra in (["--samples", "500"], ["--quantum"]):
+        code, _, err = run(capsys, "rexpansion", "verify", "--m1", m1, "--map", collapse, *extra)
+        assert code == 1 and extra[0] in err and "Traceback" not in err
 
 
 def test_ks_commands(capsys, write_json):
@@ -630,7 +630,7 @@ _WRONG_SHAPE_CASES = {
         "--gamma", w("string.json", {"formulas": "PQ"}), "--delta", w("pq.json", {"formulas": ["P & Q"]}),
     ],
     "rexpansion-map-array": lambda w: ["rexpansion", "verify", "--m1", w("m1.json", nmatrix_to_json(classical_matrix())),
-                                       "--quantum", "--map", w("map-array.json", [1, 2])],
+                                       "--map", w("map-array.json", [1, 2])],
     "eval-bind-operator-array": lambda w: ["eval", "--bind", w("bind-operator-array.json", {"P": [1, 2]}),
                                            "--state", w("state-for-array.json", _state_and_bindings_json()[0]), "P"],
     "ks-vectors-array": lambda w: ["ks", "count", w("vectors-array.json", _family_with(vectors=[[1, 0]]))],
@@ -653,7 +653,7 @@ _WRONG_SHAPE_CASES = {
     # a collapse map whose bounds are strings verified
     "rexpansion-map-string-bound": lambda w: [
         "rexpansion", "verify", "--m1", w("m1-for-strings.json", nmatrix_to_json(three_valued_matrix())),
-        "--quantum", "--map", w("map-strings.json", _collapse_with_string_bounds()),
+        "--map", w("map-strings.json", _collapse_with_string_bounds()),
     ],
 }
 
@@ -778,7 +778,7 @@ def _valid_json_inputs():
         "matrix": (nmatrix_to_json(three_valued_matrix()),
                    lambda p: ["consequence", "--matrix", p["matrix"], "--gamma", p["gamma"], "--delta", p["delta"]]),
         "collapse-map": (collapse_map_to_json(three_valued_collapse()),
-                         lambda p: ["rexpansion", "verify", "--m1", p["matrix"], "--quantum", "--map", p["collapse-map"]]),
+                         lambda p: ["rexpansion", "verify", "--m1", p["matrix"], "--map", p["collapse-map"]]),
         "lattice": (lattice_to_json(oml.mo2()), lambda p: ["oml", "find-state", p["lattice"]]),
         "greechie": ({"atoms": ["a", "b", "c", "d", "e"], "blocks": [["a", "b", "c"], ["c", "d", "e"]]},
                      lambda p: ["oml", "cav", p["greechie"]]),

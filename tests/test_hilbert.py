@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import is_orthogonal, leq, operator_to_json, random_density, random_projector
+from conftest import as_matrix, is_orthogonal, leq, operator_to_json, random_density, random_projector
 from qnsem import hilbert, linalg
 from qnsem.linalg import DimensionMismatch, InvariantViolation, NotHermitian, max_norm
 from qnsem.quantum import ProjectorBindings
@@ -282,7 +282,7 @@ def test_validators_check_stacks_by_slice():
     stack = np.array([np.diag([1.0, 0.0]), np.eye(2)], dtype=complex)
     assert hilbert.check_projector(stack).shape == (2, 2, 2)
     assert hilbert.check_density(stack / np.array([1.0, 2.0])[:, None, None]).shape == (2, 2, 2)
-    assert ProjectorBindings({"P": stack}).dim == 2
+    assert ProjectorBindings({"P": stack}).atoms["P"].shape == (2, 2, 2)
     with pytest.raises(InvariantViolation, match=r"not a projector at slice \(1,\)"):
         hilbert.check_projector(stack * np.array([1.0, 0.5])[:, None, None])
     with pytest.raises(InvariantViolation, match=r"not a density operator at slice \(0,\)"):
@@ -292,7 +292,7 @@ def test_validators_check_stacks_by_slice():
     with pytest.raises(DimensionMismatch, match="must be square, got 2x3"):
         hilbert.check_projector(np.zeros((4, 2, 3)))
     with pytest.raises(DimensionMismatch):
-        linalg.as_matrix(stack)
+        as_matrix(stack)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -6,6 +6,8 @@ uses is dead.  Only code reaches a name: comments and docstrings do not
 count, string literals do for a top-level name.  A method is reached by an
 attribute load of its name, or by overriding a method of a class outside
 the package, which that class's own code calls (``cli._Parser.error``).
+A defaulted parameter that no program call sets is a setting only tests
+reach: the function should use the default as it is.
 The benchmark's tracer is not searched: it names the functions it wraps in
 strings and skips any name the program lacks, so naming one does not reach
 it.
@@ -133,6 +135,67 @@ def unreached_methods(modules=MODULES, searched=SEARCHED) -> list[str]:
     return unreached
 
 
+def _signatures(tree: ast.Module):
+    """(qualified name, called name, node, bound) of each top-level function
+    and each method of a top-level class: a call names a function by its
+    name and ``__init__`` by its class's, and ``bound`` is 1 where a call
+    passes the first parameter implicitly (``self``, ``cls``), else 0."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, item, 0 if static else 1
+
+
+def _defaulted(node, bound: int) -> dict[str, int | None]:
+    """Each defaulted parameter of the function ``node``, mapped to the
+    number of positional arguments a call must pass to reach it (None for
+    a keyword-only one)."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    params = {arg.arg: k + 1 - bound for k, arg in enumerate(positional) if k >= first}
+    params.update((arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return params
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, int, int, set, bool]]:
+    """(called name, line, positional count, keywords, unpacks) of each call
+    of a name or an attribute; ``unpacks`` when it passes ``*`` or ``**``."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            calls.append((name, node.lineno, len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return calls
+
+
+def unset_parameters(modules=MODULES, searched=SEARCHED) -> list[str]:
+    """``module.function: parameters`` of each function with a defaulted
+    parameter that no searched file's call sets outside the function
+    itself.  A call sets it by keyword, by enough positional arguments to
+    reach it, or by unpacking ``*`` or ``**`` arguments."""
+    trees = {path: ast.parse(path.read_text()) for path in {*modules, *searched} if path.suffix == ".py"}
+    calls = {path: _calls(tree) for path, tree in trees.items()}
+    unset = []
+    for module in modules:
+        for qualified, called, node, bound in _signatures(trees[module]):
+            found = [(count, keywords, unpacks)
+                     for path, listed in calls.items() for name, line, count, keywords, unpacks in listed
+                     if name == called and (path != module or not node.lineno <= line <= node.end_lineno)]
+            missing = [param for param, reach in _defaulted(node, bound).items()
+                       if not any(unpacks or param in keywords or (reach is not None and count >= reach)
+                                  for count, keywords, unpacks in found)]
+            if missing:
+                unset.append(f"{module.stem}.{qualified}: {', '.join(missing)}")
+    return unset
+
+
 def unused_imports(modules=MODULES) -> list[str]:
     """``module: name`` of each module-level import its module never uses."""
     unused = []
@@ -159,6 +222,11 @@ def test_every_definition_is_reached_outside_tests():
 def test_every_method_is_reached_outside_tests():
     unreached = unreached_methods()
     assert not unreached, "methods loaded only by tests: " + ", ".join(unreached)
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    unset = unset_parameters()
+    assert not unset, "defaulted parameters no program call sets: " + "; ".join(unset)
 
 
 def test_every_import_is_used():
@@ -203,6 +271,31 @@ def test_unreached_method_detection(tmp_path, monkeypatch):
     # string and a comment, never loaded; dunders are not checked
     assert unreached_methods([module], [module, other]) == ["layout_planted.Parser.helper",
                                                              "layout_planted.Parser.documented"]
+
+
+def test_unset_parameter_detection(tmp_path):
+    module, other = tmp_path / "m.py", tmp_path / "other.py"
+    module.write_text(
+        "def scaled(x, factor=2, *, offset=0):\n    return x * factor + offset\n\n\n"
+        "def spread(a=1, b=2):\n    return a + b\n\n\n"
+        "def countdown(n=3):\n    return countdown(n - 1) if n else 0\n\n\n"
+        "def quoted(flag=False):\n    return flag\n\n\n"
+        "class Box:\n    def __init__(self, size=1):\n        self.size = size\n\n"
+        "    def fill(self, level=1, tol=0.1):\n        return level, tol\n\n"
+        "    @staticmethod\n    def make(size=1):\n        return Box(size)\n"
+    )
+    other.write_text(
+        '"""Calls quoted(flag=True)."""\n\nfrom m import Box, countdown, scaled, spread\n\n\n'
+        "def f(options):\n    box = Box.make(3)\n"
+        "    return scaled(1, 3), spread(**options), countdown(), box.fill(level=2)  # quoted(True)\n"
+    )
+    # factor is reached by position and offset never; spread's by unpacking;
+    # countdown sets n only in itself; quoted only in a docstring and a
+    # comment; Box(size) in make reaches __init__ by the class name, make's
+    # own size by position (no self); fill's tol is never passed
+    assert unset_parameters([module], [module, other]) == [
+        "m.scaled: offset", "m.countdown: n", "m.quoted: flag", "m.Box.fill: tol",
+    ]
 
 
 @pytest.mark.parametrize("source, expected", [

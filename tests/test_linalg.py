@@ -3,13 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import leq, matrix_to_json
+from conftest import as_matrix, leq, matrix_to_json
 from qnsem import hilbert, linalg
 
 
 def multiply(a, b) -> np.ndarray:
     """The product of two single matrices, whose shapes must chain."""
-    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
+    a, b = as_matrix(a), as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise linalg.DimensionMismatch(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
     return a @ b
@@ -17,7 +17,7 @@ def multiply(a, b) -> np.ndarray:
 
 def trace(a) -> complex:
     """The trace of a single square matrix."""
-    a = linalg.as_matrix(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise linalg.DimensionMismatch(f"trace needs a square matrix, got {a.shape[0]}x{a.shape[1]}")
     return complex(np.trace(a))

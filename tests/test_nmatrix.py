@@ -170,6 +170,7 @@ def test_empty_interval_rule_still_raises():
     ("or", DESIGNATED, "table for 'or' has case 'designated'"),
     ("not", ORTHOGONAL, "table for 'not' has case 'orthogonal'"),
     ("xor", ANY, "unknown connective 'xor'"),
+    ("or", ANY, "table for 'or' has case 'any'"),
 ])
 def test_interval_tables_refuse_cases_their_arity_cannot_have(conn, case, message):
     rule = IntervalRule(CONNECTIVE_ARITY.get(conn, 2), lambda *a: 0.0, lambda *a: 1.0, "[0, 1]")
@@ -210,9 +211,10 @@ def test_valuation_closure_enforced():
 def test_static_vacuous_and_deterministic():
     v = {P: 0.3, Q: 0.6, Or(P, Q): 0.9, And(P, Q): 0.1}
     assert is_static(v).ok  # only one disjunction, one conjunction: no pairs
+    # the classical tables as 1.0/0.0: every legal valuation is deterministic
     m = classical_matrix()
     for valuation in enumerate_dynamic_valuations(m, [parse("P|Q"), parse("Q|P"), parse("P&Q")]):
-        assert is_static(valuation.values).ok
+        assert is_static({f: float(m.is_designated(x)) for f, x in valuation.items()}).ok
 
 
 def test_static_flags_equal_component_pairs():

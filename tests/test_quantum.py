@@ -20,6 +20,7 @@ from qnsem.nmatrix import (
     LegalityViolation,
     RelationOracle,
     Valuation,
+    _ADEQUACY_CLAUSES,
     adequacy_check,
     is_dynamic_legal,
     is_static,
@@ -27,6 +28,7 @@ from qnsem.nmatrix import (
 from qnsem.quantum import (
     CAP_AND,
     DETERMINISTIC_NOT,
+    NEGATION_VARIANTS,
     ORTHOGONAL_AND,
     ORTHOGONAL_OR,
     SPAN_OR,
@@ -44,7 +46,7 @@ from qnsem.quantum import (
     three_valued_collapse,
     two_valued_collapse,
 )
-from qnsem.valuesets import interval, interval_union
+from qnsem.valuesets import OPEN_SHIFT, interval, interval_union
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -378,6 +380,33 @@ def test_quantum_adequacy_witness():
     assert any(v.connective == "and" for v in report.violations)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.75, 0.6, 0.5])
+def test_adequacy_reports_every_escaping_hull(alpha):
+    # one violation per (clause, case) whose hull over the clause's input
+    # region escapes the target side, each with a witness whose cell
+    # escapes it too: no failing hull check goes unreported
+    regions = {True: (alpha, 1.0), False: (0.0, alpha - OPEN_SHIFT), None: (0.0, 1.0)}
+    for negation in NEGATION_VARIANTS:
+        if negation == "neg2" and not 0.5 < alpha < 1.0:
+            continue
+        m = quantum_nmatrix(alpha, negation)
+        report = adequacy_check(m)
+        targets, failing, checked = {}, [], 0
+        for conn, clauses in _ADEQUACY_CLAUSES.items():
+            for pattern, designated, text in clauses:
+                target = m.designated_set() if designated else m.undesignated_set()
+                targets[conn, text] = target
+                for case, rule in sorted(m.tables[conn].items()):
+                    checked += 1
+                    lo, hi = rule.hull(regions[pattern[0]], regions[pattern[1]])
+                    if not interval(lo, hi).subset_of(target):
+                        failing.append((conn, text, case))
+        assert report.clauses_checked == checked
+        assert [(v.connective, v.clause, v.case) for v in report.violations] == failing
+        for v in report.violations:
+            assert not m.tables[v.connective][v.case].value_set(*v.witness).subset_of(targets[v.connective, v.clause])
+
+
 # ---------------------------------------------------------------------------
 # collapse maps
 
@@ -586,7 +615,7 @@ def test_stacked_verdict_inside_ambiguity_band():
     atoms = {"P": np.array(ps), "Q": np.array(qs)}
     rho = np.array(rho)
     matrix = quantum_nmatrix(1.0)
-    mask = born_legality_mask(rho, atoms, SWEEP, matrix, tol)
+    mask = born_legality_mask(rho, atoms, SWEEP, matrix)
     assert mask.all()
     assert np.array_equal(mask, per_trial_verdicts(rho, atoms, SWEEP, matrix, tol))
     cases, fits_orthogonal = [], []
@@ -609,7 +638,7 @@ def test_stacked_verdict_inside_ambiguity_band():
             "not": {ANY: DETERMINISTIC_NOT},
         },
     )
-    mask = born_legality_mask(rho, atoms, SWEEP, swapped, tol)
+    mask = born_legality_mask(rho, atoms, SWEEP, swapped)
     assert mask.tolist() == [True] * 8 + [False] * 2
     assert np.array_equal(mask, per_trial_verdicts(rho, atoms, SWEEP, swapped, tol))
 
@@ -643,10 +672,6 @@ def test_stacked_legality_refuses_bad_slices():
     # meet(P, P) = kernel of 2I - 2P doubles it past the kernel's guard
     skew = np.diag([1.0, 0.0, 0.0]).astype(complex)
     skew[0, 1] = 8e-6
-    bad = p.copy()
-    bad[4] = skew
-    with pytest.raises(NotHermitian):
-        born_legality_mask(rho, {"P": bad, "Q": bad}, SWEEP, m, tol=1e-5)
     with pytest.raises(NotHermitian):
         evaluate_state(rho[4], ProjectorBindings({"P": skew, "Q": skew}, 1e-5), SWEEP, 1e-5)
     # stacks of different lengths or dimensions
